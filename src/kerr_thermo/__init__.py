@@ -12,7 +12,6 @@ from .errors import (
     GridInsufficientError,
     KerrThermoError,
     NumericalFailureError,
-    SkippedMassWarning,
     TailMassWarning,
     TraceDriftError,
     TruncationError,
@@ -88,7 +87,6 @@ __all__ = [
     "ConfigError",
     "BracketBoundaryWarning",
     "TailMassWarning",
-    "SkippedMassWarning",
     # fock
     "SystemParams",
     "Truncation",

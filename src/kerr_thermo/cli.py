@@ -1,11 +1,16 @@
 """Scenario runner: dispatch a parsed config to the library and emit CSV series.
 
-Every command writes deterministic CSV files (comma separated, LF endings,
-12 significant digits, '#' header comments embedding the resolved config hash)
-plus one ``run_report.txt`` with the resolved config echo, the truncation
-actually used, worst leakage, wall time, and deduplicated warnings.  Sweep
-points run in a worker pool; outputs are ordered by sweep index regardless of
-completion order, so identical configs give byte-identical CSVs.
+A run has two steps.  The compute step evaluates every sweep point (in a
+worker pool when asked), sorts the results by sweep index whatever the
+completion order, and aggregates the run report.  The writer then writes every
+output once: deterministic CSV files (comma separated, LF endings, 12
+significant digits, '#' header comments embedding the resolved config hash)
+plus ``run_report.txt`` with the resolved config echo, the truncation actually
+used, worst leakage, wall time, per-point summaries and deduplicated warnings.
+``reproduce-figure`` runs the same compute step and merges the points' columns
+in memory into one figure CSV and a sidecar.  File suffixes and column labels
+print sweep values with :func:`~kerr_thermo.config.exact_text`, so distinct
+values never share a file or a column.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, resolve_config
+from .config import ScenarioConfig, exact_text, resolve_config
 from .errors import ConfigError, KerrThermoError, TruncationError
 from .estimation import cr_bound, perturbed_trajectories, qfi_series
 from .fidelity import default_search_max, thermalization_trace
@@ -91,6 +96,10 @@ class _PointResult:
     summaries: list[str]
 
 
+# Commands whose sweep points are rows of one table rather than time series.
+_TABLE_COMMANDS = ("spectrum", "purity-sweep", "steady-state")
+
+
 def _format_value(x: float) -> str:
     return f"{x:.11e}"
 
@@ -99,11 +108,7 @@ def _point_suffix(config: ScenarioConfig, point: dict[str, float]) -> str:
     swept = config.swept_fields()
     if not swept:
         return ""
-    return "_" + "_".join(f"{name}{point[name]:g}" for name in swept)
-
-
-def _collect_warnings(records) -> list[str]:
-    return [str(rec.message) for rec in records]
+    return "_" + "_".join(f"{name}{exact_text(point[name])}" for name in swept)
 
 
 def _with_truncation_retry(config: ScenarioConfig, compute):
@@ -125,130 +130,104 @@ def _run_point(args) -> _PointResult:
     try:
         return _run_point_inner(config, index, point)
     except KerrThermoError as exc:
-        where = ", ".join(f"{k} = {v:g}" for k, v in point.items())
+        where = ", ".join(f"{k} = {exact_text(v)}" for k, v in point.items())
         raise type(exc)(f"sweep point {index} ({where}): {exc}") from exc
 
 
 def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointResult:
-    params = config.params_at(point)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if config.command == "thermalize":
-            def compute(trunc):
-                traj = propagate(vacuum_state(trunc), params, config.grid(), trunc)
-                search = config.search_max
-                if search is None:
-                    search = default_search_max(traj.final, params.n_th)
-                trace = thermalization_trace(traj, search)
-                return trace, traj.leakage_max
+    """Evaluate one sweep point.
 
-            (trace, leakage), n_cut = _with_truncation_retry(config, compute)
+    Each command supplies one ``compute(trunc)`` that returns ``(columns,
+    summaries, leakage)``; the truncation retry runs it.
+    """
+    params = config.params_at(point)
+    grid, fd = config.grid(), config.fd()
+    label = f"point{_point_suffix(config, point) or ' (single)'}"
+
+    if config.command == "thermalize":
+        def compute(trunc):
+            traj = propagate(vacuum_state(trunc), params, grid, trunc)
+            search = config.search_max
+            if search is None:
+                search = default_search_max(traj.final, params.n_th)
+            trace = thermalization_trace(traj, search)
             columns = {
                 "gamma_t": trace.times,
                 "n_eff": trace.n_eff,
                 "fidelity_at_opt": trace.fidelity_at_opt,
             }
-            summaries = [
-                f"point{_point_suffix(config, point) or ' (single)'}: "
-                f"final n_eff = {trace.n_eff[-1]:.6g}, "
+            summary = (
+                f"{label}: final n_eff = {trace.n_eff[-1]:.6g}, "
                 f"final fidelity = {trace.fidelity_at_opt[-1]:.6g}"
-            ]
-            return _PointResult(index, columns, n_cut, leakage, _collect_warnings(caught), summaries)
+            )
+            return columns, [summary], traj.leakage_max
 
-        if config.command == "qfi":
-            def compute(trunc):
-                trajectories = perturbed_trajectories(params, config.grid(), trunc, config.fd())
-                series = qfi_series(
-                    params, config.grid(), trunc, config.fd(), trajectories=trajectories
-                )
-                return series, trajectories.central.leakage_max
-
-            (series, leakage), n_cut = _with_truncation_retry(config, compute)
-            columns = {"gamma_t": series.times, "qfi": series.values}
-            summaries = [
-                f"point{_point_suffix(config, point) or ' (single)'}: "
-                f"plateau qfi = {series.plateau:.6g}, "
+    elif config.command == "qfi":
+        def compute(trunc):
+            trajectories = perturbed_trajectories(params, grid, trunc, fd)
+            series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
+            summary = (
+                f"{label}: plateau qfi = {series.plateau:.6g}, "
                 f"cr bound (mu={config.repetitions}) = "
                 f"{cr_bound(series.plateau, config.repetitions):.6g}"
-            ]
-            return _PointResult(index, columns, n_cut, leakage, _collect_warnings(caught), summaries)
+            )
+            columns = {"gamma_t": series.times, "qfi": series.values}
+            return columns, [summary], trajectories.central.leakage_max
 
-        if config.command == "cfi":
-            def compute(trunc):
-                grid = config.grid()
-                fd = config.fd()
-                trajectories = perturbed_trajectories(params, grid, trunc, fd)
-                cols = {"gamma_t": trajectories.times}
-                summaries = []
-                q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
-                cols["qfi"] = q_series.values
-                summaries.append(f"qfi: plateau = {q_series.plateau:.6g}")
-                for phi in config.homodyne_phis:
-                    series = cfi_series(
-                        params, grid, trunc, fd, homodyne_povm(phi, trunc), trajectories=trajectories
-                    )
-                    name = f"cfi_hom_phi{phi / math.pi:g}pi"
-                    cols[name] = series.values
-                    summaries.append(f"{name}: plateau = {series.plateau:.6g}")
-                if config.heterodyne:
-                    povm = heterodyne_povm(
-                        trunc,
-                        grid_radius=config.heterodyne_radius,
-                        grid_step=config.heterodyne_step,
-                        mean_photon=mean_photon_number(trajectories.central.final),
-                    )
-                    series = cfi_series(params, grid, trunc, fd, povm, trajectories=trajectories)
-                    cols["cfi_het"] = series.values
-                    summaries.append(f"cfi_het: plateau = {series.plateau:.6g}")
-                return (cols, summaries, trajectories.central.leakage_max)
+    elif config.command == "cfi":
+        def compute(trunc):
+            trajectories = perturbed_trajectories(params, grid, trunc, fd)
+            q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
+            columns = {"gamma_t": trajectories.times, "qfi": q_series.values}
+            summaries = [f"qfi: plateau = {q_series.plateau:.6g}"]
+            povms = {
+                f"cfi_hom_phi{exact_text(phi / math.pi)}pi": homodyne_povm(phi, trunc)
+                for phi in config.homodyne_phis
+            }
+            if config.heterodyne:
+                povms["cfi_het"] = heterodyne_povm(
+                    trunc,
+                    grid_radius=config.heterodyne_radius,
+                    grid_step=config.heterodyne_step,
+                    mean_photon=mean_photon_number(trajectories.central.final),
+                )
+            for name, povm in povms.items():
+                series = cfi_series(params, grid, trunc, fd, povm, trajectories=trajectories)
+                columns[name] = series.values
+                summaries.append(
+                    f"{name}: plateau = {series.plateau:.6g}, "
+                    f"max skipped mass = {series.max_skipped_mass:.3e}, "
+                    f"completeness defect = {povm.completeness_defect:.3e}"
+                )
+            return columns, summaries, trajectories.central.leakage_max
 
-            (cols, summaries, leakage), n_cut = _with_truncation_retry(config, compute)
-            return _PointResult(index, cols, n_cut, leakage, _collect_warnings(caught), summaries)
+    elif config.command == "spectrum":
+        # the gap window needs levels well above window_hi
+        config = replace(config, n_cut=max(config.n_cut, config.window_hi + 22))
 
-        if config.command == "spectrum":
-            def compute(trunc):
-                if trunc.n_cut < config.window_hi + 22:
-                    trunc = Truncation(config.window_hi + 22, trunc.leakage_tol)
-                eig = spectrum(params, trunc)
-                return gap_variance(eig, config.window_lo, config.window_hi), trunc.n_cut
+        def compute(trunc):
+            report = gap_variance(spectrum(params, trunc), config.window_lo, config.window_hi)
+            return {"var_gap": np.array([report.variance])}, [], 0.0
 
-            (report, n_cut), _ = _with_truncation_retry(config, compute)
-            columns = {name: np.array([point[name]]) for name in config.swept_fields()}
-            columns["var_gap"] = np.array([report.variance])
-            return _PointResult(index, columns, n_cut, 0.0, _collect_warnings(caught), [])
-
-        if config.command in ("purity-sweep", "steady-state"):
-            def compute(trunc):
-                ss = steady_state(params, trunc)
-                return ss, trunc.n_cut
-
-            (ss, n_cut), _ = _with_truncation_retry(config, compute)
-            columns = {name: np.array([point[name]]) for name in config.swept_fields()}
-            if config.command == "purity-sweep":
-                columns["purity"] = np.array([purity(ss)])
-            else:
+    elif config.command in ("purity-sweep", "steady-state"):
+        def compute(trunc):
+            ss = steady_state(params, trunc)
+            columns = {}
+            if config.command == "steady-state":
                 columns["photon_number"] = np.array([mean_photon_number(ss)])
-                columns["purity"] = np.array([purity(ss)])
-            return _PointResult(index, columns, n_cut, 0.0, _collect_warnings(caught), [])
+            columns["purity"] = np.array([purity(ss)])
+            return columns, [], 0.0
 
-    raise ConfigError(f"command {config.command!r} cannot be dispatched", field="command")
+    else:
+        raise ConfigError(f"command {config.command!r} cannot be dispatched", field="command")
 
-
-def _write_csv(path: str, config: ScenarioConfig, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    length = len(next(iter(columns.values())))
-    rows = [",".join(names)]
-    for i in range(length):
-        rows.append(",".join(_format_value(float(columns[name][i])) for name in names))
-    header = (
-        f"# kerr-thermo {__version__}\n"
-        f"# command: {config.command}\n"
-        f"# config-hash: {config.config_hash()}\n"
-    )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header)
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (columns, summaries, leakage), n_cut = _with_truncation_retry(config, compute)
+    if config.command in _TABLE_COMMANDS:
+        columns = {**{name: np.array([point[name]]) for name in config.swept_fields()}, **columns}
+    messages = [str(rec.message) for rec in caught]
+    return _PointResult(index, columns, n_cut, leakage, messages, summaries)
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -266,58 +245,77 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def run(config: ScenarioConfig, out_dir: str | None = None, jobs: int | None = None) -> RunReport:
-    """Execute a scenario, writing CSV outputs and a run report into ``out_dir``.
+def _compute(config: ScenarioConfig, jobs: int | None) -> tuple[RunReport, list[_PointResult]]:
+    """Evaluate every sweep point (in a pool when asked) and aggregate the report.
 
-    ``out_dir=None`` falls back to the config's ``output_path``.  Raises on
-    the first failing sweep point after removing partial outputs.
+    Results come back sorted by sweep index whatever the completion order.
     """
-    start = time.perf_counter()
-    if out_dir is None:
-        out_dir = config.output_path
     jobs = _resolve_jobs(jobs)
-    os.makedirs(out_dir, exist_ok=True)
+    tasks = [(config, i) for i in range(len(config.sweep_points()))]
+    if jobs == 1 or len(tasks) == 1:
+        results = [_run_point(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_run_point, tasks))
+    results.sort(key=lambda r: r.index)
+
     report = RunReport(
         command=config.command,
         config_echo=config.canonical_text(),
         config_hash=config.config_hash(),
         n_cut_used=config.n_cut,
     )
-    points = config.sweep_points()
-    tasks = [(config, i) for i in range(len(points))]
+    for res in results:
+        report.n_cut_used = max(report.n_cut_used, res.n_cut_used)
+        report.leakage_max = max(report.leakage_max, res.leakage_max)
+        for message in res.warnings:
+            if message not in report.warnings:
+                report.warnings.append(message)
+        report.summaries.extend(res.summaries)
+    return report, results
+
+
+def _merged_rows(config: ScenarioConfig, results: list[_PointResult]) -> dict[str, np.ndarray]:
+    """A table command's points stacked as the rows of one table."""
+    names = results[0].columns
+    merged = {name: np.concatenate([r.columns[name] for r in results]) for name in names}
+    if not config.swept_fields():
+        # ensure at least one labeled abscissa column for a single point
+        merged = {"n_th": np.array(config.n_th), **merged}
+    return merged
+
+
+def _merged_curves(config: ScenarioConfig, results: list[_PointResult]) -> dict[str, np.ndarray]:
+    """The points' time series side by side, each label carrying its point suffix."""
+    merged = {"gamma_t": results[0].columns["gamma_t"]}
+    for res, point in zip(results, config.sweep_points()):
+        suffix = _point_suffix(config, point)
+        merged.update((f"{col}{suffix}", v) for col, v in res.columns.items() if col != "gamma_t")
+    return merged
+
+
+def _csv_text(config: ScenarioConfig, columns: dict[str, np.ndarray]) -> str:
+    names = list(columns)
+    length = len(next(iter(columns.values())))
+    rows = [",".join(names)]
+    for i in range(length):
+        rows.append(",".join(_format_value(float(columns[name][i])) for name in names))
+    header = (
+        f"# kerr-thermo {__version__}\n"
+        f"# command: {config.command}\n"
+        f"# config-hash: {config.config_hash()}\n"
+    )
+    return header + "\n".join(rows) + "\n"
+
+
+def _write(out_dir: str, report: RunReport, files: dict[str, str], start: float) -> RunReport:
+    """Write every output file, then ``run_report.txt``; on failure remove what was written."""
     written: list[str] = []
     try:
-        if jobs == 1 or len(tasks) == 1:
-            results = [_run_point(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                results = list(pool.map(_run_point, tasks))
-        results.sort(key=lambda r: r.index)
-
-        for res in results:
-            report.n_cut_used = max(report.n_cut_used, res.n_cut_used)
-            report.leakage_max = max(report.leakage_max, res.leakage_max)
-            for message in res.warnings:
-                if message not in report.warnings:
-                    report.warnings.append(message)
-            report.summaries.extend(res.summaries)
-
-        if config.command in ("spectrum", "purity-sweep", "steady-state"):
-            merged: dict[str, np.ndarray] = {}
-            for name in results[0].columns:
-                merged[name] = np.concatenate([r.columns[name] for r in results])
-            if not config.swept_fields():
-                # ensure at least one labeled abscissa column for a single point
-                merged = {"n_th": np.array(config.n_th), **merged}
-            filename = f"{config.command.replace('-', '_')}.csv"
-            _write_csv(os.path.join(out_dir, filename), config, merged)
-            written.append(filename)
-        else:
-            for res, point in zip(results, points):
-                filename = f"{config.command}{_point_suffix(config, point)}.csv"
-                _write_csv(os.path.join(out_dir, filename), config, res.columns)
-                written.append(filename)
-
+        for name, text in files.items():
+            with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+                fh.write(text)
+            written.append(name)
         report.outputs = written
         report.wall_time_s = time.perf_counter() - start
         with open(os.path.join(out_dir, "run_report.txt"), "w", newline="\n") as fh:
@@ -325,21 +323,34 @@ def run(config: ScenarioConfig, out_dir: str | None = None, jobs: int | None = N
         return report
     except Exception:
         for name in written:
-            path = os.path.join(out_dir, name)
-            if os.path.exists(path):
-                os.remove(path)
+            os.remove(os.path.join(out_dir, name))
         raise
 
 
-def _figure_checks(name: str, config: ScenarioConfig, out_dir: str) -> list[str]:
-    """Re-read the emitted figure CSV and evaluate the trend checks for it."""
+def run(config: ScenarioConfig, out_dir: str | None = None, jobs: int | None = None) -> RunReport:
+    """Execute a scenario, writing CSV outputs and a run report into ``out_dir``.
+
+    ``out_dir=None`` falls back to the config's ``output_path``.  A failing
+    sweep point raises before any file is written.
+    """
+    start = time.perf_counter()
+    out_dir = config.output_path if out_dir is None else out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    report, results = _compute(config, jobs)
+    if config.command in _TABLE_COMMANDS:
+        tables = {f"{config.command.replace('-', '_')}.csv": _merged_rows(config, results)}
+    else:
+        tables = {
+            f"{config.command}{_point_suffix(config, point)}.csv": res.columns
+            for res, point in zip(results, config.sweep_points())
+        }
+    files = {name: _csv_text(config, cols) for name, cols in tables.items()}
+    return _write(out_dir, report, files, start)
+
+
+def _figure_checks(name: str, config: ScenarioConfig, cols: dict[str, np.ndarray]) -> list[str]:
+    """Evaluate the trend checks on a figure's merged columns."""
     checks: list[str] = []
-    path = os.path.join(out_dir, f"{name}.csv")
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    names = lines[0].strip().split(",")
-    data = np.array([[float(x) for x in ln.strip().split(",")] for ln in lines[1:]])
-    cols = {n: data[:, i] for i, n in enumerate(names)}
 
     def record(label: str, ok: bool) -> None:
         checks.append(f"[{'PASS' if ok else 'FAIL'}] {label}")
@@ -355,8 +366,7 @@ def _figure_checks(name: str, config: ScenarioConfig, out_dir: str) -> list[str]
             abs(n_eff[-1] - n_th) <= 0.3 * n_th,
         )
     elif name.startswith("fig3") or name.startswith("fig5"):
-        series = [c for c in names if c != "gamma_t"]
-        plats = [cols[c][-1] for c in series]
+        plats = [values[-1] for col, values in cols.items() if col != "gamma_t"]
         record(
             "plateau qfi strictly increasing along the sweep "
             + " < ".join(f"{p:.4g}" for p in plats),
@@ -367,10 +377,9 @@ def _figure_checks(name: str, config: ScenarioConfig, out_dir: str) -> list[str]
     elif name.startswith("fig7"):
         record("purity strictly decreasing along the sweep", bool(np.all(np.diff(cols["purity"]) < 0)))
     elif name.startswith("fig8"):
-        qfi_vals = cols["qfi"]
-        for col in names:
+        for col, values in cols.items():
             if col.startswith("cfi"):
-                ok = bool(np.all(cols[col] <= qfi_vals * (1 + 1e-6)))
+                ok = bool(np.all(values <= cols["qfi"] * (1 + 1e-6)))
                 record(f"{col} <= qfi at every sampled time", ok)
     return checks
 
@@ -382,70 +391,35 @@ def reproduce_figure(name: str, out_dir: str | None = None, jobs: int | None = N
     the sidecar lists the preset parameters, flags the inferred ones, and
     reports which trend checks passed.
     """
+    start = time.perf_counter()
     if name not in PRESETS:
         raise ConfigError(
             f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}", field="preset"
         )
     config = resolve_config(preset=name)
-    if out_dir is None:
-        out_dir = config.output_path
+    out_dir = config.output_path if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
-    report = run(config, out_dir=out_dir, jobs=jobs)
+    report, results = _compute(config, jobs)
+    merge = _merged_rows if config.command in _TABLE_COMMANDS else _merged_curves
+    columns = merge(config, results)
+    checks = _figure_checks(name, config, columns)
+    report.summaries.extend(checks)
 
-    try:
-        # fold per-point time series into a single figure CSV, one column per curve
-        if config.command in ("thermalize", "qfi", "cfi"):
-            points = config.sweep_points()
-            swept = config.swept_fields()
-            merged: dict[str, np.ndarray] = {}
-            for point in points:
-                suffix = _point_suffix(config, point)
-                src = os.path.join(out_dir, f"{config.command}{suffix}.csv")
-                with open(src) as fh:
-                    lines = [ln for ln in fh if not ln.startswith("#")]
-                names = lines[0].strip().split(",")
-                data = np.array([[float(x) for x in ln.strip().split(",")] for ln in lines[1:]])
-                for i, col in enumerate(names):
-                    if col == "gamma_t":
-                        merged.setdefault("gamma_t", data[:, i])
-                        continue
-                    label = col if not swept else f"{col}_{swept[0]}{point[swept[0]]:g}"
-                    merged[label] = data[:, i]
-                os.remove(src)
-            _write_csv(os.path.join(out_dir, f"{name}.csv"), config, merged)
-            report.outputs = [f"{name}.csv"]
-        else:
-            src = f"{config.command.replace('-', '_')}.csv"
-            os.replace(os.path.join(out_dir, src), os.path.join(out_dir, f"{name}.csv"))
-            report.outputs = [f"{name}.csv"]
-
-        checks = _figure_checks(name, config, out_dir)
-    except Exception:
-        for leftover in (f"{name}.csv", f"{name}_params.txt"):
-            path = os.path.join(out_dir, leftover)
-            if os.path.exists(path):
-                os.remove(path)
-        raise
     preset = PRESETS[name]
     inferred = set(preset.get("_inferred", ()))
-    sidecar = [f"{name}: parameters and checks", ""]
-    sidecar.append("parameters:")
+    sidecar = [f"{name}: parameters and checks", "", "parameters:"]
     for key, value in preset.items():
         if key.startswith("_"):
             continue
         marker = "  (inferred)" if key in inferred else ""
         sidecar.append(f"  {key} = {value}{marker}")
-    sidecar.append("")
-    sidecar.append("checks:")
-    sidecar += [f"  {c}" for c in checks]
-    sidecar_name = f"{name}_params.txt"
-    with open(os.path.join(out_dir, sidecar_name), "w", newline="\n") as fh:
-        fh.write("\n".join(sidecar) + "\n")
-    report.outputs.append(sidecar_name)
-    report.summaries.extend(checks)
-    with open(os.path.join(out_dir, "run_report.txt"), "w", newline="\n") as fh:
-        fh.write(report.render())
-    return report
+    sidecar += ["", "checks:"] + [f"  {c}" for c in checks]
+
+    files = {
+        f"{name}.csv": _csv_text(config, columns),
+        f"{name}_params.txt": "\n".join(sidecar) + "\n",
+    }
+    return _write(out_dir, report, files, start)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .errors import ConfigError
@@ -19,7 +19,7 @@ from .fock import SystemParams, Truncation
 from .dynamics import TimeGrid
 from .presets import PRESETS
 
-__all__ = ["ScenarioConfig", "parse_config", "resolve_config", "COMMANDS"]
+__all__ = ["ScenarioConfig", "parse_config", "resolve_config", "exact_text", "COMMANDS"]
 
 COMMANDS = (
     "thermalize",
@@ -56,10 +56,31 @@ _DEFAULTS: dict[str, str] = {
     "search_max": "auto",
     "repetitions": "1",
     "output_path": ".",
-    "seed": "0",
 }
 
 _KNOWN_KEYS = frozenset(_DEFAULTS) | {"command", "preset", "n_th"}
+
+
+def exact_text(value: float) -> str:
+    """``f"{value:g}"`` when that parses back to exactly ``value``, else ``repr``.
+
+    Used for file suffixes, column labels and the config echo, so distinct
+    values never print alike.
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
+def _echo(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return exact_text(value)
+    if isinstance(value, tuple):
+        return ", ".join(exact_text(v) for v in value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -89,7 +110,6 @@ class ScenarioConfig:
     search_max: float | None
     repetitions: int
     output_path: str
-    seed: int
     preset: str | None = None
 
     def trunc(self) -> Truncation:
@@ -123,40 +143,14 @@ class ScenarioConfig:
             gamma=point["gamma"],
         )
 
-    def with_n_cut(self, n_cut: int) -> "ScenarioConfig":
-        return replace(self, n_cut=n_cut)
-
     def canonical_text(self) -> str:
-        """Sorted key = value echo of the resolved configuration."""
+        """Key = value echo of the resolved configuration; it parses back to an equal config."""
         lines = [f"command = {self.command}"]
         if self.preset:
             lines.append(f"preset = {self.preset}")
-        for name in SWEEPABLE:
-            values = ", ".join(f"{v:g}" for v in getattr(self, name))
-            lines.append(f"{name} = {values}")
-        lines.append(f"n_cut = {self.n_cut}")
-        lines.append(f"leakage_tol = {self.leakage_tol:g}")
-        lines.append(f"t_start = {self.t_start:g}")
-        lines.append(f"t_end = {self.t_end:g}")
-        lines.append(f"n_samples = {self.n_samples}")
-        step = "auto" if self.integrator_step is None else f"{self.integrator_step:g}"
-        lines.append(f"integrator_step = {step}")
-        lines.append(f"rel_step = {self.rel_step:g}")
-        lines.append(f"abs_floor = {self.abs_floor:g}")
-        phis = ", ".join(f"{v:g}" for v in self.homodyne_phis)
-        lines.append(f"homodyne_phis = {phis}")
-        lines.append(f"heterodyne = {'true' if self.heterodyne else 'false'}")
-        radius = "auto" if self.heterodyne_radius is None else f"{self.heterodyne_radius:g}"
-        lines.append(f"heterodyne_radius = {radius}")
-        hstep = "auto" if self.heterodyne_step is None else f"{self.heterodyne_step:g}"
-        lines.append(f"heterodyne_step = {hstep}")
-        lines.append(f"window_lo = {self.window_lo}")
-        lines.append(f"window_hi = {self.window_hi}")
-        smax = "auto" if self.search_max is None else f"{self.search_max:g}"
-        lines.append(f"search_max = {smax}")
-        lines.append(f"repetitions = {self.repetitions}")
-        lines.append(f"output_path = {self.output_path}")
-        lines.append(f"seed = {self.seed}")
+        for f in fields(self):
+            if f.name not in ("command", "preset"):
+                lines.append(f"{f.name} = {_echo(getattr(self, f.name))}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -282,7 +276,6 @@ def build_config(entries: dict[str, str]) -> ScenarioConfig:
         search_max=_parse_optional(values["search_max"], "search_max"),
         repetitions=_parse_int(values["repetitions"], "repetitions"),
         output_path=values["output_path"],
-        seed=_parse_int(values["seed"], "seed"),
     )
     _validate(cfg)
     return cfg
@@ -293,6 +286,10 @@ def _validate(cfg: ScenarioConfig) -> None:
         for value in getattr(cfg, name):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite", field=name)
+    for name in SWEEPABLE + ("homodyne_phis",):
+        values = getattr(cfg, name)
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} lists a value twice", field=name)
     for name in ("chi", "drive", "n_th"):
         if any(v < 0 for v in getattr(cfg, name)):
             raise ConfigError(f"{name} must be nonnegative", field=name)

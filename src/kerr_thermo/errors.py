@@ -9,7 +9,6 @@ __all__ = [
     "ConfigError",
     "BracketBoundaryWarning",
     "TailMassWarning",
-    "SkippedMassWarning",
 ]
 
 
@@ -50,7 +49,3 @@ class BracketBoundaryWarning(UserWarning):
 
 class TailMassWarning(UserWarning):
     """A truncated state vector dropped a non-negligible amount of norm."""
-
-
-class SkippedMassWarning(UserWarning):
-    """Outcomes below the probability floor carried noticeable total mass."""

@@ -83,6 +83,20 @@ class TestParseConfig:
         b = parse_config(FAST_THERMALIZE)
         assert a.config_hash() == b.config_hash()
 
+    def test_close_values_hash_apart(self):
+        a = resolve_config(preset="fig3a", overrides=("n_th=0.1234567",))
+        b = resolve_config(preset="fig3a", overrides=("n_th=0.1234568",))
+        assert a.config_hash() != b.config_hash()
+
+    def test_canonical_text_round_trips_every_preset(self):
+        for name in FIGURE_NAMES:
+            cfg = resolve_config(preset=name)
+            assert parse_config(cfg.canonical_text()) == cfg, name
+
+    def test_repeated_sweep_value_is_error(self):
+        with pytest.raises(ConfigError, match="n_th lists a value twice"):
+            parse_config("command = thermalize\nn_th = 0.1, 0.1\n")
+
 
 class TestRun:
     def test_thermalize_columns(self, tmp_path):
@@ -108,6 +122,30 @@ class TestRun:
         cfg = parse_config(FAST_QFI_SWEEP)
         report = run(cfg, out_dir=str(tmp_path), jobs=1)
         assert report.outputs == ["qfi_chi0.csv", "qfi_chi0.4.csv"]
+
+    def test_close_sweep_values_write_distinct_files(self, tmp_path):
+        text = FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.1000001, 0.1000002")
+        cfg = parse_config(text)
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        assert report.outputs == [
+            "thermalize_n_th0.1000001.csv",
+            "thermalize_n_th0.1000002.csv",
+        ]
+        written = sorted(p for p in os.listdir(tmp_path) if p.endswith(".csv"))
+        assert written == report.outputs
+
+    def test_close_homodyne_angles_give_two_columns(self, tmp_path):
+        cfg = parse_config(
+            "command = cfi\nn_th = 0.1\ndrive = 0.5\nn_cut = 12\nt_end = 1\nn_samples = 3\n"
+            "homodyne_phis = 0.1000001pi, 0.1000002pi\n"
+        )
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        rows = [ln for ln in read_lines(tmp_path / "cfi.csv").splitlines() if not ln.startswith("#")]
+        assert rows[0] == "gamma_t,qfi,cfi_hom_phi0.1000001pi,cfi_hom_phi0.1000002pi"
+        hom = [line for line in report.summaries if line.startswith("cfi_hom")]
+        assert len(hom) == 2
+        for line in hom:
+            assert "max skipped mass = " in line and "completeness defect = " in line
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = parse_config(FAST_QFI_SWEEP)
@@ -251,6 +289,19 @@ class TestReproduceFigure:
         sidecar = read_lines(tmp_path / "fig2a_params.txt")
         assert "[FAIL]" not in sidecar
         assert report.outputs == ["fig2a.csv", "fig2a_params.txt"]
+
+    def test_fig2a_writes_only_its_own_files(self, tmp_path):
+        # a CSV left by an earlier ``run`` in the same directory is neither
+        # overwritten nor removed
+        (tmp_path / "thermalize.csv").write_text("earlier output\n")
+        reproduce_figure("fig2a", out_dir=str(tmp_path), jobs=1)
+        assert sorted(os.listdir(tmp_path)) == [
+            "fig2a.csv",
+            "fig2a_params.txt",
+            "run_report.txt",
+            "thermalize.csv",
+        ]
+        assert read_lines(tmp_path / "thermalize.csv") == "earlier output\n"
 
     def test_fig4_spectrum(self, tmp_path):
         report = reproduce_figure("fig4", out_dir=str(tmp_path), jobs=1)
