@@ -16,7 +16,6 @@ values never share a file or a column.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, exact_text, resolve_config
+from .config import ScenarioConfig, exact_text, homodyne_label, resolve_config
 from .errors import ConfigError, KerrThermoError, TruncationError
 from .estimation import cr_bound, perturbed_trajectories, qfi_series
 from .fidelity import default_search_max, thermalization_trace
@@ -179,11 +178,8 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
             trajectories = perturbed_trajectories(params, grid, trunc, fd)
             q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
             columns = {"gamma_t": trajectories.times, "qfi": q_series.values}
-            summaries = [f"qfi: plateau = {q_series.plateau:.6g}"]
-            povms = {
-                f"cfi_hom_phi{exact_text(phi / math.pi)}pi": homodyne_povm(phi, trunc)
-                for phi in config.homodyne_phis
-            }
+            summaries = [f"{label}: qfi: plateau = {q_series.plateau:.6g}"]
+            povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in config.homodyne_phis}
             if config.heterodyne:
                 povms["cfi_het"] = heterodyne_povm(
                     trunc,
@@ -195,7 +191,7 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
                 series = cfi_series(params, grid, trunc, fd, povm, trajectories=trajectories)
                 columns[name] = series.values
                 summaries.append(
-                    f"{name}: plateau = {series.plateau:.6g}, "
+                    f"{label}: {name}: plateau = {series.plateau:.6g}, "
                     f"max skipped mass = {series.max_skipped_mass:.3e}, "
                     f"completeness defect = {povm.completeness_defect:.3e}"
                 )

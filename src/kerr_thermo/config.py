@@ -19,7 +19,14 @@ from .fock import SystemParams, Truncation
 from .dynamics import TimeGrid
 from .presets import PRESETS
 
-__all__ = ["ScenarioConfig", "parse_config", "resolve_config", "exact_text", "COMMANDS"]
+__all__ = [
+    "ScenarioConfig",
+    "parse_config",
+    "resolve_config",
+    "exact_text",
+    "homodyne_label",
+    "COMMANDS",
+]
 
 COMMANDS = (
     "thermalize",
@@ -69,6 +76,11 @@ def exact_text(value: float) -> str:
     """
     text = f"{value:g}"
     return text if float(text) == value else repr(float(value))
+
+
+def homodyne_label(phi: float) -> str:
+    """CSV column name of the homodyne CFI at quadrature angle ``phi``."""
+    return f"cfi_hom_phi{exact_text(phi / math.pi)}pi"
 
 
 def _echo(value) -> str:
@@ -290,6 +302,16 @@ def _validate(cfg: ScenarioConfig) -> None:
         values = getattr(cfg, name)
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} lists a value twice", field=name)
+    # phi / pi is not one-to-one on floats, so distinct angles can share a label
+    labelled = {}
+    for phi in cfg.homodyne_phis:
+        other = labelled.setdefault(homodyne_label(phi), phi)
+        if other != phi:
+            raise ConfigError(
+                f"homodyne_phis {other!r} and {phi!r} share the column label "
+                f"{homodyne_label(phi)}",
+                field="homodyne_phis",
+            )
     for name in ("chi", "drive", "n_th"):
         if any(v < 0 for v in getattr(cfg, name)):
             raise ConfigError(f"{name} must be nonnegative", field=name)

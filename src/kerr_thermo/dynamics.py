@@ -9,14 +9,18 @@ The factor 2 inside D is deliberate and doubles the more common half-convention:
 for the linear cavity it gives d<n>/dtau = -2 gamma <n> + 2 gamma n_th, a rate the
 test suite pins down so the convention cannot silently drift.
 
-Propagation is classical fixed-step 4-stage Runge-Kutta.  Because the generator
-is linear and time independent, one RK4 step of size h acting on vec(rho) is
-exactly multiplication by the degree-4 Taylor polynomial P(h L) of the
-Liouvillian matrix L, and a run of K equal steps is P(h L)^K.  For moderate
-cutoffs we therefore precompute P(h L)^K once per sample interval by binary
-powering, which produces the same states as stepping one step at a time
-(up to roundoff) at a small fraction of the cost.  Larger cutoffs fall back
-to explicit stepping with a sparse L.
+Propagation is classical fixed-step 4-stage Runge-Kutta.  The generator maps
+Hermitian matrices to Hermitian matrices, so it acts as a real matrix
+R = U L U^dag on the coordinates of rho in the orthonormal Hermitian basis
+|i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j); U is a
+sparse unitary and the trace is the sum of the first d coordinates.  Because
+R is linear and time independent, one RK4 step of size h is exactly the
+degree-4 Taylor polynomial P(h R), and K equal steps are P(h R)^K.  For
+moderate cutoffs we therefore precompute P(h R)^K once per sample interval by
+binary powering, which produces the same states as stepping one step at a time
+(up to roundoff) at a small fraction of the cost.  Larger cutoffs fall back to
+explicit complex stepping with a sparse L.  The steady state is one sparse
+solve with R.
 """
 
 from __future__ import annotations
@@ -161,29 +165,68 @@ def lindblad_rhs(rho, params: SystemParams, ham: np.ndarray) -> np.ndarray:
 
 
 def liouvillian_matrix(params: SystemParams, trunc: Truncation, *, as_sparse: bool = False):
-    """Matrix of the generator acting on row-major vec(rho).
+    """Matrix of the generator acting on row-major vec(rho), sparse or dense.
 
-    With vec stacking rows, vec(A rho B) = (A kron B^T) vec(rho); the dense
-    variant feeds the RK4 polynomial propagator and the steady-state solve.
+    With vec stacking rows, vec(A rho B) = (A kron B^T) vec(rho).
     """
     dim = trunc.n_cut
-    kron = sparse.kron if as_sparse else np.kron
-    eye = sparse.identity(dim, format="csr", dtype=np.complex128) if as_sparse else np.eye(dim)
-    ham = hamiltonian(params, trunc)
-    ham_s = sparse.csr_matrix(ham) if as_sparse else ham
-    lv = -1j * (kron(ham_s, eye) - kron(eye, ham_s.T))
+    kron = sparse.kron
+    eye = sparse.identity(dim, format="csr", dtype=np.complex128)
+    ham = sparse.csr_matrix(hamiltonian(params, trunc))
+    lv = -1j * (kron(ham, eye) - kron(eye, ham.T))
     for rate, jump in _jump_terms(params, dim):
         if rate == 0.0:
             continue
-        jump_s = sparse.csr_matrix(jump) if as_sparse else jump
-        jdj = jump_s.conj().T @ jump_s
-        lv = lv + rate * (2.0 * kron(jump_s, jump_s.conj()) - kron(jdj, eye) - kron(eye, jdj.T))
-    return lv.tocsr() if as_sparse else lv
+        jump = sparse.csr_matrix(jump)
+        jdj = jump.conj().T @ jump
+        lv = lv + rate * (2.0 * kron(jump, jump.conj()) - kron(jdj, eye) - kron(eye, jdj.T))
+    return lv.tocsr() if as_sparse else lv.toarray()
+
+
+def _hermitian_basis(dim: int) -> sparse.csr_matrix:
+    """Sparse unitary U taking row-major vec(rho) to real Hermitian-basis coordinates.
+
+    Coordinates are ordered: the d diagonal entries, then sqrt2 Re rho_ij, then
+    sqrt2 Im rho_ij, with (i, j) running over ``np.triu_indices(dim, 1)``.
+    """
+    iu, ju = np.triu_indices(dim, 1)
+    m, c = iu.size, 1.0 / math.sqrt(2.0)
+    sym, anti = dim + np.arange(m), dim + m + np.arange(m)
+    rows = np.concatenate([np.arange(dim), sym, sym, anti, anti])
+    upper, lower = iu * dim + ju, ju * dim + iu
+    cols = np.concatenate([np.arange(dim) * (dim + 1), upper, lower, upper, lower])
+    vals = np.concatenate([np.ones(dim), np.full(2 * m, c), np.full(m, -1j * c), np.full(m, 1j * c)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
+def _real_generator(lv: sparse.csr_matrix) -> sparse.csr_matrix:
+    """R = U L U^dag, the generator of a sparse Liouvillian L on Hermitian-basis coordinates.
+
+    L commutes with Hermitian conjugation, so the imaginary parts cancel exactly.
+    """
+    basis = _hermitian_basis(math.isqrt(lv.shape[0]))
+    return (basis @ lv @ basis.conj().T).real.tocsr()
+
+
+def _coordinates(mat: np.ndarray) -> np.ndarray:
+    """Real Hermitian-basis coordinates of a Hermitian matrix (see ``_hermitian_basis``)."""
+    upper = math.sqrt(2.0) * mat[np.triu_indices(mat.shape[0], 1)]
+    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+
+
+def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrix with these coordinates, built from its upper triangle."""
+    iu = np.triu_indices(dim, 1)
+    re, im = coords[dim:].reshape(2, -1)
+    mat = np.diag(coords[:dim].astype(np.complex128))
+    mat[iu] = (re + 1j * im) / math.sqrt(2.0)
+    mat[iu[::-1]] = mat[iu].conj()
+    return mat
 
 
 def _rk4_polynomial(x: np.ndarray) -> np.ndarray:
     """I + X + X^2/2 + X^3/6 + X^4/24, the exact one-step RK4 map for a linear ODE."""
-    eye = np.eye(x.shape[0], dtype=np.complex128)
+    eye = np.eye(x.shape[0], dtype=x.dtype)
     acc = eye + x / 4.0
     acc = eye + (x @ acc) / 3.0
     acc = eye + (x @ acc) / 2.0
@@ -208,14 +251,14 @@ def propagate(
 ) -> Trajectory:
     """Evolve ``rho0`` over ``grid``, returning validated states at every sample.
 
-    Fixed-step RK4 throughout; sampled states are re-symmetrized as
-    (rho + rho^dag)/2.  Trace drift beyond 1e-6 raises TraceDriftError (it is
-    never silently renormalized), and top-two-level population beyond
+    Fixed-step RK4 throughout.  Trace drift beyond 1e-6 raises TraceDriftError
+    (it is never silently renormalized), and top-two-level population beyond
     ``trunc.leakage_tol`` raises TruncationError naming the offending time.
 
-    ``method`` is "auto", "dense" (powered superoperator polynomial) or "loop"
-    (explicit stepping); the two backends produce identical states up to
-    roundoff and "auto" picks by dimension.
+    ``method`` is "auto", "dense" (powered real polynomial P(h R) on the
+    coordinates; each sample is rebuilt from its upper triangle, so it is
+    exactly Hermitian) or "loop" (explicit complex stepping, re-symmetrized
+    as (rho + rho^dag)/2); they agree up to roundoff and "auto" picks by dimension.
     """
     dim = trunc.n_cut
     if rho0.dim != dim:
@@ -234,8 +277,8 @@ def propagate(
     h = spacing / n_steps
 
     if method == "dense":
-        lmat = liouvillian_matrix(params, trunc)
-        sample_map = np.linalg.matrix_power(_rk4_polynomial(h * lmat), n_steps)
+        rmat = _real_generator(liouvillian_matrix(params, trunc, as_sparse=True)).toarray()
+        sample_map = np.linalg.matrix_power(_rk4_polynomial(h * rmat), n_steps)
         # The exact generator annihilates the trace functional, so the exact
         # RK4 map preserves trace identically; binary powering loses that to
         # roundoff (~1e-11), which the 1/(12 h) occupation-derivative stencils
@@ -243,21 +286,21 @@ def propagate(
         # trace-preserving affine subspace.  This corrects the propagator, not
         # the state: trace drift remains monitored and never renormalized.
         tr_vec = np.zeros(dim * dim)
-        tr_vec[:: dim + 1] = 1.0
+        tr_vec[:dim] = 1.0
         sample_map -= np.outer(tr_vec / dim, tr_vec @ sample_map - tr_vec)
+        coords = _coordinates(rho0.entries)
     else:
         lmat_h = liouvillian_matrix(params, trunc, as_sparse=True) * h
+        vec = rho0.entries.reshape(-1).copy()
 
     states = [rho0]
     leakage_max = _leakage(rho0.entries)
     _check_leakage(leakage_max, trunc, times[0])
-    vec = rho0.entries.reshape(-1).copy()
 
     for t in times[1:]:
         if method == "dense":
-            vec = sample_map @ vec
-            mat = vec.reshape(dim, dim)
-            mat = 0.5 * (mat + mat.conj().T)
+            coords = sample_map @ coords
+            mat = _from_coordinates(coords, dim)
         else:
             for _ in range(n_steps):
                 vec = _rk4_apply(lmat_h, vec)
@@ -277,7 +320,6 @@ def propagate(
             states.append(DensityMatrix(mat, tol=1e-6))
         except ValueError as exc:
             raise NumericalFailureError(f"invalid state at tau = {t:g}: {exc}") from exc
-        vec = mat.reshape(-1)
 
     return Trajectory(times=times, states=tuple(states), leakage_max=leakage_max)
 
@@ -297,39 +339,27 @@ def _check_leakage(leak: float, trunc: Truncation, t: float) -> None:
 def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) -> DensityMatrix:
     """Unique fixed point of the generator, via a trace-constrained linear solve.
 
-    The vectorized system L vec(rho) = 0 has its first row replaced by the
-    trace-one constraint (scaled to the norm of L for conditioning).  The
-    result is re-symmetrized and validated; positivity failures beyond ``tol``
-    are reported as truncation problems since that is their usual cause.
+    One sparse solve of R x = 0 for every cutoff, with R's first row replaced
+    by the trace-one constraint (scaled to the largest entry of L for
+    conditioning).  The state is rebuilt exactly Hermitian from x and validated;
+    positivity failures beyond ``tol`` are reported as truncation problems.
     """
     dim = trunc.n_cut
-    use_sparse = dim > _DENSE_SUPEROP_MAX_DIM
-    lmat = liouvillian_matrix(params, trunc, as_sparse=use_sparse)
-    scale = float(abs(lmat).max() if use_sparse else np.abs(lmat).max())
+    lmat = liouvillian_matrix(params, trunc, as_sparse=True)
+    scale = float(abs(lmat).max())
     if not np.isfinite(scale) or scale == 0.0:
         raise NumericalFailureError("generator is identically zero or non-finite")
 
-    rhs = np.zeros(dim * dim, dtype=np.complex128)
+    rhs = np.zeros(dim * dim)
     rhs[0] = scale
-    if use_sparse:
-        lmat = lmat.tolil()
-        lmat[0, :] = 0.0
-        lmat[0, :: dim + 1] = scale
-        try:
-            vec = sparse_linalg.spsolve(lmat.tocsc(), rhs)
-        except RuntimeError as exc:
-            raise NumericalFailureError(f"sparse steady-state solve failed: {exc}") from exc
-    else:
-        lmat = lmat.copy()
-        lmat[0, :] = 0.0
-        lmat[0, :: dim + 1] = scale
-        try:
-            vec = np.linalg.solve(lmat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"steady-state solve failed: {exc}") from exc
+    trace_row = sparse.csr_matrix(np.where(np.arange(dim * dim) < dim, scale, 0.0))
+    system = sparse.vstack([trace_row, _real_generator(lmat)[1:]], format="csc")
+    try:
+        coords = sparse_linalg.spsolve(system, rhs)
+    except RuntimeError as exc:
+        raise NumericalFailureError(f"sparse steady-state solve failed: {exc}") from exc
 
-    mat = vec.reshape(dim, dim)
-    mat = 0.5 * (mat + mat.conj().T)
+    mat = _from_coordinates(coords, dim)
     residual = float(np.abs(lindblad_rhs(mat, params, hamiltonian(params, trunc))).max())
     if not np.isfinite(residual) or residual > 1e-6 * max(1.0, scale):
         raise NumericalFailureError(

@@ -142,10 +142,28 @@ class TestRun:
         report = run(cfg, out_dir=str(tmp_path), jobs=1)
         rows = [ln for ln in read_lines(tmp_path / "cfi.csv").splitlines() if not ln.startswith("#")]
         assert rows[0] == "gamma_t,qfi,cfi_hom_phi0.1000001pi,cfi_hom_phi0.1000002pi"
-        hom = [line for line in report.summaries if line.startswith("cfi_hom")]
+        hom = [line for line in report.summaries if line.startswith("point (single): cfi_hom")]
         assert len(hom) == 2
         for line in hom:
             assert "max skipped mass = " in line and "completeness defect = " in line
+
+    def test_homodyne_label_collision_is_error(self):
+        # phi / pi maps this angle and the next float up to one label
+        phi = 3.4557519189487738
+        with pytest.raises(ConfigError, match="share the column label cfi_hom_phi"):
+            parse_config(
+                f"command = cfi\nn_th = 0.1\nhomodyne_phis = {phi!r}, {float(np.nextafter(phi, 4.0))!r}\n"
+            )
+
+    def test_cfi_sweep_summaries_name_the_point(self, tmp_path):
+        cfg = parse_config(
+            "command = cfi\nn_th = 0.1\nchi = 0, 0.4\ndrive = 0.5\nn_cut = 12\n"
+            "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\nheterodyne = true\n"
+        )
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        for chi in ("0", "0.4"):
+            mine = [line for line in report.summaries if line.startswith(f"point_chi{chi}: ")]
+            assert [line.split(": ")[1] for line in mine] == ["qfi", "cfi_hom_phi0pi", "cfi_het"]
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = parse_config(FAST_QFI_SWEEP)

@@ -18,6 +18,13 @@ from kerr_thermo import (
     uhlmann_fidelity,
     vacuum_state,
 )
+from kerr_thermo import dynamics
+from kerr_thermo.dynamics import (
+    _coordinates,
+    _from_coordinates,
+    _hermitian_basis,
+    _real_generator,
+)
 from kerr_thermo.errors import TruncationError
 
 from conftest import random_density_matrix
@@ -72,6 +79,54 @@ class TestLindbladRhs:
         np.testing.assert_allclose(via_matrix, direct, atol=1e-13)
         sparse_lmat = liouvillian_matrix(params, trunc, as_sparse=True)
         np.testing.assert_allclose(sparse_lmat.toarray(), lmat, atol=1e-15)
+
+
+class TestHermitianBasis:
+    PARAMS = SystemParams(delta=-1.2, chi=0.4, drive=0.7, n_th=0.2)
+
+    def test_basis_is_unitary(self):
+        basis = _hermitian_basis(7)
+        assert basis.shape == (49, 49)
+        assert np.all(np.diff(basis.indptr)[7:] == 2)
+        np.testing.assert_allclose((basis @ basis.conj().T).toarray(), np.eye(49), atol=1e-15)
+
+    def test_real_generator_matches_rhs(self, rng):
+        # U L U^dag has an exactly zero imaginary part and acts like the rhs
+        trunc = Truncation(8)
+        lv = liouvillian_matrix(self.PARAMS, trunc, as_sparse=True)
+        basis = _hermitian_basis(8)
+        assert np.abs((basis @ lv @ basis.conj().T).imag).max() == 0.0
+        rmat = _real_generator(lv)
+        assert rmat.dtype == np.float64
+        ham = hamiltonian(self.PARAMS, trunc)
+        for _ in range(3):
+            rho = random_density_matrix(rng, 8)
+            via_basis = _from_coordinates(rmat @ _coordinates(rho), 8)
+            np.testing.assert_allclose(via_basis, lindblad_rhs(rho, self.PARAMS, ham), atol=1e-13)
+
+    def test_coordinate_round_trip(self, rng):
+        rho = random_density_matrix(rng, 9)
+        coords = _coordinates(rho)
+        assert coords.dtype == np.float64
+        basis = _hermitian_basis(9)
+        np.testing.assert_allclose(coords, (basis @ rho.reshape(-1)).real, atol=1e-15)
+        back = _from_coordinates(coords, 9)
+        assert np.abs(back - back.conj().T).max() == 0.0
+        np.testing.assert_allclose(back, rho, atol=1e-15)
+
+    def test_dense_sample_map_is_real(self, monkeypatch):
+        powered = []
+        matrix_power = np.linalg.matrix_power
+
+        def spy(mat, n):
+            out = matrix_power(mat, n)
+            powered.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(dynamics.np.linalg, "matrix_power", spy)
+        trunc = Truncation(10)
+        propagate(vacuum_state(trunc), linear_params(0.05), TimeGrid(t_end=0.5, n_samples=3), trunc)
+        assert powered == [np.float64]
 
 
 class TestPropagate:
