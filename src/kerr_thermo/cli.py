@@ -16,6 +16,7 @@ values never share a file or a column.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from .errors import ConfigError, KerrThermoError, TruncationError
 from .estimation import cr_bound, perturbed_trajectories, qfi_series
 from .fidelity import default_search_max, thermalization_trace
 from .fock import Truncation, mean_photon_number, vacuum_state
-from .dynamics import propagate, purity, steady_state
+from .dynamics import _DENSE_SUPEROP_MAX_DIM, propagate, purity, steady_state
 from .measurement import cfi_series, heterodyne_povm, homodyne_povm
 from .presets import FIGURE_NAMES, PRESETS
 from .spectral import gap_variance, spectrum
@@ -111,15 +112,25 @@ def _point_suffix(config: ScenarioConfig, point: dict[str, float]) -> str:
 
 
 def _with_truncation_retry(config: ScenarioConfig, compute):
-    """Run ``compute(trunc)``, doubling n_cut when the cutoff proves too small."""
+    """Run ``compute(trunc)``, growing n_cut when the cutoff proves too small.
+
+    n_cut doubles on each TruncationError.  Commands that propagate stop
+    growing at the dense-propagator limit: above it, propagation falls back
+    to explicit stepping, which takes minutes per trajectory.  When the
+    retries run out the error names the last cutoff tried.
+    """
+    limit = math.inf if config.command in _TABLE_COMMANDS else _DENSE_SUPEROP_MAX_DIM
     n_cut = config.n_cut
     for attempt in range(_MAX_NCUT_DOUBLINGS + 1):
         try:
             return compute(Truncation(n_cut, config.leakage_tol)), n_cut
-        except TruncationError:
-            if attempt == _MAX_NCUT_DOUBLINGS:
-                raise
-            n_cut *= 2
+        except TruncationError as exc:
+            if attempt == _MAX_NCUT_DOUBLINGS or n_cut >= limit:
+                raise TruncationError(
+                    f"{exc} (last cutoff tried: n_cut = {n_cut}; set a larger n_cut "
+                    f"explicitly to go further)"
+                ) from exc
+            n_cut = min(2 * n_cut, limit)
     raise AssertionError("unreachable")
 
 
@@ -146,9 +157,9 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
     if config.command == "thermalize":
         def compute(trunc):
             traj = propagate(vacuum_state(trunc), params, grid, trunc)
-            search = config.search_max
+            search, origin = config.search_max, ""
             if search is None:
-                search = default_search_max(traj.final, params.n_th)
+                search, origin = default_search_max(traj.final, params.n_th), " (auto)"
             trace = thermalization_trace(traj, search)
             columns = {
                 "gamma_t": trace.times,
@@ -157,7 +168,8 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
             }
             summary = (
                 f"{label}: final n_eff = {trace.n_eff[-1]:.6g}, "
-                f"final fidelity = {trace.fidelity_at_opt[-1]:.6g}"
+                f"final fidelity = {trace.fidelity_at_opt[-1]:.6g}, "
+                f"search_max = {search:.6g}{origin}"
             )
             return columns, [summary], traj.leakage_max
 

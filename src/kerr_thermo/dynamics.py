@@ -25,6 +25,7 @@ solve with R.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,10 +123,6 @@ class Trajectory:
     def final(self) -> DensityMatrix:
         return self.states[-1]
 
-    def expectations(self, op: np.ndarray) -> np.ndarray:
-        """<O>(tau) along the trajectory."""
-        return np.array([state.expectation(op) for state in self.states])
-
     def photon_numbers(self) -> np.ndarray:
         levels = np.arange(self.states[0].dim)
         return np.array([float(np.sum(levels * s.populations())) for s in self.states])
@@ -183,13 +180,22 @@ def liouvillian_matrix(params: SystemParams, trunc: Truncation, *, as_sparse: bo
     return lv.tocsr() if as_sparse else lv.toarray()
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim, 1)``, built once per dimension and read-only."""
+    iu, ju = np.triu_indices(dim, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def _hermitian_basis(dim: int) -> sparse.csr_matrix:
     """Sparse unitary U taking row-major vec(rho) to real Hermitian-basis coordinates.
 
     Coordinates are ordered: the d diagonal entries, then sqrt2 Re rho_ij, then
     sqrt2 Im rho_ij, with (i, j) running over ``np.triu_indices(dim, 1)``.
     """
-    iu, ju = np.triu_indices(dim, 1)
+    iu, ju = _upper_indices(dim)
     m, c = iu.size, 1.0 / math.sqrt(2.0)
     sym, anti = dim + np.arange(m), dim + m + np.arange(m)
     rows = np.concatenate([np.arange(dim), sym, sym, anti, anti])
@@ -210,13 +216,13 @@ def _real_generator(lv: sparse.csr_matrix) -> sparse.csr_matrix:
 
 def _coordinates(mat: np.ndarray) -> np.ndarray:
     """Real Hermitian-basis coordinates of a Hermitian matrix (see ``_hermitian_basis``)."""
-    upper = math.sqrt(2.0) * mat[np.triu_indices(mat.shape[0], 1)]
+    upper = math.sqrt(2.0) * mat[_upper_indices(mat.shape[0])]
     return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
 
 
 def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian matrix with these coordinates, built from its upper triangle."""
-    iu = np.triu_indices(dim, 1)
+    iu = _upper_indices(dim)
     re, im = coords[dim:].reshape(2, -1)
     mat = np.diag(coords[:dim].astype(np.complex128))
     mat[iu] = (re + 1j * im) / math.sqrt(2.0)

@@ -107,10 +107,6 @@ class Povm:
         v = self.vectors[i]
         return self.weights[i] * np.outer(v, v.conj())
 
-    def elements(self) -> list[np.ndarray]:
-        """All elements as explicit matrices (can be large for fine grids)."""
-        return [self.element(i) for i in range(self.n_outcomes)]
-
     def completeness_operator(self) -> np.ndarray:
         """sum_i w_i |v_i><v_i|; equals the identity up to ``completeness_defect``."""
         return (self.vectors.T * self.weights) @ self.vectors.conj()

@@ -3,9 +3,11 @@ import os
 import numpy as np
 import pytest
 
+from kerr_thermo import Truncation, default_search_max, propagate, vacuum_state
+from kerr_thermo import cli
 from kerr_thermo.cli import main, reproduce_figure, run
 from kerr_thermo.config import parse_config, resolve_config
-from kerr_thermo.errors import ConfigError
+from kerr_thermo.errors import ConfigError, TruncationError
 from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
 
@@ -180,6 +182,34 @@ class TestRun:
         )
         report = run(cfg, out_dir=str(tmp_path), jobs=1)
         assert report.n_cut_used >= 16
+
+    def test_truncation_retry_stops_at_dense_limit(self, tmp_path, monkeypatch):
+        # a cutoff that is never enough: the retry grows n_cut 30 -> 48 and
+        # gives up there instead of falling into explicit stepping above 48
+        tried = []
+
+        def never_enough(rho0, params, grid, trunc, **kwargs):
+            tried.append(trunc.n_cut)
+            assert trunc.n_cut <= 48
+            raise TruncationError(f"too few levels at n_cut = {trunc.n_cut}")
+
+        monkeypatch.setattr(cli, "propagate", never_enough)
+        cfg = parse_config("command = thermalize\nn_th = 0.1\nn_cut = 30\nt_end = 1\nn_samples = 3\n")
+        with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 48.*set a larger n_cut"):
+            run(cfg, out_dir=str(tmp_path), jobs=1)
+        assert tried == [30, 48]
+
+    def test_thermalize_summary_names_search_max(self, tmp_path):
+        cfg = parse_config(FAST_THERMALIZE)
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        trunc = Truncation(cfg.n_cut)
+        traj = propagate(vacuum_state(trunc), cfg.params_at(cfg.sweep_points()[0]), cfg.grid(), trunc)
+        auto = default_search_max(traj.final, 0.1)
+        assert report.summaries[0].endswith(f", search_max = {auto:.6g} (auto)")
+        assert report.summaries[0] in read_lines(tmp_path / "run_report.txt")
+        cfg = parse_config(FAST_THERMALIZE + "search_max = 0.75\n")
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        assert report.summaries[0].endswith(", search_max = 0.75")
 
     def test_purity_sweep_csv(self, tmp_path):
         cfg = parse_config(

@@ -128,6 +128,29 @@ class TestHermitianBasis:
         propagate(vacuum_state(trunc), linear_params(0.05), TimeGrid(t_end=0.5, n_samples=3), trunc)
         assert powered == [np.float64]
 
+    def test_cached_indices_give_bit_identical_states(self, monkeypatch):
+        # reference: the coordinate maps rebuilding np.triu_indices on every call
+        def coordinates(mat):
+            upper = np.sqrt(2.0) * mat[np.triu_indices(mat.shape[0], 1)]
+            return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+
+        def from_coordinates(coords, dim):
+            iu = np.triu_indices(dim, 1)
+            re, im = coords[dim:].reshape(2, -1)
+            mat = np.diag(coords[:dim].astype(np.complex128))
+            mat[iu] = (re + 1j * im) / np.sqrt(2.0)
+            mat[iu[::-1]] = mat[iu].conj()
+            return mat
+
+        trunc = Truncation(16)
+        grid = TimeGrid(t_end=2.0, n_samples=9)
+        cached = propagate(vacuum_state(trunc), self.PARAMS, grid, trunc)
+        monkeypatch.setattr(dynamics, "_coordinates", coordinates)
+        monkeypatch.setattr(dynamics, "_from_coordinates", from_coordinates)
+        rebuilt = propagate(vacuum_state(trunc), self.PARAMS, grid, trunc)
+        for a, b in zip(cached.states, rebuilt.states):
+            np.testing.assert_allclose(a.entries, b.entries, rtol=0, atol=0)
+
 
 class TestPropagate:
     def test_vacuum_is_fixed_point_at_zero_temperature(self):
