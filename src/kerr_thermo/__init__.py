@@ -39,6 +39,7 @@ from .dynamics import (
     propagate,
     purity,
     steady_state,
+    steady_state_tangent,
 )
 from .fidelity import (
     EffTempTrace,
@@ -49,11 +50,13 @@ from .fidelity import (
 )
 from .estimation import (
     CfiResult,
+    CutoffCertificate,
     FdConfig,
     FisherSeries,
     PerturbedTrajectories,
     SldResult,
     cfi,
+    certify_cutoff,
     cfi_result,
     cr_bound,
     fd_derivative,
@@ -62,6 +65,7 @@ from .estimation import (
     qfi,
     qfi_series,
     stencil_combine,
+    steady_state_qfi,
 )
 from .measurement import (
     Povm,
@@ -108,6 +112,7 @@ __all__ = [
     "lindblad_rhs",
     "propagate",
     "steady_state",
+    "steady_state_tangent",
     "purity",
     # fidelity
     "EffTempTrace",
@@ -130,6 +135,9 @@ __all__ = [
     "cfi_result",
     "cfi",
     "cr_bound",
+    "steady_state_qfi",
+    "CutoffCertificate",
+    "certify_cutoff",
     # measurement
     "Povm",
     "quadrature_op",

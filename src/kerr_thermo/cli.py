@@ -6,7 +6,8 @@ completion order, and aggregates the run report.  The writer then writes every
 output once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
-used, worst leakage, wall time, per-point summaries and deduplicated warnings.
+used and how it was chosen, worst leakage, wall time, per-point summaries and
+deduplicated warnings.
 ``reproduce-figure`` runs the same compute step and merges the points' columns
 in memory into one figure CSV and a sidecar.  File suffixes and column labels
 print sweep values with :func:`~kerr_thermo.config.exact_text`, so distinct
@@ -41,6 +42,10 @@ __all__ = ["run", "reproduce_figure", "main", "RunReport"]
 
 _MAX_NCUT_DOUBLINGS = 4
 
+# Homodyne outcomes: the eigenbasis of the quadrature on this many levels, so
+# the cfi_hom columns do not depend on the state's cutoff.
+_HOMODYNE_LEVELS = 60
+
 
 @dataclass
 class RunReport:
@@ -51,6 +56,7 @@ class RunReport:
     config_hash: str
     version: str = __version__
     n_cut_used: int = 0
+    n_cut_rule: str = "fixed"
     leakage_max: float = 0.0
     wall_time_s: float = 0.0
     warnings: list[str] = field(default_factory=list)
@@ -64,6 +70,7 @@ class RunReport:
             f"command: {self.command}",
             f"config hash: {self.config_hash}",
             f"n_cut used: {self.n_cut_used}",
+            f"n_cut rule: {self.n_cut_rule}",
             f"leakage max: {self.leakage_max:.3e}",
             f"wall time s: {self.wall_time_s:.2f}",
             "",
@@ -114,13 +121,14 @@ def _point_suffix(config: ScenarioConfig, point: dict[str, float]) -> str:
 def _with_truncation_retry(config: ScenarioConfig, compute):
     """Run ``compute(trunc)``, growing n_cut when the cutoff proves too small.
 
-    n_cut doubles on each TruncationError.  Commands that propagate stop
+    It starts at ``config.trunc()``, the certified cutoff for ``n_cut = auto``,
+    and n_cut doubles on each TruncationError.  Commands that propagate stop
     growing at the dense-propagator limit: above it, propagation falls back
     to explicit stepping, which takes minutes per trajectory.  When the
     retries run out the error names the last cutoff tried.
     """
     limit = math.inf if config.command in _TABLE_COMMANDS else _DENSE_SUPEROP_MAX_DIM
-    n_cut = config.n_cut
+    n_cut = config.trunc().n_cut
     for attempt in range(_MAX_NCUT_DOUBLINGS + 1):
         try:
             return compute(Truncation(n_cut, config.leakage_tol)), n_cut
@@ -132,6 +140,23 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
                 ) from exc
             n_cut = min(2 * n_cut, limit)
     raise AssertionError("unreachable")
+
+
+def _point_label(config: ScenarioConfig, point: dict[str, float]) -> str:
+    return f"point{_point_suffix(config, point) or ' (single)'}"
+
+
+def _cutoff_rule(config: ScenarioConfig) -> str:
+    """``fixed``, or ``auto`` with the sweep point whose certificate set the cutoff."""
+    cert = config.cutoff_certificate
+    if cert is None:
+        return "fixed"
+    point = config.sweep_points()[cert.point_index]
+    return (
+        f"auto, set by {_point_label(config, point)}: steady-state leakage "
+        f"{cert.leakage:.3e}, steady-state qfi change n_cut -> n_cut + 2 "
+        f"{cert.qfi_change:.3e} relative"
+    )
 
 
 def _run_point(args) -> _PointResult:
@@ -152,7 +177,7 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
     """
     params = config.params_at(point)
     grid, fd = config.grid(), config.fd()
-    label = f"point{_point_suffix(config, point) or ' (single)'}"
+    label = _point_label(config, point)
 
     if config.command == "thermalize":
         def compute(trunc):
@@ -191,7 +216,10 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
             q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
             columns = {"gamma_t": trajectories.times, "qfi": q_series.values}
             summaries = [f"{label}: qfi: plateau = {q_series.plateau:.6g}"]
-            povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in config.homodyne_phis}
+            povms = {
+                homodyne_label(phi): homodyne_povm(phi, trunc, _HOMODYNE_LEVELS)
+                for phi in config.homodyne_phis
+            }
             if config.heterodyne:
                 povms["cfi_het"] = heterodyne_povm(
                     trunc,
@@ -259,6 +287,8 @@ def _compute(config: ScenarioConfig, jobs: int | None) -> tuple[RunReport, list[
     Results come back sorted by sweep index whatever the completion order.
     """
     jobs = _resolve_jobs(jobs)
+    # Certify an auto cutoff here, once: the workers unpickle it with the config.
+    trunc = config.trunc()
     tasks = [(config, i) for i in range(len(config.sweep_points()))]
     if jobs == 1 or len(tasks) == 1:
         results = [_run_point(task) for task in tasks]
@@ -271,7 +301,8 @@ def _compute(config: ScenarioConfig, jobs: int | None) -> tuple[RunReport, list[
         command=config.command,
         config_echo=config.canonical_text(),
         config_hash=config.config_hash(),
-        n_cut_used=config.n_cut,
+        n_cut_used=trunc.n_cut,
+        n_cut_rule=_cutoff_rule(config),
     )
     for res in results:
         report.n_cut_used = max(report.n_cut_used, res.n_cut_used)

@@ -8,13 +8,14 @@ Cartesian product of all lists given.  Angles accept a trailing ``pi`` factor
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
 from itertools import product
 
 from .errors import ConfigError
-from .estimation import FdConfig
+from .estimation import CutoffCertificate, FdConfig, certify_cutoff
 from .fock import SystemParams, Truncation
 from .dynamics import TimeGrid
 from .presets import PRESETS
@@ -105,7 +106,7 @@ class ScenarioConfig:
     drive: tuple[float, ...]
     gamma: tuple[float, ...]
     n_th: tuple[float, ...]
-    n_cut: int
+    n_cut: int | None  # None: n_cut = auto, certified from the steady state
     leakage_tol: float
     t_start: float
     t_end: float
@@ -124,8 +125,23 @@ class ScenarioConfig:
     output_path: str
     preset: str | None = None
 
+    @functools.cached_property
+    def cutoff_certificate(self) -> CutoffCertificate | None:
+        """The steady-state certificate of ``n_cut = auto`` over the sweep; None when fixed.
+
+        Computed on first use and cached on this instance, so a pickled copy
+        (a pool worker's) carries it and never certifies again.
+        """
+        if self.n_cut is not None:
+            return None
+        points = [self.params_at(point) for point in self.sweep_points()]
+        return certify_cutoff(points, self.leakage_tol)
+
     def trunc(self) -> Truncation:
-        return Truncation(self.n_cut, self.leakage_tol)
+        """The cutoff of every point: ``n_cut``, or the certified one for ``auto``."""
+        certificate = self.cutoff_certificate
+        n_cut = self.n_cut if certificate is None else certificate.n_cut
+        return Truncation(n_cut, self.leakage_tol)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(
@@ -207,6 +223,10 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"value {raw!r} for {key} is not a boolean", field=key)
 
 
+def _parse_cutoff(raw: str) -> int | None:
+    return None if raw.strip().lower() == "auto" else _parse_int(raw, "n_cut")
+
+
 def _parse_optional(raw: str, key: str) -> float | None:
     if raw.strip().lower() in ("auto", "none", ""):
         return None
@@ -267,7 +287,7 @@ def build_config(entries: dict[str, str]) -> ScenarioConfig:
         drive=_parse_float_list(values["drive"], "drive"),
         gamma=_parse_float_list(values["gamma"], "gamma"),
         n_th=_parse_float_list(values["n_th"], "n_th"),
-        n_cut=_parse_int(values["n_cut"], "n_cut"),
+        n_cut=_parse_cutoff(values["n_cut"]),
         leakage_tol=_parse_number(values["leakage_tol"], "leakage_tol"),
         t_start=_parse_number(values["t_start"], "t_start"),
         t_end=_parse_number(values["t_end"], "t_end"),
@@ -317,8 +337,14 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{name} must be nonnegative", field=name)
     if any(g <= 0 for g in cfg.gamma):
         raise ConfigError("gamma must be positive", field="gamma")
-    if cfg.n_cut < 2:
+    if cfg.n_cut is not None and cfg.n_cut < 2:
         raise ConfigError("n_cut must be >= 2", field="n_cut")
+    if cfg.n_cut is None and cfg.command == "spectrum":
+        raise ConfigError(
+            "n_cut = auto does not apply to spectrum: the gap window needs "
+            "window_hi + 22 levels, which no steady-state certificate covers",
+            field="n_cut",
+        )
     if not 0 < cfg.leakage_tol < 1:
         raise ConfigError("leakage_tol must lie in (0, 1)", field="leakage_tol")
     if cfg.t_end <= cfg.t_start:

@@ -20,7 +20,7 @@ moderate cutoffs we therefore precompute P(h R)^K once per sample interval by
 binary powering, which produces the same states as stepping one step at a time
 (up to roundoff) at a small fraction of the cost.  Larger cutoffs fall back to
 explicit complex stepping with a sparse L.  The steady state is one sparse
-solve with R.
+solve with R, and its n_th-derivative one more with the same matrix.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "lindblad_rhs",
     "propagate",
     "steady_state",
+    "steady_state_tangent",
     "purity",
 ]
 
@@ -161,6 +162,24 @@ def lindblad_rhs(rho, params: SystemParams, ham: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dissipator(jump: sparse.csr_matrix, eye: sparse.csr_matrix):
+    """D[J] on row-major vec(rho), with D[J] rho = 2 J rho J^dag - J^dag J rho - rho J^dag J."""
+    jdj = jump.conj().T @ jump
+    return 2.0 * sparse.kron(jump, jump.conj()) - sparse.kron(jdj, eye) - sparse.kron(eye, jdj.T)
+
+
+@functools.lru_cache(maxsize=16)
+def _thermal_dissipators(dim: int):
+    """D[a] and D[a^dag], built once per dimension (callers never modify them).
+
+    L = -i[H, .] + gamma (n_th + 1) D[a] + gamma n_th D[a^dag], so dL/dn_th =
+    gamma (D[a] + D[a^dag]).
+    """
+    eye = sparse.identity(dim, format="csr", dtype=np.complex128)
+    a = sparse.csr_matrix(annihilation(dim))
+    return _dissipator(a, eye), _dissipator(a.conj().T.tocsr(), eye)
+
+
 def liouvillian_matrix(params: SystemParams, trunc: Truncation, *, as_sparse: bool = False):
     """Matrix of the generator acting on row-major vec(rho), sparse or dense.
 
@@ -171,12 +190,10 @@ def liouvillian_matrix(params: SystemParams, trunc: Truncation, *, as_sparse: bo
     eye = sparse.identity(dim, format="csr", dtype=np.complex128)
     ham = sparse.csr_matrix(hamiltonian(params, trunc))
     lv = -1j * (kron(ham, eye) - kron(eye, ham.T))
-    for rate, jump in _jump_terms(params, dim):
-        if rate == 0.0:
-            continue
-        jump = sparse.csr_matrix(jump)
-        jdj = jump.conj().T @ jump
-        lv = lv + rate * (2.0 * kron(jump, jump.conj()) - kron(jdj, eye) - kron(eye, jdj.T))
+    rates = (params.gamma * (params.n_th + 1.0), params.gamma * params.n_th)
+    for rate, dissipator in zip(rates, _thermal_dissipators(dim)):
+        if rate != 0.0:
+            lv = lv + rate * dissipator
     return lv.tocsr() if as_sparse else lv.toarray()
 
 
@@ -342,13 +359,13 @@ def _check_leakage(leak: float, trunc: Truncation, t: float) -> None:
         )
 
 
-def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) -> DensityMatrix:
-    """Unique fixed point of the generator, via a trace-constrained linear solve.
+def _steady_solve(params: SystemParams, trunc: Truncation):
+    """Factor the trace-constrained real generator and solve for the steady state.
 
-    One sparse solve of R x = 0 for every cutoff, with R's first row replaced
-    by the trace-one constraint (scaled to the largest entry of L for
-    conditioning).  The state is rebuilt exactly Hermitian from x and validated;
-    positivity failures beyond ``tol`` are reported as truncation problems.
+    R's first row is replaced by the trace-one constraint, scaled to the
+    largest entry of L for conditioning.  Returns the state (exactly
+    Hermitian, residual-checked, not yet validated), its coordinates and the
+    LU factors, so a caller can reuse them.
     """
     dim = trunc.n_cut
     lmat = liouvillian_matrix(params, trunc, as_sparse=True)
@@ -361,9 +378,10 @@ def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) 
     trace_row = sparse.csr_matrix(np.where(np.arange(dim * dim) < dim, scale, 0.0))
     system = sparse.vstack([trace_row, _real_generator(lmat)[1:]], format="csc")
     try:
-        coords = sparse_linalg.spsolve(system, rhs)
+        lu = sparse_linalg.splu(system)
     except RuntimeError as exc:
         raise NumericalFailureError(f"sparse steady-state solve failed: {exc}") from exc
+    coords = lu.solve(rhs)
 
     mat = _from_coordinates(coords, dim)
     residual = float(np.abs(lindblad_rhs(mat, params, hamiltonian(params, trunc))).max())
@@ -371,13 +389,40 @@ def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) 
         raise NumericalFailureError(
             f"steady-state residual {residual:.3e} too large; system may be singular"
         )
+    return mat, coords, lu
+
+
+def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) -> DensityMatrix:
+    """Unique fixed point of the generator, via a trace-constrained linear solve.
+
+    One sparse solve of R x = 0 for every cutoff, with R's first row replaced
+    by the trace-one constraint (scaled to the largest entry of L for
+    conditioning).  The state is rebuilt exactly Hermitian from x and validated;
+    positivity failures beyond ``tol`` are reported as truncation problems.
+    """
+    mat = _steady_solve(params, trunc)[0]
     try:
         return DensityMatrix(mat, tol=tol)
     except ValueError as exc:
         raise TruncationError(
             f"steady state violates density-matrix invariants within tol {tol:.1e} "
-            f"({exc}); n_cut = {dim} is likely too small"
+            f"({exc}); n_cut = {trunc.n_cut} is likely too small"
         ) from exc
+
+
+def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """The steady state and its exact derivative in n_th, as Hermitian matrices.
+
+    L is affine in n_th, R = R0 + n_th R1, so differentiating R x = 0 gives
+    R_c x' = -R1 x with the trace row of R_c set to 0 (x' is traceless): one
+    more solve with the steady state's LU factors.  The state is
+    residual-checked but not validated as a density matrix.
+    """
+    mat, coords, lu = _steady_solve(params, trunc)
+    damping, heating = _thermal_dissipators(trunc.n_cut)
+    drift = -(_real_generator((params.gamma * (damping + heating)).tocsr()) @ coords)
+    drift[0] = 0.0
+    return mat, _from_coordinates(lu.solve(drift), trunc.n_cut)
 
 
 def purity(rho) -> float:

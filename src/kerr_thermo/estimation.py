@@ -14,17 +14,28 @@ exact on polynomials up to degree 4.  Series evaluation propagates one
 central and four occupation-shifted trajectories from the same vacuum and
 differentiates the sampled states entrywise, so one set of propagations
 serves every sample time (and can be reused for measurement CFI series).
+The steady state's QFI needs no stencil: its exact derivative is one more
+linear solve, and it certifies the Fock cutoff of ``n_cut = auto`` runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import TruncationError
 from .fock import DensityMatrix, SystemParams, Truncation, as_matrix, vacuum_state
-from .dynamics import TimeGrid, Trajectory, propagate
+from .dynamics import (
+    _DENSE_SUPEROP_MAX_DIM,
+    _leakage,
+    TimeGrid,
+    Trajectory,
+    propagate,
+    steady_state_tangent,
+)
 
 __all__ = [
     "FdConfig",
@@ -41,10 +52,21 @@ __all__ = [
     "cfi_result",
     "cfi",
     "cr_bound",
+    "steady_state_qfi",
+    "CutoffCertificate",
+    "certify_cutoff",
 ]
 
 # Default floor below which an outcome probability is excluded from the CFI sum.
 _P_FLOOR = 1e-14
+
+# The cutoff certificate: steady-state leakage at most leakage_tol / _CERT_MARGIN
+# (the propagated transient reached up to 1.7 times the steady-state value on
+# the presets), and a steady-state QFI that moves by at most _CERT_QFI_RTOL
+# from n to n + 2.
+_CERT_MARGIN = 4.0
+_CERT_QFI_RTOL = 1e-7
+_CERT_FIRST_NCUT = 8
 
 
 @dataclass(frozen=True)
@@ -322,3 +344,66 @@ def cr_bound(fisher: float, repetitions: int = 1) -> float:
     if not isinstance(repetitions, (int, np.integer)) or repetitions < 1:
         raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
     return 1.0 / (repetitions * fisher)
+
+
+def steady_state_qfi(params: SystemParams, trunc: Truncation) -> tuple[float, float]:
+    """QFI of the steady state in n_th, from its exact tangent, and the top-two-level leakage."""
+    rho, drho = steady_state_tangent(params, trunc)
+    return qfi(rho, drho).qfi, _leakage(rho)
+
+
+@dataclass(frozen=True)
+class CutoffCertificate:
+    """The certified Fock cutoff of a sweep and the point that decided it.
+
+    ``leakage`` is that point's steady-state top-two-level population at
+    ``n_cut`` and ``qfi_change`` the relative move of its steady-state QFI
+    from ``n_cut`` to ``n_cut + 2``.
+    """
+
+    n_cut: int
+    point_index: int
+    leakage: float
+    qfi_change: float
+
+
+def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> CutoffCertificate:
+    """The smallest even cutoff that the steady state certifies at every point.
+
+    At each point, walk n = 8, 10, ... up to the dense-propagator limit and
+    take the first n whose steady-state leakage is at most leakage_tol / 4 and
+    whose steady-state QFI moves by at most 1e-7 relative from n to n + 2.
+    The sweep's cutoff is the largest of these; a point that no n certifies
+    raises TruncationError.
+    """
+    best = None
+    for index, params in enumerate(points):
+        solved: dict[int, tuple[float, float]] = {}
+
+        def at(n: int) -> tuple[float, float]:
+            if n not in solved:
+                solved[n] = steady_state_qfi(params, Truncation(n))
+            return solved[n]
+
+        for n_cut in range(_CERT_FIRST_NCUT, _DENSE_SUPEROP_MAX_DIM + 1, 2):
+            value, leakage = at(n_cut)
+            change = math.inf
+            if leakage <= leakage_tol / _CERT_MARGIN:
+                above = at(n_cut + 2)[0]
+                change = abs(above - value) / abs(above) if above else abs(value)
+                if change <= _CERT_QFI_RTOL:
+                    break
+        else:
+            qfi_text = (
+                f" and the qfi change to n_cut + 2 is {change:.3e} (limit {_CERT_QFI_RTOL:.0e})"
+                if math.isfinite(change)
+                else ""
+            )
+            raise TruncationError(
+                f"no cutoff up to n_cut = {n_cut} certifies sweep point {index} ({params}): "
+                f"there the steady-state leakage is {leakage:.3e} (limit "
+                f"{leakage_tol / _CERT_MARGIN:.1e}){qfi_text}; set n_cut explicitly to go further"
+            )
+        if best is None or n_cut > best.n_cut:
+            best = CutoffCertificate(n_cut, index, leakage, change)
+    return best

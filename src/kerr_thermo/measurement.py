@@ -1,12 +1,13 @@
 """Gaussian measurements in the truncated Fock basis and their Fisher information.
 
 Homodyne detection measures the quadrature Q_phi = (a e^{-i phi} + a^dag e^{i phi})/2;
-its POVM is the eigenprojector family of the truncated quadrature operator, so
+its POVM is the eigenprojector family of a truncated quadrature operator, so
 completeness is exact by the spectral theorem and the continuum is discretized
-without any bin-width parameter.  Heterodyne detection is the coherent-state
-POVM |alpha><alpha| / pi, discretized on a square grid over a disc with the
-grid cell area as the integration weight; its outcome distribution is the
-Husimi Q function.
+without any bin-width parameter.  The quadrature may be truncated above the
+state's cutoff, which fixes the number of outcomes independently of it.
+Heterodyne detection is the coherent-state POVM |alpha><alpha| / pi,
+discretized on a square grid over a disc with the grid cell area as the
+integration weight; its outcome distribution is the Husimi Q function.
 
 Both POVMs are rank one, so elements are stored as their factor vectors.
 """
@@ -122,16 +123,22 @@ def quadrature_op(phi: float, trunc: Truncation) -> np.ndarray:
     return rotated + rotated.conj().T
 
 
-def homodyne_povm(phi: float, trunc: Truncation) -> Povm:
-    """Projective POVM of the truncated quadrature operator at angle ``phi``.
+def homodyne_povm(phi: float, trunc: Truncation, levels: int | None = None) -> Povm:
+    """Projective POVM of a truncated quadrature operator at angle ``phi``.
 
-    Labels are the (ascending) eigenvalues; each eigenprojector carries weight
-    one, so the resolution of the identity is exact.
+    Labels are the (ascending) eigenvalues and each outcome carries weight
+    one.  With ``levels`` None the operator is truncated at n_cut, so the POVM
+    has n_cut outcomes.  With ``levels`` set, it is the eigenbasis of the
+    ``max(levels, n_cut)``-level quadrature restricted to the first n_cut Fock
+    components: that many outcomes, whatever n_cut is, so the measurement does
+    not change with the state's cutoff.  Either way the resolution of the
+    identity on the n_cut levels is exact.
     """
-    values, vectors = np.linalg.eigh(quadrature_op(phi, trunc))
+    size = trunc.n_cut if levels is None else max(levels, trunc.n_cut)
+    values, vectors = np.linalg.eigh(quadrature_op(phi, Truncation(size)))
     return Povm(
-        vectors=vectors.T,
-        weights=np.ones(trunc.n_cut),
+        vectors=vectors[: trunc.n_cut].T,
+        weights=np.ones(size),
         labels=values,
         kind="homodyne",
         phi=float(phi),

@@ -14,7 +14,7 @@ __all__ = ["PRESETS", "FIGURE_NAMES"]
 _COMMON_DYNAMICS = {
     "delta": "-3.5",
     "gamma": "1.0",
-    "n_cut": "30",
+    "n_cut": "auto",
     "t_end": "30",
     "n_samples": "201",
 }

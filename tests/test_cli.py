@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerr_thermo import Truncation, default_search_max, propagate, vacuum_state
-from kerr_thermo import cli
+from kerr_thermo import cli, config
 from kerr_thermo.cli import main, reproduce_figure, run
 from kerr_thermo.config import parse_config, resolve_config
 from kerr_thermo.errors import ConfigError, TruncationError
@@ -99,6 +99,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_th lists a value twice"):
             parse_config("command = thermalize\nn_th = 0.1, 0.1\n")
 
+    def test_n_cut_auto_parses_echoes_and_hashes_apart(self):
+        auto = parse_config("command = qfi\nn_th = 0.1\nn_cut = auto\n")
+        fixed = parse_config("command = qfi\nn_th = 0.1\nn_cut = 30\n")
+        assert auto.n_cut is None
+        assert "n_cut = auto\n" in auto.canonical_text()
+        assert parse_config(auto.canonical_text()) == auto
+        assert auto.config_hash() != fixed.config_hash()
+
+    def test_n_cut_auto_with_spectrum_is_error(self):
+        with pytest.raises(ConfigError, match="n_cut = auto") as info:
+            parse_config("command = spectrum\nn_th = 0\nn_cut = auto\n")
+        assert info.value.field == "n_cut"
+
+    def test_propagating_presets_certify_their_cutoff(self):
+        for name in FIGURE_NAMES:
+            cfg = resolve_config(preset=name)
+            if name[:4] in ("fig2", "fig3", "fig5", "fig8"):
+                assert cfg.n_cut is None, name
+            else:
+                assert isinstance(cfg.n_cut, int), name
+
+    def test_resolving_does_not_certify(self, monkeypatch):
+        def refuse(points, leakage_tol):
+            raise AssertionError("certified while resolving")
+
+        monkeypatch.setattr(config, "certify_cutoff", refuse)
+        cfg = resolve_config(preset="fig3a")
+        assert parse_config(cfg.canonical_text()) == cfg
+
 
 class TestRun:
     def test_thermalize_columns(self, tmp_path):
@@ -173,6 +202,55 @@ class TestRun:
         run(cfg, out_dir=str(tmp_path / "pool"), jobs=2)
         for name in ("qfi_chi0.csv", "qfi_chi0.4.csv"):
             assert read_lines(tmp_path / "serial" / name) == read_lines(tmp_path / "pool" / name)
+
+    def test_auto_cutoff_certified_once_and_pool_matches_serial(self, tmp_path, monkeypatch):
+        # every call appends a line, so calls made in pool workers count too
+        calls = tmp_path / "certify_calls"
+        certify = config.certify_cutoff
+
+        def counting(points, leakage_tol):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return certify(points, leakage_tol)
+
+        monkeypatch.setattr(config, "certify_cutoff", counting)
+        text = FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto").replace(
+            "n_th = 0.1", "n_th = 0.05, 0.1\nchi = 0.5\ndrive = 1\ndelta = -3.5"
+        )
+        reports = {}
+        for jobs in (2, 1):
+            reports[jobs] = run(parse_config(text), out_dir=str(tmp_path / str(jobs)), jobs=jobs)
+        assert calls.read_text().splitlines() == [str(os.getpid())] * 2
+        for name in ("thermalize_n_th0.05.csv", "thermalize_n_th0.1.csv"):
+            assert read_lines(tmp_path / "2" / name) == read_lines(tmp_path / "1" / name)
+        cert = parse_config(text).cutoff_certificate
+        assert reports[1].n_cut_used == cert.n_cut
+        rule = read_lines(tmp_path / "1" / "run_report.txt").splitlines()[5]
+        decider = ("0.05", "0.1")[cert.point_index]
+        assert rule.startswith(f"n_cut rule: auto, set by point_n_th{decider}: ")
+        assert f"steady-state leakage {cert.leakage:.3e}" in rule
+
+    def test_fixed_cutoff_report_rule(self, tmp_path):
+        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path), jobs=1)
+        lines = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert lines[4:6] == ["n_cut used: 20", "n_cut rule: fixed"]
+
+    def test_truncation_retry_starts_at_certified_cutoff(self, tmp_path, monkeypatch):
+        tried = []
+        propagate_ = cli.propagate
+
+        def fail_first(rho0, params, grid, trunc, **kwargs):
+            tried.append(trunc.n_cut)
+            if len(tried) == 1:
+                raise TruncationError("transient leakage")
+            return propagate_(rho0, params, grid, trunc, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", fail_first)
+        cfg = parse_config(FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto"))
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        certified = cfg.trunc().n_cut
+        assert tried == [certified, 2 * certified]
+        assert report.n_cut_used == 2 * certified
 
     def test_truncation_auto_doubling(self, tmp_path):
         # resonant drive reaches |alpha|^2 = 1, far too much for four levels

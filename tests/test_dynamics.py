@@ -15,6 +15,7 @@ from kerr_thermo import (
     propagate,
     purity,
     steady_state,
+    steady_state_tangent,
     uhlmann_fidelity,
     vacuum_state,
 )
@@ -267,6 +268,37 @@ class TestSteadyState:
         ss = steady_state(params, trunc)
         res = lindblad_rhs(ss, params, hamiltonian(params, trunc))
         assert np.abs(res).max() < 1e-8
+
+
+class TestSteadyStateTangent:
+    PARAMS = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
+
+    def test_state_matches_steady_state(self):
+        trunc = Truncation(16)
+        rho, drho = steady_state_tangent(self.PARAMS, trunc)
+        assert np.abs(rho - steady_state(self.PARAMS, trunc).entries).max() < 1e-12
+        assert np.abs(drho - drho.conj().T).max() == 0.0
+        assert abs(np.trace(drho)) < 1e-12
+
+    def test_derivative_matches_stencil_of_steady_states(self):
+        # the exact tangent solve against a five-point stencil of full solves
+        trunc = Truncation(16)
+        _, drho = steady_state_tangent(self.PARAMS, trunc)
+        h = 1e-3
+        ss = {
+            k: steady_state(self.PARAMS.with_n_th(0.05 + k * h), trunc).entries
+            for k in (-2, -1, 1, 2)
+        }
+        stencil = (ss[-2] - ss[2] + 8.0 * (ss[1] - ss[-1])) / (12.0 * h)
+        assert np.abs(drho - stencil).max() < 1e-8 * np.abs(drho).max() + 1e-10
+
+    def test_undriven_linear_cavity_thermal_derivative(self):
+        # the Gibbs family: d p_j / d n = p_j (j / n - (j + 1) / (n + 1))
+        n, dim = 0.1, 30
+        _, drho = steady_state_tangent(linear_params(n), Truncation(dim))
+        j = np.arange(dim)
+        p = (n / (n + 1.0)) ** j / (n + 1.0)
+        assert np.abs(drho - np.diag(p * (j / n - (j + 1.0) / (n + 1.0)))).max() < 1e-10
 
 
 class TestPurity:

@@ -8,6 +8,7 @@ from kerr_thermo import (
     SystemParams,
     TimeGrid,
     Truncation,
+    certify_cutoff,
     cfi,
     cfi_result,
     cr_bound,
@@ -19,7 +20,9 @@ from kerr_thermo import (
     qfi,
     qfi_series,
     stencil_combine,
+    steady_state_qfi,
 )
+from kerr_thermo.errors import TruncationError
 
 from conftest import random_density_matrix
 
@@ -269,3 +272,60 @@ class TestStencil:
         x = 3.0
         got = stencil_combine(x + 2 * h, x + h, x - h, x - 2 * h, h)
         assert float(got) == pytest.approx(1.0, rel=1e-13)
+
+
+# Preset corners with the tightest leakage-to-QFI-error margins: (delta, chi, drive, n_th).
+CORNERS = {
+    "fig3c_chi0.6": (-3.5, 0.6, 1.0, 0.15),
+    "fig5c_drive1.5": (-3.5, 0.5, 1.5, 0.15),
+    "fig8a": (-3.5, 0.65, 1.0, 0.05),
+    "fig8b": (-3.5, 0.65, 1.0, 0.1),
+    "fig8c": (-3.5, 0.65, 1.0, 0.15),
+    "fig2a": (-3.5, 0.5, 1.0, 0.05),
+}
+
+
+class TestCertifyCutoff:
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_certified_cutoff_matches_large_reference(self, corner):
+        params = SystemParams(*CORNERS[corner])
+        cert = certify_cutoff([params], leakage_tol=1e-8)
+        value, leakage = steady_state_qfi(params, Truncation(cert.n_cut))
+        assert leakage <= 1e-8 / 4
+        assert (cert.leakage, cert.point_index) == (leakage, 0)
+        reference, _ = steady_state_qfi(params, Truncation(40))
+        assert abs(value - reference) <= 1e-7 * reference
+        # the rule takes the smallest passing n, so n - 2 must fail it
+        below, below_leakage = steady_state_qfi(params, Truncation(cert.n_cut - 2))
+        assert below_leakage > 1e-8 / 4 or abs(value - below) > 1e-7 * value
+
+    def test_qfi_change_decides_when_leakage_is_loose(self):
+        # at leakage_tol 1e-4 the leakage test passes from n = 10, but the
+        # steady-state qfi still moves by about 2e-6 from 10 to 12
+        params = SystemParams(*CORNERS["fig8a"])
+        cert = certify_cutoff([params], leakage_tol=1e-4)
+        below, below_leakage = steady_state_qfi(params, Truncation(cert.n_cut - 2))
+        value, _ = steady_state_qfi(params, Truncation(cert.n_cut))
+        assert below_leakage <= 1e-4 / 4
+        assert abs(value - below) > 1e-7 * value
+        assert cert.qfi_change <= 1e-7
+        reference, _ = steady_state_qfi(params, Truncation(40))
+        assert abs(value - reference) <= 1e-7 * reference
+
+    def test_sweep_takes_the_largest_point(self):
+        points = [SystemParams(*CORNERS["fig2a"]), SystemParams(*CORNERS["fig5c_drive1.5"])]
+        alone = [certify_cutoff([p], leakage_tol=1e-8).n_cut for p in points]
+        cert = certify_cutoff(points, leakage_tol=1e-8)
+        assert alone[0] < alone[1]
+        assert (cert.n_cut, cert.point_index) == (alone[1], 1)
+
+    def test_thermal_qfi_of_undriven_cavity(self):
+        # the qfi rank cutoff (1e-12 of the largest eigenvalue) drops the
+        # levels above about 11, which carry about 4e-10 of the value
+        value, _ = steady_state_qfi(SystemParams(0.0, 0.0, 0.0, 0.1), Truncation(40))
+        assert value == pytest.approx(thermal_fisher(0.1), rel=1e-8)
+
+    def test_uncertifiable_point_raises(self):
+        # a resonant linear drive holding 64 photons: no cutoff up to 48 holds them
+        with pytest.raises(TruncationError, match=r"n_cut = 48 certifies sweep point 0"):
+            certify_cutoff([SystemParams(0.0, 0.0, 8.0, 0.1)], leakage_tol=1e-8)

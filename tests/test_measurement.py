@@ -21,6 +21,7 @@ from kerr_thermo import (
     qfi_series,
     quadrature_op,
     steady_state,
+    steady_state_tangent,
     vacuum_state,
 )
 from kerr_thermo.errors import GridInsufficientError, TailMassWarning, TruncationError
@@ -252,3 +253,45 @@ class TestSteadyStateGaussianOracles:
 
         dp = fd_derivative(dist, n, cfg)
         assert cfi(dist(n), dp) == pytest.approx(2.0 / (2 * n + 1) ** 2, rel=1e-4)
+
+
+class TestFixedSizeHomodyne:
+    PARAMS = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
+
+    def steady_cfi(self, n_cut, levels):
+        # exact CFI of the steady state: dp_x = <v_x| drho |v_x> is linear in drho
+        trunc = Truncation(n_cut)
+        rho, drho = steady_state_tangent(self.PARAMS, trunc)
+        povm = homodyne_povm(0.9 * math.pi, trunc, levels)
+        dp = np.einsum("xi,ij,xj->x", povm.vectors.conj(), drho, povm.vectors).real
+        return cfi(outcome_distribution(rho, povm), dp), povm
+
+    def test_cfi_does_not_depend_on_cutoff(self):
+        small, povm_small = self.steady_cfi(16, 60)
+        large, povm_large = self.steady_cfi(24, 60)
+        assert abs(small - large) <= 1e-8 * large
+        for povm in (povm_small, povm_large):
+            assert povm.n_outcomes == 60
+            assert povm.completeness_defect <= 1e-12
+        # the n_cut-outcome POVM moves by about 1e-4 over the same cutoffs
+        assert abs(self.steady_cfi(16, None)[0] - self.steady_cfi(24, None)[0]) > 1e-5 * large
+
+    def test_outcomes_are_the_large_quadrature_eigenbasis(self):
+        trunc = Truncation(10)
+        povm = homodyne_povm(0.3, trunc, levels=40)
+        full = homodyne_povm(0.3, Truncation(40))
+        assert povm.vectors.shape == (40, 10)
+        np.testing.assert_array_equal(povm.labels, full.labels)
+        np.testing.assert_array_equal(povm.vectors, full.vectors[:, :10])
+        # a state on the lower levels has the same outcome distribution either way
+        rho = np.zeros((40, 40), dtype=complex)
+        rho[:10, :10] = gibbs_state(0.2, trunc).entries
+        np.testing.assert_allclose(
+            outcome_distribution(gibbs_state(0.2, trunc), povm),
+            outcome_distribution(rho, full),
+            atol=1e-15,
+        )
+
+    def test_levels_below_cutoff_keep_cutoff_size(self):
+        povm = homodyne_povm(0.3, Truncation(20), levels=8)
+        np.testing.assert_array_equal(povm.vectors, homodyne_povm(0.3, Truncation(20)).vectors)
