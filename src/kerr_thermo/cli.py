@@ -30,10 +30,10 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, exact_text, homodyne_label, resolve_config
 from .errors import ConfigError, KerrThermoError, TruncationError
-from .estimation import cr_bound, perturbed_trajectories, qfi_series
+from .estimation import _AUTO_NCUT_MAX, cr_bound, perturbed_trajectories, qfi_series
 from .fidelity import default_search_max, thermalization_trace
 from .fock import Truncation, mean_photon_number, vacuum_state
-from .dynamics import _DENSE_SUPEROP_MAX_DIM, propagate, purity, steady_state
+from .dynamics import propagate, purity, steady_state
 from .measurement import cfi_series, heterodyne_povm, homodyne_povm
 from .presets import FIGURE_NAMES, PRESETS
 from .spectral import gap_variance, spectrum
@@ -123,11 +123,11 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
 
     It starts at ``config.trunc()``, the certified cutoff for ``n_cut = auto``,
     and n_cut doubles on each TruncationError.  Commands that propagate stop
-    growing at the dense-propagator limit: above it, propagation falls back
-    to explicit stepping, which takes minutes per trajectory.  When the
-    retries run out the error names the last cutoff tried.
+    growing at ``_AUTO_NCUT_MAX`` (48), set by the dense sample map's n_cut^6
+    build cost and n_cut^4 memory; a larger cutoff must be set explicitly.
+    When the retries run out the error names the last cutoff tried.
     """
-    limit = math.inf if config.command in _TABLE_COMMANDS else _DENSE_SUPEROP_MAX_DIM
+    limit = math.inf if config.command in _TABLE_COMMANDS else _AUTO_NCUT_MAX
     n_cut = config.trunc().n_cut
     for attempt in range(_MAX_NCUT_DOUBLINGS + 1):
         try:

@@ -347,12 +347,17 @@ def _validate(cfg: ScenarioConfig) -> None:
         )
     if not 0 < cfg.leakage_tol < 1:
         raise ConfigError("leakage_tol must lie in (0, 1)", field="leakage_tol")
-    if cfg.t_end <= cfg.t_start:
-        raise ConfigError("t_end must exceed t_start", field="t_end")
-    if cfg.n_samples < 2:
-        raise ConfigError("n_samples must be >= 2", field="n_samples")
-    if cfg.rel_step <= 0 or cfg.abs_floor <= 0:
-        raise ConfigError("rel_step and abs_floor must be positive", field="rel_step")
+    # TimeGrid and FdConfig validate their own fields; each of their messages
+    # starts with the name of the field it rejects.
+    for build in (cfg.grid, cfg.fd):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(str(exc), field=str(exc).split()[0]) from None
+    for name in ("search_max", "heterodyne_radius", "heterodyne_step"):
+        value = getattr(cfg, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value}", field=name)
     if not 0 <= cfg.window_lo < cfg.window_hi:
         raise ConfigError("need 0 <= window_lo < window_hi", field="window_lo")
     if cfg.repetitions < 1:

@@ -15,12 +15,11 @@ R = U L U^dag on the coordinates of rho in the orthonormal Hermitian basis
 |i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j); U is a
 sparse unitary and the trace is the sum of the first d coordinates.  Because
 R is linear and time independent, one RK4 step of size h is exactly the
-degree-4 Taylor polynomial P(h R), and K equal steps are P(h R)^K.  For
-moderate cutoffs we therefore precompute P(h R)^K once per sample interval by
+degree-4 Taylor polynomial P(h R), and K equal steps are P(h R)^K.  At
+every cutoff, propagation precomputes P(h R)^K once per sample interval by
 binary powering, which produces the same states as stepping one step at a time
-(up to roundoff) at a small fraction of the cost.  Larger cutoffs fall back to
-explicit complex stepping with a sparse L.  The steady state is one sparse
-solve with R, and its n_th-derivative one more with the same matrix.
+(up to roundoff) at a small fraction of the cost.  The steady state is one
+sparse solve with R, and its n_th-derivative one more with the same matrix.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ __all__ = [
     "purity",
 ]
 
-# Above this dimension the dense d^2 x d^2 superoperator becomes too large to
-# power cheaply and propagation steps through time explicitly instead.
-_DENSE_SUPEROP_MAX_DIM = 48
-
 # Propagation aborts if a sampled state has lost this much trace.
 _TRACE_DRIFT_LIMIT = 1e-6
 
@@ -78,8 +73,9 @@ class TimeGrid:
     integrator_step: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("time grid endpoints must be finite")
+        for name in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_end > self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
         if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2:
@@ -180,8 +176,8 @@ def _thermal_dissipators(dim: int):
     return _dissipator(a, eye), _dissipator(a.conj().T.tocsr(), eye)
 
 
-def liouvillian_matrix(params: SystemParams, trunc: Truncation, *, as_sparse: bool = False):
-    """Matrix of the generator acting on row-major vec(rho), sparse or dense.
+def liouvillian_matrix(params: SystemParams, trunc: Truncation) -> sparse.csr_matrix:
+    """Sparse CSR matrix of the generator acting on row-major vec(rho).
 
     With vec stacking rows, vec(A rho B) = (A kron B^T) vec(rho).
     """
@@ -194,7 +190,7 @@ def liouvillian_matrix(params: SystemParams, trunc: Truncation, *, as_sparse: bo
     for rate, dissipator in zip(rates, _thermal_dissipators(dim)):
         if rate != 0.0:
             lv = lv + rate * dissipator
-    return lv.tocsr() if as_sparse else lv.toarray()
+    return lv.tocsr()
 
 
 @functools.lru_cache(maxsize=16)
@@ -256,40 +252,25 @@ def _rk4_polynomial(x: np.ndarray) -> np.ndarray:
     return eye + x @ acc
 
 
-def _rk4_apply(lmat_h, vec: np.ndarray) -> np.ndarray:
-    """One RK4 step applied to vec(rho) via Horner evaluation; lmat_h = h * L."""
-    acc = vec + (lmat_h @ vec) / 4.0
-    acc = vec + (lmat_h @ acc) / 3.0
-    acc = vec + (lmat_h @ acc) / 2.0
-    return vec + lmat_h @ acc
-
-
 def propagate(
     rho0: DensityMatrix,
     params: SystemParams,
     grid: TimeGrid,
     trunc: Truncation,
-    *,
-    method: str = "auto",
 ) -> Trajectory:
     """Evolve ``rho0`` over ``grid``, returning validated states at every sample.
 
-    Fixed-step RK4 throughout.  Trace drift beyond 1e-6 raises TraceDriftError
-    (it is never silently renormalized), and top-two-level population beyond
-    ``trunc.leakage_tol`` raises TruncationError naming the offending time.
-
-    ``method`` is "auto", "dense" (powered real polynomial P(h R) on the
-    coordinates; each sample is rebuilt from its upper triangle, so it is
-    exactly Hermitian) or "loop" (explicit complex stepping, re-symmetrized
-    as (rho + rho^dag)/2); they agree up to roundoff and "auto" picks by dimension.
+    Fixed-step RK4, applied as the powered real polynomial P(h R)^K on the
+    Hermitian-basis coordinates, at every cutoff; each sample is rebuilt from
+    its upper triangle, so it is exactly Hermitian.  Trace drift beyond 1e-6
+    raises TraceDriftError (it is never silently renormalized), and
+    top-two-level population beyond ``trunc.leakage_tol`` raises
+    TruncationError naming the offending time.  The dense map holds n_cut^4
+    doubles.
     """
     dim = trunc.n_cut
     if rho0.dim != dim:
         raise ValueError(f"initial state dimension {rho0.dim} does not match n_cut {dim}")
-    if method not in ("auto", "dense", "loop"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if dim <= _DENSE_SUPEROP_MAX_DIM else "loop"
 
     times = grid.times
     spacing = grid.spacing
@@ -299,37 +280,26 @@ def propagate(
     n_steps = max(1, math.ceil(spacing / step - 1e-9))
     h = spacing / n_steps
 
-    if method == "dense":
-        rmat = _real_generator(liouvillian_matrix(params, trunc, as_sparse=True)).toarray()
-        sample_map = np.linalg.matrix_power(_rk4_polynomial(h * rmat), n_steps)
-        # The exact generator annihilates the trace functional, so the exact
-        # RK4 map preserves trace identically; binary powering loses that to
-        # roundoff (~1e-11), which the 1/(12 h) occupation-derivative stencils
-        # downstream would amplify.  Project the map back onto the
-        # trace-preserving affine subspace.  This corrects the propagator, not
-        # the state: trace drift remains monitored and never renormalized.
-        tr_vec = np.zeros(dim * dim)
-        tr_vec[:dim] = 1.0
-        sample_map -= np.outer(tr_vec / dim, tr_vec @ sample_map - tr_vec)
-        coords = _coordinates(rho0.entries)
-    else:
-        lmat_h = liouvillian_matrix(params, trunc, as_sparse=True) * h
-        vec = rho0.entries.reshape(-1).copy()
+    rmat = _real_generator(liouvillian_matrix(params, trunc)).toarray()
+    sample_map = np.linalg.matrix_power(_rk4_polynomial(h * rmat), n_steps)
+    # The exact generator annihilates the trace functional, so the exact
+    # RK4 map preserves trace identically; binary powering loses that to
+    # roundoff (~1e-11), which the 1/(12 h) occupation-derivative stencils
+    # downstream would amplify.  Project the map back onto the
+    # trace-preserving affine subspace.  This corrects the propagator, not
+    # the state: trace drift remains monitored and never renormalized.
+    tr_vec = np.zeros(dim * dim)
+    tr_vec[:dim] = 1.0
+    sample_map -= np.outer(tr_vec / dim, tr_vec @ sample_map - tr_vec)
+    coords = _coordinates(rho0.entries)
 
     states = [rho0]
     leakage_max = _leakage(rho0.entries)
     _check_leakage(leakage_max, trunc, times[0])
 
     for t in times[1:]:
-        if method == "dense":
-            coords = sample_map @ coords
-            mat = _from_coordinates(coords, dim)
-        else:
-            for _ in range(n_steps):
-                vec = _rk4_apply(lmat_h, vec)
-                mat = vec.reshape(dim, dim)
-                mat = 0.5 * (mat + mat.conj().T)
-                vec = mat.reshape(-1)
+        coords = sample_map @ coords
+        mat = _from_coordinates(coords, dim)
         trace_defect = abs(complex(mat.trace()) - 1.0)
         if trace_defect > _TRACE_DRIFT_LIMIT:
             raise TraceDriftError(
@@ -368,7 +338,7 @@ def _steady_solve(params: SystemParams, trunc: Truncation):
     LU factors, so a caller can reuse them.
     """
     dim = trunc.n_cut
-    lmat = liouvillian_matrix(params, trunc, as_sparse=True)
+    lmat = liouvillian_matrix(params, trunc)
     scale = float(abs(lmat).max())
     if not np.isfinite(scale) or scale == 0.0:
         raise NumericalFailureError("generator is identically zero or non-finite")

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import TruncationError
 from .fock import DensityMatrix, SystemParams, Truncation, as_matrix, vacuum_state
 from .dynamics import (
-    _DENSE_SUPEROP_MAX_DIM,
     _leakage,
     TimeGrid,
     Trajectory,
@@ -67,6 +66,14 @@ _P_FLOOR = 1e-14
 _CERT_MARGIN = 4.0
 _CERT_QFI_RTOL = 1e-7
 _CERT_FIRST_NCUT = 8
+
+# Automatic cutoff growth stops at this n_cut: the certify_cutoff walk here and
+# the leakage retry of the propagating commands in cli.  It caps cost, not
+# accuracy.  propagate's dense sample map holds n_cut^4 doubles and takes
+# n_cut^6 flops to build; one fig8a trajectory (201 samples to tau = 30) took
+# 6.1 s and 276 MB peak at 48 levels and 24.3 s and 573 MB at 60 on 2 cores.
+# An explicit larger n_cut still propagates.
+_AUTO_NCUT_MAX = 48
 
 
 @dataclass(frozen=True)
@@ -370,7 +377,7 @@ class CutoffCertificate:
 def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> CutoffCertificate:
     """The smallest even cutoff that the steady state certifies at every point.
 
-    At each point, walk n = 8, 10, ... up to the dense-propagator limit and
+    At each point, walk n = 8, 10, ... up to _AUTO_NCUT_MAX (48) and
     take the first n whose steady-state leakage is at most leakage_tol / 4 and
     whose steady-state QFI moves by at most 1e-7 relative from n to n + 2.
     The sweep's cutoff is the largest of these; a point that no n certifies
@@ -385,7 +392,7 @@ def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> Cutoff
                 solved[n] = steady_state_qfi(params, Truncation(n))
             return solved[n]
 
-        for n_cut in range(_CERT_FIRST_NCUT, _DENSE_SUPEROP_MAX_DIM + 1, 2):
+        for n_cut in range(_CERT_FIRST_NCUT, _AUTO_NCUT_MAX + 1, 2):
             value, leakage = at(n_cut)
             change = math.inf
             if leakage <= leakage_tol / _CERT_MARGIN:

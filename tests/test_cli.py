@@ -112,6 +112,26 @@ class TestParseConfig:
             parse_config("command = spectrum\nn_th = 0\nn_cut = auto\n")
         assert info.value.field == "n_cut"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("integrator_step", "-1"),
+            ("integrator_step", "0"),
+            ("integrator_step", "nan"),
+            ("integrator_step", "inf"),
+            ("integrator_step", "1.0"),  # above the sample spacing 0.5
+            ("t_start", "-inf"),
+            ("rel_step", "nan"),
+            ("search_max", "-1"),
+            ("heterodyne_radius", "-2"),
+            ("heterodyne_step", "nan"),
+        ],
+    )
+    def test_out_of_range_value_names_field(self, key, value):
+        with pytest.raises(ConfigError, match=key) as info:
+            parse_config(f"command = thermalize\nn_th = 0.1\nt_end = 1\nn_samples = 3\n{key} = {value}\n")
+        assert info.value.field == key
+
     def test_propagating_presets_certify_their_cutoff(self):
         for name in FIGURE_NAMES:
             cfg = resolve_config(preset=name)
@@ -263,7 +283,8 @@ class TestRun:
 
     def test_truncation_retry_stops_at_dense_limit(self, tmp_path, monkeypatch):
         # a cutoff that is never enough: the retry grows n_cut 30 -> 48 and
-        # gives up there instead of falling into explicit stepping above 48
+        # gives up there, where the dense sample map's n_cut^6 cost caps
+        # automatic growth; a larger n_cut must be set explicitly
         tried = []
 
         def never_enough(rho0, params, grid, trunc, **kwargs):

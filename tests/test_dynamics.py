@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kerr_thermo import (
     SystemParams,
@@ -73,13 +74,12 @@ class TestLindbladRhs:
         params = SystemParams(delta=-1.2, chi=0.4, drive=0.7, n_th=0.2)
         trunc = Truncation(8)
         lmat = liouvillian_matrix(params, trunc)
+        assert lmat.format == "csr"
         ham = hamiltonian(params, trunc)
         rho = random_density_matrix(rng, 8)
         direct = lindblad_rhs(rho, params, ham)
-        via_matrix = (lmat @ rho.reshape(-1)).reshape(8, 8)
+        via_matrix = (lmat.toarray() @ rho.reshape(-1)).reshape(8, 8)
         np.testing.assert_allclose(via_matrix, direct, atol=1e-13)
-        sparse_lmat = liouvillian_matrix(params, trunc, as_sparse=True)
-        np.testing.assert_allclose(sparse_lmat.toarray(), lmat, atol=1e-15)
 
 
 class TestHermitianBasis:
@@ -94,7 +94,7 @@ class TestHermitianBasis:
     def test_real_generator_matches_rhs(self, rng):
         # U L U^dag has an exactly zero imaginary part and acts like the rhs
         trunc = Truncation(8)
-        lv = liouvillian_matrix(self.PARAMS, trunc, as_sparse=True)
+        lv = liouvillian_matrix(self.PARAMS, trunc)
         basis = _hermitian_basis(8)
         assert np.abs((basis @ lv @ basis.conj().T).imag).max() == 0.0
         rmat = _real_generator(lv)
@@ -179,14 +179,26 @@ class TestPropagate:
         expected = 1.0 / (1.0 + 1j * (-3.5))
         assert abs(mean_a - expected) < 1e-6
 
-    def test_backends_agree(self):
-        params = SystemParams(delta=-2.0, chi=0.3, drive=0.8, n_th=0.1)
-        trunc = Truncation(16)
-        grid = TimeGrid(t_end=2.0, n_samples=6)
-        dense = propagate(vacuum_state(trunc), params, grid, trunc, method="dense")
-        loop = propagate(vacuum_state(trunc), params, grid, trunc, method="loop")
-        for a, b in zip(dense.states, loop.states):
-            np.testing.assert_allclose(a.entries, b.entries, atol=1e-12)
+    @pytest.mark.parametrize(
+        "params, n_cut, grid",
+        [
+            (SystemParams(delta=-2.0, chi=0.3, drive=0.8, n_th=0.1), 16, TimeGrid(t_end=2.0, n_samples=6)),
+            # the fig8a and fig2a points at their certified cutoffs
+            (SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05), 12, TimeGrid(t_end=30.0, n_samples=121)),
+            (SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05), 14, TimeGrid(t_end=30.0, n_samples=201)),
+        ],
+        ids=["n16", "fig8a-n12", "fig2a-n14"],
+    )
+    def test_matches_exact_exponential(self, params, n_cut, grid):
+        # oracle: scipy's scaling-and-squaring expm of the complex Liouvillian
+        # over one sample interval, applied to vec(rho0) sample by sample
+        trunc = Truncation(n_cut)
+        sample_map = expm(grid.spacing * liouvillian_matrix(params, trunc).toarray())
+        traj = propagate(vacuum_state(trunc), params, grid, trunc)
+        vec = vacuum_state(trunc).entries.reshape(-1)
+        for state in traj.states:
+            np.testing.assert_allclose(state.entries, vec.reshape(n_cut, n_cut), rtol=0, atol=1e-12)
+            vec = sample_map @ vec
 
     def test_leakage_error_names_time(self):
         # a cutoff of 4 cannot hold the driven state
