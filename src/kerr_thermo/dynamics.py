@@ -121,8 +121,8 @@ class Trajectory:
         return self.states[-1]
 
     def photon_numbers(self) -> np.ndarray:
-        levels = np.arange(self.states[0].dim)
-        return np.array([float(np.sum(levels * s.populations())) for s in self.states])
+        populations = np.stack([s.entries for s in self.states]).diagonal(axis1=1, axis2=2).real
+        return (np.arange(self.states[0].dim) * populations).sum(axis=1)
 
 
 def default_integrator_step(params: SystemParams, trunc: Truncation) -> float:

@@ -4,6 +4,12 @@ The effective temperature of a (generally non-thermal) state is defined as
 the occupation n_eff whose Gibbs state maximizes the fidelity to that state;
 the achieved fidelity quantifies how thermal the state actually is.  No claim
 is made that the state is Gibbs when it is not.
+
+A trajectory's states are searched together, in bounded stacks: the coarse
+scan takes one state's 16 points per stacked ``eigvalsh``, and the Brent
+refinement runs every state in lockstep, one stacked ``eigvalsh`` per round
+over the states still searching.  Each state evaluates the same points as a
+search of that state alone, which is what :func:`effective_temperature` runs.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketBoundaryWarning
-from .fock import DensityMatrix, as_matrix, gibbs_populations, mean_photon_number
+from .fock import DensityMatrix, _gibbs_population_rows, as_matrix, mean_photon_number
 from .dynamics import Trajectory
 
 __all__ = [
@@ -106,73 +112,119 @@ def _checked(state) -> np.ndarray:
     return mat
 
 
-def _gibbs_fidelity(rho_entries: np.ndarray, n_eff: float) -> float:
-    # sqrt(sigma) is diagonal for a Gibbs state, so the inner matrix is a
-    # cheap two-sided scaling of rho.
-    p, _ = gibbs_populations(n_eff, rho_entries.shape[0])
-    sq = np.sqrt(p)
-    inner = sq[:, None] * rho_entries * sq[None, :]
-    ev = np.linalg.eigvalsh(inner)
-    value = float(np.sqrt(np.clip(ev, 0.0, None)).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
+def _gibbs_fidelities(rho: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
+    """Fidelities of states to Gibbs states, in one stacked ``eigvalsh``.
 
-
-def _brent_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Maximize ``f`` on [lo, hi] by Brent's bounded minimizer applied to -f.
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 5:
-    parabolic interpolation through the three best points, falling back to a
-    golden-section step whenever the parabola is not trusted.  Stops when the
-    best point lies within 2 tol of the bracket midpoint, where
-    tol = sqrt(eps) |x| + xtol / 3.  Returns ``(x, f(x))`` for the best point
-    evaluated.
+    ``rho`` is a (..., d, d) stack that broadcasts against ``n_eff``: one state
+    against a vector of occupations, or one occupation per state.
     """
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = -f(x)
-    d = e = 0.0
+    # sqrt(sigma) is diagonal for a Gibbs state, so the inner matrix is a
+    # cheap two-sided scaling of rho; scaling in place keeps one temporary.
+    p, _ = _gibbs_population_rows(n_eff, rho.shape[-1])
+    sq = np.sqrt(p)
+    inner = sq[..., :, None] * rho
+    inner *= sq[..., None, :]
+    ev = np.linalg.eigvalsh(inner)
+    return np.clip(np.sqrt(np.clip(ev, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
+
+
+def _brent_max(
+    rho: np.ndarray, lo: np.ndarray, hi: np.ndarray, xtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize the Gibbs fidelity of each state ``rho[k]`` on [lo[k], hi[k]].
+
+    Brent's bounded minimizer applied to -F, Brent, *Algorithms for
+    Minimization without Derivatives* (1973), ch. 5: parabolic interpolation
+    through the three best points, falling back to a golden-section step
+    whenever the parabola is not trusted.  A state stops when its best point
+    lies within 2 tol of its bracket midpoint, where
+    tol = sqrt(eps) |x| + xtol / 3.  The states run in lockstep: every state
+    takes the steps the algorithm would take on it alone, selected by masks,
+    and each round evaluates the states still searching in one stacked call.
+    Returns ``(x, F(x))`` for the best point each state evaluated.
+    """
+    a, b = lo.copy(), hi.copy()
+    x = a + _GOLDEN * (b - a)
+    w, v = x.copy(), x.copy()
+    fx = -_gibbs_fidelities(rho, x)
+    fw, fv = fx.copy(), fx.copy()
+    d = np.zeros_like(x)
+    e = np.zeros_like(x)
     while True:
         mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * abs(x) + xtol / 3.0
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+        tol = _SQRT_EPS * np.abs(x) + xtol / 3.0
+        active = ~(np.abs(x - mid) <= 2.0 * tol - 0.5 * (b - a))
+        if not active.any():
             return x, -fx
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            # accept the parabola's vertex only inside the bracket and only
-            # when its step is less than half the step before last
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                if (x + d) - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                    d = tol if x < mid else -tol
-        if not parabolic:
-            e = (b - x) if x < mid else (a - x)
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = -f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        # accept the parabola's vertex only inside the bracket and only when
+        # its step is less than half the step before last
+        parabolic = (
+            (np.abs(e) > tol)
+            & (np.abs(p) < np.abs(0.5 * q * e))
+            & (q * (a - x) < p)
+            & (p < q * (b - x))
+        )
+        step = np.divide(p, q, out=np.zeros_like(p), where=parabolic)
+        near_end = ((x + step) - a < 2.0 * tol) | (b - (x + step) < 2.0 * tol)
+        step = np.where(near_end, np.where(x < mid, tol, -tol), step)
+        golden = np.where(x < mid, b - x, a - x)
+        e = np.where(parabolic, d, golden)
+        d = np.where(parabolic, step, _GOLDEN * golden)
+        u = x + np.where(np.abs(d) >= tol, d, np.copysign(tol, d))
+        fu = fx.copy()
+        fu[active] = -_gibbs_fidelities(rho[active], u[active])
+
+        left = u < x
+        better = active & (fu <= fx)
+        worse = active & ~better
+        to_w = worse & ((fu <= fw) | (w == x))
+        to_v = worse & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+        a = np.where(better & ~left, x, np.where(worse & left, u, a))
+        b = np.where(better & left, x, np.where(worse & ~left, u, b))
+        v = np.where(better | to_w, w, np.where(to_v, u, v))
+        fv = np.where(better | to_w, fw, np.where(to_v, fu, fv))
+        w = np.where(better, x, np.where(to_w, u, w))
+        fw = np.where(better, fx, np.where(to_w, fu, fw))
+        x = np.where(better, u, x)
+        fx = np.where(better, fu, fx)
+
+
+def _effective_temperatures(rho: np.ndarray, search_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effective temperature and fidelity of every state of a (m, d, d) stack.
+
+    The scan evaluates one state's 16 points per stacked call, so the
+    temporaries stay at 16 matrices, not 16 m; the Brent search then runs
+    all states in lockstep.  Warns once, for the caller of the public
+    function, when any state's best scan point is search_max.
+    """
+    if not search_max > 0:
+        raise ValueError(f"search_max must be positive, got {search_max}")
+    if search_max > 1e-4:
+        grid = np.concatenate(([0.0], np.geomspace(1e-4, search_max, _SCAN_POINTS - 1)))
+    else:
+        grid = np.linspace(0.0, search_max, _SCAN_POINTS)
+    values = np.stack([_gibbs_fidelities(state, grid) for state in rho])
+    best = np.argmax(values, axis=1)
+    if np.any(best == len(grid) - 1):
+        warnings.warn(
+            f"effective-temperature maximizer hit search_max = {search_max:g}; "
+            f"enlarge the bracket",
+            BracketBoundaryWarning,
+            stacklevel=3,
+        )
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, len(grid) - 1)]
+    n_opt, f_opt = _brent_max(rho, lo, hi, xtol=_XTOL)
+    # the best scan point wins if it scores higher than the refined one
+    f_best = values[np.arange(len(rho)), best]
+    scan_wins = f_best > f_opt
+    return np.where(scan_wins, grid[best], n_opt), np.where(scan_wins, f_best, f_opt)
 
 
 def effective_temperature(rho, search_max: float) -> tuple[float, float]:
@@ -184,34 +236,11 @@ def effective_temperature(rho, search_max: float) -> tuple[float, float]:
     method refines it to about 1e-7 absolute; the best scan point is returned
     instead if it scores higher.  About 26 fidelity evaluations per state.
     Returns ``(n_eff, fidelity)``.  A maximizer pinned at search_max raises
-    BracketBoundaryWarning: the bracket was too small.
+    BracketBoundaryWarning: the bracket was too small.  This is the one-state
+    case of :func:`thermalization_trace`'s search.
     """
-    if not search_max > 0:
-        raise ValueError(f"search_max must be positive, got {search_max}")
-    r = _checked(rho)
-
-    def score(n: float) -> float:
-        return _gibbs_fidelity(r, n)
-
-    if search_max > 1e-4:
-        grid = np.concatenate(([0.0], np.geomspace(1e-4, search_max, _SCAN_POINTS - 1)))
-    else:
-        grid = np.linspace(0.0, search_max, _SCAN_POINTS)
-    values = np.array([score(n) for n in grid])
-    best = int(np.argmax(values))
-    if best == len(grid) - 1:
-        warnings.warn(
-            f"effective-temperature maximizer hit search_max = {search_max:g}; "
-            f"enlarge the bracket",
-            BracketBoundaryWarning,
-            stacklevel=2,
-        )
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    n_opt, f_opt = _brent_max(score, float(lo), float(hi), xtol=_XTOL)
-    if values[best] > f_opt:
-        n_opt, f_opt = float(grid[best]), float(values[best])
-    return float(n_opt), float(f_opt)
+    n_eff, fid = _effective_temperatures(_checked(rho)[None], search_max)
+    return float(n_eff[0]), float(fid[0])
 
 
 def default_search_max(rho, n_th: float = 0.0) -> float:
@@ -228,8 +257,6 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
     """
     if search_max is None:
         search_max = 5.0 * (float(np.max(traj.photon_numbers())) + 0.1)
-    n_eff = np.empty(len(traj.states))
-    fid = np.empty(len(traj.states))
-    for k, state in enumerate(traj.states):
-        n_eff[k], fid[k] = effective_temperature(state, search_max)
+    rho = np.stack([state.entries for state in traj.states])
+    n_eff, fid = _effective_temperatures(rho, search_max)
     return EffTempTrace(times=traj.times, n_eff=n_eff, fidelity_at_opt=fid)

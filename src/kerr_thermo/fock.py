@@ -195,15 +195,20 @@ def gibbs_populations(n_eff: float, dim: int) -> tuple[np.ndarray, float]:
     """
     if n_eff < 0:
         raise ValueError(f"n_eff must be nonnegative, got {n_eff}")
-    if n_eff == 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p, 0.0
+    p, tail = _gibbs_population_rows(np.array([n_eff], dtype=float), dim)
+    return p[0], float(tail[0])
+
+
+def _gibbs_population_rows(n_eff: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gibbs_populations` for an array of nonnegative occupations.
+
+    Returns populations of shape ``n_eff.shape + (dim,)`` and the tail masses.
+    n_eff = 0 needs no special case: the ratio is 0 and 0**0 = 1.
+    """
     ratio = n_eff / (n_eff + 1.0)
-    p = (1.0 - ratio) * ratio ** np.arange(dim, dtype=float)
-    tail = ratio ** dim
-    p /= p.sum()
-    return p, float(tail)
+    p = (1.0 - ratio)[..., None] * ratio[..., None] ** np.arange(dim, dtype=float)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p, ratio**dim
 
 
 def gibbs_state(n_eff: float, trunc: Truncation) -> DensityMatrix:

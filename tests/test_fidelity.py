@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,17 +157,30 @@ class TestThermalizationTrace:
         assert np.all(trace.fidelity_at_opt <= 1.0 + 1e-9)
 
 
+def gibbs_fidelity_reference(rho, n):
+    """F(rho, gibbs_state(n)) for one state and one n, by the diagonal square root.
+
+    The scalar formula, written out here so the oracle shares no code with the
+    batched kernel under test.  ``uhlmann_fidelity`` computes the same number,
+    but its square root of sigma goes through ``eigh`` and carries about 2e-8
+    of roundoff noise in n on the fig2a states at n_cut 30, which scatters the
+    maximizer by up to 5e-5; this route is smooth to about 1e-11.
+    """
+    sq = np.sqrt(gibbs_state(n, Truncation(rho.dim)).populations())
+    inner = sq[:, None] * rho.entries * sq[None, :]
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum() ** 2)
+
+
 def oracle_effective_temperature(rho, search_max):
     """65-point scan plus scipy's bounded Brent search at xatol 1e-10."""
     from scipy.optimize import minimize_scalar
 
-    entries = rho.entries
     grid = np.concatenate(([0.0], np.geomspace(1e-4, search_max, 64)))
-    values = [fidelity._gibbs_fidelity(entries, n) for n in grid]
+    values = [gibbs_fidelity_reference(rho, n) for n in grid]
     best = int(np.argmax(values))
     bounds = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
     res = minimize_scalar(
-        lambda n: -fidelity._gibbs_fidelity(entries, n),
+        lambda n: -gibbs_fidelity_reference(rho, n),
         bounds=bounds,
         method="bounded",
         options={"xatol": 1e-10},
@@ -184,6 +198,19 @@ def fig2a_trajectory(request):
     return traj, default_search_max(traj.final, params.n_th)
 
 
+def count_kernel_calls(monkeypatch):
+    """Matrices per call of the stacked Gibbs-fidelity kernel, one entry per call."""
+    calls = []
+    kernel = fidelity._gibbs_fidelities
+
+    def counted(rho, n_eff):
+        calls.append(np.size(n_eff))
+        return kernel(rho, n_eff)
+
+    monkeypatch.setattr(fidelity, "_gibbs_fidelities", counted)
+    return calls
+
+
 class TestEffectiveTemperatureSearch:
     def test_agrees_with_oracle(self, fig2a_trajectory):
         traj, search_max = fig2a_trajectory
@@ -191,22 +218,68 @@ class TestEffectiveTemperatureSearch:
         oracle = np.array([oracle_effective_temperature(s, search_max) for s in traj.states])
         np.testing.assert_allclose(trace.n_eff, oracle[:, 0], rtol=0, atol=1e-6)
         assert np.all(trace.fidelity_at_opt >= oracle[:, 1] - 1e-12)
+        # the kernel computes the Uhlmann fidelity, up to uhlmann_fidelity's noise
+        uhlmann = [
+            uhlmann_fidelity(s, gibbs_state(n, Truncation(s.dim)))
+            for s, n in zip(traj.states, trace.n_eff)
+        ]
+        np.testing.assert_allclose(trace.fidelity_at_opt, uhlmann, rtol=0, atol=1e-7)
+
+    def test_batched_trace_matches_single_states(self, fig2a_trajectory, monkeypatch):
+        # the lockstep search takes each state's scalar iterates, and it is
+        # batched: one stacked call per state's scan plus one per Brent round
+        traj, search_max = fig2a_trajectory
+        calls = count_kernel_calls(monkeypatch)
+        trace = thermalization_trace(traj, search_max)
+        assert len(calls) <= len(traj.states) + 40
+        single = np.array([effective_temperature(s, search_max) for s in traj.states])
+        np.testing.assert_allclose(trace.n_eff, single[:, 0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(trace.fidelity_at_opt, single[:, 1], rtol=0, atol=1e-14)
 
     def test_evaluation_budget(self, fig2a_trajectory, monkeypatch):
         # at most 30 fidelity evaluations per state on average; the vacuum at
         # tau = 0 peaks on the bracket edge, where every refinement step is a
         # golden-section step, and takes the most
         traj, search_max = fig2a_trajectory
+        calls = count_kernel_calls(monkeypatch)
         counts = []
-        gibbs_fidelity = fidelity._gibbs_fidelity
-
-        def counted(entries, n_eff):
-            counts[-1] += 1
-            return gibbs_fidelity(entries, n_eff)
-
-        monkeypatch.setattr(fidelity, "_gibbs_fidelity", counted)
         for state in traj.states:
-            counts.append(0)
+            start = len(calls)
             effective_temperature(state, search_max)
+            counts.append(sum(calls[start:]))
         assert sum(counts) <= 30 * len(traj.states)
         assert max(counts) <= 40
+
+    def test_boundary_warning_once_per_trace(self):
+        # n_eff climbs to 0.1 while search_max is 0.02: most states peak on
+        # the bracket edge, and the trace warns once
+        trunc = Truncation(20)
+        params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.1)
+        traj = propagate(vacuum_state(trunc), params, TimeGrid(t_end=3.0, n_samples=11), trunc)
+        with warnings.catch_warnings(record=True) as per_state:
+            warnings.simplefilter("always")
+            for state in traj.states:
+                effective_temperature(state, search_max=0.02)
+        assert sum(w.category is BracketBoundaryWarning for w in per_state) >= 5
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thermalization_trace(traj, search_max=0.02)
+        assert [w.category for w in caught] == [BracketBoundaryWarning]
+        assert str(caught[0].message) == (
+            "effective-temperature maximizer hit search_max = 0.02; enlarge the bracket"
+        )
+
+    def test_trace_temporaries_stay_bounded(self):
+        # one 201 x 16 stack of 30 x 30 complex matrices would be 46 MB; the
+        # scan goes state by state and the Brent rounds stack one matrix per state
+        trunc = Truncation(30)
+        params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
+        traj = propagate(vacuum_state(trunc), params, TimeGrid(t_end=30.0, n_samples=201), trunc)
+        search_max = default_search_max(traj.final, params.n_th)
+        tracemalloc.start()
+        try:
+            thermalization_trace(traj, search_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
