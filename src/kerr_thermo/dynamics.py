@@ -18,14 +18,20 @@ R is linear and time independent, one RK4 step of size h is exactly the
 degree-4 Taylor polynomial P(h R), and K equal steps are P(h R)^K.  At
 every cutoff, propagation precomputes P(h R)^K once per sample interval by
 binary powering, which produces the same states as stepping one step at a time
-(up to roundoff) at a small fraction of the cost.  The steady state is one
-sparse solve with R, and its n_th-derivative one more with the same matrix.
+(up to roundoff) at a small fraction of the cost.  A trajectory keeps its
+samples as one read-only (n_samples, d, d) array, filled from the coordinate
+rows with one gather and validated in one pass (one stacked
+``eigvalsh``); ``Trajectory.states`` wraps single samples as
+:class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.  The
+steady state is one sparse solve with R, and its n_th-derivative one more with
+the same matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +60,10 @@ __all__ = [
     "purity",
 ]
 
-# Propagation aborts if a sampled state has lost this much trace.
+# Propagation aborts if a sampled state has lost this much trace, or if its
+# smallest eigenvalue falls below -_STATE_TOL.
 _TRACE_DRIFT_LIMIT = 1e-6
+_STATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,31 +106,63 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
 
+class _States(Sequence):
+    """Read-only sequence view of a trajectory's samples as DensityMatrix values.
+
+    ``len`` costs nothing; an item is built (and validated) only when accessed.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: np.ndarray):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return self._entries.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        return DensityMatrix(self._entries[index], tol=_STATE_TOL)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, validated states, and the worst leakage seen."""
+    """Sampled evolution: times, the (n_samples, d, d) stack of validated states,
+    and the worst leakage seen.
+
+    ``entries`` is read-only; ``states`` views it as DensityMatrix values.
+    """
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    entries: np.ndarray
     leakage_max: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if len(times) != len(self.states):
-            raise ValueError("times and states must have equal length")
+        entries = np.asarray(self.entries, dtype=np.complex128)
+        if entries.ndim != 3 or entries.shape[1] != entries.shape[2]:
+            raise ValueError(f"entries must be a (n_samples, d, d) stack, got shape {entries.shape}")
+        if len(times) != len(entries):
+            raise ValueError("times and entries must have equal length")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         times.setflags(write=False)
+        entries.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def states(self) -> Sequence[DensityMatrix]:
+        return _States(self.entries)
 
     @property
     def final(self) -> DensityMatrix:
         return self.states[-1]
 
     def photon_numbers(self) -> np.ndarray:
-        populations = np.stack([s.entries for s in self.states]).diagonal(axis1=1, axis2=2).real
-        return (np.arange(self.states[0].dim) * populations).sum(axis=1)
+        populations = self.entries.diagonal(axis1=1, axis2=2).real
+        return (np.arange(self.entries.shape[1]) * populations).sum(axis=1)
 
 
 def default_integrator_step(params: SystemParams, trunc: Truncation) -> float:
@@ -202,11 +242,13 @@ def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+@functools.lru_cache(maxsize=16)
 def _hermitian_basis(dim: int) -> sparse.csr_matrix:
     """Sparse unitary U taking row-major vec(rho) to real Hermitian-basis coordinates.
 
     Coordinates are ordered: the d diagonal entries, then sqrt2 Re rho_ij, then
     sqrt2 Im rho_ij, with (i, j) running over ``np.triu_indices(dim, 1)``.
+    Built once per dimension; its arrays are read-only.
     """
     iu, ju = _upper_indices(dim)
     m, c = iu.size, 1.0 / math.sqrt(2.0)
@@ -215,7 +257,10 @@ def _hermitian_basis(dim: int) -> sparse.csr_matrix:
     upper, lower = iu * dim + ju, ju * dim + iu
     cols = np.concatenate([np.arange(dim) * (dim + 1), upper, lower, upper, lower])
     vals = np.concatenate([np.ones(dim), np.full(2 * m, c), np.full(m, -1j * c), np.full(m, 1j * c)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    basis = sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    for arr in (basis.data, basis.indices, basis.indptr):
+        arr.setflags(write=False)
+    return basis
 
 
 def _real_generator(lv: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -228,19 +273,40 @@ def _real_generator(lv: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def _coordinates(mat: np.ndarray) -> np.ndarray:
-    """Real Hermitian-basis coordinates of a Hermitian matrix (see ``_hermitian_basis``)."""
-    upper = math.sqrt(2.0) * mat[_upper_indices(mat.shape[0])]
-    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+    """Real Hermitian-basis coordinates of a Hermitian matrix, or of each of a
+    (..., d, d) stack along the last axis (see ``_hermitian_basis``)."""
+    iu, ju = _upper_indices(mat.shape[-1])
+    upper = math.sqrt(2.0) * mat[..., iu, ju]
+    return np.concatenate([mat.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _entry_order(dim: int) -> np.ndarray:
+    """Row-major positions of a d x d matrix as indices into its value row
+    [diagonal, upper triangle, conjugated upper triangle]; built once, read-only."""
+    iu, ju = _upper_indices(dim)
+    m = iu.size
+    order = np.empty(dim * dim, dtype=np.intp)
+    order[np.arange(dim) * (dim + 1)] = np.arange(dim)
+    order[iu * dim + ju] = dim + np.arange(m)
+    order[ju * dim + iu] = dim + m + np.arange(m)
+    order.setflags(write=False)
+    return order
+
+
+def _from_coordinate_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The (n, d, d) Hermitian matrices whose coordinates are the rows, each built
+    from its upper triangle; one gather by ``_entry_order`` fills the whole
+    stack (``np.take`` keeps it C-contiguous, where ``values[:, order]`` would not)."""
+    re, im = np.split(rows[:, dim:], 2, axis=1)
+    upper = (re + 1j * im) / math.sqrt(2.0)
+    values = np.concatenate([rows[:, :dim].astype(np.complex128), upper, upper.conj()], axis=1)
+    return np.take(values, _entry_order(dim), axis=1).reshape(len(rows), dim, dim)
 
 
 def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian matrix with these coordinates, built from its upper triangle."""
-    iu = _upper_indices(dim)
-    re, im = coords[dim:].reshape(2, -1)
-    mat = np.diag(coords[:dim].astype(np.complex128))
-    mat[iu] = (re + 1j * im) / math.sqrt(2.0)
-    mat[iu[::-1]] = mat[iu].conj()
-    return mat
+    return _from_coordinate_rows(coords[None], dim)[0]
 
 
 def _rk4_polynomial(x: np.ndarray) -> np.ndarray:
@@ -263,10 +329,11 @@ def propagate(
     Fixed-step RK4, applied as the powered real polynomial P(h R)^K on the
     Hermitian-basis coordinates, at every cutoff; each sample is rebuilt from
     its upper triangle, so it is exactly Hermitian.  Trace drift beyond 1e-6
-    raises TraceDriftError (it is never silently renormalized), and
-    top-two-level population beyond ``trunc.leakage_tol`` raises
-    TruncationError naming the offending time.  The dense map holds n_cut^4
-    doubles.
+    raises TraceDriftError (it is never silently renormalized), top-two-level
+    population beyond ``trunc.leakage_tol`` raises TruncationError, and a
+    non-finite state or an eigenvalue below -1e-6 raises
+    NumericalFailureError, each naming the first offending time.  The dense
+    map holds n_cut^4 doubles.
     """
     dim = trunc.n_cut
     if rho0.dim != dim:
@@ -292,29 +359,55 @@ def propagate(
     tr_vec[:dim] = 1.0
     sample_map -= np.outer(tr_vec / dim, tr_vec @ sample_map - tr_vec)
     coords = _coordinates(rho0.entries)
+    rows = np.empty((len(times), coords.size))
+    rows[0] = coords
+    # Samples after a failing one are computed too, then discarded by the
+    # validation; they may overflow, which must not warn.
+    with np.errstate(all="ignore"):
+        for k in range(1, len(times)):
+            coords = sample_map @ coords
+            rows[k] = coords
+        entries = _from_coordinate_rows(rows, dim)
+    entries[0] = rho0.entries
+    leakage_max = _validate_samples(entries, times, trunc)
+    return Trajectory(times=times, entries=entries, leakage_max=leakage_max)
 
-    states = [rho0]
-    leakage_max = _leakage(rho0.entries)
-    _check_leakage(leakage_max, trunc, times[0])
 
-    for t in times[1:]:
-        coords = sample_map @ coords
-        mat = _from_coordinates(coords, dim)
-        trace_defect = abs(complex(mat.trace()) - 1.0)
-        if trace_defect > _TRACE_DRIFT_LIMIT:
+def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation) -> float:
+    """Check a propagated stack in one pass and return its worst leakage.
+
+    Sample 0 is the validated initial state, so only its leakage is checked.
+    The first failing sample raises, its checks taken in the order trace drift
+    (TraceDriftError), top-two-level leakage (TruncationError), then
+    finiteness and positivity (NumericalFailureError).  One stacked
+    ``eigvalsh`` covers the samples before the first failure of the others.
+    """
+    with np.errstate(all="ignore"):
+        populations = entries.diagonal(axis1=1, axis2=2).real
+        leak = populations[:, -1] + populations[:, -2]
+        drift = np.abs(entries.trace(axis1=1, axis2=2) - 1.0)
+    drift[0] = 0.0
+    finite = np.isfinite(entries).all(axis=(1, 2))
+    failed = np.nonzero((drift > _TRACE_DRIFT_LIMIT) | (leak > trunc.leakage_tol) | ~finite)[0]
+    first = failed[0] if failed.size else len(entries)
+    lam_min = np.linalg.eigvalsh(entries[1:first])[:, 0]
+    negative = np.nonzero(lam_min < -_STATE_TOL)[0]
+    if negative.size:
+        k = negative[0]
+        raise NumericalFailureError(
+            f"invalid state at tau = {times[k + 1]:g}: smallest eigenvalue "
+            f"{lam_min[k]:.3e} below -tol = {-_STATE_TOL:.1e}"
+        )
+    if failed.size:
+        t = times[first]
+        if drift[first] > _TRACE_DRIFT_LIMIT:
             raise TraceDriftError(
-                f"trace drifted by {trace_defect:.3e} at tau = {t:g}; "
+                f"trace drifted by {drift[first]:.3e} at tau = {t:g}; "
                 f"reduce the integrator step or enlarge the truncation"
             )
-        leak = _leakage(mat)
-        leakage_max = max(leakage_max, leak)
-        _check_leakage(leak, trunc, t)
-        try:
-            states.append(DensityMatrix(mat, tol=1e-6))
-        except ValueError as exc:
-            raise NumericalFailureError(f"invalid state at tau = {t:g}: {exc}") from exc
-
-    return Trajectory(times=times, states=tuple(states), leakage_max=leakage_max)
+        _check_leakage(leak[first], trunc, t)
+        raise NumericalFailureError(f"invalid state at tau = {t:g}: density matrix contains non-finite entries")
+    return float(leak.max())
 
 
 def _leakage(mat: np.ndarray) -> float:

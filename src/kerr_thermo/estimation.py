@@ -12,8 +12,11 @@ derivatives use the five-point central stencil
 
 exact on polynomials up to degree 4.  Series evaluation propagates one
 central and four occupation-shifted trajectories from the same vacuum and
-differentiates the sampled states entrywise, so one set of propagations
-serves every sample time (and can be reused for measurement CFI series).
+differentiates the sampled state stacks entrywise, so one set of propagations
+serves every sample time (and can be reused for measurement CFI series).  The
+series is computed over whole stacks: one stencil, one trace projection and
+one stacked ``eigh`` of the central trajectory; :func:`qfi` is the one-state
+case of the same kernel, as :func:`cfi_result` is of the batched CFI sum.
 The steady state's QFI needs no stencil: its exact derivative is one more
 linear solve, and it certifies the Fock cutoff of ``n_cut = auto`` runs.
 """
@@ -199,29 +202,45 @@ def qfi(
     information; callers in that situation should raise the cutoff
     accordingly (see :func:`qfi_series`).
     """
-    r = rho.entries if isinstance(rho, DensityMatrix) else as_matrix(rho)
+    r = as_matrix(rho)
     d = as_matrix(drho)
     if d.shape != r.shape:
         raise ValueError(f"dimension mismatch: rho {r.shape} vs drho {d.shape}")
-    herm_defect = float(np.abs(d - d.conj().T).max())
-    if herm_defect > 1e-8 * max(1.0, float(np.abs(d).max())):
-        raise ValueError(f"drho is not Hermitian: defect {herm_defect:.3e}")
-    trace_defect = abs(complex(d.trace()))
-    if trace_defect > 1e-6:
-        raise ValueError(f"drho is not traceless: |Tr drho| = {trace_defect:.3e}")
-
-    lam, vec = np.linalg.eigh(r)
-    if rank_tol is None:
-        rank_tol = rank_tol_rel * float(lam.max())
-    d_eig = vec.conj().T @ (0.5 * (d + d.conj().T)) @ vec
-    denom = lam[:, None] + lam[None, :]
-    keep = denom > rank_tol
-    weights = np.where(keep, 2.0 / np.where(keep, denom, 1.0), 0.0)
-    value = float(np.sum(weights * np.abs(d_eig) ** 2))
-    sld_eig = weights * d_eig
-    sld = vec @ sld_eig @ vec.conj().T
+    values, weights, d_eig, vec, tols = _qfi_stack(r[None], d[None], rank_tol, rank_tol_rel)
+    sld = vec[0] @ (weights[0] * d_eig[0]) @ vec[0].conj().T
     sld = 0.5 * (sld + sld.conj().T)
-    return SldResult(qfi=value, sld=sld, rank_tol=float(rank_tol))
+    return SldResult(qfi=float(values[0]), sld=sld, rank_tol=float(tols[0]))
+
+
+def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol: float | None, rank_tol_rel: float):
+    """:func:`qfi` for (n, d, d) stacks of states and derivatives.
+
+    Returns the n QFI values, the SLD weights 2 / (lambda_k + lambda_l) (0
+    below the rank cutoff), drho in each state's eigenbasis, the eigenvectors
+    and the n rank cutoffs.  An input gate that fails raises for the first
+    failing sample.
+    """
+    herm = drho.conj().swapaxes(-1, -2)
+    herm_defect = np.abs(drho - herm).max(axis=(1, 2))
+    bad = herm_defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(1, 2)))
+    if bad.any():
+        raise ValueError(f"drho is not Hermitian: defect {herm_defect[np.argmax(bad)]:.3e}")
+    trace_defect = np.abs(np.trace(drho, axis1=1, axis2=2))
+    bad = trace_defect > 1e-6
+    if bad.any():
+        raise ValueError(f"drho is not traceless: |Tr drho| = {trace_defect[np.argmax(bad)]:.3e}")
+
+    lam, vec = np.linalg.eigh(rho)
+    if rank_tol is None:
+        tols = rank_tol_rel * lam.max(axis=1)
+    else:
+        tols = np.full(len(rho), float(rank_tol))
+    d_eig = vec.conj().swapaxes(-1, -2) @ (0.5 * (drho + herm)) @ vec
+    denom = lam[:, :, None] + lam[:, None, :]
+    keep = denom > tols[:, None, None]
+    weights = np.where(keep, 2.0 / np.where(keep, denom, 1.0), 0.0)
+    values = np.sum(weights * np.abs(d_eig) ** 2, axis=(1, 2))
+    return values, weights, d_eig, vec, tols
 
 
 @dataclass(frozen=True)
@@ -247,10 +266,10 @@ class PerturbedTrajectories:
     def state_derivative(self, index: int) -> np.ndarray:
         """d rho / d n_th at sample ``index`` via the five-point stencil."""
         return stencil_combine(
-            self.plus2.states[index].entries,
-            self.plus1.states[index].entries,
-            self.minus1.states[index].entries,
-            self.minus2.states[index].entries,
+            self.plus2.entries[index],
+            self.plus1.entries[index],
+            self.minus1.entries[index],
+            self.minus2.entries[index],
             self.step,
         )
 
@@ -293,21 +312,20 @@ def qfi_series(
     measurement CFI series over the same grid is also wanted).
     """
     tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
-    dim = tr.central.states[0].dim
-    eye = np.eye(dim)
+    dim = tr.central.entries.shape[-1]
     # Stencil entries carry roundoff of order eps/h; near-null eigenvalue
     # pairs would convert it into spurious Fisher information, so the rank
     # cutoff grows with that noise floor (~1e-10 at the default step, ~1e-6
     # at the smallest selectable steps).
     rank_rel = max(1e-12, 25.0 * np.finfo(float).eps / tr.step)
-    values = np.empty(len(tr.times))
-    for k in range(len(tr.times)):
-        drho = tr.state_derivative(k)
-        # The differentiated family has unit trace for every n_th, so its
-        # derivative is exactly traceless; remove the stencil's 1/(12 h)
-        # amplified trace roundoff before it meets the qfi input gate.
-        drho -= (np.trace(drho) / dim) * eye
-        values[k] = qfi(tr.central.states[k], drho, rank_tol_rel=rank_rel).qfi
+    drho = stencil_combine(
+        tr.plus2.entries, tr.plus1.entries, tr.minus1.entries, tr.minus2.entries, tr.step
+    )
+    # The differentiated family has unit trace for every n_th, so its
+    # derivative is exactly traceless; remove the stencil's 1/(12 h)
+    # amplified trace roundoff before it meets the qfi input gate.
+    drho -= (np.trace(drho, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    values = _qfi_stack(tr.central.entries, drho, None, rank_rel)[0]
     return FisherSeries(times=tr.times, values=values, kind="qfi", fd=cfg)
 
 
@@ -327,16 +345,25 @@ def cfi_result(probabilities, dprobabilities, p_floor: float = _P_FLOOR) -> CfiR
     dp = np.asarray(dprobabilities, dtype=float)
     if p.shape != dp.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {dp.shape}")
+    values, skipped = _cfi_rows(p.reshape(1, -1), dp.reshape(1, -1), p_floor)
+    return CfiResult(value=float(values[0]), skipped_mass=float(skipped[0]))
+
+
+def _cfi_rows(p: np.ndarray, dp: np.ndarray, p_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cfi_result` for each row of (n, n_outcomes) arrays: the CFI values
+    and skipped masses.  A gate that fails raises for the first failing row."""
     if p.size and float(p.min()) < -1e-12:
         raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-6")
+    total = p.sum(axis=1)
+    bad = np.abs(total - 1.0) > 1e-6
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(total[np.argmax(bad)])!r}, not 1 within 1e-6")
     p = np.clip(p, 0.0, None)
     keep = p > p_floor
-    skipped = float(p[~keep].sum())
-    value = float(np.sum(dp[keep] ** 2 / p[keep]))
-    return CfiResult(value=value, skipped_mass=skipped)
+    skipped = np.where(keep, 0.0, p).sum(axis=1)
+    terms = np.square(dp, out=np.zeros_like(p), where=keep)
+    np.divide(terms, p, out=terms, where=keep)
+    return terms.sum(axis=1), skipped
 
 
 def cfi(probabilities, dprobabilities, p_floor: float = _P_FLOOR) -> float:

@@ -32,10 +32,6 @@ __all__ = [
     "thermalization_trace",
 ]
 
-# Eigenvalues of sigma below this are treated as exact zeros when taking the
-# matrix square root; propagated states carry O(1e-10) negative roundoff.
-_EIG_CLIP = 1e-12
-
 # Golden-section fraction (3 - sqrt5) / 2 and the square root of machine
 # epsilon, the relative resolution of a smooth maximum's position.
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -87,16 +83,21 @@ def uhlmann_fidelity(rho, sigma) -> float:
     s = _checked(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    lam, vec = np.linalg.eigh(s)
-    keep = lam >= _EIG_CLIP
-    # Restrict sqrt(sigma) rho sqrt(sigma) to the support of sigma: the null
-    # space contributes exactly zero to the trace, and excluding it keeps
-    # eigensolver noise there from leaking in through the square root.
-    root = vec[:, keep] * np.sqrt(lam[keep])
-    inner = root.conj().T @ r @ root
-    ev = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    value = float(np.sqrt(np.clip(ev, 0.0, None)).sum() ** 2)
-    return min(max(value, 0.0), 1.0)
+    # F = ||B_rho^dag B_sigma||_1^2 for any factors rho = B B^dag, so no matrix
+    # square root is taken.  B = V sqrt(lambda) from eigh, with each lambda
+    # the Rayleigh quotient v^dag rho v: eigh's eigenvalues carry absolute
+    # error eps ||rho||, which the square root turns into ~1e-9 on the
+    # ~1e-14 eigenvalues of a propagated state, while the quotient keeps the
+    # graded matrix's small entries.  Only negative roundoff is clipped.
+    norm = float(np.linalg.svd(_root_factor(r).conj().T @ _root_factor(s), compute_uv=False).sum())
+    return min(norm * norm, 1.0)
+
+
+def _root_factor(mat: np.ndarray) -> np.ndarray:
+    """V sqrt(lambda) with mat = V lambda V^dag; lambda are Rayleigh quotients, clipped at 0."""
+    _, vec = np.linalg.eigh(mat)
+    lam = np.einsum("ji,ji->i", vec.conj(), mat @ vec).real
+    return vec * np.sqrt(np.clip(lam, 0.0, None))
 
 
 def _checked(state) -> np.ndarray:
@@ -257,6 +258,5 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
     """
     if search_max is None:
         search_max = 5.0 * (float(np.max(traj.photon_numbers())) + 0.1)
-    rho = np.stack([state.entries for state in traj.states])
-    n_eff, fid = _effective_temperatures(rho, search_max)
+    n_eff, fid = _effective_temperatures(traj.entries, search_max)
     return EffTempTrace(times=traj.times, n_eff=n_eff, fidelity_at_opt=fid)

@@ -10,6 +10,11 @@ discretized on a square grid over a disc with the grid cell area as the
 integration weight; its outcome distribution is the Husimi Q function.
 
 Both POVMs are rank one, so elements are stored as their factor vectors.
+Outcome probabilities are linear in the state: one real (n_outcomes, d^2) map
+on the Hermitian-basis coordinates gives a whole trajectory's distributions in
+one matmul, and :func:`outcome_distribution` is its one-state case.
+:func:`cfi_series` differentiates those distributions with the five-point
+stencil and takes the CFI sum over every sample at once.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .errors import GridInsufficientError, TruncationError, TailMassWarning
-from .fock import DensityMatrix, SystemParams, Truncation, annihilation
-from .dynamics import TimeGrid
+from .fock import SystemParams, Truncation, annihilation, as_matrix
+from .dynamics import TimeGrid, _coordinates, _upper_indices
 from .estimation import (
-    CfiResult,
+    _P_FLOOR,
     FdConfig,
     FisherSeries,
     PerturbedTrajectories,
-    cfi_result,
+    _cfi_rows,
     perturbed_trajectories,
     stencil_combine,
 )
@@ -257,20 +262,38 @@ def heterodyne_povm(
 
 
 def outcome_distribution(rho, povm: Povm) -> np.ndarray:
-    """Outcome probabilities p_i = w_i <v_i| rho |v_i>.
+    """Outcome probabilities p_i = w_i <v_i| rho |v_i> of a Hermitian ``rho``.
 
     Small negative roundoff (above -1e-12) is clipped to zero; anything more
     negative raises.  The probabilities sum to one up to the completeness
-    defect of the POVM.
+    defect of the POVM.  This is the one-state case of the batched kernel
+    :func:`cfi_series` uses.
     """
-    entries = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    entries = as_matrix(rho)
     if entries.shape != (povm.dim, povm.dim):
         raise ValueError(f"dimension mismatch: rho {entries.shape} vs POVM dim {povm.dim}")
-    sandwich = povm.vectors.conj() @ entries
-    p = np.einsum("id,id->i", sandwich, povm.vectors).real * povm.weights
+    return _probabilities(entries[None], _outcome_map(povm))[0]
+
+
+def _outcome_map(povm: Povm) -> np.ndarray:
+    """Real (n_outcomes, d^2) map whose row i holds w_i times the Hermitian-basis
+    coordinates of |v_i><v_i|, so p = coordinates(rho) @ map.T (the basis is
+    orthonormal, so Tr(rho E) is the dot product of coordinates)."""
+    v = povm.vectors
+    iu, ju = _upper_indices(povm.dim)
+    upper = v[:, iu] * v[:, ju].conj()
+    upper *= math.sqrt(2.0)
+    coords = np.concatenate([np.abs(v) ** 2, upper.real, upper.imag], axis=1)
+    coords *= povm.weights[:, None]
+    return coords
+
+
+def _probabilities(entries: np.ndarray, outcome_map: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of each state of a Hermitian (n, d, d) stack, one row per state."""
+    p = _coordinates(entries) @ outcome_map.T
     if p.size and float(p.min()) < -1e-12:
         raise ValueError(f"outcome probability {p.min():.3e} below the -1e-12 clip")
-    return np.clip(p, 0.0, None)
+    return np.clip(p, 0.0, None, out=p)
 
 
 def cfi_series(
@@ -285,28 +308,22 @@ def cfi_series(
     """CFI of the POVM outcome distribution along the evolved probe state.
 
     Reuses the same central-plus-shifted trajectories as the QFI series (pass
-    them in to avoid re-propagating); per sample time the outcome
-    distributions are differentiated with the five-point stencil and fed to
-    the classical Fisher sum.
+    them in to avoid re-propagating).  Each trajectory's outcome distributions
+    come from one matmul; the five-point stencil differentiates them and the
+    classical Fisher sum runs over every sample at once.
     """
     tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
-    dists = {
-        key: np.stack([outcome_distribution(s, povm) for s in run.states])
-        for key, run in (
-            ("m2", tr.minus2),
-            ("m1", tr.minus1),
-            ("c", tr.central),
-            ("p1", tr.plus1),
-            ("p2", tr.plus2),
-        )
-    }
-    dp = stencil_combine(dists["p2"], dists["p1"], dists["m1"], dists["m2"], tr.step)
-    values = np.empty(len(tr.times))
-    skipped = 0.0
-    for k in range(len(tr.times)):
-        res: CfiResult = cfi_result(dists["c"][k], dp[k])
-        values[k] = res.value
-        skipped = max(skipped, res.skipped_mass)
+    outcome_map = _outcome_map(povm)
+    p_m2, p_m1, p_c, p_p1, p_p2 = [
+        _probabilities(run.entries, outcome_map)
+        for run in (tr.minus2, tr.minus1, tr.central, tr.plus1, tr.plus2)
+    ]
+    # Drop each array once it is used, so the stencil's and the CFI sum's
+    # temporaries reuse its memory (the tracemalloc peak is pinned by a test).
+    del outcome_map
+    dp = stencil_combine(p_p2, p_p1, p_m1, p_m2, tr.step)
+    del p_m2, p_m1, p_p1, p_p2
+    values, skipped = _cfi_rows(p_c, dp, _P_FLOOR)
     kind = "cfi_homodyne" if povm.kind == "homodyne" else "cfi_heterodyne"
     return FisherSeries(
         times=tr.times,
@@ -314,5 +331,5 @@ def cfi_series(
         kind=kind,
         fd=cfg,
         phi=povm.phi,
-        max_skipped_mass=skipped,
+        max_skipped_mass=float(skipped.max()),
     )

@@ -281,6 +281,18 @@ class TestRun:
         report = run(cfg, out_dir=str(tmp_path), jobs=1)
         assert report.n_cut_used >= 16
 
+    def test_leakage_retry_reports_no_warnings(self, tmp_path):
+        # the first cutoff fails on leakage part way through the trajectory,
+        # whose later samples are still computed; none of that may warn
+        cfg = parse_config(
+            "command = thermalize\nn_th = 0.0\ndrive = 1.0\ndelta = 0.0\nn_cut = 4\n"
+            "t_end = 3\nn_samples = 31\n"
+        )
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        assert report.n_cut_used > 4
+        assert report.warnings == []
+        assert "warnings:\n  (none)\n" in read_lines(tmp_path / "run_report.txt")
+
     def test_truncation_retry_stops_at_dense_limit(self, tmp_path, monkeypatch):
         # a cutoff that is never enough: the retry grows n_cut 30 -> 48 and
         # gives up there, where the dense sample map's n_cut^6 cost caps

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -27,7 +29,7 @@ from kerr_thermo.dynamics import (
     _hermitian_basis,
     _real_generator,
 )
-from kerr_thermo.errors import TruncationError
+from kerr_thermo.errors import NumericalFailureError, TraceDriftError, TruncationError
 
 from conftest import random_density_matrix
 
@@ -153,6 +155,26 @@ class TestHermitianBasis:
             np.testing.assert_allclose(a.entries, b.entries, rtol=0, atol=0)
 
 
+    def test_cached_basis_gives_bit_identical_results(self, monkeypatch):
+        # reference: the basis rebuilt on every call
+        trunc = Truncation(16)
+        grid = TimeGrid(t_end=2.0, n_samples=9)
+
+        def run():
+            traj = propagate(vacuum_state(trunc), self.PARAMS, grid, trunc)
+            ss = steady_state(self.PARAMS, trunc)
+            rho, drho = steady_state_tangent(self.PARAMS, trunc)
+            return traj.entries, ss.entries, rho, drho
+
+        cached = run()
+        basis = _hermitian_basis(16)
+        assert _hermitian_basis(16) is basis
+        assert not any(arr.flags.writeable for arr in (basis.data, basis.indices, basis.indptr))
+        monkeypatch.setattr(dynamics, "_hermitian_basis", _hermitian_basis.__wrapped__)
+        for a, b in zip(cached, run()):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestPropagate:
     def test_vacuum_is_fixed_point_at_zero_temperature(self):
         trunc = Truncation(10)
@@ -214,6 +236,85 @@ class TestPropagate:
             TimeGrid(t_end=1.0, n_samples=1)
         with pytest.raises(ValueError):
             TimeGrid(t_end=1.0, n_samples=11, integrator_step=0.5)
+
+
+class TestBatchedValidation:
+    """The one-pass validation names the first failing sample, checked there
+    in the order trace drift, leakage, finiteness, positivity."""
+
+    PARAMS = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
+    TRUNC = Truncation(12)
+    GRID = TimeGrid(t_end=3.0, n_samples=11)
+
+    @staticmethod
+    def drift(mat):
+        mat[0, 0] += 1e-5
+
+    @staticmethod
+    def leak(mat):
+        mat[-1, -1] += 1e-6
+        mat[0, 0] -= 1e-6
+
+    @staticmethod
+    def negative(mat):
+        mat[-3, -3] -= 1e-5
+        mat[0, 0] += 1e-5
+
+    @staticmethod
+    def non_finite(mat):
+        mat[0, 1] = np.nan
+
+    def propagate_with(self, monkeypatch, edits):
+        fill = dynamics._from_coordinate_rows
+
+        def edited(rows, dim):
+            entries = fill(rows, dim)
+            for k, edit in edits:
+                edit(entries[k])
+            return entries
+
+        monkeypatch.setattr(dynamics, "_from_coordinate_rows", edited)
+        return propagate(vacuum_state(self.TRUNC), self.PARAMS, self.GRID, self.TRUNC)
+
+    @pytest.mark.parametrize(
+        "edits, error, text, k",
+        [
+            ([(4, "drift")], TraceDriftError, "trace drifted", 4),
+            ([(4, "leak")], TruncationError, "top-two-level population", 4),
+            ([(4, "negative")], NumericalFailureError, "smallest eigenvalue", 4),
+            ([(4, "non_finite")], NumericalFailureError, "non-finite", 4),
+            # the first failing sample wins, whatever its check
+            ([(3, "negative"), (6, "drift")], NumericalFailureError, "smallest eigenvalue", 3),
+            ([(3, "leak"), (6, "negative")], TruncationError, "top-two-level population", 3),
+            ([(7, "drift"), (2, "non_finite")], NumericalFailureError, "non-finite", 2),
+            # at one sample: drift, then leakage, then positivity
+            ([(5, "negative"), (5, "leak"), (5, "drift")], TraceDriftError, "trace drifted", 5),
+            ([(5, "negative"), (5, "leak")], TruncationError, "top-two-level population", 5),
+        ],
+        ids=[
+            "drift", "leak", "negative", "non-finite", "negative-first", "leak-first",
+            "non-finite-first", "drift-over-all", "leak-over-negative",
+        ],
+    )
+    def test_error_names_first_failing_time(self, monkeypatch, edits, error, text, k):
+        edits = [(j, getattr(self, name)) for j, name in edits]
+        with pytest.raises(error, match=text) as info:
+            self.propagate_with(monkeypatch, edits)
+        assert f"tau = {self.GRID.times[k]:g}" in str(info.value)
+
+    def test_unedited_run_passes(self, monkeypatch):
+        traj = self.propagate_with(monkeypatch, [])
+        assert len(traj.states) == 11
+
+    def test_samples_past_a_failure_raise_no_warning(self, monkeypatch):
+        # a map growing by 1e100 per sample fails at the first sample and
+        # overflows a few samples later; those samples are still computed
+        monkeypatch.setattr(dynamics, "_rk4_polynomial", lambda x: 1e100 * np.eye(x.shape[0]))
+        grid = TimeGrid(t_end=2.0, n_samples=11, integrator_step=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((TraceDriftError, NumericalFailureError), match=r"tau = 0\.2\b"):
+                propagate(vacuum_state(self.TRUNC), self.PARAMS, grid, self.TRUNC)
 
 
 class TestPropagationInvariants:

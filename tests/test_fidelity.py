@@ -157,14 +157,41 @@ class TestThermalizationTrace:
         assert np.all(trace.fidelity_at_opt <= 1.0 + 1e-9)
 
 
+class TestUhlmannPrecision:
+    """No square-root noise on propagated states with many ~1e-14 eigenvalues."""
+
+    def test_smooth_in_the_gibbs_occupation(self, fig2a_trajectory):
+        traj, search_max = fig2a_trajectory
+        rho = traj.final
+        center = effective_temperature(rho, search_max)[0]
+        offsets = np.linspace(-1e-4, 1e-4, 41)
+        trunc = Truncation(rho.dim)
+        for flip in (False, True):
+            pairs = [(rho, gibbs_state(center + x, trunc)) for x in offsets]
+            values = np.array([uhlmann_fidelity(*(p[::-1] if flip else p)) for p in pairs])
+            fit = np.polyval(np.polyfit(offsets, values, 2), offsets)
+            assert np.abs(values - fit).max() <= 1e-10
+
+    def test_matches_the_gibbs_kernel(self, fig2a_trajectory):
+        traj, _ = fig2a_trajectory
+        rho = traj.final
+        trunc = Truncation(rho.dim)
+        n = np.array([0.0564, 0.1, 0.5, 2.0])
+        kernel = fidelity._gibbs_fidelities(rho.entries, n)
+        for n_eff, expected in zip(n, kernel):
+            sigma = gibbs_state(n_eff, trunc)
+            assert abs(uhlmann_fidelity(rho, sigma) - expected) <= 1e-11
+            assert abs(uhlmann_fidelity(sigma, rho) - expected) <= 1e-11
+        assert uhlmann_fidelity(rho, rho) >= 1.0 - 1e-14
+
+
 def gibbs_fidelity_reference(rho, n):
     """F(rho, gibbs_state(n)) for one state and one n, by the diagonal square root.
 
     The scalar formula, written out here so the oracle shares no code with the
-    batched kernel under test.  ``uhlmann_fidelity`` computes the same number,
-    but its square root of sigma goes through ``eigh`` and carries about 2e-8
-    of roundoff noise in n on the fig2a states at n_cut 30, which scatters the
-    maximizer by up to 5e-5; this route is smooth to about 1e-11.
+    batched kernel under test.  ``uhlmann_fidelity`` computes the same number
+    by another route (see ``TestUhlmannPrecision``); this one is smooth in n
+    to about 1e-11 on the fig2a states at n_cut 30.
     """
     sq = np.sqrt(gibbs_state(n, Truncation(rho.dim)).populations())
     inner = sq[:, None] * rho.entries * sq[None, :]
@@ -218,7 +245,7 @@ class TestEffectiveTemperatureSearch:
         oracle = np.array([oracle_effective_temperature(s, search_max) for s in traj.states])
         np.testing.assert_allclose(trace.n_eff, oracle[:, 0], rtol=0, atol=1e-6)
         assert np.all(trace.fidelity_at_opt >= oracle[:, 1] - 1e-12)
-        # the kernel computes the Uhlmann fidelity, up to uhlmann_fidelity's noise
+        # the kernel computes the Uhlmann fidelity
         uhlmann = [
             uhlmann_fidelity(s, gibbs_state(n, Truncation(s.dim)))
             for s, n in zip(traj.states, trace.n_eff)
