@@ -405,7 +405,7 @@ def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation)
                 f"trace drifted by {drift[first]:.3e} at tau = {t:g}; "
                 f"reduce the integrator step or enlarge the truncation"
             )
-        _check_leakage(leak[first], trunc, t)
+        _check_leakage(leak[first], trunc, f"at tau = {t:g}")
         raise NumericalFailureError(f"invalid state at tau = {t:g}: density matrix contains non-finite entries")
     return float(leak.max())
 
@@ -414,11 +414,11 @@ def _leakage(mat: np.ndarray) -> float:
     return float(mat[-1, -1].real + mat[-2, -2].real)
 
 
-def _check_leakage(leak: float, trunc: Truncation, t: float) -> None:
+def _check_leakage(leak: float, trunc: Truncation, where: str) -> None:
     if leak > trunc.leakage_tol:
         raise TruncationError(
             f"top-two-level population {leak:.3e} exceeds leakage_tol "
-            f"{trunc.leakage_tol:.1e} at tau = {t:g}; increase n_cut"
+            f"{trunc.leakage_tol:.1e} {where}; increase n_cut"
         )
 
 
@@ -460,10 +460,13 @@ def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) 
 
     One sparse solve of R x = 0 for every cutoff, with R's first row replaced
     by the trace-one constraint (scaled to the largest entry of L for
-    conditioning).  The state is rebuilt exactly Hermitian from x and validated;
-    positivity failures beyond ``tol`` are reported as truncation problems.
+    conditioning).  The state is rebuilt exactly Hermitian from x and validated.
+    A top-two-level population beyond ``trunc.leakage_tol`` raises
+    TruncationError, as in :func:`propagate`, and so do positivity failures
+    beyond ``tol``.
     """
     mat = _steady_solve(params, trunc)[0]
+    _check_leakage(_leakage(mat), trunc, "in the steady state")
     try:
         return DensityMatrix(mat, tol=tol)
     except ValueError as exc:

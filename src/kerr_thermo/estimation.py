@@ -10,13 +10,13 @@ derivatives use the five-point central stencil
 
     df/dn ~ (-f(n+2h) + 8 f(n+h) - 8 f(n-h) + f(n-2h)) / (12 h),
 
-exact on polynomials up to degree 4.  Series evaluation propagates one
-central and four occupation-shifted trajectories from the same vacuum and
-differentiates the sampled state stacks entrywise, so one set of propagations
-serves every sample time (and can be reused for measurement CFI series).  The
-series is computed over whole stacks: one stencil, one trace projection and
-one stacked ``eigh`` of the central trajectory; :func:`qfi` is the one-state
-case of the same kernel, as :func:`cfi_result` is of the batched CFI sum.
+exact on polynomials up to degree 4.  :func:`perturbed_trajectories`
+propagates one central and four occupation-shifted trajectories from the same
+vacuum and takes the stencil of the sampled state stacks once: the result is a
+(central trajectory, derivative stack) pair, and every Fisher series, quantum
+or classical, reads that pair.  The QFI series is one stacked ``eigh`` of the
+central trajectory; :func:`qfi` is the one-state case of the same kernel, as
+:func:`cfi_result` is of the batched CFI sum.
 The steady state's QFI needs no stencil: its exact derivative is one more
 linear solve, and it certifies the Fock cutoff of ``n_cut = auto`` runs.
 """
@@ -200,7 +200,7 @@ def qfi(
     by finite differences carry roundoff of order eps/h in their entries, and
     near-null eigenvalue pairs turn that noise into spurious Fisher
     information; callers in that situation should raise the cutoff
-    accordingly (see :func:`qfi_series`).
+    accordingly (see :attr:`PerturbedTrajectories.rank_tol_rel`).
     """
     r = as_matrix(rho)
     d = as_matrix(drho)
@@ -220,8 +220,10 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol: float | None, rank_t
     and the n rank cutoffs.  An input gate that fails raises for the first
     failing sample.
     """
-    herm = drho.conj().swapaxes(-1, -2)
-    herm_defect = np.abs(drho - herm).max(axis=(1, 2))
+    # One stack-sized buffer holds drho^dag, then the symmetric part, then
+    # drho in the eigenbasis; the other temporaries are real or short-lived.
+    sym = np.conjugate(drho.swapaxes(-1, -2), order="C")
+    herm_defect = np.abs(drho - sym).max(axis=(1, 2))
     bad = herm_defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(1, 2)))
     if bad.any():
         raise ValueError(f"drho is not Hermitian: defect {herm_defect[np.argmax(bad)]:.3e}")
@@ -235,43 +237,46 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol: float | None, rank_t
         tols = rank_tol_rel * lam.max(axis=1)
     else:
         tols = np.full(len(rho), float(rank_tol))
-    d_eig = vec.conj().swapaxes(-1, -2) @ (0.5 * (drho + herm)) @ vec
+    np.add(drho, sym, out=sym)
+    sym *= 0.5
+    d_eig = np.matmul(vec.conj().swapaxes(-1, -2) @ sym, vec, out=sym)
     denom = lam[:, :, None] + lam[:, None, :]
     keep = denom > tols[:, None, None]
-    weights = np.where(keep, 2.0 / np.where(keep, denom, 1.0), 0.0)
-    values = np.sum(weights * np.abs(d_eig) ** 2, axis=(1, 2))
-    return values, weights, d_eig, vec, tols
+    weights = np.divide(2.0, denom, out=np.zeros_like(denom), where=keep)
+    terms = np.abs(d_eig) ** 2
+    terms *= weights
+    return terms.sum(axis=(1, 2)), weights, d_eig, vec, tols
 
 
 @dataclass(frozen=True)
 class PerturbedTrajectories:
-    """A central trajectory plus the four occupation-shifted ones for the stencil.
+    """A central trajectory and its n_th-derivative at every sample.
 
-    All five start from the same vacuum state; ``step`` is the stencil
-    half-step h, and the trajectories correspond to n_th + {-2h,-h,0,+h,+2h}.
+    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th:
+    the five-point stencil over four runs at n_th + {-2h, -h, +h, +2h}, all
+    started from the central run's vacuum, with its trace projected out.
+    ``step`` is the stencil half-step h; the shifted runs themselves are not
+    kept.  Every Fisher series reads this (central, derivative) pair.
     """
 
     params: SystemParams
     step: float
-    minus2: Trajectory
-    minus1: Trajectory
     central: Trajectory
-    plus1: Trajectory
-    plus2: Trajectory
+    derivative: np.ndarray
+
+    def __post_init__(self):
+        self.derivative.setflags(write=False)
 
     @property
     def times(self) -> np.ndarray:
         return self.central.times
 
-    def state_derivative(self, index: int) -> np.ndarray:
-        """d rho / d n_th at sample ``index`` via the five-point stencil."""
-        return stencil_combine(
-            self.plus2.entries[index],
-            self.plus1.entries[index],
-            self.minus1.entries[index],
-            self.minus2.entries[index],
-            self.step,
-        )
+    @property
+    def rank_tol_rel(self) -> float:
+        """Relative QFI rank cutoff.  Stencil entries carry roundoff of order
+        eps/h, which near-null eigenvalue pairs would turn into spurious Fisher
+        information, so it grows with that floor (~1e-10 at the default step)."""
+        return max(1e-12, 25.0 * np.finfo(float).eps / self.step)
 
 
 def perturbed_trajectories(
@@ -280,22 +285,20 @@ def perturbed_trajectories(
     trunc: Truncation,
     cfg: FdConfig,
 ) -> PerturbedTrajectories:
-    """Propagate the five vacuum-seeded trajectories needed for Fisher series."""
+    """Propagate the five vacuum-seeded runs and take the stencil once."""
     h = fd_step(params.n_th, cfg)
     rho0 = vacuum_state(trunc)
-    runs = [
-        propagate(rho0, params.with_n_th(params.n_th + k * h), grid, trunc)
+    runs = {
+        k: propagate(rho0, params.with_n_th(params.n_th + k * h), grid, trunc)
         for k in (-2, -1, 0, 1, 2)
-    ]
-    return PerturbedTrajectories(
-        params=params,
-        step=h,
-        minus2=runs[0],
-        minus1=runs[1],
-        central=runs[2],
-        plus1=runs[3],
-        plus2=runs[4],
-    )
+    }
+    drho = stencil_combine(runs[2].entries, runs[1].entries, runs[-1].entries, runs[-2].entries, h)
+    # The differentiated family has unit trace for every n_th, so its
+    # derivative is exactly traceless; remove the stencil's 1/(12 h)
+    # amplified trace roundoff before it meets the qfi input gate.
+    dim = drho.shape[-1]
+    drho -= (np.trace(drho, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    return PerturbedTrajectories(params=params, step=h, central=runs[0], derivative=drho)
 
 
 def qfi_series(
@@ -312,20 +315,7 @@ def qfi_series(
     measurement CFI series over the same grid is also wanted).
     """
     tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
-    dim = tr.central.entries.shape[-1]
-    # Stencil entries carry roundoff of order eps/h; near-null eigenvalue
-    # pairs would convert it into spurious Fisher information, so the rank
-    # cutoff grows with that noise floor (~1e-10 at the default step, ~1e-6
-    # at the smallest selectable steps).
-    rank_rel = max(1e-12, 25.0 * np.finfo(float).eps / tr.step)
-    drho = stencil_combine(
-        tr.plus2.entries, tr.plus1.entries, tr.minus1.entries, tr.minus2.entries, tr.step
-    )
-    # The differentiated family has unit trace for every n_th, so its
-    # derivative is exactly traceless; remove the stencil's 1/(12 h)
-    # amplified trace roundoff before it meets the qfi input gate.
-    drho -= (np.trace(drho, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
-    values = _qfi_stack(tr.central.entries, drho, None, rank_rel)[0]
+    values = _qfi_stack(tr.central.entries, tr.derivative, None, tr.rank_tol_rel)[0]
     return FisherSeries(times=tr.times, values=values, kind="qfi", fd=cfg)
 
 

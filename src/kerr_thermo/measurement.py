@@ -12,9 +12,12 @@ integration weight; its outcome distribution is the Husimi Q function.
 Both POVMs are rank one, so elements are stored as their factor vectors.
 Outcome probabilities are linear in the state: one real (n_outcomes, d^2) map
 on the Hermitian-basis coordinates gives a whole trajectory's distributions in
-one matmul, and :func:`outcome_distribution` is its one-state case.
-:func:`cfi_series` differentiates those distributions with the five-point
-stencil and takes the CFI sum over every sample at once.
+one matmul, and :func:`outcome_distribution` is its one-state case.  By the
+same linearity, the same map applied to the coordinates of d rho / d n_th
+gives the derivatives of the distributions, so :func:`cfi_series` reads the
+(central trajectory, derivative stack) pair of
+:func:`~kerr_thermo.estimation.perturbed_trajectories` with two matmuls and
+takes the CFI sum over every sample at once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import GridInsufficientError, TruncationError, TailMassWarning
 from .fock import SystemParams, Truncation, annihilation, as_matrix
@@ -36,7 +38,6 @@ from .estimation import (
     PerturbedTrajectories,
     _cfi_rows,
     perturbed_trajectories,
-    stencil_combine,
 )
 
 __all__ = [
@@ -189,13 +190,20 @@ def coherent_state(alpha: complex, trunc: Truncation) -> np.ndarray:
     return amps / math.sqrt(norm_sq)
 
 
+def _gamma_tail(n: int, x: float) -> float:
+    """Regularized upper incomplete gamma Q(n, x) = e^{-x} sum_{k<n} x^k / k! at
+    integer n >= 1 and x > 0, each term taken in log space so none overflows."""
+    log_x = math.log(x)
+    return math.fsum(math.exp(k * log_x - x - math.lgamma(k + 1)) for k in range(n))
+
+
 def _completeness_radius(n_cut: int, tail_tol: float = 1e-6) -> float:
     # Smallest R with Gamma-tail(n_cut, R^2) <= tail_tol: beyond R the radial
     # integral for the top retained Fock level loses less than tail_tol.
     lo, hi = math.sqrt(n_cut), math.sqrt(n_cut) + 12.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if gammaincc(n_cut, mid * mid) > tail_tol:
+        if _gamma_tail(n_cut, mid * mid) > tail_tol:
             lo = mid
         else:
             hi = mid
@@ -307,23 +315,17 @@ def cfi_series(
 ) -> FisherSeries:
     """CFI of the POVM outcome distribution along the evolved probe state.
 
-    Reuses the same central-plus-shifted trajectories as the QFI series (pass
-    them in to avoid re-propagating).  Each trajectory's outcome distributions
-    come from one matmul; the five-point stencil differentiates them and the
-    classical Fisher sum runs over every sample at once.
+    Reuses the same (central, derivative) pair as the QFI series (pass it in
+    to avoid re-propagating).  The outcome map gives the distributions of the
+    central stack in one matmul and, by linearity, their n_th-derivatives from
+    the derivative stack in one more; the classical Fisher sum runs over every
+    sample at once.
     """
     tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
     outcome_map = _outcome_map(povm)
-    p_m2, p_m1, p_c, p_p1, p_p2 = [
-        _probabilities(run.entries, outcome_map)
-        for run in (tr.minus2, tr.minus1, tr.central, tr.plus1, tr.plus2)
-    ]
-    # Drop each array once it is used, so the stencil's and the CFI sum's
-    # temporaries reuse its memory (the tracemalloc peak is pinned by a test).
-    del outcome_map
-    dp = stencil_combine(p_p2, p_p1, p_m1, p_m2, tr.step)
-    del p_m2, p_m1, p_p1, p_p2
-    values, skipped = _cfi_rows(p_c, dp, _P_FLOOR)
+    p = _probabilities(tr.central.entries, outcome_map)
+    dp = _coordinates(tr.derivative) @ outcome_map.T
+    values, skipped = _cfi_rows(p, dp, _P_FLOOR)
     kind = "cfi_homodyne" if povm.kind == "homodyne" else "cfi_heterodyne"
     return FisherSeries(
         times=tr.times,

@@ -111,7 +111,7 @@ def test_qfi_series_matches_per_state_qfi(fig8a):
     dim = trunc.n_cut
     expected = []
     for k, state in enumerate(tt.central.states):
-        drho = tt.state_derivative(k)
+        drho = tt.derivative[k].copy()
         drho -= (np.trace(drho) / dim) * np.eye(dim)
         expected.append(qfi(state, drho, rank_tol_rel=rank_rel).qfi)
     np.testing.assert_allclose(series.values, expected, rtol=1e-12, atol=0)

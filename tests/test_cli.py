@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +208,17 @@ class TestRun:
                 f"command = cfi\nn_th = 0.1\nhomodyne_phis = {phi!r}, {float(np.nextafter(phi, 4.0))!r}\n"
             )
 
+    def test_cfi_run_leaves_scipy_special_unimported(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys\n"
+            "from kerr_thermo.cli import reproduce_figure\n"
+            f"reproduce_figure('fig8a', out_dir={str(tmp_path)!r}, jobs=1)\n"
+            "assert 'scipy.special' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
     def test_cfi_sweep_summaries_name_the_point(self, tmp_path):
         cfg = parse_config(
             "command = cfi\nn_th = 0.1\nchi = 0, 0.4\ndrive = 0.5\nn_cut = 12\n"
@@ -309,6 +322,30 @@ class TestRun:
         with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 48.*set a larger n_cut"):
             run(cfg, out_dir=str(tmp_path), jobs=1)
         assert tried == [30, 48]
+
+    def test_truncated_steady_state_retries_to_the_exact_purity(self, tmp_path, monkeypatch):
+        # resonant drive 5 on the linear cavity: a displaced thermal state of
+        # purity 1 / (1 + 2 n_th); 30 and 60 levels leak beyond leakage_tol
+        tried = []
+        steady_state_ = cli.steady_state
+
+        def spy(params, trunc, **kwargs):
+            tried.append(trunc.n_cut)
+            return steady_state_(params, trunc, **kwargs)
+
+        monkeypatch.setattr(cli, "steady_state", spy)
+        cfg = parse_config("command = purity-sweep\nn_th = 0.05\ndelta = 0\ndrive = 5\nn_cut = 30\n")
+        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        assert tried == [30, 60, 120]
+        assert report.n_cut_used == 120
+        assert 0.0 < report.leakage_max <= 1e-8
+        rows = [ln for ln in read_lines(tmp_path / "purity_sweep.csv").splitlines() if not ln.startswith("#")]
+        assert float(rows[1].split(",")[1]) == pytest.approx(1.0 / 1.1, abs=1e-6)
+
+    def test_steady_state_retry_stops_at_its_size_cap(self, tmp_path):
+        cfg = parse_config("command = steady-state\nn_th = 0.05\ndelta = 0\ndrive = 10\nn_cut = 30\n")
+        with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 120.*set a larger n_cut"):
+            run(cfg, out_dir=str(tmp_path), jobs=1)
 
     def test_thermalize_summary_names_search_max(self, tmp_path):
         cfg = parse_config(FAST_THERMALIZE)

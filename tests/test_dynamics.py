@@ -149,7 +149,11 @@ class TestHermitianBasis:
         grid = TimeGrid(t_end=2.0, n_samples=9)
         cached = propagate(vacuum_state(trunc), self.PARAMS, grid, trunc)
         monkeypatch.setattr(dynamics, "_coordinates", coordinates)
-        monkeypatch.setattr(dynamics, "_from_coordinates", from_coordinates)
+        monkeypatch.setattr(
+            dynamics,
+            "_from_coordinate_rows",
+            lambda rows, dim: np.stack([from_coordinates(r, dim) for r in rows]),
+        )
         rebuilt = propagate(vacuum_state(trunc), self.PARAMS, grid, trunc)
         for a, b in zip(cached.states, rebuilt.states):
             np.testing.assert_allclose(a.entries, b.entries, rtol=0, atol=0)
@@ -374,6 +378,15 @@ class TestSteadyState:
         alpha = 1.0 / (1.0 + 1j * (-3.5))
         assert abs(ss.expectation(annihilation(30)) - alpha) < 1e-6
         assert mean_photon_number(ss) == pytest.approx(abs(alpha) ** 2 + 0.05, abs=1e-6)
+
+    def test_truncated_steady_state_raises_on_leakage(self):
+        # resonant drive 5: a displaced thermal state with |alpha|^2 = 25,
+        # whose top two of 60 levels still hold 4.7e-8 of the population
+        params = linear_params(0.05, drive=5.0)
+        with pytest.raises(TruncationError, match="4.68.e-08 exceeds leakage_tol 1.0e-08 in the steady state"):
+            steady_state(params, Truncation(60))
+        ss = steady_state(params, Truncation(60, leakage_tol=1e-7))
+        assert dynamics._leakage(ss.entries) == pytest.approx(4.7e-8, rel=0.01)
 
     def test_fixed_point_residual(self):
         trunc = Truncation(30)

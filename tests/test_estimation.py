@@ -203,7 +203,7 @@ class TestQfiSeries:
         trunc = Truncation(30)
         tt = perturbed_trajectories(params, TimeGrid(t_end=5.0, n_samples=6), trunc, FdConfig())
         for k in range(len(tt.times)):
-            drho = tt.state_derivative(k)
+            drho = tt.derivative[k]
             assert np.abs(drho - drho.conj().T).max() <= 1e-10
             assert abs(complex(np.trace(drho))) <= 1e-9
 

@@ -24,6 +24,7 @@ from kerr_thermo import (
     steady_state_tangent,
     vacuum_state,
 )
+from kerr_thermo import measurement
 from kerr_thermo.errors import GridInsufficientError, TailMassWarning, TruncationError
 
 
@@ -144,6 +145,24 @@ class TestHeterodynePovm:
     def test_insufficient_grid_raises(self):
         with pytest.raises(GridInsufficientError, match="radius"):
             heterodyne_povm(Truncation(30), grid_radius=2.0, grid_step=0.4)
+
+    def test_gamma_tail_matches_scipy(self):
+        from scipy.special import gammaincc
+
+        for n in range(1, 201):
+            xs = np.linspace(max(1e-3, (math.sqrt(n) - 3.0) ** 2), (math.sqrt(n) + 12.0) ** 2, 25)
+            got = [measurement._gamma_tail(n, x) for x in xs]
+            np.testing.assert_allclose(got, gammaincc(n, xs), rtol=1e-11, atol=1e-200)
+
+    def test_default_grid_is_the_scipy_gamma_grid(self, monkeypatch):
+        # the grid radius comes from Q(n_cut, R^2); with scipy's gammaincc in
+        # its place, every default grid keeps its outcome count and labels
+        from scipy.special import gammaincc
+
+        ours = {n: heterodyne_povm(Truncation(n)).labels for n in range(2, 61)}
+        monkeypatch.setattr(measurement, "_gamma_tail", gammaincc)
+        for n, labels in ours.items():
+            np.testing.assert_array_equal(heterodyne_povm(Truncation(n)).labels, labels)
 
     def test_grid_refinement_stability(self):
         # halving the step changes the thermal CFI by < 1e-3 relative
