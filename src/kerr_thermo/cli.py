@@ -1,8 +1,7 @@
 """Scenario runner: dispatch a parsed config to the library and emit CSV series.
 
-A run has two steps.  The compute step evaluates every sweep point (in a
-worker pool when asked), sorts the results by sweep index whatever the
-completion order, and aggregates the run report.  The writer then writes every
+A run has two steps.  The compute step evaluates the sweep points in order,
+in this process, and aggregates the run report.  The writer then writes every
 output once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
@@ -21,7 +20,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +54,7 @@ class RunReport:
     n_cut_rule: str = "fixed"
     leakage_max: float = 0.0
     wall_time_s: float = 0.0
+    out_dir: str = ""
     warnings: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
     summaries: list[str] = field(default_factory=list)
@@ -92,7 +91,6 @@ class RunReport:
 
 @dataclass
 class _PointResult:
-    index: int
     columns: dict[str, np.ndarray]
     n_cut_used: int
     leakage_max: float
@@ -161,17 +159,19 @@ def _cutoff_rule(config: ScenarioConfig) -> str:
     )
 
 
-def _run_point(args) -> _PointResult:
+def _run_point(args: tuple[ScenarioConfig, int]) -> _PointResult:
+    # One (config, index) argument: perfbench/tracer.py wraps this function
+    # with a one-argument wrapper to time each sweep point.
     config, index = args
     point = config.sweep_points()[index]
     try:
-        return _run_point_inner(config, index, point)
+        return _run_point_inner(config, point)
     except KerrThermoError as exc:
         where = ", ".join(f"{k} = {exact_text(v)}" for k, v in point.items())
         raise type(exc)(f"sweep point {index} ({where}): {exc}") from exc
 
 
-def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointResult:
+def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
     """Evaluate one sweep point.
 
     Each command supplies one ``compute(trunc)`` that returns ``(columns,
@@ -265,39 +265,22 @@ def _run_point_inner(config: ScenarioConfig, index: int, point: dict) -> _PointR
     if config.command in _TABLE_COMMANDS:
         columns = {**{name: np.array([point[name]]) for name in config.swept_fields()}, **columns}
     messages = [str(rec.message) for rec in caught]
-    return _PointResult(index, columns, n_cut, leakage, messages, summaries)
+    return _PointResult(columns, n_cut, leakage, messages, summaries)
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        env = os.environ.get("KERR_THERMO_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ConfigError(f"KERR_THERMO_JOBS={env!r} is not an integer")
-        else:
-            jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    return jobs
+def _check_jobs(jobs: int | None) -> None:
+    if jobs is not None and jobs != 1:
+        raise ConfigError(
+            f"jobs = {jobs!r}: sweep points run in order in one process, so jobs must be None or 1",
+            field="jobs",
+        )
 
 
-def _compute(config: ScenarioConfig, jobs: int | None) -> tuple[RunReport, list[_PointResult]]:
-    """Evaluate every sweep point (in a pool when asked) and aggregate the report.
-
-    Results come back sorted by sweep index whatever the completion order.
-    """
-    jobs = _resolve_jobs(jobs)
-    # Certify an auto cutoff here, once: the workers unpickle it with the config.
+def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
+    """Evaluate the sweep points in order, in this process, and aggregate the report."""
+    # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
     trunc = config.trunc()
-    tasks = [(config, i) for i in range(len(config.sweep_points()))]
-    if jobs == 1 or len(tasks) == 1:
-        results = [_run_point(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_point, tasks))
-    results.sort(key=lambda r: r.index)
+    results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
 
     report = RunReport(
         command=config.command,
@@ -358,6 +341,7 @@ def _write(out_dir: str, report: RunReport, files: dict[str, str], start: float)
                 fh.write(text)
             written.append(name)
         report.outputs = written
+        report.out_dir = out_dir
         report.wall_time_s = time.perf_counter() - start
         with open(os.path.join(out_dir, "run_report.txt"), "w", newline="\n") as fh:
             fh.write(report.render())
@@ -372,12 +356,15 @@ def run(config: ScenarioConfig, out_dir: str | None = None, jobs: int | None = N
     """Execute a scenario, writing CSV outputs and a run report into ``out_dir``.
 
     ``out_dir=None`` falls back to the config's ``output_path``.  A failing
-    sweep point raises before any file is written.
+    sweep point raises before any file is written.  The sweep points run in
+    order in this process; ``jobs`` accepts only None or 1 and any other value
+    raises ConfigError.
     """
+    _check_jobs(jobs)
     start = time.perf_counter()
     out_dir = config.output_path if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
-    report, results = _compute(config, jobs)
+    report, results = _compute(config)
     if config.command in _TABLE_COMMANDS:
         tables = {f"{config.command.replace('-', '_')}.csv": _merged_rows(config, results)}
     else:
@@ -430,8 +417,10 @@ def reproduce_figure(name: str, out_dir: str | None = None, jobs: int | None = N
 
     The CSV columns map onto the figure axes (one column per plotted curve);
     the sidecar lists the preset parameters, flags the inferred ones, and
-    reports which trend checks passed.
+    reports which trend checks passed.  ``jobs`` is as for :func:`run`: only
+    None or 1.
     """
+    _check_jobs(jobs)
     start = time.perf_counter()
     if name not in PRESETS:
         raise ConfigError(
@@ -440,7 +429,7 @@ def reproduce_figure(name: str, out_dir: str | None = None, jobs: int | None = N
     config = resolve_config(preset=name)
     out_dir = config.output_path if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
-    report, results = _compute(config, jobs)
+    report, results = _compute(config)
     merge = _merged_rows if config.command in _TABLE_COMMANDS else _merged_curves
     columns = merge(config, results)
     checks = _figure_checks(name, config, columns)
@@ -485,7 +474,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out", default=None, help="output directory (default: config output_path or cwd)"
     )
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument(
         "--override",
         action="append",
@@ -501,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("reproduce-figure requires --preset <figure name>")
             if args.config or args.override:
                 raise ConfigError("reproduce-figure takes no --config or --override")
-            report = reproduce_figure(args.preset, out_dir=args.out, jobs=args.jobs)
+            report = reproduce_figure(args.preset, out_dir=args.out)
         else:
             text = ""
             if args.config:
@@ -513,14 +501,13 @@ def main(argv: list[str] | None = None) -> int:
                 overrides=tuple(args.override),
                 command=args.command,
             )
-            report = run(config, out_dir=args.out, jobs=args.jobs)
+            report = run(config, out_dir=args.out)
     except (KerrThermoError, OSError, ValueError) as exc:
         print(f"kerr-thermo: error: {exc}", file=sys.stderr)
         return 1
     for line in report.summaries:
         print(line)
-    dest = args.out if args.out is not None else "."
-    print(f"wrote {len(report.outputs)} file(s) to {dest} in {report.wall_time_s:.1f}s")
+    print(f"wrote {len(report.outputs)} file(s) to {report.out_dir} in {report.wall_time_s:.1f}s")
     return 0
 
 

@@ -129,8 +129,8 @@ class ScenarioConfig:
     def cutoff_certificate(self) -> CutoffCertificate | None:
         """The steady-state certificate of ``n_cut = auto`` over the sweep; None when fixed.
 
-        Computed on first use and cached on this instance, so a pickled copy
-        (a pool worker's) carries it and never certifies again.
+        Computed on first use and cached on this instance, so the sweep
+        points of a run share one certification.
         """
         if self.n_cut is not None:
             return None

@@ -215,6 +215,7 @@ class TestRun:
             "from kerr_thermo.cli import reproduce_figure\n"
             f"reproduce_figure('fig8a', out_dir={str(tmp_path)!r}, jobs=1)\n"
             "assert 'scipy.special' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
@@ -229,36 +230,23 @@ class TestRun:
             mine = [line for line in report.summaries if line.startswith(f"point_chi{chi}: ")]
             assert [line.split(": ")[1] for line in mine] == ["qfi", "cfi_hom_phi0pi", "cfi_het"]
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        cfg = parse_config(FAST_QFI_SWEEP)
-        run(cfg, out_dir=str(tmp_path / "serial"), jobs=1)
-        run(cfg, out_dir=str(tmp_path / "pool"), jobs=2)
-        for name in ("qfi_chi0.csv", "qfi_chi0.4.csv"):
-            assert read_lines(tmp_path / "serial" / name) == read_lines(tmp_path / "pool" / name)
-
-    def test_auto_cutoff_certified_once_and_pool_matches_serial(self, tmp_path, monkeypatch):
-        # every call appends a line, so calls made in pool workers count too
-        calls = tmp_path / "certify_calls"
+    def test_auto_cutoff_certified_once(self, tmp_path, monkeypatch):
+        calls = []
         certify = config.certify_cutoff
 
         def counting(points, leakage_tol):
-            with open(calls, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            calls.append(len(points))
             return certify(points, leakage_tol)
 
         monkeypatch.setattr(config, "certify_cutoff", counting)
         text = FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto").replace(
             "n_th = 0.1", "n_th = 0.05, 0.1\nchi = 0.5\ndrive = 1\ndelta = -3.5"
         )
-        reports = {}
-        for jobs in (2, 1):
-            reports[jobs] = run(parse_config(text), out_dir=str(tmp_path / str(jobs)), jobs=jobs)
-        assert calls.read_text().splitlines() == [str(os.getpid())] * 2
-        for name in ("thermalize_n_th0.05.csv", "thermalize_n_th0.1.csv"):
-            assert read_lines(tmp_path / "2" / name) == read_lines(tmp_path / "1" / name)
+        report = run(parse_config(text), out_dir=str(tmp_path), jobs=1)
+        assert calls == [2]
         cert = parse_config(text).cutoff_certificate
-        assert reports[1].n_cut_used == cert.n_cut
-        rule = read_lines(tmp_path / "1" / "run_report.txt").splitlines()[5]
+        assert report.n_cut_used == cert.n_cut
+        rule = read_lines(tmp_path / "run_report.txt").splitlines()[5]
         decider = ("0.05", "0.1")[cert.point_index]
         assert rule.startswith(f"n_cut rule: auto, set by point_n_th{decider}: ")
         assert f"steady-state leakage {cert.leakage:.3e}" in rule
@@ -380,11 +368,16 @@ class TestRun:
         assert rows[0] == "n_th,var_gap"
         assert float(rows[1].split(",")[1]) == pytest.approx(38.5, abs=1e-9)
 
-    def test_env_jobs_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KERR_THERMO_JOBS", "1")
+    def test_only_one_job(self, tmp_path, capsys):
         cfg = parse_config(FAST_THERMALIZE)
-        report = run(cfg, out_dir=str(tmp_path))
-        assert report.outputs
+        with pytest.raises(ConfigError, match="jobs must be None or 1") as info:
+            run(cfg, out_dir=str(tmp_path), jobs=2)
+        assert info.value.field == "jobs"
+        assert not os.listdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["thermalize", "--preset", "fig2a", "--out", str(tmp_path), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_failing_sweep_point_identified_and_outputs_removed(self, tmp_path):
         # a step far beyond the RK4 stability limit blows up the run, and the
@@ -415,7 +408,7 @@ class TestRun:
         cfgfile = tmp_path / "scenario.cfg"
         cfgfile.write_text(FAST_THERMALIZE)
         before = cfgfile.read_text()
-        rc = main(["thermalize", "--config", str(cfgfile), "--out", str(tmp_path), "--jobs", "1"])
+        rc = main(["thermalize", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 0
         assert cfgfile.read_text() == before
 
@@ -424,9 +417,16 @@ class TestMainEntry:
     def test_exit_zero_and_files(self, tmp_path, capsys):
         cfgfile = tmp_path / "scenario.cfg"
         cfgfile.write_text(FAST_THERMALIZE)
-        rc = main(["thermalize", "--config", str(cfgfile), "--out", str(tmp_path), "--jobs", "1"])
+        rc = main(["thermalize", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "thermalize.csv").exists()
+
+    def test_message_names_the_config_output_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.cfg").write_text(FAST_THERMALIZE + "output_path = sub/dir\n")
+        assert main(["thermalize", "--config", "s.cfg"]) == 0
+        assert (tmp_path / "sub" / "dir" / "thermalize.csv").exists()
+        assert "wrote 1 file(s) to sub/dir in " in capsys.readouterr().out
 
     def test_error_exit_code_and_message(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -450,8 +450,6 @@ class TestMainEntry:
                 str(cfgfile),
                 "--out",
                 str(tmp_path),
-                "--jobs",
-                "1",
                 "--override",
                 "n_samples=3",
             ]
