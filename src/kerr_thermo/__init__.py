@@ -1,6 +1,6 @@
 """Thermometry with a driven Kerr-nonlinear resonator probe.
 
-A small numpy/scipy toolkit that evolves the damped Kerr resonator, certifies
+A small numpy-only toolkit that evolves the damped Kerr resonator, certifies
 thermalization through Gibbs-state fidelity, and quantifies the precision of
 reservoir-temperature estimation via quantum and classical Fisher information
 under homodyne and heterodyne detection.
@@ -34,8 +34,8 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     default_integrator_step,
+    generator_entries,
     lindblad_rhs,
-    liouvillian_matrix,
     propagate,
     purity,
     steady_state,
@@ -108,7 +108,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "default_integrator_step",
-    "liouvillian_matrix",
+    "generator_entries",
     "lindblad_rhs",
     "propagate",
     "steady_state",

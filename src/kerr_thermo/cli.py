@@ -102,8 +102,11 @@ class _PointResult:
 _TABLE_COMMANDS = ("spectrum", "purity-sweep", "steady-state")
 
 # The leakage retry of the table commands stops growing n_cut here.  One
-# sparse steady-state solve at 120 levels took 0.40 s and 97 MB peak on
-# 2 cores; doubling on to 480 levels would be a sparse LU on 230k unknowns.
+# block-tridiagonal steady-state solve at 120 levels takes 0.12-0.16 s and
+# 58 MB (tracemalloc peak) on 2 cores, 0.30-0.43 s and 77 MB more peak RSS
+# when the process first builds the 120-level generator table.  Its flops
+# grow as n_cut^4 and its memory as n_cut^3, so a retry to 240 levels would
+# take about 16 times as long and 8 times the memory.
 _TABLE_NCUT_MAX = 120
 
 

@@ -12,19 +12,27 @@ test suite pins down so the convention cannot silently drift.
 Propagation is classical fixed-step 4-stage Runge-Kutta.  The generator maps
 Hermitian matrices to Hermitian matrices, so it acts as a real matrix
 R = U L U^dag on the coordinates of rho in the orthonormal Hermitian basis
-|i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j); U is a
-sparse unitary and the trace is the sum of the first d coordinates.  Because
-R is linear and time independent, one RK4 step of size h is exactly the
-degree-4 Taylor polynomial P(h R), and K equal steps are P(h R)^K.  At
-every cutoff, propagation precomputes P(h R)^K once per sample interval by
-binary powering, which produces the same states as stepping one step at a time
-(up to roundoff) at a small fraction of the cost.  A trajectory keeps its
-samples as one read-only (n_samples, d, d) array, filled from the coordinate
-rows with one gather and validated in one pass (one stacked
-``eigvalsh``); ``Trajectory.states`` wraps single samples as
-:class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.  The
-steady state is one sparse solve with R, and its n_th-derivative one more with
-the same matrix.
+|i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j), and the
+trace is the sum of the first d coordinates.  R is linear in its five
+coefficients (delta, chi, drive, gamma (n_th + 1), gamma n_th), so each
+dimension caches the five parameter-free parts as one COO index set and a
+(5, nnz) value table, built with numpy index arithmetic; a point's R is the
+coefficients times the table.  Because R is linear and time independent, one
+RK4 step of size h is exactly the degree-4 Taylor polynomial P(h R), and K
+equal steps are P(h R)^K.  At every cutoff, propagation precomputes
+P(h R)^K once per sample interval by binary powering, which produces the same
+states as stepping one step at a time (up to roundoff) at a small fraction of
+the cost.  A trajectory keeps its samples as one read-only (n_samples, d, d)
+array, filled from the coordinate rows with one gather and validated in one
+pass (one stacked ``eigvalsh``); ``Trajectory.states`` wraps single samples
+as :class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.
+
+The steady state solves R x = 0 with a trace-one row.  Ordered by coherence
+order k = j - i, R is block tridiagonal (the drive moves k by one, the
+Hamiltonian and the dissipators keep it), so the solve is a block
+elimination from k = d - 1 down to 0, and the n_th-derivative of the steady
+state is one more sweep through the same factors.  The runtime needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -35,8 +43,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .errors import NumericalFailureError, TraceDriftError, TruncationError
 from .fock import (
@@ -52,7 +58,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "default_integrator_step",
-    "liouvillian_matrix",
+    "generator_entries",
     "lindblad_rhs",
     "propagate",
     "steady_state",
@@ -198,41 +204,6 @@ def lindblad_rhs(rho, params: SystemParams, ham: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dissipator(jump: sparse.csr_matrix, eye: sparse.csr_matrix):
-    """D[J] on row-major vec(rho), with D[J] rho = 2 J rho J^dag - J^dag J rho - rho J^dag J."""
-    jdj = jump.conj().T @ jump
-    return 2.0 * sparse.kron(jump, jump.conj()) - sparse.kron(jdj, eye) - sparse.kron(eye, jdj.T)
-
-
-@functools.lru_cache(maxsize=16)
-def _thermal_dissipators(dim: int):
-    """D[a] and D[a^dag], built once per dimension (callers never modify them).
-
-    L = -i[H, .] + gamma (n_th + 1) D[a] + gamma n_th D[a^dag], so dL/dn_th =
-    gamma (D[a] + D[a^dag]).
-    """
-    eye = sparse.identity(dim, format="csr", dtype=np.complex128)
-    a = sparse.csr_matrix(annihilation(dim))
-    return _dissipator(a, eye), _dissipator(a.conj().T.tocsr(), eye)
-
-
-def liouvillian_matrix(params: SystemParams, trunc: Truncation) -> sparse.csr_matrix:
-    """Sparse CSR matrix of the generator acting on row-major vec(rho).
-
-    With vec stacking rows, vec(A rho B) = (A kron B^T) vec(rho).
-    """
-    dim = trunc.n_cut
-    kron = sparse.kron
-    eye = sparse.identity(dim, format="csr", dtype=np.complex128)
-    ham = sparse.csr_matrix(hamiltonian(params, trunc))
-    lv = -1j * (kron(ham, eye) - kron(eye, ham.T))
-    rates = (params.gamma * (params.n_th + 1.0), params.gamma * params.n_th)
-    for rate, dissipator in zip(rates, _thermal_dissipators(dim)):
-        if rate != 0.0:
-            lv = lv + rate * dissipator
-    return lv.tocsr()
-
-
 @functools.lru_cache(maxsize=16)
 def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(dim, 1)``, built once per dimension and read-only."""
@@ -242,39 +213,103 @@ def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _coo(mat: np.ndarray):
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
 @functools.lru_cache(maxsize=16)
-def _hermitian_basis(dim: int) -> sparse.csr_matrix:
-    """Sparse unitary U taking row-major vec(rho) to real Hermitian-basis coordinates.
+def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R's five parameter-free parts on Hermitian-basis coordinates, built once
+    per dimension: one COO index set ``(rows, cols)`` and a (5, nnz) value
+    table, so that R = coeffs @ table for coeffs (delta, chi, drive,
+    gamma (n_th + 1), gamma n_th).  The arrays are read-only.
 
-    Coordinates are ordered: the d diagonal entries, then sqrt2 Re rho_ij, then
-    sqrt2 Im rho_ij, with (i, j) running over ``np.triu_indices(dim, 1)``.
-    Built once per dimension; its arrays are read-only.
+    Each part is a complex Liouvillian on row-major vec(rho), a sum of terms
+    w A rho B, that is w kron(A, B^T), whose COO triples come from those of A
+    and B.  U has at most two entries per column, so every entry of L gives
+    at most four of R = U L U^dag.  L commutes with Hermitian conjugation, so
+    the imaginary parts cancel exactly; entries that are zero in every part
+    are dropped.
     """
+    a = annihilation(dim)
+    eye = np.eye(dim, dtype=np.complex128)
+    num = np.diag(np.arange(dim, dtype=np.complex128))
+
+    def commutator(op, weight):
+        return [(weight, op, eye), (-weight, eye, op)]
+
+    def dissipator(jump):
+        jdj = jump.conj().T @ jump
+        return [(2.0, jump, jump.conj().T), (-1.0, jdj, eye), (-1.0, eye, jdj)]
+
+    parts = (
+        commutator(num, -1j),
+        commutator(num @ (num - eye), -1j),
+        commutator(a.conj().T - a, 1.0),
+        dissipator(a),
+        dissipator(a.conj().T),
+    )
+
+    # U by columns: vec position s goes to coordinates urow[s] with weights
+    # uval[s] (a diagonal position has one, padded with a zero weight).
     iu, ju = _upper_indices(dim)
-    m, c = iu.size, 1.0 / math.sqrt(2.0)
-    sym, anti = dim + np.arange(m), dim + m + np.arange(m)
-    rows = np.concatenate([np.arange(dim), sym, sym, anti, anti])
-    upper, lower = iu * dim + ju, ju * dim + iu
-    cols = np.concatenate([np.arange(dim) * (dim + 1), upper, lower, upper, lower])
-    vals = np.concatenate([np.ones(dim), np.full(2 * m, c), np.full(m, -1j * c), np.full(m, 1j * c)])
-    basis = sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-    for arr in (basis.data, basis.indices, basis.indptr):
+    m, c, dd = iu.size, 1.0 / math.sqrt(2.0), dim * dim
+    urow = np.zeros((dd, 2), dtype=np.intp)
+    uval = np.zeros((dd, 2), dtype=np.complex128)
+    diagonal = np.arange(dim) * (dim + 1)
+    urow[diagonal, 0] = np.arange(dim)
+    uval[diagonal, 0] = 1.0
+    pair = np.column_stack([dim + np.arange(m), dim + m + np.arange(m)])
+    for position, sign in ((iu * dim + ju, -1.0), (ju * dim + iu, 1.0)):
+        urow[position] = pair
+        uval[position] = (c, sign * 1j * c)
+
+    summed = []
+    for terms in parts:
+        flat, vals = [], []
+        for weight, left, right in terms:
+            (ra, ca, va), (rb, cb, vb) = _coo(left), _coo(right.T)
+            r = (ra[:, None] * dim + rb).ravel()
+            s = (ca[:, None] * dim + cb).ravel()
+            v = weight * np.outer(va, vb).ravel()
+            entries = uval[r][:, :, None] * v[:, None, None] * uval[s].conj()[:, None, :]
+            flat.append((urow[r][:, :, None] * dd + urow[s][:, None, :]).ravel())
+            vals.append(entries.real.ravel())
+        flat, where = np.unique(np.concatenate(flat), return_inverse=True)
+        summed.append((flat, np.bincount(where, weights=np.concatenate(vals))))
+    flat = np.unique(np.concatenate([part_flat for part_flat, _ in summed]))
+    table = np.zeros((len(parts), flat.size))
+    for row, (part_flat, part_vals) in zip(table, summed):
+        row[np.searchsorted(flat, part_flat)] = part_vals
+    keep = np.any(table != 0.0, axis=0)
+    rows, cols = np.divmod(flat[keep], dd)
+    table = table[:, keep]
+    for arr in (rows, cols, table):
         arr.setflags(write=False)
-    return basis
+    return rows, cols, table
 
 
-def _real_generator(lv: sparse.csr_matrix) -> sparse.csr_matrix:
-    """R = U L U^dag, the generator of a sparse Liouvillian L on Hermitian-basis coordinates.
+def generator_entries(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real generator R = U L U^dag on Hermitian-basis coordinates, as COO
+    triples ``(rows, cols, values)``.
 
-    L commutes with Hermitian conjugation, so the imaginary parts cancel exactly.
+    The index arrays are the read-only per-dimension table's; the values are
+    its five parameter-free parts weighted by (delta, chi, drive,
+    gamma (n_th + 1), gamma n_th).
     """
-    basis = _hermitian_basis(math.isqrt(lv.shape[0]))
-    return (basis @ lv @ basis.conj().T).real.tocsr()
+    rows, cols, table = _generator_table(trunc.n_cut)
+    coeffs = np.array(
+        [params.delta, params.chi, params.drive, params.gamma * (params.n_th + 1.0), params.gamma * params.n_th]
+    )
+    return rows, cols, coeffs @ table
 
 
 def _coordinates(mat: np.ndarray) -> np.ndarray:
     """Real Hermitian-basis coordinates of a Hermitian matrix, or of each of a
-    (..., d, d) stack along the last axis (see ``_hermitian_basis``)."""
+    (..., d, d) stack along the last axis: the d diagonal entries, then
+    sqrt2 Re rho_ij, then sqrt2 Im rho_ij, with (i, j) running over
+    ``np.triu_indices(dim, 1)``."""
     iu, ju = _upper_indices(mat.shape[-1])
     upper = math.sqrt(2.0) * mat[..., iu, ju]
     return np.concatenate([mat.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
@@ -347,7 +382,9 @@ def propagate(
     n_steps = max(1, math.ceil(spacing / step - 1e-9))
     h = spacing / n_steps
 
-    rmat = _real_generator(liouvillian_matrix(params, trunc)).toarray()
+    rows, cols, values = generator_entries(params, trunc)
+    rmat = np.zeros((dim * dim, dim * dim))
+    rmat[rows, cols] = values
     sample_map = np.linalg.matrix_power(_rk4_polynomial(h * rmat), n_steps)
     # The exact generator annihilates the trace functional, so the exact
     # RK4 map preserves trace identically; binary powering loses that to
@@ -422,29 +459,116 @@ def _check_leakage(leak: float, trunc: Truncation, where: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _coherence_layout(dim: int):
+    """Where R's coherence-order blocks sit, built once per dimension.
+
+    Block 0 holds the d diagonal coordinates; block k >= 1 holds the 2(d - k)
+    coordinates sqrt2 Re rho_{i,i+k}, then sqrt2 Im rho_{i,i+k}.  The drive
+    moves k by one and the Hamiltonian and dissipators keep it, so R is block
+    tridiagonal in this order: every table entry lies in a diagonal block D_k,
+    in U_k = R[k, k+1] or in L_k = R[k+1, k].  The blocks share one flat
+    buffer, D_0..D_{d-1}, then U_0..U_{d-2}, then L_0..L_{d-2}.  Returns their
+    shapes and start offsets (one more for the buffer's end), the coordinate
+    indices in block order, and each table entry's position in the buffer.
+    """
+    rows, cols, _ = _generator_table(dim)
+    iu, ju = _upper_indices(dim)
+    order = ju - iu
+    block = np.concatenate([np.zeros(dim, dtype=np.intp), order, order])
+    local = np.concatenate([np.arange(dim), iu, dim - order + iu])
+    sizes = [dim] + [2 * (dim - k) for k in range(1, dim)]
+    shapes = [(s, s) for s in sizes] + list(zip(sizes[:-1], sizes[1:])) + list(zip(sizes[1:], sizes[:-1]))
+    start = np.cumsum([0] + [r * c for r, c in shapes])
+    sizes = np.array(sizes)
+
+    br, bc, lr, lc = block[rows], block[cols], local[rows], local[cols]
+    position = np.full(rows.size, -1, dtype=np.intp)
+    for mask, first, k in (
+        (br == bc, 0, br),
+        (bc == br + 1, dim, br),
+        (bc == br - 1, 2 * dim - 1, bc),
+    ):
+        position[mask] = start[first + k[mask]] + lr[mask] * sizes[bc[mask]] + lc[mask]
+    if np.any(position < 0):
+        raise RuntimeError("the generator is not block tridiagonal in coherence order")
+    coordinate_order = np.lexsort((local, block))
+    for arr in (start, coordinate_order, position):
+        arr.setflags(write=False)
+    return tuple(shapes), start, coordinate_order, position
+
+
+class _CoherenceSolver:
+    """R with its first row replaced by a trace constraint, factored by block
+    Gaussian elimination over coherence order (Golub & Van Loan, *Matrix
+    Computations*, sec. 4.5).
+
+    The trace row touches only block 0, so the system keeps R's block
+    tridiagonal form.  Eliminating from k = d - 1 down to 0 gives the Schur
+    complements S_{d-1} = D_{d-1}, S_k = D_k - U_k S_{k+1}^{-1} L_k, whose
+    inverses are kept, so every further right-hand side is one sweep of
+    matrix-vector products with no new factorization.
+    """
+
+    def __init__(self, values: np.ndarray, dim: int, scale: float):
+        shapes, start, self._order, position = _coherence_layout(dim)
+        buffer = np.zeros(start[-1])
+        buffer[position] = values
+        blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(start[:-1], start[1:], shapes)]
+        diag, self._upper, self._lower = blocks[:dim], blocks[dim : 2 * dim - 1], blocks[2 * dim - 1 :]
+        diag[0][0] = scale
+        self._upper[0][0] = 0.0
+        self._splits = np.cumsum([len(d) for d in diag[:-1]])
+
+        # Each inverse overwrites its diagonal block, which it no longer needs.
+        for k in range(dim - 1, -1, -1):
+            schur = diag[k]
+            if k < dim - 1:
+                schur = schur - self._upper[k] @ (diag[k + 1] @ self._lower[k])
+            try:
+                diag[k][...] = np.linalg.inv(schur)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(f"singular Schur complement at coherence order {k}") from exc
+            if not np.isfinite(diag[k]).all():
+                raise NumericalFailureError(f"non-finite Schur complement at coherence order {k}")
+        self._inverses = diag
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for a right-hand side, both in coordinate order."""
+        inv, upper, lower = self._inverses, self._upper, self._lower
+        b = np.split(rhs[self._order], self._splits)
+        # Down: z_k = S_k^{-1} (b_k - U_k z_{k+1}); up: x_0 = z_0,
+        # x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
+        z = [inv[-1] @ b[-1]]
+        for k in range(len(b) - 2, -1, -1):
+            z.append(inv[k] @ (b[k] - upper[k] @ z[-1]))
+        z.reverse()
+        x = [z[0]]
+        for k in range(len(b) - 1):
+            x.append(z[k + 1] - inv[k + 1] @ (lower[k] @ x[k]))
+        out = np.empty(rhs.size)
+        out[self._order] = np.concatenate(x)
+        return out
+
+
 def _steady_solve(params: SystemParams, trunc: Truncation):
     """Factor the trace-constrained real generator and solve for the steady state.
 
     R's first row is replaced by the trace-one constraint, scaled to the
-    largest entry of L for conditioning.  Returns the state (exactly
+    largest entry of R for conditioning.  Returns the state (exactly
     Hermitian, residual-checked, not yet validated), its coordinates and the
-    LU factors, so a caller can reuse them.
+    factored system, so a caller can reuse it.
     """
     dim = trunc.n_cut
-    lmat = liouvillian_matrix(params, trunc)
-    scale = float(abs(lmat).max())
+    _, _, values = generator_entries(params, trunc)
+    scale = float(np.abs(values).max())
     if not np.isfinite(scale) or scale == 0.0:
         raise NumericalFailureError("generator is identically zero or non-finite")
 
+    solver = _CoherenceSolver(values, dim, scale)
     rhs = np.zeros(dim * dim)
     rhs[0] = scale
-    trace_row = sparse.csr_matrix(np.where(np.arange(dim * dim) < dim, scale, 0.0))
-    system = sparse.vstack([trace_row, _real_generator(lmat)[1:]], format="csc")
-    try:
-        lu = sparse_linalg.splu(system)
-    except RuntimeError as exc:
-        raise NumericalFailureError(f"sparse steady-state solve failed: {exc}") from exc
-    coords = lu.solve(rhs)
+    coords = solver.solve(rhs)
 
     mat = _from_coordinates(coords, dim)
     residual = float(np.abs(lindblad_rhs(mat, params, hamiltonian(params, trunc))).max())
@@ -452,18 +576,20 @@ def _steady_solve(params: SystemParams, trunc: Truncation):
         raise NumericalFailureError(
             f"steady-state residual {residual:.3e} too large; system may be singular"
         )
-    return mat, coords, lu
+    return mat, coords, solver
 
 
 def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) -> DensityMatrix:
     """Unique fixed point of the generator, via a trace-constrained linear solve.
 
-    One sparse solve of R x = 0 for every cutoff, with R's first row replaced
-    by the trace-one constraint (scaled to the largest entry of L for
-    conditioning).  The state is rebuilt exactly Hermitian from x and validated.
-    A top-two-level population beyond ``trunc.leakage_tol`` raises
-    TruncationError, as in :func:`propagate`, and so do positivity failures
-    beyond ``tol``.
+    One block-tridiagonal solve of R x = 0 for every cutoff, with R's first
+    row replaced by the trace-one constraint (scaled to the largest entry of R
+    for conditioning).  The state is rebuilt exactly Hermitian from x,
+    residual-checked against :func:`lindblad_rhs` and validated.  A singular
+    or non-finite Schur complement, or a residual too large, raises
+    NumericalFailureError.  A top-two-level population beyond
+    ``trunc.leakage_tol`` raises TruncationError, as in :func:`propagate`, and
+    so do positivity failures beyond ``tol``.
     """
     mat = _steady_solve(params, trunc)[0]
     _check_leakage(_leakage(mat), trunc, "in the steady state")
@@ -479,16 +605,19 @@ def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) 
 def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
     """The steady state and its exact derivative in n_th, as Hermitian matrices.
 
-    L is affine in n_th, R = R0 + n_th R1, so differentiating R x = 0 gives
+    L is affine in n_th, R = R0 + n_th R1 with R1 = gamma (D[a] + D[a^dag]) (two
+    rows of the generator table), so differentiating R x = 0 gives
     R_c x' = -R1 x with the trace row of R_c set to 0 (x' is traceless): one
-    more solve with the steady state's LU factors.  The state is
+    more sweep through the steady state's factored system.  The state is
     residual-checked but not validated as a density matrix.
     """
-    mat, coords, lu = _steady_solve(params, trunc)
-    damping, heating = _thermal_dissipators(trunc.n_cut)
-    drift = -(_real_generator((params.gamma * (damping + heating)).tocsr()) @ coords)
+    dim = trunc.n_cut
+    mat, coords, solver = _steady_solve(params, trunc)
+    rows, cols, table = _generator_table(dim)
+    r1 = params.gamma * (table[3] + table[4])
+    drift = -np.bincount(rows, weights=r1 * coords[cols], minlength=dim * dim)
     drift[0] = 0.0
-    return mat, _from_coordinates(lu.solve(drift), trunc.n_cut)
+    return mat, _from_coordinates(solver.solve(drift), dim)
 
 
 def purity(rho) -> float:

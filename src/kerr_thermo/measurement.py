@@ -50,6 +50,11 @@ __all__ = [
     "cfi_series",
 ]
 
+# Index pairs per chunk while the outcome map is built: for the 1617-outcome
+# heterodyne grid at n_cut 30 a chunk's complex temporaries take about
+# 2.5 MB, beside 11.6 MB for the map itself.
+_MAP_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -286,14 +291,25 @@ def outcome_distribution(rho, povm: Povm) -> np.ndarray:
 def _outcome_map(povm: Povm) -> np.ndarray:
     """Real (n_outcomes, d^2) map whose row i holds w_i times the Hermitian-basis
     coordinates of |v_i><v_i|, so p = coordinates(rho) @ map.T (the basis is
-    orthonormal, so Tr(rho E) is the dot product of coordinates)."""
+    orthonormal, so Tr(rho E) is the dot product of coordinates).
+
+    The upper-triangle columns are written into the preallocated map a chunk
+    of index pairs at a time, so the complex temporaries stay small beside
+    the map itself."""
     v = povm.vectors
-    iu, ju = _upper_indices(povm.dim)
-    upper = v[:, iu] * v[:, ju].conj()
-    upper *= math.sqrt(2.0)
-    coords = np.concatenate([np.abs(v) ** 2, upper.real, upper.imag], axis=1)
-    coords *= povm.weights[:, None]
-    return coords
+    dim = povm.dim
+    iu, ju = _upper_indices(dim)
+    m = iu.size
+    out = np.empty((len(v), dim + 2 * m))
+    out[:, :dim] = np.abs(v) ** 2
+    re, im = out[:, dim : dim + m], out[:, dim + m :]
+    for lo in range(0, m, _MAP_CHUNK):
+        pairs = slice(lo, lo + _MAP_CHUNK)
+        upper = v[:, iu[pairs]] * v[:, ju[pairs]].conj()
+        np.multiply(upper.real, math.sqrt(2.0), out=re[:, pairs])
+        np.multiply(upper.imag, math.sqrt(2.0), out=im[:, pairs])
+    out *= povm.weights[:, None]
+    return out
 
 
 def _probabilities(entries: np.ndarray, outcome_map: np.ndarray) -> np.ndarray:

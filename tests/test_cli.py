@@ -208,13 +208,17 @@ class TestRun:
                 f"command = cfi\nn_th = 0.1\nhomodyne_phis = {phi!r}, {float(np.nextafter(phi, 4.0))!r}\n"
             )
 
-    def test_cfi_run_leaves_scipy_special_unimported(self, tmp_path):
+    def test_runs_leave_scipy_unimported(self, tmp_path):
+        # the runtime needs numpy only: a cfi figure and a steady-state sweep
+        # import no scipy module at all
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = (
             "import sys\n"
-            "from kerr_thermo.cli import reproduce_figure\n"
-            f"reproduce_figure('fig8a', out_dir={str(tmp_path)!r}, jobs=1)\n"
-            "assert 'scipy.special' not in sys.modules\n"
+            "from kerr_thermo.cli import main, reproduce_figure\n"
+            f"reproduce_figure('fig8a', out_dir={str(tmp_path / 'fig8a')!r}, jobs=1)\n"
+            f"assert main(['purity-sweep', '--preset', 'fig7a', '--out', {str(tmp_path / 'fig7a')!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n"
             "assert 'multiprocessing' not in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -9,10 +9,10 @@ from kerr_thermo import (
     TimeGrid,
     Truncation,
     annihilation,
+    generator_entries,
     gibbs_state,
     hamiltonian,
     lindblad_rhs,
-    liouvillian_matrix,
     mean_photon_number,
     number_operator,
     propagate,
@@ -23,12 +23,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics
-from kerr_thermo.dynamics import (
-    _coordinates,
-    _from_coordinates,
-    _hermitian_basis,
-    _real_generator,
-)
+from kerr_thermo.dynamics import _coordinates, _from_coordinates, _generator_table
 from kerr_thermo.errors import NumericalFailureError, TraceDriftError, TruncationError
 
 from conftest import random_density_matrix
@@ -36,6 +31,45 @@ from conftest import random_density_matrix
 
 def linear_params(n_th, drive=0.0, delta=0.0):
     return SystemParams(delta=delta, chi=0.0, drive=drive, n_th=n_th)
+
+
+def hermitian_basis(dim):
+    """Dense unitary U taking row-major vec(rho) to real Hermitian-basis
+    coordinates: the diagonal, then sqrt2 Re rho_ij, then sqrt2 Im rho_ij, with
+    (i, j) over np.triu_indices(dim, 1)."""
+    iu, ju = np.triu_indices(dim, 1)
+    m, c = iu.size, 1.0 / np.sqrt(2.0)
+    basis = np.zeros((dim * dim, dim * dim), dtype=complex)
+    basis[np.arange(dim), np.arange(dim) * (dim + 1)] = 1.0
+    sym, anti = dim + np.arange(m), dim + m + np.arange(m)
+    upper, lower = iu * dim + ju, ju * dim + iu
+    basis[sym, upper] = c
+    basis[sym, lower] = c
+    basis[anti, upper] = -1j * c
+    basis[anti, lower] = 1j * c
+    return basis
+
+
+def complex_liouvillian(params, dim):
+    """The generator on row-major vec(rho) as a dense complex matrix, built
+    column by column from lindblad_rhs on the matrix units."""
+    ham = hamiltonian(params, Truncation(dim))
+    unit = np.zeros(dim * dim, dtype=complex)
+    columns = []
+    for k in range(dim * dim):
+        unit[k] = 1.0
+        columns.append(lindblad_rhs(unit.reshape(dim, dim), params, ham).reshape(-1))
+        unit[k] = 0.0
+    return np.array(columns).T
+
+
+def dense_generator(params, trunc):
+    """The real generator R as a dense matrix, from generator_entries."""
+    rows, cols, values = generator_entries(params, trunc)
+    dd = trunc.n_cut**2
+    rmat = np.zeros((dd, dd))
+    rmat[rows, cols] = values
+    return rmat
 
 
 class TestLindbladRhs:
@@ -73,34 +107,32 @@ class TestLindbladRhs:
             lindblad_rhs(np.eye(3) / 3, params, np.zeros((4, 4)))
 
     def test_matches_liouvillian_matrix(self, rng):
+        # the table-built real generator is U L U^dag for the complex
+        # Liouvillian L taken column by column from lindblad_rhs
         params = SystemParams(delta=-1.2, chi=0.4, drive=0.7, n_th=0.2)
         trunc = Truncation(8)
-        lmat = liouvillian_matrix(params, trunc)
-        assert lmat.format == "csr"
+        lmat = complex_liouvillian(params, 8)
         ham = hamiltonian(params, trunc)
         rho = random_density_matrix(rng, 8)
-        direct = lindblad_rhs(rho, params, ham)
-        via_matrix = (lmat.toarray() @ rho.reshape(-1)).reshape(8, 8)
-        np.testing.assert_allclose(via_matrix, direct, atol=1e-13)
+        np.testing.assert_allclose((lmat @ rho.reshape(-1)).reshape(8, 8), lindblad_rhs(rho, params, ham), atol=1e-13)
+        basis = hermitian_basis(8)
+        np.testing.assert_allclose(dense_generator(params, trunc), basis @ lmat @ basis.conj().T, rtol=0, atol=1e-13)
 
 
 class TestHermitianBasis:
     PARAMS = SystemParams(delta=-1.2, chi=0.4, drive=0.7, n_th=0.2)
 
     def test_basis_is_unitary(self):
-        basis = _hermitian_basis(7)
-        assert basis.shape == (49, 49)
-        assert np.all(np.diff(basis.indptr)[7:] == 2)
-        np.testing.assert_allclose((basis @ basis.conj().T).toarray(), np.eye(49), atol=1e-15)
+        # an orthonormal basis: coordinates preserve the Hilbert-Schmidt product
+        basis = hermitian_basis(7)
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(49), atol=1e-15)
 
     def test_real_generator_matches_rhs(self, rng):
-        # U L U^dag has an exactly zero imaginary part and acts like the rhs
         trunc = Truncation(8)
-        lv = liouvillian_matrix(self.PARAMS, trunc)
-        basis = _hermitian_basis(8)
-        assert np.abs((basis @ lv @ basis.conj().T).imag).max() == 0.0
-        rmat = _real_generator(lv)
-        assert rmat.dtype == np.float64
+        rows, cols, values = generator_entries(self.PARAMS, trunc)
+        assert values.dtype == np.float64
+        assert np.unique(rows * 64 + cols).size == rows.size
+        rmat = dense_generator(self.PARAMS, trunc)
         ham = hamiltonian(self.PARAMS, trunc)
         for _ in range(3):
             rho = random_density_matrix(rng, 8)
@@ -111,8 +143,7 @@ class TestHermitianBasis:
         rho = random_density_matrix(rng, 9)
         coords = _coordinates(rho)
         assert coords.dtype == np.float64
-        basis = _hermitian_basis(9)
-        np.testing.assert_allclose(coords, (basis @ rho.reshape(-1)).real, atol=1e-15)
+        np.testing.assert_allclose(coords, (hermitian_basis(9) @ rho.reshape(-1)).real, atol=1e-15)
         back = _from_coordinates(coords, 9)
         assert np.abs(back - back.conj().T).max() == 0.0
         np.testing.assert_allclose(back, rho, atol=1e-15)
@@ -159,8 +190,9 @@ class TestHermitianBasis:
             np.testing.assert_allclose(a.entries, b.entries, rtol=0, atol=0)
 
 
-    def test_cached_basis_gives_bit_identical_results(self, monkeypatch):
-        # reference: the basis rebuilt on every call
+    def test_cached_table_gives_bit_identical_results(self, monkeypatch):
+        # reference: the generator table (and the block layout read from it)
+        # rebuilt on every call
         trunc = Truncation(16)
         grid = TimeGrid(t_end=2.0, n_samples=9)
 
@@ -171,10 +203,11 @@ class TestHermitianBasis:
             return traj.entries, ss.entries, rho, drho
 
         cached = run()
-        basis = _hermitian_basis(16)
-        assert _hermitian_basis(16) is basis
-        assert not any(arr.flags.writeable for arr in (basis.data, basis.indices, basis.indptr))
-        monkeypatch.setattr(dynamics, "_hermitian_basis", _hermitian_basis.__wrapped__)
+        table = _generator_table(16)
+        assert _generator_table(16) is table
+        assert not any(arr.flags.writeable for arr in table)
+        monkeypatch.setattr(dynamics, "_generator_table", _generator_table.__wrapped__)
+        monkeypatch.setattr(dynamics, "_coherence_layout", dynamics._coherence_layout.__wrapped__)
         for a, b in zip(cached, run()):
             assert a.tobytes() == b.tobytes()
 
@@ -217,9 +250,10 @@ class TestPropagate:
     )
     def test_matches_exact_exponential(self, params, n_cut, grid):
         # oracle: scipy's scaling-and-squaring expm of the complex Liouvillian
-        # over one sample interval, applied to vec(rho0) sample by sample
+        # (built from lindblad_rhs) over one sample interval, applied to
+        # vec(rho0) sample by sample
         trunc = Truncation(n_cut)
-        sample_map = expm(grid.spacing * liouvillian_matrix(params, trunc).toarray())
+        sample_map = expm(grid.spacing * complex_liouvillian(params, n_cut))
         traj = propagate(vacuum_state(trunc), params, grid, trunc)
         vec = vacuum_state(trunc).entries.reshape(-1)
         for state in traj.states:
