@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, exact_text, homodyne_label, resolve_config
+from .config import COMMANDS, ScenarioConfig, exact_text, homodyne_label, resolve_config
 from .errors import ConfigError, KerrThermoError, TruncationError
 from .estimation import _AUTO_NCUT_MAX, cr_bound, perturbed_trajectories, qfi_series
 from .fidelity import default_search_max, thermalization_trace
@@ -203,35 +203,26 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             )
             return columns, [summary], traj.leakage_max
 
-    elif config.command == "qfi":
-        def compute(trunc):
-            trajectories = perturbed_trajectories(params, grid, trunc, fd)
-            series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
-            summary = (
-                f"{label}: plateau qfi = {series.plateau:.6g}, "
-                f"cr bound (mu={config.repetitions}) = "
-                f"{cr_bound(series.plateau, config.repetitions):.6g}"
-            )
-            columns = {"gamma_t": series.times, "qfi": series.values}
-            return columns, [summary], trajectories.central.leakage_max
-
-    elif config.command == "cfi":
+    elif config.command in ("qfi", "cfi"):
         def compute(trunc):
             trajectories = perturbed_trajectories(params, grid, trunc, fd)
             q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
-            columns = {"gamma_t": trajectories.times, "qfi": q_series.values}
-            summaries = [f"{label}: qfi: plateau = {q_series.plateau:.6g}"]
-            povms = {
-                homodyne_label(phi): homodyne_povm(phi, trunc, _HOMODYNE_LEVELS)
-                for phi in config.homodyne_phis
-            }
-            if config.heterodyne:
-                povms["cfi_het"] = heterodyne_povm(
-                    trunc,
-                    grid_radius=config.heterodyne_radius,
-                    grid_step=config.heterodyne_step,
-                    mean_photon=mean_photon_number(trajectories.central.final),
-                )
+            columns = {"gamma_t": q_series.times, "qfi": q_series.values}
+            summaries = [
+                f"{label}: qfi: plateau = {q_series.plateau:.6g}, "
+                f"cr bound (mu={config.repetitions}) = "
+                f"{cr_bound(q_series.plateau, config.repetitions):.6g}"
+            ]
+            povms = {}
+            if config.command == "cfi":  # a qfi run ignores homodyne_phis and heterodyne
+                povms = {
+                    homodyne_label(phi): homodyne_povm(phi, trunc, _HOMODYNE_LEVELS)
+                    for phi in config.homodyne_phis
+                }
+                if config.heterodyne:
+                    povms["cfi_het"] = heterodyne_povm(
+                        trunc, mean_photon=mean_photon_number(trajectories.central.final)
+                    )
             for name, povm in povms.items():
                 series = cfi_series(params, grid, trunc, fd, povm, trajectories=trajectories)
                 columns[name] = series.values
@@ -250,7 +241,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             report = gap_variance(spectrum(params, trunc), config.window_lo, config.window_hi)
             return {"var_gap": np.array([report.variance])}, [], 0.0
 
-    elif config.command in ("purity-sweep", "steady-state"):
+    else:  # purity-sweep, steady-state
         def compute(trunc):
             ss = steady_state(params, trunc)
             columns = {}
@@ -259,14 +250,9 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             columns["purity"] = np.array([purity(ss)])
             return columns, [], _leakage(ss.entries)
 
-    else:
-        raise ConfigError(f"command {config.command!r} cannot be dispatched", field="command")
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         (columns, summaries, leakage), n_cut = _with_truncation_retry(config, compute)
-    if config.command in _TABLE_COMMANDS:
-        columns = {**{name: np.array([point[name]]) for name in config.swept_fields()}, **columns}
     messages = [str(rec.message) for rec in caught]
     return _PointResult(columns, n_cut, leakage, messages, summaries)
 
@@ -303,12 +289,17 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
 
 
 def _merged_rows(config: ScenarioConfig, results: list[_PointResult]) -> dict[str, np.ndarray]:
-    """A table command's points stacked as the rows of one table."""
-    names = results[0].columns
-    merged = {name: np.concatenate([r.columns[name] for r in results]) for name in names}
-    if not config.swept_fields():
-        # ensure at least one labeled abscissa column for a single point
-        merged = {"n_th": np.array(config.n_th), **merged}
+    """A table command's points stacked as the rows of one table.
+
+    The swept fields lead as the abscissa columns; a single point is labelled by n_th.
+    """
+    points = config.sweep_points()
+    merged = {
+        name: np.array([point[name] for point in points])
+        for name in config.swept_fields() or ("n_th",)
+    }
+    for name in results[0].columns:
+        merged[name] = np.concatenate([r.columns[name] for r in results])
     return merged
 
 
@@ -415,15 +406,14 @@ def _figure_checks(name: str, config: ScenarioConfig, cols: dict[str, np.ndarray
     return checks
 
 
-def reproduce_figure(name: str, out_dir: str | None = None, jobs: int | None = None) -> RunReport:
+def reproduce_figure(name: str, out_dir: str | None = None) -> RunReport:
     """Run a named figure preset and emit one CSV per figure plus a sidecar.
 
     The CSV columns map onto the figure axes (one column per plotted curve);
     the sidecar lists the preset parameters, flags the inferred ones, and
-    reports which trend checks passed.  ``jobs`` is as for :func:`run`: only
-    None or 1.
+    reports which trend checks passed.  The sweep points run in order in this
+    process, as for :func:`run`.
     """
-    _check_jobs(jobs)
     start = time.perf_counter()
     if name not in PRESETS:
         raise ConfigError(
@@ -460,18 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="kerr-thermo",
         description="Kerr-resonator reservoir thermometry: scenario runner",
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "thermalize",
-            "qfi",
-            "cfi",
-            "spectrum",
-            "purity-sweep",
-            "steady-state",
-            "reproduce-figure",
-        ],
-    )
+    parser.add_argument("command", choices=COMMANDS + ("reproduce-figure",))
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--preset", help="named preset (figure name for reproduce-figure)")
     parser.add_argument(

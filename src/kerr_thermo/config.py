@@ -1,9 +1,13 @@
 """Scenario configuration: a flat key = value document with sweep lists.
 
-Keys are exactly the field names below; values are scalars or comma-separated
-lists.  The five physical parameters accept lists, and a run executes over the
-Cartesian product of all lists given.  Angles accept a trailing ``pi`` factor
-("0.9pi").  Unknown keys are errors, not warnings.
+Keys are ``command``, ``preset`` and the config fields of
+:class:`ScenarioConfig`; each field declares its default text and its parser
+in one place.  Values are scalars or comma-separated lists.  The five physical
+parameters accept lists, and a run executes over the Cartesian product of all
+lists given.  Angles accept a trailing ``pi`` factor ("0.9pi").  Unknown keys
+are errors, not warnings.  ``SystemParams``, ``Truncation``, ``TimeGrid`` and
+``FdConfig`` check their own fields; validation builds them and adds only the
+rules that belong to a run.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .errors import ConfigError
@@ -36,37 +40,10 @@ COMMANDS = (
     "spectrum",
     "purity-sweep",
     "steady-state",
-    "reproduce-figure",
 )
 
 # Fields whose values may be swept (comma lists).
 SWEEPABLE = ("delta", "chi", "drive", "gamma", "n_th")
-
-_DEFAULTS: dict[str, str] = {
-    "delta": "0.0",
-    "chi": "0.0",
-    "drive": "0.0",
-    "gamma": "1.0",
-    "n_cut": "30",
-    "leakage_tol": "1e-8",
-    "t_start": "0.0",
-    "t_end": "30.0",
-    "n_samples": "201",
-    "integrator_step": "auto",
-    "rel_step": "1e-3",
-    "abs_floor": "1e-9",
-    "homodyne_phis": "",
-    "heterodyne": "false",
-    "heterodyne_radius": "auto",
-    "heterodyne_step": "auto",
-    "window_lo": "30",
-    "window_hi": "50",
-    "search_max": "auto",
-    "repetitions": "1",
-    "output_path": ".",
-}
-
-_KNOWN_KEYS = frozenset(_DEFAULTS) | {"command", "preset", "n_th"}
 
 
 def exact_text(value: float) -> str:
@@ -94,95 +71,6 @@ def _echo(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(exact_text(v) for v in value)
     return str(value)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A fully resolved, validated scenario."""
-
-    command: str
-    delta: tuple[float, ...]
-    chi: tuple[float, ...]
-    drive: tuple[float, ...]
-    gamma: tuple[float, ...]
-    n_th: tuple[float, ...]
-    n_cut: int | None  # None: n_cut = auto, certified from the steady state
-    leakage_tol: float
-    t_start: float
-    t_end: float
-    n_samples: int
-    integrator_step: float | None
-    rel_step: float
-    abs_floor: float
-    homodyne_phis: tuple[float, ...]
-    heterodyne: bool
-    heterodyne_radius: float | None
-    heterodyne_step: float | None
-    window_lo: int
-    window_hi: int
-    search_max: float | None
-    repetitions: int
-    output_path: str
-    preset: str | None = None
-
-    @functools.cached_property
-    def cutoff_certificate(self) -> CutoffCertificate | None:
-        """The steady-state certificate of ``n_cut = auto`` over the sweep; None when fixed.
-
-        Computed on first use and cached on this instance, so the sweep
-        points of a run share one certification.
-        """
-        if self.n_cut is not None:
-            return None
-        points = [self.params_at(point) for point in self.sweep_points()]
-        return certify_cutoff(points, self.leakage_tol)
-
-    def trunc(self) -> Truncation:
-        """The cutoff of every point: ``n_cut``, or the certified one for ``auto``."""
-        certificate = self.cutoff_certificate
-        n_cut = self.n_cut if certificate is None else certificate.n_cut
-        return Truncation(n_cut, self.leakage_tol)
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid(
-            t_end=self.t_end,
-            n_samples=self.n_samples,
-            t_start=self.t_start,
-            integrator_step=self.integrator_step,
-        )
-
-    def fd(self) -> FdConfig:
-        return FdConfig(rel_step=self.rel_step, abs_floor=self.abs_floor)
-
-    def swept_fields(self) -> tuple[str, ...]:
-        return tuple(name for name in SWEEPABLE if len(getattr(self, name)) > 1)
-
-    def sweep_points(self) -> list[dict[str, float]]:
-        """Cartesian product over the list-valued parameter fields, in order."""
-        axes = [getattr(self, name) for name in SWEEPABLE]
-        return [dict(zip(SWEEPABLE, combo)) for combo in product(*axes)]
-
-    def params_at(self, point: dict[str, float]) -> SystemParams:
-        return SystemParams(
-            delta=point["delta"],
-            chi=point["chi"],
-            drive=point["drive"],
-            n_th=point["n_th"],
-            gamma=point["gamma"],
-        )
-
-    def canonical_text(self) -> str:
-        """Key = value echo of the resolved configuration; it parses back to an equal config."""
-        lines = [f"command = {self.command}"]
-        if self.preset:
-            lines.append(f"preset = {self.preset}")
-        for f in fields(self):
-            if f.name not in ("command", "preset"):
-                lines.append(f"{f.name} = {_echo(getattr(self, f.name))}")
-        return "\n".join(lines) + "\n"
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
 def _parse_number(raw: str, key: str) -> float:
@@ -223,14 +111,116 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"value {raw!r} for {key} is not a boolean", field=key)
 
 
-def _parse_cutoff(raw: str) -> int | None:
-    return None if raw.strip().lower() == "auto" else _parse_int(raw, "n_cut")
+def _parse_cutoff(raw: str, key: str) -> int | None:
+    return None if raw.strip().lower() == "auto" else _parse_int(raw, key)
 
 
 def _parse_optional(raw: str, key: str) -> float | None:
     if raw.strip().lower() in ("auto", "none", ""):
         return None
     return _parse_number(raw, key)
+
+
+def _parse_angles(raw: str, key: str) -> tuple[float, ...]:
+    return _parse_float_list(raw, key) if raw.strip() else ()
+
+
+def _parse_text(raw: str, key: str) -> str:
+    return raw
+
+
+def _key(default: str | None, parse):
+    """A config key's field: its default text (None: the key is required) and its parser."""
+    return field(metadata={"default": default, "parse": parse})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A fully resolved, validated scenario.
+
+    Every field between ``command`` and ``preset`` is a config key.
+    """
+
+    command: str
+    delta: tuple[float, ...] = _key("0.0", _parse_float_list)
+    chi: tuple[float, ...] = _key("0.0", _parse_float_list)
+    drive: tuple[float, ...] = _key("0.0", _parse_float_list)
+    gamma: tuple[float, ...] = _key("1.0", _parse_float_list)
+    n_th: tuple[float, ...] = _key(None, _parse_float_list)
+    # None: n_cut = auto, certified from the steady state
+    n_cut: int | None = _key("30", _parse_cutoff)
+    leakage_tol: float = _key("1e-8", _parse_number)
+    t_end: float = _key("30.0", _parse_number)
+    n_samples: int = _key("201", _parse_int)
+    integrator_step: float | None = _key("auto", _parse_optional)
+    rel_step: float = _key("1e-3", _parse_number)
+    homodyne_phis: tuple[float, ...] = _key("", _parse_angles)
+    heterodyne: bool = _key("false", _parse_bool)
+    window_lo: int = _key("30", _parse_int)
+    window_hi: int = _key("50", _parse_int)
+    search_max: float | None = _key("auto", _parse_optional)
+    repetitions: int = _key("1", _parse_int)
+    output_path: str = _key(".", _parse_text)
+    preset: str | None = None
+
+    @functools.cached_property
+    def cutoff_certificate(self) -> CutoffCertificate | None:
+        """The steady-state certificate of ``n_cut = auto`` over the sweep; None when fixed.
+
+        Computed on first use and cached on this instance, so the sweep
+        points of a run share one certification.
+        """
+        if self.n_cut is not None:
+            return None
+        points = [self.params_at(point) for point in self.sweep_points()]
+        return certify_cutoff(points, self.leakage_tol)
+
+    def trunc(self) -> Truncation:
+        """The cutoff of every point: ``n_cut``, or the certified one for ``auto``."""
+        certificate = self.cutoff_certificate
+        n_cut = self.n_cut if certificate is None else certificate.n_cut
+        return Truncation(n_cut, self.leakage_tol)
+
+    def grid(self) -> TimeGrid:
+        return TimeGrid(
+            t_end=self.t_end, n_samples=self.n_samples, integrator_step=self.integrator_step
+        )
+
+    def fd(self) -> FdConfig:
+        return FdConfig(rel_step=self.rel_step)
+
+    def swept_fields(self) -> tuple[str, ...]:
+        return tuple(name for name in SWEEPABLE if len(getattr(self, name)) > 1)
+
+    def sweep_points(self) -> list[dict[str, float]]:
+        """Cartesian product over the list-valued parameter fields, in order."""
+        axes = [getattr(self, name) for name in SWEEPABLE]
+        return [dict(zip(SWEEPABLE, combo)) for combo in product(*axes)]
+
+    def params_at(self, point: dict[str, float]) -> SystemParams:
+        return SystemParams(
+            delta=point["delta"],
+            chi=point["chi"],
+            drive=point["drive"],
+            n_th=point["n_th"],
+            gamma=point["gamma"],
+        )
+
+    def canonical_text(self) -> str:
+        """Key = value echo of the resolved configuration; it parses back to an equal config."""
+        lines = [f"command = {self.command}"]
+        if self.preset:
+            lines.append(f"preset = {self.preset}")
+        for f in _KEY_FIELDS:
+            lines.append(f"{f.name} = {_echo(getattr(self, f.name))}")
+        return "\n".join(lines) + "\n"
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+
+
+_KEY_FIELDS = tuple(f for f in fields(ScenarioConfig) if f.metadata)
+_KNOWN_KEYS = frozenset(f.name for f in _KEY_FIELDS) | {"command", "preset"}
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -273,51 +263,18 @@ def build_config(entries: dict[str, str]) -> ScenarioConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}", field="command")
 
-    if "n_th" not in merged:
-        raise ConfigError("missing required key 'n_th'", field="n_th")
-
-    values = dict(_DEFAULTS)
-    values.update(merged)
-
-    cfg = ScenarioConfig(
-        command=command,
-        preset=preset_name,
-        delta=_parse_float_list(values["delta"], "delta"),
-        chi=_parse_float_list(values["chi"], "chi"),
-        drive=_parse_float_list(values["drive"], "drive"),
-        gamma=_parse_float_list(values["gamma"], "gamma"),
-        n_th=_parse_float_list(values["n_th"], "n_th"),
-        n_cut=_parse_cutoff(values["n_cut"]),
-        leakage_tol=_parse_number(values["leakage_tol"], "leakage_tol"),
-        t_start=_parse_number(values["t_start"], "t_start"),
-        t_end=_parse_number(values["t_end"], "t_end"),
-        n_samples=_parse_int(values["n_samples"], "n_samples"),
-        integrator_step=_parse_optional(values["integrator_step"], "integrator_step"),
-        rel_step=_parse_number(values["rel_step"], "rel_step"),
-        abs_floor=_parse_number(values["abs_floor"], "abs_floor"),
-        homodyne_phis=(
-            _parse_float_list(values["homodyne_phis"], "homodyne_phis")
-            if values["homodyne_phis"].strip()
-            else ()
-        ),
-        heterodyne=_parse_bool(values["heterodyne"], "heterodyne"),
-        heterodyne_radius=_parse_optional(values["heterodyne_radius"], "heterodyne_radius"),
-        heterodyne_step=_parse_optional(values["heterodyne_step"], "heterodyne_step"),
-        window_lo=_parse_int(values["window_lo"], "window_lo"),
-        window_hi=_parse_int(values["window_hi"], "window_hi"),
-        search_max=_parse_optional(values["search_max"], "search_max"),
-        repetitions=_parse_int(values["repetitions"], "repetitions"),
-        output_path=values["output_path"],
-    )
+    values = {}
+    for f in _KEY_FIELDS:
+        raw = merged.get(f.name, f.metadata["default"])
+        if raw is None:
+            raise ConfigError(f"missing required key {f.name!r}", field=f.name)
+        values[f.name] = f.metadata["parse"](raw, f.name)
+    cfg = ScenarioConfig(command=command, preset=preset_name, **values)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    for name in SWEEPABLE:
-        for value in getattr(cfg, name):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite", field=name)
     for name in SWEEPABLE + ("homodyne_phis",):
         values = getattr(cfg, name)
         if len(set(values)) < len(values):
@@ -332,32 +289,26 @@ def _validate(cfg: ScenarioConfig) -> None:
                 f"{homodyne_label(phi)}",
                 field="homodyne_phis",
             )
-    for name in ("chi", "drive", "n_th"):
-        if any(v < 0 for v in getattr(cfg, name)):
-            raise ConfigError(f"{name} must be nonnegative", field=name)
-    if any(g <= 0 for g in cfg.gamma):
-        raise ConfigError("gamma must be positive", field="gamma")
-    if cfg.n_cut is not None and cfg.n_cut < 2:
-        raise ConfigError("n_cut must be >= 2", field="n_cut")
+    # The library types validate their own fields, and each of their messages
+    # starts with the name of the field it rejects.  n_cut 2 stands in for auto.
+    try:
+        for point in cfg.sweep_points():
+            cfg.params_at(point)
+        Truncation(2 if cfg.n_cut is None else cfg.n_cut, cfg.leakage_tol)
+        cfg.grid()
+        cfg.fd()
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=str(exc).split()[0]) from None
     if cfg.n_cut is None and cfg.command == "spectrum":
         raise ConfigError(
             "n_cut = auto does not apply to spectrum: the gap window needs "
             "window_hi + 22 levels, which no steady-state certificate covers",
             field="n_cut",
         )
-    if not 0 < cfg.leakage_tol < 1:
-        raise ConfigError("leakage_tol must lie in (0, 1)", field="leakage_tol")
-    # TimeGrid and FdConfig validate their own fields; each of their messages
-    # starts with the name of the field it rejects.
-    for build in (cfg.grid, cfg.fd):
-        try:
-            build()
-        except ValueError as exc:
-            raise ConfigError(str(exc), field=str(exc).split()[0]) from None
-    for name in ("search_max", "heterodyne_radius", "heterodyne_step"):
-        value = getattr(cfg, name)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be finite and positive, got {value}", field=name)
+    if cfg.search_max is not None and not (math.isfinite(cfg.search_max) and cfg.search_max > 0):
+        raise ConfigError(
+            f"search_max must be finite and positive, got {cfg.search_max}", field="search_max"
+        )
     if not 0 <= cfg.window_lo < cfg.window_hi:
         raise ConfigError("need 0 <= window_lo < window_hi", field="window_lo")
     if cfg.repetitions < 1:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -122,17 +123,50 @@ class TestParseConfig:
             ("integrator_step", "nan"),
             ("integrator_step", "inf"),
             ("integrator_step", "1.0"),  # above the sample spacing 0.5
-            ("t_start", "-inf"),
             ("rel_step", "nan"),
             ("search_max", "-1"),
-            ("heterodyne_radius", "-2"),
-            ("heterodyne_step", "nan"),
+            ("gamma", "0"),
+            ("chi", "-1"),
+            ("delta", "inf"),
+            ("n_cut", "1"),
+            ("leakage_tol", "2"),
         ],
     )
     def test_out_of_range_value_names_field(self, key, value):
         with pytest.raises(ConfigError, match=key) as info:
             parse_config(f"command = thermalize\nn_th = 0.1\nt_end = 1\nn_samples = 3\n{key} = {value}\n")
         assert info.value.field == key
+
+    def test_removed_keys_are_unknown(self):
+        # t_start only relabelled the time axis, abs_floor mattered only below
+        # n_th ~ 1e-6, and heterodyne_povm sizes its own grid from n_cut
+        for key in ("t_start", "abs_floor", "heterodyne_radius", "heterodyne_step"):
+            with pytest.raises(ConfigError, match="unknown key") as info:
+                parse_config(f"command = thermalize\nn_th = 0.1\n{key} = 1\n")
+            assert info.value.field == key
+            with pytest.raises(ConfigError, match="unknown key") as info:
+                resolve_config(preset="fig2a", overrides=(f"{key}=1",))
+            assert info.value.field == key
+
+    def test_reproduce_figure_is_not_a_config_command(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="unknown command") as info:
+            run(parse_config("command = reproduce-figure\nn_th = 0.1\nn_cut = 8\n"), out_dir=str(out))
+        assert info.value.field == "command"
+        assert not out.exists()
+
+    def test_readme_key_list_matches_the_parser(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        block = read_lines(readme).split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
+        # a key line starts at column 0; its keys end at the first run of two spaces
+        names = [
+            name.strip()
+            for line in block.splitlines()
+            if line and not line[0].isspace()
+            for name in re.split(r"\s{2,}", line)[0].split(",")
+        ]
+        assert sorted(names) == sorted(config._KNOWN_KEYS)
+        assert set(config.parse_key_values("".join(f"{k} = 1\n" for k in names))) == set(names)
 
     def test_propagating_presets_certify_their_cutoff(self):
         for name in FIGURE_NAMES:
@@ -154,7 +188,7 @@ class TestParseConfig:
 class TestRun:
     def test_thermalize_columns(self, tmp_path):
         cfg = parse_config(FAST_THERMALIZE)
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         text = read_lines(tmp_path / "thermalize.csv")
         assert text.splitlines()[0].startswith("# kerr-thermo")
         assert f"# config-hash: {cfg.config_hash()}" in text
@@ -165,21 +199,21 @@ class TestRun:
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = parse_config(FAST_THERMALIZE)
-        run(cfg, out_dir=str(tmp_path / "a"), jobs=1)
-        run(cfg, out_dir=str(tmp_path / "b"), jobs=1)
+        run(cfg, out_dir=str(tmp_path / "a"))
+        run(cfg, out_dir=str(tmp_path / "b"))
         assert read_lines(tmp_path / "a" / "thermalize.csv") == read_lines(
             tmp_path / "b" / "thermalize.csv"
         )
 
     def test_sweep_writes_one_csv_per_point(self, tmp_path):
         cfg = parse_config(FAST_QFI_SWEEP)
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         assert report.outputs == ["qfi_chi0.csv", "qfi_chi0.4.csv"]
 
     def test_close_sweep_values_write_distinct_files(self, tmp_path):
         text = FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.1000001, 0.1000002")
         cfg = parse_config(text)
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         assert report.outputs == [
             "thermalize_n_th0.1000001.csv",
             "thermalize_n_th0.1000002.csv",
@@ -192,7 +226,7 @@ class TestRun:
             "command = cfi\nn_th = 0.1\ndrive = 0.5\nn_cut = 12\nt_end = 1\nn_samples = 3\n"
             "homodyne_phis = 0.1000001pi, 0.1000002pi\n"
         )
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "cfi.csv").splitlines() if not ln.startswith("#")]
         assert rows[0] == "gamma_t,qfi,cfi_hom_phi0.1000001pi,cfi_hom_phi0.1000002pi"
         hom = [line for line in report.summaries if line.startswith("point (single): cfi_hom")]
@@ -215,7 +249,7 @@ class TestRun:
         code = (
             "import sys\n"
             "from kerr_thermo.cli import main, reproduce_figure\n"
-            f"reproduce_figure('fig8a', out_dir={str(tmp_path / 'fig8a')!r}, jobs=1)\n"
+            f"reproduce_figure('fig8a', out_dir={str(tmp_path / 'fig8a')!r})\n"
             f"assert main(['purity-sweep', '--preset', 'fig7a', '--out', {str(tmp_path / 'fig7a')!r}]) == 0\n"
             "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "assert not loaded, loaded\n"
@@ -224,12 +258,22 @@ class TestRun:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
+    def test_qfi_ignores_measurement_keys(self, tmp_path):
+        cfg = parse_config(
+            "command = qfi\nn_th = 0.1\ndrive = 0.5\nn_cut = 12\nt_end = 1\nn_samples = 3\n"
+            "homodyne_phis = 0.3\n"
+        )
+        report = run(cfg, out_dir=str(tmp_path))
+        rows = [ln for ln in read_lines(tmp_path / "qfi.csv").splitlines() if not ln.startswith("#")]
+        assert rows[0] == "gamma_t,qfi"
+        assert [line.split(": ")[1] for line in report.summaries] == ["qfi"]
+
     def test_cfi_sweep_summaries_name_the_point(self, tmp_path):
         cfg = parse_config(
             "command = cfi\nn_th = 0.1\nchi = 0, 0.4\ndrive = 0.5\nn_cut = 12\n"
             "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\nheterodyne = true\n"
         )
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         for chi in ("0", "0.4"):
             mine = [line for line in report.summaries if line.startswith(f"point_chi{chi}: ")]
             assert [line.split(": ")[1] for line in mine] == ["qfi", "cfi_hom_phi0pi", "cfi_het"]
@@ -246,7 +290,7 @@ class TestRun:
         text = FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto").replace(
             "n_th = 0.1", "n_th = 0.05, 0.1\nchi = 0.5\ndrive = 1\ndelta = -3.5"
         )
-        report = run(parse_config(text), out_dir=str(tmp_path), jobs=1)
+        report = run(parse_config(text), out_dir=str(tmp_path))
         assert calls == [2]
         cert = parse_config(text).cutoff_certificate
         assert report.n_cut_used == cert.n_cut
@@ -256,7 +300,7 @@ class TestRun:
         assert f"steady-state leakage {cert.leakage:.3e}" in rule
 
     def test_fixed_cutoff_report_rule(self, tmp_path):
-        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path), jobs=1)
+        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path))
         lines = read_lines(tmp_path / "run_report.txt").splitlines()
         assert lines[4:6] == ["n_cut used: 20", "n_cut rule: fixed"]
 
@@ -272,7 +316,7 @@ class TestRun:
 
         monkeypatch.setattr(cli, "propagate", fail_first)
         cfg = parse_config(FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto"))
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         certified = cfg.trunc().n_cut
         assert tried == [certified, 2 * certified]
         assert report.n_cut_used == 2 * certified
@@ -283,7 +327,7 @@ class TestRun:
             "command = thermalize\nn_th = 0.0\ndrive = 1.0\ndelta = 0.0\nn_cut = 4\n"
             "t_end = 3\nn_samples = 4\n"
         )
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         assert report.n_cut_used >= 16
 
     def test_leakage_retry_reports_no_warnings(self, tmp_path):
@@ -293,7 +337,7 @@ class TestRun:
             "command = thermalize\nn_th = 0.0\ndrive = 1.0\ndelta = 0.0\nn_cut = 4\n"
             "t_end = 3\nn_samples = 31\n"
         )
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         assert report.n_cut_used > 4
         assert report.warnings == []
         assert "warnings:\n  (none)\n" in read_lines(tmp_path / "run_report.txt")
@@ -312,7 +356,7 @@ class TestRun:
         monkeypatch.setattr(cli, "propagate", never_enough)
         cfg = parse_config("command = thermalize\nn_th = 0.1\nn_cut = 30\nt_end = 1\nn_samples = 3\n")
         with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 48.*set a larger n_cut"):
-            run(cfg, out_dir=str(tmp_path), jobs=1)
+            run(cfg, out_dir=str(tmp_path))
         assert tried == [30, 48]
 
     def test_truncated_steady_state_retries_to_the_exact_purity(self, tmp_path, monkeypatch):
@@ -327,7 +371,7 @@ class TestRun:
 
         monkeypatch.setattr(cli, "steady_state", spy)
         cfg = parse_config("command = purity-sweep\nn_th = 0.05\ndelta = 0\ndrive = 5\nn_cut = 30\n")
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         assert tried == [30, 60, 120]
         assert report.n_cut_used == 120
         assert 0.0 < report.leakage_max <= 1e-8
@@ -337,18 +381,18 @@ class TestRun:
     def test_steady_state_retry_stops_at_its_size_cap(self, tmp_path):
         cfg = parse_config("command = steady-state\nn_th = 0.05\ndelta = 0\ndrive = 10\nn_cut = 30\n")
         with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 120.*set a larger n_cut"):
-            run(cfg, out_dir=str(tmp_path), jobs=1)
+            run(cfg, out_dir=str(tmp_path))
 
     def test_thermalize_summary_names_search_max(self, tmp_path):
         cfg = parse_config(FAST_THERMALIZE)
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         trunc = Truncation(cfg.n_cut)
         traj = propagate(vacuum_state(trunc), cfg.params_at(cfg.sweep_points()[0]), cfg.grid(), trunc)
         auto = default_search_max(traj.final, 0.1)
         assert report.summaries[0].endswith(f", search_max = {auto:.6g} (auto)")
         assert report.summaries[0] in read_lines(tmp_path / "run_report.txt")
         cfg = parse_config(FAST_THERMALIZE + "search_max = 0.75\n")
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         assert report.summaries[0].endswith(", search_max = 0.75")
 
     def test_purity_sweep_csv(self, tmp_path):
@@ -356,7 +400,7 @@ class TestRun:
             "command = purity-sweep\nn_th = 0.05\nchi = 0.2, 0.4\ndrive = 1.0\n"
             "delta = -3.5\nn_cut = 20\n"
         )
-        run(cfg, out_dir=str(tmp_path), jobs=1)
+        run(cfg, out_dir=str(tmp_path))
         text = read_lines(tmp_path / "purity_sweep.csv")
         rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert rows[0] == "chi,purity"
@@ -367,7 +411,7 @@ class TestRun:
             "command = spectrum\nn_th = 0\nchi = 0.5\ndrive = 0\ndelta = -3.5\n"
             "n_cut = 80\nwindow_lo = 30\nwindow_hi = 50\n"
         )
-        run(cfg, out_dir=str(tmp_path), jobs=1)
+        run(cfg, out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "spectrum.csv").splitlines() if not ln.startswith("#")]
         assert rows[0] == "n_th,var_gap"
         assert float(rows[1].split(",")[1]) == pytest.approx(38.5, abs=1e-9)
@@ -393,7 +437,7 @@ class TestRun:
             "n_samples = 5\nintegrator_step = 0.5\n"
         )
         with pytest.raises(KerrThermoError, match=r"sweep point 0.*n_th = 0\.05"):
-            run(cfg, out_dir=str(tmp_path), jobs=1)
+            run(cfg, out_dir=str(tmp_path))
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".csv")]
 
     def test_boundary_warning_lands_in_report_once(self, tmp_path):
@@ -403,7 +447,7 @@ class TestRun:
             "command = thermalize\nn_th = 0.5\nn_cut = 30\nt_end = 4\n"
             "n_samples = 6\nsearch_max = 0.05\n"
         )
-        report = run(cfg, out_dir=str(tmp_path), jobs=1)
+        report = run(cfg, out_dir=str(tmp_path))
         boundary = [w for w in report.warnings if "search_max" in w]
         assert len(boundary) == 1
         assert boundary[0] in read_lines(tmp_path / "run_report.txt")
@@ -472,7 +516,7 @@ class TestRunOracles:
         cfg = parse_config(
             "command = qfi\nn_th = 0.05\nn_cut = 30\nt_end = 20\nn_samples = 5\n"
         )
-        run(cfg, out_dir=str(tmp_path), jobs=1)
+        run(cfg, out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "qfi.csv").splitlines() if not ln.startswith("#")]
         assert rows[0] == "gamma_t,qfi"
         final_qfi = float(rows[-1].split(",")[1])
@@ -481,7 +525,7 @@ class TestRunOracles:
 
 class TestReproduceFigure:
     def test_fig2a_thermalize(self, tmp_path):
-        report = reproduce_figure("fig2a", out_dir=str(tmp_path), jobs=1)
+        report = reproduce_figure("fig2a", out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "fig2a.csv").splitlines() if not ln.startswith("#")]
         assert rows[0] == "gamma_t,n_eff,fidelity_at_opt"
         sidecar = read_lines(tmp_path / "fig2a_params.txt")
@@ -492,7 +536,7 @@ class TestReproduceFigure:
         # a CSV left by an earlier ``run`` in the same directory is neither
         # overwritten nor removed
         (tmp_path / "thermalize.csv").write_text("earlier output\n")
-        reproduce_figure("fig2a", out_dir=str(tmp_path), jobs=1)
+        reproduce_figure("fig2a", out_dir=str(tmp_path))
         assert sorted(os.listdir(tmp_path)) == [
             "fig2a.csv",
             "fig2a_params.txt",
@@ -502,7 +546,7 @@ class TestReproduceFigure:
         assert read_lines(tmp_path / "thermalize.csv") == "earlier output\n"
 
     def test_fig4_spectrum(self, tmp_path):
-        report = reproduce_figure("fig4", out_dir=str(tmp_path), jobs=1)
+        report = reproduce_figure("fig4", out_dir=str(tmp_path))
         assert "fig4.csv" in report.outputs and "fig4_params.txt" in report.outputs
         sidecar = read_lines(tmp_path / "fig4_params.txt")
         assert "(inferred)" in sidecar
@@ -511,7 +555,7 @@ class TestReproduceFigure:
         assert rows[0] == "chi,var_gap"
 
     def test_fig7a_purity(self, tmp_path):
-        report = reproduce_figure("fig7a", out_dir=str(tmp_path), jobs=1)
+        report = reproduce_figure("fig7a", out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "fig7a.csv").splitlines() if not ln.startswith("#")]
         assert rows[0] == "chi,purity"
         purities = [float(r.split(",")[1]) for r in rows[1:]]

@@ -107,7 +107,7 @@ def test_resonant_drive_5_retries_to_the_closed_form(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "steady_state", spy)
     cfg = parse_config(f"command = purity-sweep\nn_th = {n_th}\ndelta = {delta}\ndrive = {drive}\nn_cut = 30\n")
-    cli.run(cfg, out_dir=str(tmp_path), jobs=1)
+    cli.run(cfg, out_dir=str(tmp_path))
     assert [(n, ss is None) for n, ss in states] == [(30, True), (60, True), (120, False)]
     ss = states[-1][1]
     assert purity(ss) == pytest.approx(1.0 / (2.0 * n_th + 1.0), abs=1e-13)
