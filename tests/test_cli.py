@@ -130,6 +130,10 @@ class TestParseConfig:
             ("delta", "inf"),
             ("n_cut", "1"),
             ("leakage_tol", "2"),
+            # deleted keys: any value is rejected as an unknown key named in the error
+            ("t_start", "-inf"),
+            ("heterodyne_radius", "-2"),
+            ("heterodyne_step", "nan"),
         ],
     )
     def test_out_of_range_value_names_field(self, key, value):
