@@ -21,6 +21,7 @@ from .fock import (
     SystemParams,
     Truncation,
     annihilation,
+    as_matrix,
     creation,
     gibbs_populations,
     gibbs_state,
@@ -104,6 +105,7 @@ __all__ = [
     "thermal_occupation",
     "vacuum_state",
     "mean_photon_number",
+    "as_matrix",
     # dynamics
     "TimeGrid",
     "Trajectory",

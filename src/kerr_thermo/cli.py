@@ -28,7 +28,7 @@ from . import __version__
 from .config import COMMANDS, ScenarioConfig, exact_text, homodyne_label, resolve_config
 from .errors import ConfigError, KerrThermoError, TruncationError
 from .estimation import _AUTO_NCUT_MAX, cr_bound, perturbed_trajectories, qfi_series
-from .fidelity import default_search_max, thermalization_trace
+from .fidelity import EffTempTrace, default_search_max, thermalization_trace
 from .fock import Truncation, mean_photon_number, vacuum_state
 from .dynamics import _leakage, propagate, purity, steady_state
 from .measurement import cfi_series, heterodyne_povm, homodyne_povm
@@ -210,8 +210,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             columns = {"gamma_t": q_series.times, "qfi": q_series.values}
             summaries = [
                 f"{label}: qfi: plateau = {q_series.plateau:.6g}, "
-                f"cr bound (mu={config.repetitions}) = "
-                f"{cr_bound(q_series.plateau, config.repetitions):.6g}"
+                f"cr bound = {cr_bound(q_series.plateau):.6g}"
             ]
             povms = {}
             if config.command == "cfi":  # a qfi run ignores homodyne_phis and heterodyne
@@ -379,9 +378,8 @@ def _figure_checks(name: str, config: ScenarioConfig, cols: dict[str, np.ndarray
 
     if name.startswith("fig2"):
         n_eff = cols["n_eff"]
-        tail = n_eff[-max(2, len(n_eff) // 10):]
-        converged = float(np.max(np.abs(tail - n_eff[-1]))) <= 1e-3 * max(abs(n_eff[-1]), 1e-12)
-        record("n_eff converged over the final window", converged)
+        trace = EffTempTrace(cols["gamma_t"], n_eff, cols["fidelity_at_opt"])
+        record("n_eff converged over the final window", trace.final_window_change(0.1) <= 1e-3)
         n_th = config.n_th[0]
         record(
             f"final n_eff within 30% of n_th={n_th:g} (got {n_eff[-1]:.4g})",

@@ -5,9 +5,9 @@ Keys are ``command``, ``preset`` and the config fields of
 in one place.  Values are scalars or comma-separated lists.  The five physical
 parameters accept lists, and a run executes over the Cartesian product of all
 lists given.  Angles accept a trailing ``pi`` factor ("0.9pi").  Unknown keys
-are errors, not warnings.  ``SystemParams``, ``Truncation``, ``TimeGrid`` and
-``FdConfig`` check their own fields; validation builds them and adds only the
-rules that belong to a run.
+are errors, not warnings.  ``SystemParams``, ``Truncation`` and ``TimeGrid``
+check their own fields and ``fd_step`` the stencil's placement; validation
+calls them and adds only the rules that belong to a run.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .errors import ConfigError
-from .estimation import CutoffCertificate, FdConfig, certify_cutoff
+from .estimation import CutoffCertificate, FdConfig, certify_cutoff, fd_step
 from .fock import SystemParams, Truncation
 from .dynamics import TimeGrid
 from .presets import PRESETS
@@ -153,13 +153,11 @@ class ScenarioConfig:
     t_end: float = _key("30.0", _parse_number)
     n_samples: int = _key("201", _parse_int)
     integrator_step: float | None = _key("auto", _parse_optional)
-    rel_step: float = _key("1e-3", _parse_number)
     homodyne_phis: tuple[float, ...] = _key("", _parse_angles)
     heterodyne: bool = _key("false", _parse_bool)
     window_lo: int = _key("30", _parse_int)
     window_hi: int = _key("50", _parse_int)
     search_max: float | None = _key("auto", _parse_optional)
-    repetitions: int = _key("1", _parse_int)
     output_path: str = _key(".", _parse_text)
     preset: str | None = None
 
@@ -187,7 +185,8 @@ class ScenarioConfig:
         )
 
     def fd(self) -> FdConfig:
-        return FdConfig(rel_step=self.rel_step)
+        """The stencil step of every qfi and cfi run: the library default."""
+        return FdConfig()
 
     def swept_fields(self) -> tuple[str, ...]:
         return tuple(name for name in SWEEPABLE if len(getattr(self, name)) > 1)
@@ -289,14 +288,16 @@ def _validate(cfg: ScenarioConfig) -> None:
                 f"{homodyne_label(phi)}",
                 field="homodyne_phis",
             )
-    # The library types validate their own fields, and each of their messages
-    # starts with the name of the field it rejects.  n_cut 2 stands in for auto.
+    # The library validates its own types and the stencil's placement, and
+    # each of its messages starts with the name of the field it rejects.
+    # n_cut 2 stands in for auto.
     try:
         for point in cfg.sweep_points():
             cfg.params_at(point)
+            if cfg.command in ("qfi", "cfi"):
+                fd_step(point["n_th"], cfg.fd())
         Truncation(2 if cfg.n_cut is None else cfg.n_cut, cfg.leakage_tol)
         cfg.grid()
-        cfg.fd()
     except ValueError as exc:
         raise ConfigError(str(exc), field=str(exc).split()[0]) from None
     if cfg.n_cut is None and cfg.command == "spectrum":
@@ -311,15 +312,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         )
     if not 0 <= cfg.window_lo < cfg.window_hi:
         raise ConfigError("need 0 <= window_lo < window_hi", field="window_lo")
-    if cfg.repetitions < 1:
-        raise ConfigError("repetitions must be >= 1", field="repetitions")
     if cfg.command == "cfi" and not cfg.homodyne_phis and not cfg.heterodyne:
         raise ConfigError(
             "cfi needs homodyne_phis and/or heterodyne = true", field="homodyne_phis"
-        )
-    if cfg.command in ("qfi", "cfi") and any(v == 0 for v in cfg.n_th):
-        raise ConfigError(
-            f"{cfg.command} differentiates in n_th and needs n_th > 0", field="n_th"
         )
 
 

@@ -420,8 +420,7 @@ def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation)
     ``eigvalsh`` covers the samples before the first failure of the others.
     """
     with np.errstate(all="ignore"):
-        populations = entries.diagonal(axis1=1, axis2=2).real
-        leak = populations[:, -1] + populations[:, -2]
+        leak = _leakage(entries)
         drift = np.abs(entries.trace(axis1=1, axis2=2) - 1.0)
     drift[0] = 0.0
     finite = np.isfinite(entries).all(axis=(1, 2))
@@ -447,8 +446,12 @@ def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation)
     return float(leak.max())
 
 
-def _leakage(mat: np.ndarray) -> float:
-    return float(mat[-1, -1].real + mat[-2, -2].real)
+def _leakage(mat: np.ndarray) -> float | np.ndarray:
+    """Top-two-level population of a (d, d) state as a float, or of each state
+    of a (n, d, d) stack as an array: the truncation's leakage measure."""
+    populations = mat.diagonal(axis1=-2, axis2=-1).real
+    leak = populations[..., -1] + populations[..., -2]
+    return leak if leak.ndim else float(leak)
 
 
 def _check_leakage(leak: float, trunc: Truncation, where: str) -> None:

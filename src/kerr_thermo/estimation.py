@@ -137,12 +137,6 @@ class FisherSeries:
         """Value at the final sampled time."""
         return float(self.values[-1])
 
-    def final_window_change(self, window_frac: float = 0.1) -> float:
-        """Max relative deviation from the final value over the trailing window."""
-        k = max(2, int(round(window_frac * len(self.values))))
-        ref = max(abs(self.plateau), 1e-300)
-        return float(np.max(np.abs(self.values[-k:] - self.plateau)) / ref)
-
     def time_at_fraction(self, frac: float) -> float:
         """First sampled time at which the series reaches frac * plateau."""
         target = frac * self.plateau
@@ -153,7 +147,13 @@ class FisherSeries:
 
 
 def fd_step(n_th: float, cfg: FdConfig) -> float:
-    """Stencil half-step for a given occupation; shrinks to keep n_th - 2h > 0."""
+    """Stencil half-step for a given occupation; shrinks to keep n_th - 2h > 0.
+
+    Raises ValueError, with a message that starts with ``n_th``, when n_th is
+    not positive or when the shrunk step n_th / 4 falls below ``abs_floor``.
+    Config validation calls it at every sweep point of a qfi or cfi run, so a
+    point the stencil cannot take is rejected before anything runs.
+    """
     if not n_th > 0:
         raise ValueError(f"n_th must be positive for a centered stencil, got {n_th}")
     h = max(cfg.rel_step * n_th, cfg.abs_floor)
@@ -161,7 +161,7 @@ def fd_step(n_th: float, cfg: FdConfig) -> float:
         h = 0.25 * n_th
         if h < cfg.abs_floor:
             raise ValueError(
-                f"cannot place the 4-point stencil: n_th = {n_th:g} leaves no room "
+                f"n_th = {n_th:g} leaves no room for the 4-point stencil "
                 f"above abs_floor = {cfg.abs_floor:g}"
             )
     return h
@@ -184,35 +184,29 @@ def fd_derivative(f: Callable[[float], np.ndarray], n_th: float, cfg: FdConfig):
     return stencil_combine(f(n_th + 2 * h), f(n_th + h), f(n_th - h), f(n_th - 2 * h), h)
 
 
-def qfi(
-    rho: DensityMatrix,
-    drho,
-    rank_tol: float | None = None,
-    *,
-    rank_tol_rel: float = 1e-12,
-) -> SldResult:
+def qfi(rho: DensityMatrix, drho, *, rank_tol_rel: float = 1e-12) -> SldResult:
     """Quantum Fisher information Tr(rho L^2) for the family with derivative ``drho``.
 
     ``drho`` must be Hermitian and traceless (it is the derivative of a
-    Hermitian unit-trace family).  ``rank_tol`` excludes eigenvalue pairs with
-    lambda_k + lambda_l below it; when None it is ``rank_tol_rel`` times the
-    largest eigenvalue (default 1e-12, scale invariant).  Derivatives obtained
-    by finite differences carry roundoff of order eps/h in their entries, and
-    near-null eigenvalue pairs turn that noise into spurious Fisher
-    information; callers in that situation should raise the cutoff
-    accordingly (see :attr:`PerturbedTrajectories.rank_tol_rel`).
+    Hermitian unit-trace family).  Eigenvalue pairs with lambda_k + lambda_l
+    at or below ``rank_tol_rel`` times the largest eigenvalue are excluded
+    (default 1e-12, scale invariant; 0 keeps every pair with a positive sum).
+    Derivatives obtained by finite differences carry roundoff of order eps/h
+    in their entries, and near-null eigenvalue pairs turn that noise into
+    spurious Fisher information; callers in that situation should raise the
+    cutoff accordingly (see :attr:`PerturbedTrajectories.rank_tol_rel`).
     """
     r = as_matrix(rho)
     d = as_matrix(drho)
     if d.shape != r.shape:
         raise ValueError(f"dimension mismatch: rho {r.shape} vs drho {d.shape}")
-    values, weights, d_eig, vec, tols = _qfi_stack(r[None], d[None], rank_tol, rank_tol_rel)
+    values, weights, d_eig, vec, tols = _qfi_stack(r[None], d[None], rank_tol_rel)
     sld = vec[0] @ (weights[0] * d_eig[0]) @ vec[0].conj().T
     sld = 0.5 * (sld + sld.conj().T)
     return SldResult(qfi=float(values[0]), sld=sld, rank_tol=float(tols[0]))
 
 
-def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol: float | None, rank_tol_rel: float):
+def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     """:func:`qfi` for (n, d, d) stacks of states and derivatives.
 
     Returns the n QFI values, the SLD weights 2 / (lambda_k + lambda_l) (0
@@ -233,10 +227,7 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol: float | None, rank_t
         raise ValueError(f"drho is not traceless: |Tr drho| = {trace_defect[np.argmax(bad)]:.3e}")
 
     lam, vec = np.linalg.eigh(rho)
-    if rank_tol is None:
-        tols = rank_tol_rel * lam.max(axis=1)
-    else:
-        tols = np.full(len(rho), float(rank_tol))
+    tols = rank_tol_rel * lam.max(axis=1)
     np.add(drho, sym, out=sym)
     sym *= 0.5
     d_eig = np.matmul(vec.conj().swapaxes(-1, -2) @ sym, vec, out=sym)
@@ -315,7 +306,7 @@ def qfi_series(
     measurement CFI series over the same grid is also wanted).
     """
     tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
-    values = _qfi_stack(tr.central.entries, tr.derivative, None, tr.rank_tol_rel)[0]
+    values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)[0]
     return FisherSeries(times=tr.times, values=values, kind="qfi", fd=cfg)
 
 

@@ -31,10 +31,16 @@ GRID = TimeGrid(t_end=30.0, n_samples=201)
 CFG = FdConfig()
 
 # tracemalloc peak of qfi_series plus heterodyne cfi_series on the n_cut 30
-# fig8a trajectories (1617 outcomes): 33.8 MB measured (17.4 MB in
-# qfi_series alone), plus 50%.  One (samples, outcomes, d) complex temporary
-# alone would take 156 MB.
+# fig8a trajectories (1617 outcomes): 22.4 MB measured (11.6 MB in
+# qfi_series alone).  The limit was set at 33.8 MB plus 50%, before the
+# outcome map was built in place.  One (samples, outcomes, d) complex
+# temporary alone would take 156 MB.
 _POST_PROCESSING_PEAK_LIMIT = 51e6
+
+# tracemalloc peak of the 1617-outcome heterodyne outcome map alone at n_cut
+# 30: 13.5 MB measured, 11.6 MB of it the map itself, plus about 20%.  A map
+# built from whole-grid complex temporaries peaked at 33.8 MB.
+_OUTCOME_MAP_PEAK_LIMIT = 16e6
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,3 +150,16 @@ def test_fisher_post_processing_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= _POST_PROCESSING_PEAK_LIMIT, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_outcome_map_memory_is_bounded():
+    trunc, tt = fig8a_trajectories(30)
+    povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
+    assert povm.n_outcomes == 1617
+    tracemalloc.start()
+    try:
+        measurement._outcome_map(povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _OUTCOME_MAP_PEAK_LIMIT, f"peak {peak / 1e6:.1f} MB"

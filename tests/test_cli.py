@@ -143,14 +143,30 @@ class TestParseConfig:
 
     def test_removed_keys_are_unknown(self):
         # t_start only relabelled the time axis, abs_floor mattered only below
-        # n_th ~ 1e-6, and heterodyne_povm sizes its own grid from n_cut
-        for key in ("t_start", "abs_floor", "heterodyne_radius", "heterodyne_step"):
+        # n_th ~ 1e-6, heterodyne_povm sizes its own grid from n_cut, and
+        # rel_step and repetitions had one value in use
+        for key in (
+            "t_start", "abs_floor", "heterodyne_radius", "heterodyne_step", "rel_step", "repetitions"
+        ):
             with pytest.raises(ConfigError, match="unknown key") as info:
                 parse_config(f"command = thermalize\nn_th = 0.1\n{key} = 1\n")
             assert info.value.field == key
             with pytest.raises(ConfigError, match="unknown key") as info:
                 resolve_config(preset="fig2a", overrides=(f"{key}=1",))
             assert info.value.field == key
+
+    @pytest.mark.parametrize("command", ["qfi", "cfi"])
+    @pytest.mark.parametrize("n_th", ["0", "1e-12"])
+    def test_n_th_the_stencil_cannot_take_is_rejected_when_read(self, tmp_path, command, n_th):
+        # 1e-12 is positive but leaves the stencil no room above abs_floor
+        text = f"command = {command}\nn_th = {n_th}\nheterodyne = true\nn_cut = 8\nt_end = 1\nn_samples = 3\n"
+        with pytest.raises(ConfigError, match="n_th") as info:
+            parse_config(text)
+        assert info.value.field == "n_th"
+        path, out = tmp_path / "scenario.cfg", tmp_path / "out"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_reproduce_figure_is_not_a_config_command(self, tmp_path):
         out = tmp_path / "out"
@@ -261,6 +277,14 @@ class TestRun:
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_package_exports_every_library_name(self):
+        import kerr_thermo
+        from kerr_thermo import dynamics, errors, estimation, fidelity, fock, measurement, spectral
+
+        modules = (errors, fock, dynamics, fidelity, estimation, measurement, spectral)
+        exported = set(kerr_thermo.__all__) - {"__version__"}
+        assert exported == {name for module in modules for name in module.__all__}
 
     def test_qfi_ignores_measurement_keys(self, tmp_path):
         cfg = parse_config(
