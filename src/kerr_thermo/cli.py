@@ -25,7 +25,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ScenarioConfig, exact_text, homodyne_label, resolve_config
+from .config import (
+    COMMANDS,
+    GAP_WINDOW,
+    SPECTRUM_MIN_NCUT,
+    ScenarioConfig,
+    exact_text,
+    homodyne_label,
+    resolve_config,
+)
 from .errors import ConfigError, KerrThermoError, TruncationError
 from .estimation import _AUTO_NCUT_MAX, cr_bound, perturbed_trajectories, qfi_series
 from .fidelity import EffTempTrace, default_search_max, thermalization_trace
@@ -49,7 +57,6 @@ class RunReport:
     command: str
     config_echo: str
     config_hash: str
-    version: str = __version__
     n_cut_used: int = 0
     n_cut_rule: str = "fixed"
     leakage_max: float = 0.0
@@ -62,7 +69,7 @@ class RunReport:
     def render(self) -> str:
         lines = [
             "kerr-thermo run report",
-            f"version: {self.version}",
+            f"version: {__version__}",
             f"command: {self.command}",
             f"config hash: {self.config_hash}",
             f"n_cut used: {self.n_cut_used}",
@@ -233,11 +240,10 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             return columns, summaries, trajectories.central.leakage_max
 
     elif config.command == "spectrum":
-        # the gap window needs levels well above window_hi
-        config = replace(config, n_cut=max(config.n_cut, config.window_hi + 22))
+        config = replace(config, n_cut=max(config.n_cut, SPECTRUM_MIN_NCUT))
 
         def compute(trunc):
-            report = gap_variance(spectrum(params, trunc), config.window_lo, config.window_hi)
+            report = gap_variance(spectrum(params, trunc), *GAP_WINDOW)
             return {"var_gap": np.array([report.variance])}, [], 0.0
 
     else:  # purity-sweep, steady-state

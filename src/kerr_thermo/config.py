@@ -2,7 +2,7 @@
 
 Keys are ``command``, ``preset`` and the config fields of
 :class:`ScenarioConfig`; each field declares its default text and its parser
-in one place.  Values are scalars or comma-separated lists.  The five physical
+in one place.  Values are scalars or comma-separated lists.  The four physical
 parameters accept lists, and a run executes over the Cartesian product of all
 lists given.  Angles accept a trailing ``pi`` factor ("0.9pi").  Unknown keys
 are errors, not warnings.  ``SystemParams``, ``Truncation`` and ``TimeGrid``
@@ -43,7 +43,13 @@ COMMANDS = (
 )
 
 # Fields whose values may be swept (comma lists).
-SWEEPABLE = ("delta", "chi", "drive", "gamma", "n_th")
+SWEEPABLE = ("delta", "chi", "drive", "n_th")
+
+# The spectrum command reads the gap variance over the paper's level window
+# (Figs. 4 and 6), with at least 22 levels above it: eigenvalues near the
+# cutoff are polluted by truncation.
+GAP_WINDOW = (30, 50)
+SPECTRUM_MIN_NCUT = GAP_WINDOW[1] + 22
 
 
 def exact_text(value: float) -> str:
@@ -145,7 +151,6 @@ class ScenarioConfig:
     delta: tuple[float, ...] = _key("0.0", _parse_float_list)
     chi: tuple[float, ...] = _key("0.0", _parse_float_list)
     drive: tuple[float, ...] = _key("0.0", _parse_float_list)
-    gamma: tuple[float, ...] = _key("1.0", _parse_float_list)
     n_th: tuple[float, ...] = _key(None, _parse_float_list)
     # None: n_cut = auto, certified from the steady state
     n_cut: int | None = _key("30", _parse_cutoff)
@@ -155,8 +160,6 @@ class ScenarioConfig:
     integrator_step: float | None = _key("auto", _parse_optional)
     homodyne_phis: tuple[float, ...] = _key("", _parse_angles)
     heterodyne: bool = _key("false", _parse_bool)
-    window_lo: int = _key("30", _parse_int)
-    window_hi: int = _key("50", _parse_int)
     search_max: float | None = _key("auto", _parse_optional)
     output_path: str = _key(".", _parse_text)
     preset: str | None = None
@@ -197,13 +200,7 @@ class ScenarioConfig:
         return [dict(zip(SWEEPABLE, combo)) for combo in product(*axes)]
 
     def params_at(self, point: dict[str, float]) -> SystemParams:
-        return SystemParams(
-            delta=point["delta"],
-            chi=point["chi"],
-            drive=point["drive"],
-            n_th=point["n_th"],
-            gamma=point["gamma"],
-        )
+        return SystemParams(**point)
 
     def canonical_text(self) -> str:
         """Key = value echo of the resolved configuration; it parses back to an equal config."""
@@ -302,16 +299,15 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(str(exc), field=str(exc).split()[0]) from None
     if cfg.n_cut is None and cfg.command == "spectrum":
         raise ConfigError(
-            "n_cut = auto does not apply to spectrum: the gap window needs "
-            "window_hi + 22 levels, which no steady-state certificate covers",
+            f"n_cut = auto does not apply to spectrum: the gap window (levels "
+            f"{GAP_WINDOW[0]}-{GAP_WINDOW[1]}) needs {SPECTRUM_MIN_NCUT} levels, which no "
+            f"steady-state certificate covers",
             field="n_cut",
         )
     if cfg.search_max is not None and not (math.isfinite(cfg.search_max) and cfg.search_max > 0):
         raise ConfigError(
             f"search_max must be finite and positive, got {cfg.search_max}", field="search_max"
         )
-    if not 0 <= cfg.window_lo < cfg.window_hi:
-        raise ConfigError("need 0 <= window_lo < window_hi", field="window_lo")
     if cfg.command == "cfi" and not cfg.homodyne_phis and not cfg.heterodyne:
         raise ConfigError(
             "cfi needs homodyne_phis and/or heterodyne = true", field="homodyne_phis"

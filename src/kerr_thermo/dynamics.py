@@ -49,6 +49,7 @@ from .fock import (
     DensityMatrix,
     SystemParams,
     Truncation,
+    _read_only,
     annihilation,
     as_matrix,
     hamiltonian,
@@ -74,7 +75,7 @@ _STATE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Output sampling grid in dimensionless time tau = gamma * t.
+    """Output sampling grid in dimensionless time tau = gamma * t, from 0 to ``t_end``.
 
     ``integrator_step`` is the internal RK4 step; ``None`` selects the default
     rate-scaled rule (see :func:`default_integrator_step`).  When given, it
@@ -83,15 +84,11 @@ class TimeGrid:
 
     t_end: float
     n_samples: int = 201
-    t_start: float = 0.0
     integrator_step: float | None = None
 
     def __post_init__(self):
-        for name in ("t_start", "t_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.t_end > self.t_start:
-            raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2:
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
@@ -105,11 +102,11 @@ class TimeGrid:
 
     @property
     def spacing(self) -> float:
-        return (self.t_end - self.t_start) / (self.n_samples - 1)
+        return self.t_end / (self.n_samples - 1)
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_samples)
+        return np.linspace(0.0, self.t_end, self.n_samples)
 
 
 class _States(Sequence):
@@ -145,16 +142,14 @@ class Trajectory:
     leakage_max: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        entries = np.asarray(self.entries, dtype=np.complex128)
+        times = _read_only(self.times, float)
+        entries = _read_only(self.entries, np.complex128)
         if entries.ndim != 3 or entries.shape[1] != entries.shape[2]:
             raise ValueError(f"entries must be a (n_samples, d, d) stack, got shape {entries.shape}")
         if len(times) != len(entries):
             raise ValueError("times and entries must have equal length")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        times.setflags(write=False)
-        entries.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "entries", entries)
 
@@ -234,22 +229,20 @@ def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a = annihilation(dim)
     eye = np.eye(dim, dtype=np.complex128)
-    num = np.diag(np.arange(dim, dtype=np.complex128))
 
-    def commutator(op, weight):
-        return [(weight, op, eye), (-weight, eye, op)]
+    def commutator(op):
+        return [(-1j, op, eye), (1j, eye, op)]
 
     def dissipator(jump):
         jdj = jump.conj().T @ jump
         return [(2.0, jump, jump.conj().T), (-1.0, jdj, eye), (-1.0, eye, jdj)]
 
-    parts = (
-        commutator(num, -1j),
-        commutator(num @ (num - eye), -1j),
-        commutator(a.conj().T - a, 1.0),
-        dissipator(a),
-        dissipator(a.conj().T),
-    )
+    # H's delta, chi and drive parts are the Hamiltonian at unit coefficients
+    trunc = Truncation(dim)
+    parts = tuple(
+        commutator(hamiltonian(SystemParams(*coeffs, n_th=0.0), trunc))
+        for coeffs in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    ) + (dissipator(a), dissipator(a.conj().T))
 
     # U by columns: vec position s goes to coordinates urow[s] with weights
     # uval[s] (a diagonal position has one, padded with a zero weight).
@@ -582,7 +575,7 @@ def _steady_solve(params: SystemParams, trunc: Truncation):
     return mat, coords, solver
 
 
-def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) -> DensityMatrix:
+def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
     """Unique fixed point of the generator, via a trace-constrained linear solve.
 
     One block-tridiagonal solve of R x = 0 for every cutoff, with R's first
@@ -592,16 +585,17 @@ def steady_state(params: SystemParams, trunc: Truncation, *, tol: float = 1e-9) 
     or non-finite Schur complement, or a residual too large, raises
     NumericalFailureError.  A top-two-level population beyond
     ``trunc.leakage_tol`` raises TruncationError, as in :func:`propagate`, and
-    so do positivity failures beyond ``tol``.
+    so does a state that fails :class:`~kerr_thermo.fock.DensityMatrix`'s
+    checks at its default tolerance 1e-9.
     """
     mat = _steady_solve(params, trunc)[0]
     _check_leakage(_leakage(mat), trunc, "in the steady state")
     try:
-        return DensityMatrix(mat, tol=tol)
+        return DensityMatrix(mat)
     except ValueError as exc:
         raise TruncationError(
-            f"steady state violates density-matrix invariants within tol {tol:.1e} "
-            f"({exc}); n_cut = {trunc.n_cut} is likely too small"
+            f"steady state violates density-matrix invariants ({exc}); "
+            f"n_cut = {trunc.n_cut} is likely too small"
         ) from exc
 
 

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DensityMatrix, SystemParams, Truncation, as_matrix, vacuum_state
+from .fock import DensityMatrix, SystemParams, Truncation, _read_only, as_matrix, vacuum_state
 from .dynamics import (
     _leakage,
     TimeGrid,
@@ -59,7 +59,7 @@ __all__ = [
     "certify_cutoff",
 ]
 
-# Default floor below which an outcome probability is excluded from the CFI sum.
+# Floor at or below which an outcome probability is excluded from the CFI sum.
 _P_FLOOR = 1e-14
 
 # The cutoff certificate: steady-state leakage at most leakage_tol / _CERT_MARGIN
@@ -103,32 +103,29 @@ class SldResult:
 
     qfi: float
     sld: np.ndarray
-    rank_tol: float
 
 
 @dataclass(frozen=True)
 class FisherSeries:
-    """Time-indexed Fisher information values and how they were differentiated.
+    """Time-indexed Fisher information values of one quantity.
 
     ``kind`` is "qfi", "cfi_homodyne" (with ``phi`` set) or "cfi_heterodyne".
+    ``times`` and ``values`` are read-only copies of the arrays passed in.
     """
 
     times: np.ndarray
     values: np.ndarray
     kind: str
-    fd: FdConfig
     phi: float | None = None
     max_skipped_mass: float = 0.0
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = _read_only(self.times, float)
+        values = _read_only(self.values, float)
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
         if np.any(values < 0):
             raise ValueError("Fisher information values must be nonnegative")
-        times.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -200,18 +197,18 @@ def qfi(rho: DensityMatrix, drho, *, rank_tol_rel: float = 1e-12) -> SldResult:
     d = as_matrix(drho)
     if d.shape != r.shape:
         raise ValueError(f"dimension mismatch: rho {r.shape} vs drho {d.shape}")
-    values, weights, d_eig, vec, tols = _qfi_stack(r[None], d[None], rank_tol_rel)
+    values, weights, d_eig, vec = _qfi_stack(r[None], d[None], rank_tol_rel)
     sld = vec[0] @ (weights[0] * d_eig[0]) @ vec[0].conj().T
     sld = 0.5 * (sld + sld.conj().T)
-    return SldResult(qfi=float(values[0]), sld=sld, rank_tol=float(tols[0]))
+    return SldResult(qfi=float(values[0]), sld=sld)
 
 
 def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     """:func:`qfi` for (n, d, d) stacks of states and derivatives.
 
     Returns the n QFI values, the SLD weights 2 / (lambda_k + lambda_l) (0
-    below the rank cutoff), drho in each state's eigenbasis, the eigenvectors
-    and the n rank cutoffs.  An input gate that fails raises for the first
+    below the rank cutoff), drho in each state's eigenbasis and the
+    eigenvectors.  An input gate that fails raises for the first
     failing sample.
     """
     # One stack-sized buffer holds drho^dag, then the symmetric part, then
@@ -236,7 +233,7 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     weights = np.divide(2.0, denom, out=np.zeros_like(denom), where=keep)
     terms = np.abs(d_eig) ** 2
     terms *= weights
-    return terms.sum(axis=(1, 2)), weights, d_eig, vec, tols
+    return terms.sum(axis=(1, 2)), weights, d_eig, vec
 
 
 @dataclass(frozen=True)
@@ -256,7 +253,7 @@ class PerturbedTrajectories:
     derivative: np.ndarray
 
     def __post_init__(self):
-        self.derivative.setflags(write=False)
+        object.__setattr__(self, "derivative", _read_only(self.derivative))
 
     @property
     def times(self) -> np.ndarray:
@@ -307,7 +304,7 @@ def qfi_series(
     """
     tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
     values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)[0]
-    return FisherSeries(times=tr.times, values=values, kind="qfi", fd=cfg)
+    return FisherSeries(times=tr.times, values=values, kind="qfi")
 
 
 class CfiResult(NamedTuple):
@@ -315,10 +312,10 @@ class CfiResult(NamedTuple):
     skipped_mass: float
 
 
-def cfi_result(probabilities, dprobabilities, p_floor: float = _P_FLOOR) -> CfiResult:
+def cfi_result(probabilities, dprobabilities) -> CfiResult:
     """Classical Fisher information sum_x (dp_x)^2 / p_x with an outcome floor.
 
-    Outcomes with p_x <= p_floor are skipped (continuum discretizations
+    Outcomes with p_x <= 1e-14 are skipped (continuum discretizations
     produce numerically empty bins) and their total mass is reported alongside
     the value.
     """
@@ -326,11 +323,11 @@ def cfi_result(probabilities, dprobabilities, p_floor: float = _P_FLOOR) -> CfiR
     dp = np.asarray(dprobabilities, dtype=float)
     if p.shape != dp.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {dp.shape}")
-    values, skipped = _cfi_rows(p.reshape(1, -1), dp.reshape(1, -1), p_floor)
+    values, skipped = _cfi_rows(p.reshape(1, -1), dp.reshape(1, -1))
     return CfiResult(value=float(values[0]), skipped_mass=float(skipped[0]))
 
 
-def _cfi_rows(p: np.ndarray, dp: np.ndarray, p_floor: float) -> tuple[np.ndarray, np.ndarray]:
+def _cfi_rows(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`cfi_result` for each row of (n, n_outcomes) arrays: the CFI values
     and skipped masses.  A gate that fails raises for the first failing row."""
     if p.size and float(p.min()) < -1e-12:
@@ -340,16 +337,16 @@ def _cfi_rows(p: np.ndarray, dp: np.ndarray, p_floor: float) -> tuple[np.ndarray
     if bad.any():
         raise ValueError(f"probabilities sum to {float(total[np.argmax(bad)])!r}, not 1 within 1e-6")
     p = np.clip(p, 0.0, None)
-    keep = p > p_floor
+    keep = p > _P_FLOOR
     skipped = np.where(keep, 0.0, p).sum(axis=1)
     terms = np.square(dp, out=np.zeros_like(p), where=keep)
     np.divide(terms, p, out=terms, where=keep)
     return terms.sum(axis=1), skipped
 
 
-def cfi(probabilities, dprobabilities, p_floor: float = _P_FLOOR) -> float:
+def cfi(probabilities, dprobabilities) -> float:
     """Classical Fisher information of an outcome distribution; see :func:`cfi_result`."""
-    return cfi_result(probabilities, dprobabilities, p_floor).value
+    return cfi_result(probabilities, dprobabilities).value
 
 
 def cr_bound(fisher: float, repetitions: int = 1) -> float:

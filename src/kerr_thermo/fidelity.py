@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketBoundaryWarning
-from .fock import DensityMatrix, _gibbs_population_rows, as_matrix, mean_photon_number
+from .fock import DensityMatrix, _gibbs_population_rows, _read_only, as_matrix, mean_photon_number
 from .dynamics import Trajectory
 
 __all__ = [
@@ -51,9 +51,9 @@ class EffTempTrace:
     fidelity_at_opt: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        n_eff = np.asarray(self.n_eff, dtype=float)
-        fid = np.asarray(self.fidelity_at_opt, dtype=float)
+        times = _read_only(self.times, float)
+        n_eff = _read_only(self.n_eff, float)
+        fid = _read_only(self.fidelity_at_opt, float)
         if not (len(times) == len(n_eff) == len(fid)):
             raise ValueError("times, n_eff and fidelity_at_opt must have equal length")
         if np.any(n_eff < 0):
@@ -61,7 +61,6 @@ class EffTempTrace:
         if np.any(fid < 0) or np.any(fid > 1.0 + 1e-9):
             raise ValueError("fidelity_at_opt values must lie in [0, 1]")
         for name, arr in (("times", times), ("n_eff", n_eff), ("fidelity_at_opt", fid)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def final_window_change(self, window_frac: float = 0.1) -> float:

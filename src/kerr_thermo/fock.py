@@ -11,7 +11,8 @@ at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,29 +42,29 @@ class SystemParams:
     drive: single-photon drive amplitude, >= 0; enters H as
            i drive (a^dag - a), so the driven mean field is real for delta = 0
     n_th:  mean thermal photon number of the reservoir, >= 0
-    gamma: decay rate; the fixed frequency reference, 1.0 by convention
+
+    ``gamma``, the cavity decay rate, is the unit of every rate and time: a
+    class constant 1.0, not a parameter.
     """
 
     delta: float
     chi: float
     drive: float
     n_th: float
-    gamma: float = 1.0
+    gamma: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "chi", "drive", "n_th", "gamma"):
+        for name in ("delta", "chi", "drive", "n_th"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         for name in ("chi", "drive", "n_th"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     def with_n_th(self, n_th: float) -> "SystemParams":
         """Copy with the reservoir occupation replaced (finite-difference probes)."""
-        return SystemParams(self.delta, self.chi, self.drive, float(n_th), self.gamma)
+        return replace(self, n_th=float(n_th))
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class DensityMatrix:
     tol: float = 1e-9
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.complex128)
+        entries = _read_only(self.entries, np.complex128)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
@@ -118,7 +119,6 @@ class DensityMatrix:
             raise ValueError(
                 f"smallest eigenvalue {lam_min:.3e} below -tol = {-self.tol:.1e}"
             )
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -132,6 +132,13 @@ class DensityMatrix:
     def populations(self) -> np.ndarray:
         """Diagonal of rho in the Fock basis (real)."""
         return self.entries.diagonal().real.copy()
+
+
+def _read_only(value, dtype=None) -> np.ndarray:
+    """A read-only copy of ``value``: a record stores it and leaves the caller's array alone."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 def as_matrix(state) -> np.ndarray:

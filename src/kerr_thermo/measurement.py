@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridInsufficientError, TruncationError, TailMassWarning
-from .fock import SystemParams, Truncation, annihilation, as_matrix
+from .fock import SystemParams, Truncation, _read_only, annihilation, as_matrix
 from .dynamics import TimeGrid, _coordinates
 from .estimation import (
-    _P_FLOOR,
     FdConfig,
     FisherSeries,
     PerturbedTrajectories,
@@ -54,6 +53,10 @@ __all__ = [
 # rank-one elements and their coordinate temporaries take about 1.8 MB,
 # beside 11.6 MB for the 1617-outcome heterodyne map itself.
 _MAP_CHUNK = 64
+
+# The heterodyne grid is a Riemann sum, so its identity resolution holds only
+# to this defect; a projective homodyne POVM is held to Povm's default 1e-6.
+_HETERODYNE_COMPLETENESS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,9 @@ class Povm:
     completeness_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.complex128)
-        weights = np.asarray(self.weights, dtype=float)
-        labels = np.asarray(self.labels)
+        vectors = _read_only(self.vectors, np.complex128)
+        weights = _read_only(self.weights, float)
+        labels = _read_only(self.labels)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2d (n_outcomes, dim), got {vectors.shape}")
         if len(weights) != vectors.shape[0] or len(labels) != vectors.shape[0]:
@@ -95,7 +98,6 @@ class Povm:
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
         for name, arr in (("vectors", vectors), ("weights", weights), ("labels", labels)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         defect = float(np.abs(self.completeness_operator() - np.eye(self.dim)).max())
         if defect > self.completeness_tol:
@@ -232,7 +234,6 @@ def heterodyne_povm(
     grid_radius: float | None = None,
     grid_step: float | None = None,
     mean_photon: float = 0.0,
-    completeness_tol: float = 1e-4,
 ) -> Povm:
     """Coherent-state POVM |alpha><alpha| / pi on a square grid over a disc.
 
@@ -240,7 +241,7 @@ def heterodyne_povm(
     ``grid_radius``; each element carries Riemann weight step^2 / pi.  Defaults
     cover both the Husimi support of a state with the given ``mean_photon``
     and the identity resolution on the full truncated space.  A completeness
-    defect above ``completeness_tol`` raises GridInsufficientError.
+    defect above 1e-4 raises GridInsufficientError.
     """
     dim = trunc.n_cut
     if grid_radius is None:
@@ -263,7 +264,7 @@ def heterodyne_povm(
             weights=weights,
             labels=alphas,
             kind="heterodyne",
-            completeness_tol=completeness_tol,
+            completeness_tol=_HETERODYNE_COMPLETENESS_TOL,
         )
     except ValueError as exc:
         raise GridInsufficientError(
@@ -334,13 +335,12 @@ def cfi_series(
     outcome_map = _outcome_map(povm)
     p = _probabilities(tr.central.entries, outcome_map)
     dp = _coordinates(tr.derivative) @ outcome_map.T
-    values, skipped = _cfi_rows(p, dp, _P_FLOOR)
+    values, skipped = _cfi_rows(p, dp)
     kind = "cfi_homodyne" if povm.kind == "homodyne" else "cfi_heterodyne"
     return FisherSeries(
         times=tr.times,
         values=values,
         kind=kind,
-        fd=cfg,
         phi=povm.phi,
         max_skipped_mass=float(skipped.max()),
     )

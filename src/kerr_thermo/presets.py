@@ -13,7 +13,6 @@ __all__ = ["PRESETS", "FIGURE_NAMES"]
 
 _COMMON_DYNAMICS = {
     "delta": "-3.5",
-    "gamma": "1.0",
     "n_cut": "auto",
     "t_end": "30",
     "n_samples": "201",
@@ -21,11 +20,8 @@ _COMMON_DYNAMICS = {
 
 _SPECTRUM_COMMON = {
     "delta": "-3.5",
-    "gamma": "1.0",
     "n_th": "0.0",
     "n_cut": "72",
-    "window_lo": "30",
-    "window_hi": "50",
 }
 
 _CHI_SCAN = "0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0"
@@ -92,7 +88,6 @@ PRESETS["fig7a"] = {
     "chi": _CHI_SCAN,
     "drive": "1.0",
     "delta": "-3.5",
-    "gamma": "1.0",
     "n_cut": "30",
     "_inferred": ("chi", "drive", "n_cut"),
 }
@@ -103,7 +98,6 @@ PRESETS["fig7b"] = {
     "chi": "0.5",
     "drive": _CHI_SCAN,
     "delta": "-3.5",
-    "gamma": "1.0",
     "n_cut": "30",
     "_inferred": ("chi", "drive", "n_cut"),
 }

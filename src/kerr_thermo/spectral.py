@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SystemParams, Truncation, hamiltonian
+from .fock import SystemParams, Truncation, _read_only, hamiltonian
 
 __all__ = ["SpectralReport", "spectrum", "gap_variance"]
 
@@ -25,14 +25,12 @@ class SpectralReport:
     variance: float
 
     def __post_init__(self):
-        eig = np.asarray(self.eigenvalues, dtype=float)
-        gaps = np.asarray(self.gaps, dtype=float)
+        eig = _read_only(self.eigenvalues, float)
+        gaps = _read_only(self.gaps, float)
         if len(gaps) != len(eig) - 1:
             raise ValueError("gaps must have one entry fewer than eigenvalues")
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
-        eig.setflags(write=False)
-        gaps.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "gaps", gaps)
 

@@ -144,9 +144,11 @@ class TestParseConfig:
     def test_removed_keys_are_unknown(self):
         # t_start only relabelled the time axis, abs_floor mattered only below
         # n_th ~ 1e-6, heterodyne_povm sizes its own grid from n_cut, and
-        # rel_step and repetitions had one value in use
+        # rel_step, repetitions, gamma (the unit) and the gap window had one
+        # value in use
         for key in (
-            "t_start", "abs_floor", "heterodyne_radius", "heterodyne_step", "rel_step", "repetitions"
+            "t_start", "abs_floor", "heterodyne_radius", "heterodyne_step", "rel_step", "repetitions",
+            "gamma", "window_lo", "window_hi",
         ):
             with pytest.raises(ConfigError, match="unknown key") as info:
                 parse_config(f"command = thermalize\nn_th = 0.1\n{key} = 1\n")
@@ -437,7 +439,7 @@ class TestRun:
     def test_spectrum_csv(self, tmp_path):
         cfg = parse_config(
             "command = spectrum\nn_th = 0\nchi = 0.5\ndrive = 0\ndelta = -3.5\n"
-            "n_cut = 80\nwindow_lo = 30\nwindow_hi = 50\n"
+            "n_cut = 80\n"
         )
         run(cfg, out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "spectrum.csv").splitlines() if not ln.startswith("#")]

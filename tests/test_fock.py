@@ -5,7 +5,13 @@ import pytest
 
 from kerr_thermo import (
     DensityMatrix,
+    EffTempTrace,
+    FisherSeries,
+    PerturbedTrajectories,
+    Povm,
+    SpectralReport,
     SystemParams,
+    Trajectory,
     Truncation,
     annihilation,
     creation,
@@ -59,8 +65,10 @@ class TestSystemParams:
             SystemParams(delta=0.0, chi=-0.1, drive=0.0, n_th=0.0)
         with pytest.raises(ValueError):
             SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=-0.1)
-        with pytest.raises(ValueError):
+        # gamma is the unit, a class constant rather than a parameter
+        with pytest.raises(TypeError):
             SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.0, gamma=0.0)
+        assert SystemParams.gamma == 1.0
         with pytest.raises(ValueError):
             SystemParams(delta=float("nan"), chi=0.0, drive=0.0, n_th=0.0)
 
@@ -188,3 +196,50 @@ class TestDensityMatrix:
         v = vacuum_state(Truncation(3))
         with pytest.raises(ValueError):
             v.entries[0, 0] = 0.5
+
+
+# Each record's array fields, built fresh per call, and its other arguments.
+READ_ONLY_RECORDS = {
+    "Povm": (
+        Povm,
+        lambda: dict(vectors=np.eye(3, dtype=complex), weights=np.ones(3), labels=np.arange(3.0)),
+        dict(kind="homodyne"),
+    ),
+    "FisherSeries": (FisherSeries, lambda: dict(times=np.arange(3.0), values=np.ones(3)), dict(kind="qfi")),
+    "EffTempTrace": (
+        EffTempTrace,
+        lambda: dict(times=np.arange(3.0), n_eff=np.ones(3), fidelity_at_opt=np.ones(3)),
+        {},
+    ),
+    "Trajectory": (
+        Trajectory,
+        lambda: dict(times=np.arange(2.0), entries=np.zeros((2, 2, 2), dtype=complex)),
+        dict(leakage_max=0.0),
+    ),
+    "SpectralReport": (
+        SpectralReport,
+        lambda: dict(eigenvalues=np.arange(4.0), gaps=np.ones(3)),
+        dict(window=(0, 1), variance=0.0),
+    ),
+    "PerturbedTrajectories": (
+        PerturbedTrajectories,
+        lambda: dict(derivative=np.zeros((2, 2, 2), dtype=complex)),
+        dict(
+            params=SystemParams(0.0, 0.0, 0.0, 0.1),
+            step=1e-4,
+            central=Trajectory(np.arange(2.0), np.zeros((2, 2, 2), dtype=complex), 0.0),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY_RECORDS))
+def test_records_store_read_only_copies(name):
+    cls, make_arrays, others = READ_ONLY_RECORDS[name]
+    arrays = make_arrays()
+    record = cls(**arrays, **others)
+    for key, given in arrays.items():
+        stored = getattr(record, key)
+        assert given.flags.writeable, f"{name} made the caller's {key} read-only"
+        assert not stored.flags.writeable, f"{name}.{key} is writeable"
+        np.testing.assert_array_equal(stored, given)
