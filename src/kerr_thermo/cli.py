@@ -45,10 +45,6 @@ from .spectral import gap_variance, spectrum
 
 __all__ = ["run", "reproduce_figure", "main", "RunReport"]
 
-# Homodyne outcomes: the eigenbasis of the quadrature on this many levels, so
-# the cfi_hom columns do not depend on the state's cutoff.
-_HOMODYNE_LEVELS = 60
-
 
 @dataclass
 class RunReport:
@@ -196,7 +192,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             traj = propagate(vacuum_state(trunc), params, grid, trunc)
             search, origin = config.search_max, ""
             if search is None:
-                search, origin = default_search_max(traj.final, params.n_th), " (auto)"
+                search, origin = default_search_max(traj.entries), " (auto)"
             trace = thermalization_trace(traj, search)
             columns = {
                 "gamma_t": trace.times,
@@ -221,10 +217,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             ]
             povms = {}
             if config.command == "cfi":  # a qfi run ignores homodyne_phis and heterodyne
-                povms = {
-                    homodyne_label(phi): homodyne_povm(phi, trunc, _HOMODYNE_LEVELS)
-                    for phi in config.homodyne_phis
-                }
+                povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in config.homodyne_phis}
                 if config.heterodyne:
                     povms["cfi_het"] = heterodyne_povm(
                         trunc, mean_photon=mean_photon_number(trajectories.central.final)

@@ -310,14 +310,14 @@ def _coordinates(mat: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _entry_order(dim: int) -> np.ndarray:
-    """Row-major positions of a d x d matrix as indices into its value row
+    """For each entry (i, j) of a d x d matrix, its index in the value row
     [diagonal, upper triangle, conjugated upper triangle]; built once, read-only."""
     iu, ju = _upper_indices(dim)
     m = iu.size
-    order = np.empty(dim * dim, dtype=np.intp)
-    order[np.arange(dim) * (dim + 1)] = np.arange(dim)
-    order[iu * dim + ju] = dim + np.arange(m)
-    order[ju * dim + iu] = dim + m + np.arange(m)
+    order = np.empty((dim, dim), dtype=np.intp)
+    order[np.diag_indices(dim)] = np.arange(dim)
+    order[iu, ju] = dim + np.arange(m)
+    order[ju, iu] = dim + m + np.arange(m)
     order.setflags(write=False)
     return order
 
@@ -325,11 +325,12 @@ def _entry_order(dim: int) -> np.ndarray:
 def _from_coordinate_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     """The (n, d, d) Hermitian matrices whose coordinates are the rows, each built
     from its upper triangle; one gather by ``_entry_order`` fills the whole
-    stack (``np.take`` keeps it C-contiguous, where ``values[:, order]`` would not)."""
+    stack, a new C-contiguous array that owns its memory (``values[:, order]``
+    would not be C-contiguous)."""
     re, im = np.split(rows[:, dim:], 2, axis=1)
     upper = (re + 1j * im) / math.sqrt(2.0)
     values = np.concatenate([rows[:, :dim].astype(np.complex128), upper, upper.conj()], axis=1)
-    return np.take(values, _entry_order(dim), axis=1).reshape(len(rows), dim, dim)
+    return np.take(values, _entry_order(dim), axis=1)
 
 
 def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
@@ -400,6 +401,7 @@ def propagate(
         entries = _from_coordinate_rows(rows, dim)
     entries[0] = rho0.entries
     leakage_max = _validate_samples(entries, times, trunc)
+    entries.setflags(write=False)
     return Trajectory(times=times, entries=entries, leakage_max=leakage_max)
 
 

@@ -286,7 +286,34 @@ def perturbed_trajectories(
     # amplified trace roundoff before it meets the qfi input gate.
     dim = drho.shape[-1]
     drho -= (np.trace(drho, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    drho.setflags(write=False)
     return PerturbedTrajectories(params=params, step=h, central=runs[0], derivative=drho)
+
+
+def _checked_pair(
+    params: SystemParams,
+    grid: TimeGrid,
+    trunc: Truncation,
+    cfg: FdConfig,
+    pair: PerturbedTrajectories | None,
+) -> PerturbedTrajectories:
+    """The (central, derivative) pair for these inputs: propagated when ``pair``
+    is None, else checked against them.  A pair built for other inputs raises
+    ValueError naming the field that differs."""
+    if pair is None:
+        return perturbed_trajectories(params, grid, trunc, cfg)
+    if pair.params != params:
+        raise ValueError(f"trajectories.params {pair.params} differs from params {params}")
+    if not np.array_equal(pair.times, grid.times):
+        raise ValueError("trajectories.times differs from grid.times")
+    if pair.central.entries.shape[-1] != trunc.n_cut:
+        raise ValueError(
+            f"trajectories dimension {pair.central.entries.shape[-1]} differs from n_cut {trunc.n_cut}"
+        )
+    step = fd_step(params.n_th, cfg)
+    if pair.step != step:
+        raise ValueError(f"trajectories.step {pair.step!r} differs from the stencil step {step!r}")
+    return pair
 
 
 def qfi_series(
@@ -300,9 +327,10 @@ def qfi_series(
     """QFI of the evolved probe state as a function of time.
 
     Pass ``trajectories`` to reuse propagations already computed (e.g. when a
-    measurement CFI series over the same grid is also wanted).
+    measurement CFI series over the same grid is also wanted); a pair built
+    for other inputs raises ValueError.
     """
-    tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
+    tr = _checked_pair(params, grid, trunc, cfg, trajectories)
     values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)[0]
     return FisherSeries(times=tr.times, values=values, kind="qfi")
 

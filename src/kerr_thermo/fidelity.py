@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketBoundaryWarning
-from .fock import DensityMatrix, _gibbs_population_rows, _read_only, as_matrix, mean_photon_number
+from .fock import DensityMatrix, _gibbs_population_rows, _read_only, as_matrix
 from .dynamics import Trajectory
 
 __all__ = [
@@ -243,19 +243,20 @@ def effective_temperature(rho, search_max: float) -> tuple[float, float]:
     return float(n_eff[0]), float(fid[0])
 
 
-def default_search_max(rho, n_th: float = 0.0) -> float:
-    """Generous search bracket scaling with the state's occupation: 5 (n_th + <n> + 0.1)."""
-    return 5.0 * (n_th + mean_photon_number(rho) + 0.1)
+def default_search_max(rho) -> float:
+    """Generous search bracket 5 (max <n> + 0.1), over one state or a (m, d, d) stack."""
+    entries = as_matrix(rho)
+    occupations = (np.arange(entries.shape[-1]) * entries.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
+    return 5.0 * (float(np.max(occupations)) + 0.1)
 
 
 def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> EffTempTrace:
     """Effective temperature at every sampled state of a trajectory.
 
-    With ``search_max=None`` a single bracket is used for the whole trace,
-    5 * (max <n> over the trajectory + 0.1); pass an explicit value when the
-    reservoir occupation is known.
+    With ``search_max=None`` one bracket serves the whole trace,
+    :func:`default_search_max` of the trajectory's stack.
     """
     if search_max is None:
-        search_max = 5.0 * (float(np.max(traj.photon_numbers())) + 0.1)
+        search_max = default_search_max(traj.entries)
     n_eff, fid = _effective_temperatures(traj.entries, search_max)
     return EffTempTrace(times=traj.times, n_eff=n_eff, fidelity_at_opt=fid)

@@ -135,7 +135,19 @@ class DensityMatrix:
 
 
 def _read_only(value, dtype=None) -> np.ndarray:
-    """A read-only copy of ``value``: a record stores it and leaves the caller's array alone."""
+    """A read-only copy of ``value``: a record stores it and leaves the caller's array alone.
+
+    An array that is already read-only, owns its memory and has the dtype is
+    stored as it is: no view of it can write, so a copy would only double the
+    memory.
+    """
+    if (
+        isinstance(value, np.ndarray)
+        and value.base is None
+        and not value.flags.writeable
+        and (dtype is None or value.dtype == dtype)
+    ):
+        return value
     arr = np.array(value, dtype=dtype)
     arr.setflags(write=False)
     return arr

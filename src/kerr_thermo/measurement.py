@@ -1,10 +1,10 @@
 """Gaussian measurements in the truncated Fock basis and their Fisher information.
 
 Homodyne detection measures the quadrature Q_phi = (a e^{-i phi} + a^dag e^{i phi})/2;
-its POVM is the eigenprojector family of a truncated quadrature operator, so
-completeness is exact by the spectral theorem and the continuum is discretized
-without any bin-width parameter.  The quadrature may be truncated above the
-state's cutoff, which fixes the number of outcomes independently of it.
+its POVM is one 60-level quadrature eigenbasis restricted to the state's
+levels, so completeness is exact by the spectral theorem, no bin width enters,
+and the outcomes do not depend on the cutoff.  Each angle's basis is the
+phi = 0 basis times the phase e^{i phi n} on Fock component n.
 Heterodyne detection is the coherent-state POVM |alpha><alpha| / pi,
 discretized on a square grid over a disc with the grid cell area as the
 integration weight; its outcome distribution is the Husimi Q function.
@@ -31,13 +31,7 @@ import numpy as np
 from .errors import GridInsufficientError, TruncationError, TailMassWarning
 from .fock import SystemParams, Truncation, _read_only, annihilation, as_matrix
 from .dynamics import TimeGrid, _coordinates
-from .estimation import (
-    FdConfig,
-    FisherSeries,
-    PerturbedTrajectories,
-    _cfi_rows,
-    perturbed_trajectories,
-)
+from .estimation import FdConfig, FisherSeries, PerturbedTrajectories, _cfi_rows, _checked_pair
 
 __all__ = [
     "Povm",
@@ -55,8 +49,12 @@ __all__ = [
 _MAP_CHUNK = 64
 
 # The heterodyne grid is a Riemann sum, so its identity resolution holds only
-# to this defect; a projective homodyne POVM is held to Povm's default 1e-6.
+# to this defect; the homodyne eigenbasis is held to Povm's default 1e-6.
 _HETERODYNE_COMPLETENESS_TOL = 1e-4
+
+# Homodyne outcomes: the quadrature eigenbasis on this many levels (or n_cut,
+# if larger), so the cfi_hom columns do not depend on the state's cutoff.
+_HOMODYNE_LEVELS = 60
 
 
 @dataclass(frozen=True)
@@ -135,26 +133,25 @@ def quadrature_op(phi: float, trunc: Truncation) -> np.ndarray:
     return rotated + rotated.conj().T
 
 
-def homodyne_povm(phi: float, trunc: Truncation, levels: int | None = None) -> Povm:
-    """Projective POVM of a truncated quadrature operator at angle ``phi``.
+def homodyne_povm(phi: float, trunc: Truncation) -> Povm:
+    """POVM of the quadrature at angle ``phi`` on the state's n_cut levels.
 
-    Labels are the (ascending) eigenvalues and each outcome carries weight
-    one.  With ``levels`` None the operator is truncated at n_cut, so the POVM
-    has n_cut outcomes.  With ``levels`` set, it is the eigenbasis of the
-    ``max(levels, n_cut)``-level quadrature restricted to the first n_cut Fock
-    components: that many outcomes, whatever n_cut is, so the measurement does
-    not change with the state's cutoff.  Either way the resolution of the
-    identity on the n_cut levels is exact.
+    The eigenbasis of the phi = 0 quadrature on ``max(60, n_cut)`` levels,
+    restricted to the first n_cut Fock components: that many outcomes and an
+    exact identity resolution on the n_cut levels, whatever n_cut is.  Angle
+    phi multiplies component n by e^{i phi n}, exact since Q_phi = U Q_0 U^dag
+    with U = e^{i phi a^dag a}.  Labels are the ascending eigenvalues, the
+    same at every angle, and each outcome carries weight one.
     """
-    size = trunc.n_cut if levels is None else max(levels, trunc.n_cut)
-    values, vectors = np.linalg.eigh(quadrature_op(phi, Truncation(size)))
+    size = max(_HOMODYNE_LEVELS, trunc.n_cut)
+    values, basis = np.linalg.eigh(quadrature_op(0.0, Truncation(size)))
+    phases = np.exp(1j * phi * np.arange(trunc.n_cut))
     return Povm(
-        vectors=vectors[: trunc.n_cut].T,
+        vectors=basis[: trunc.n_cut].T * phases,
         weights=np.ones(size),
         labels=values,
         kind="homodyne",
         phi=float(phi),
-        completeness_tol=1e-6,
     )
 
 
@@ -326,12 +323,15 @@ def cfi_series(
     """CFI of the POVM outcome distribution along the evolved probe state.
 
     Reuses the same (central, derivative) pair as the QFI series (pass it in
-    to avoid re-propagating).  The outcome map gives the distributions of the
-    central stack in one matmul and, by linearity, their n_th-derivatives from
-    the derivative stack in one more; the classical Fisher sum runs over every
-    sample at once.
+    to avoid re-propagating; a pair built for other inputs, or a POVM on
+    another dimension, raises ValueError).  The outcome map gives the
+    distributions of the central stack in one matmul and, by linearity, their
+    n_th-derivatives from the derivative stack in one more; the classical
+    Fisher sum runs over every sample at once.
     """
-    tr = trajectories if trajectories is not None else perturbed_trajectories(params, grid, trunc, cfg)
+    tr = _checked_pair(params, grid, trunc, cfg, trajectories)
+    if povm.dim != trunc.n_cut:
+        raise ValueError(f"povm.dim {povm.dim} differs from n_cut {trunc.n_cut}")
     outcome_map = _outcome_map(povm)
     p = _probabilities(tr.central.entries, outcome_map)
     dp = _coordinates(tr.derivative) @ outcome_map.T

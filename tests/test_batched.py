@@ -127,7 +127,7 @@ def test_qfi_series_matches_per_state_qfi(fig8a):
 def test_batched_probabilities_match_one_state(fig8a, kind):
     trunc, tt = fig8a
     if kind == "homodyne":
-        povm = homodyne_povm(0.9 * math.pi, trunc, 60)
+        povm = homodyne_povm(0.9 * math.pi, trunc)
     else:
         povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
     batched = measurement._probabilities(tt.central.entries, measurement._outcome_map(povm))

@@ -6,10 +6,23 @@ import sys
 import numpy as np
 import pytest
 
-from kerr_thermo import Truncation, default_search_max, propagate, vacuum_state
+from kerr_thermo import (
+    FdConfig,
+    Truncation,
+    cfi_series,
+    default_search_max,
+    heterodyne_povm,
+    homodyne_povm,
+    mean_photon_number,
+    perturbed_trajectories,
+    propagate,
+    qfi_series,
+    thermalization_trace,
+    vacuum_state,
+)
 from kerr_thermo import cli, config
 from kerr_thermo.cli import main, reproduce_figure, run
-from kerr_thermo.config import parse_config, resolve_config
+from kerr_thermo.config import homodyne_label, parse_config, resolve_config
 from kerr_thermo.errors import ConfigError, TruncationError
 from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
@@ -418,7 +431,7 @@ class TestRun:
         report = run(cfg, out_dir=str(tmp_path))
         trunc = Truncation(cfg.n_cut)
         traj = propagate(vacuum_state(trunc), cfg.params_at(cfg.sweep_points()[0]), cfg.grid(), trunc)
-        auto = default_search_max(traj.final, 0.1)
+        auto = default_search_max(traj.entries)
         assert report.summaries[0].endswith(f", search_max = {auto:.6g} (auto)")
         assert report.summaries[0] in read_lines(tmp_path / "run_report.txt")
         cfg = parse_config(FAST_THERMALIZE + "search_max = 0.75\n")
@@ -551,6 +564,50 @@ class TestRunOracles:
         assert rows[0] == "gamma_t,qfi"
         final_qfi = float(rows[-1].split(",")[1])
         assert final_qfi == pytest.approx(19.0476, abs=2e-3)
+
+
+def printed_columns(path):
+    """A CSV's columns by name, each value as the file prints it."""
+    lines = [ln for ln in read_lines(path).splitlines() if not ln.startswith("#")]
+    names = lines[0].split(",")
+    return {name: [row.split(",")[i] for row in lines[1:]] for i, name in enumerate(names)}
+
+
+def printed(values):
+    return [f"{x:.11e}" for x in values]
+
+
+class TestRunnerAddsNoDefaults:
+    """Every CSV column is what the library's own calls give at
+    ``config.trunc()``, with no argument the runner chooses for itself."""
+
+    SHORT_GRID = ("t_end=3", "n_samples=7")
+
+    def test_cfi_columns_are_the_library_series(self, tmp_path):
+        cfg = resolve_config(preset="fig8a", overrides=self.SHORT_GRID)
+        run(cfg, out_dir=str(tmp_path))
+        params = cfg.params_at(cfg.sweep_points()[0])
+        grid, trunc, fd = cfg.grid(), cfg.trunc(), FdConfig()
+        pair = perturbed_trajectories(params, grid, trunc, fd)
+        expected = {"gamma_t": pair.times, "qfi": qfi_series(params, grid, trunc, fd, trajectories=pair).values}
+        povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in cfg.homodyne_phis}
+        povms["cfi_het"] = heterodyne_povm(trunc, mean_photon=mean_photon_number(pair.central.final))
+        for name, povm in povms.items():
+            expected[name] = cfi_series(params, grid, trunc, fd, povm, trajectories=pair).values
+        got = printed_columns(tmp_path / "cfi.csv")
+        assert list(got) == ["gamma_t", "qfi", "cfi_hom_phi0.9pi", "cfi_het"]
+        assert got == {name: printed(values) for name, values in expected.items()}
+
+    def test_thermalize_columns_are_the_library_trace(self, tmp_path):
+        cfg = resolve_config(preset="fig2a", overrides=self.SHORT_GRID)
+        run(cfg, out_dir=str(tmp_path))
+        trunc = cfg.trunc()
+        traj = propagate(vacuum_state(trunc), cfg.params_at(cfg.sweep_points()[0]), cfg.grid(), trunc)
+        trace = thermalization_trace(traj)
+        expected = {"gamma_t": trace.times, "n_eff": trace.n_eff, "fidelity_at_opt": trace.fidelity_at_opt}
+        assert printed_columns(tmp_path / "thermalize.csv") == {
+            name: printed(values) for name, values in expected.items()
+        }
 
 
 class TestReproduceFigure:

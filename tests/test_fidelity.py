@@ -125,7 +125,7 @@ class TestEffectiveTemperature:
 
     def test_default_search_max_scales_with_occupation(self):
         rho = gibbs_state(0.2, Truncation(40))
-        assert default_search_max(rho, n_th=0.1) == pytest.approx(5 * (0.1 + 0.2 + 0.1), rel=1e-6)
+        assert default_search_max(rho) == pytest.approx(5 * (0.2 + 0.1), rel=1e-6)
 
 
 class TestThermalizationTrace:
@@ -222,7 +222,7 @@ def fig2a_trajectory(request):
     trunc = Truncation(30)
     params = SystemParams(delta=-3.5, chi=0.5, drive=request.param, n_th=0.05)
     traj = propagate(vacuum_state(trunc), params, TimeGrid(t_end=30.0, n_samples=41), trunc)
-    return traj, default_search_max(traj.final, params.n_th)
+    return traj, default_search_max(traj.entries)
 
 
 def count_kernel_calls(monkeypatch):
@@ -302,7 +302,7 @@ class TestEffectiveTemperatureSearch:
         trunc = Truncation(30)
         params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
         traj = propagate(vacuum_state(trunc), params, TimeGrid(t_end=30.0, n_samples=201), trunc)
-        search_max = default_search_max(traj.final, params.n_th)
+        search_max = default_search_max(traj.entries)
         tracemalloc.start()
         try:
             thermalization_trace(traj, search_max)

@@ -243,3 +243,23 @@ def test_records_store_read_only_copies(name):
         assert given.flags.writeable, f"{name} made the caller's {key} read-only"
         assert not stored.flags.writeable, f"{name}.{key} is writeable"
         np.testing.assert_array_equal(stored, given)
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY_RECORDS))
+def test_records_keep_frozen_owning_arrays_and_copy_views(name):
+    # an array that owns its memory and that nothing can write is stored as
+    # it is; a read-only view of a writable array is still copied
+    cls, make_arrays, others = READ_ONLY_RECORDS[name]
+    frozen = make_arrays()
+    for arr in frozen.values():
+        arr.setflags(write=False)
+    record = cls(**frozen, **others)
+    for key, given in frozen.items():
+        assert getattr(record, key) is given, f"{name} copied a frozen {key}"
+    bases = make_arrays()
+    views = {key: arr.view() for key, arr in bases.items()}
+    for view in views.values():
+        view.setflags(write=False)
+    record = cls(**views, **others)
+    for key, base in bases.items():
+        assert not np.shares_memory(getattr(record, key), base), f"{name} kept a view as {key}"

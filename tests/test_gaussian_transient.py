@@ -89,7 +89,7 @@ def test_qfi_series(n_cut):
 def test_homodyne_cfi_series(n_cut, phi):
     n, dn = occupation()
     trunc = Truncation(n_cut)
-    povm = homodyne_povm(phi, trunc, 60)
+    povm = homodyne_povm(phi, trunc)
     values = cfi_series(FIG3A_CHI0, GRID, trunc, CFG, povm, trajectories=pair(n_cut)).values
     assert relative_deviation(values, 2 * dn**2 / (2 * n + 1) ** 2) < HOMODYNE_BAND
 

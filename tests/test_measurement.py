@@ -5,6 +5,7 @@ import pytest
 
 from kerr_thermo import (
     FdConfig,
+    Povm,
     SystemParams,
     TimeGrid,
     Truncation,
@@ -26,6 +27,8 @@ from kerr_thermo import (
 )
 from kerr_thermo import measurement
 from kerr_thermo.errors import GridInsufficientError, TailMassWarning, TruncationError
+
+from conftest import random_density_matrix
 
 
 class TestQuadratureOp:
@@ -59,10 +62,6 @@ class TestHomodynePovm:
         defect = np.abs(povm.completeness_operator() - np.eye(25)).max()
         assert defect <= 1e-12
 
-    def test_dim_two_labels(self):
-        povm = homodyne_povm(0.0, Truncation(2))
-        np.testing.assert_allclose(sorted(povm.labels), [-0.5, 0.5], atol=1e-14)
-
     def test_vacuum_moments(self):
         # vacuum quadrature moments oracle: mean 0, variance 1/4
         trunc = Truncation(30)
@@ -73,7 +72,8 @@ class TestHomodynePovm:
         assert np.sum(p * labels**2) == pytest.approx(0.25, abs=1e-8)
 
     def test_elements_are_rank_one_projectors(self):
-        povm = homodyne_povm(0.1, Truncation(6))
+        # at n_cut 60 the outcomes are the full quadrature eigenbasis
+        povm = homodyne_povm(0.1, Truncation(60))
         for i in range(povm.n_outcomes):
             el = povm.element(i)
             ev = np.linalg.eigvalsh(el)
@@ -183,7 +183,7 @@ class TestHeterodynePovm:
 
 class TestOutcomeDistribution:
     def test_maximally_mixed_uniform(self):
-        d = 12
+        d = 60
         trunc = Truncation(d)
         povm = homodyne_povm(0.0, trunc)
         p = outcome_distribution(np.eye(d) / d, povm)
@@ -277,33 +277,31 @@ class TestSteadyStateGaussianOracles:
 class TestFixedSizeHomodyne:
     PARAMS = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
 
-    def steady_cfi(self, n_cut, levels):
+    def steady_cfi(self, n_cut):
         # exact CFI of the steady state: dp_x = <v_x| drho |v_x> is linear in drho
         trunc = Truncation(n_cut)
         rho, drho = steady_state_tangent(self.PARAMS, trunc)
-        povm = homodyne_povm(0.9 * math.pi, trunc, levels)
+        povm = homodyne_povm(0.9 * math.pi, trunc)
         dp = np.einsum("xi,ij,xj->x", povm.vectors.conj(), drho, povm.vectors).real
         return cfi(outcome_distribution(rho, povm), dp), povm
 
     def test_cfi_does_not_depend_on_cutoff(self):
-        small, povm_small = self.steady_cfi(16, 60)
-        large, povm_large = self.steady_cfi(24, 60)
+        small, povm_small = self.steady_cfi(16)
+        large, povm_large = self.steady_cfi(24)
         assert abs(small - large) <= 1e-8 * large
         for povm in (povm_small, povm_large):
             assert povm.n_outcomes == 60
             assert povm.completeness_defect <= 1e-12
-        # the n_cut-outcome POVM moves by about 1e-4 over the same cutoffs
-        assert abs(self.steady_cfi(16, None)[0] - self.steady_cfi(24, None)[0]) > 1e-5 * large
 
     def test_outcomes_are_the_large_quadrature_eigenbasis(self):
         trunc = Truncation(10)
-        povm = homodyne_povm(0.3, trunc, levels=40)
-        full = homodyne_povm(0.3, Truncation(40))
-        assert povm.vectors.shape == (40, 10)
+        povm = homodyne_povm(0.3, trunc)
+        full = homodyne_povm(0.3, Truncation(60))
+        assert povm.vectors.shape == (60, 10)
         np.testing.assert_array_equal(povm.labels, full.labels)
         np.testing.assert_array_equal(povm.vectors, full.vectors[:, :10])
         # a state on the lower levels has the same outcome distribution either way
-        rho = np.zeros((40, 40), dtype=complex)
+        rho = np.zeros((60, 60), dtype=complex)
         rho[:10, :10] = gibbs_state(0.2, trunc).entries
         np.testing.assert_allclose(
             outcome_distribution(gibbs_state(0.2, trunc), povm),
@@ -312,5 +310,33 @@ class TestFixedSizeHomodyne:
         )
 
     def test_levels_below_cutoff_keep_cutoff_size(self):
-        povm = homodyne_povm(0.3, Truncation(20), levels=8)
-        np.testing.assert_array_equal(povm.vectors, homodyne_povm(0.3, Truncation(20)).vectors)
+        # above 60 levels the quadrature is diagonalized on the cutoff itself
+        povm = homodyne_povm(0.3, Truncation(72))
+        assert povm.vectors.shape == (72, 72)
+        assert povm.completeness_defect <= 1e-12
+
+    def test_each_angle_is_a_phase_of_the_phi_zero_basis(self):
+        trunc = Truncation(16)
+        base = homodyne_povm(0.0, trunc)
+        for phi in (0.3, 0.9 * math.pi, 2.0, -1.1):
+            povm = homodyne_povm(phi, trunc)
+            np.testing.assert_array_equal(povm.labels, base.labels)
+            np.testing.assert_array_equal(povm.vectors, base.vectors * np.exp(1j * phi * np.arange(16)))
+
+    def test_phase_basis_measures_as_the_eigenbasis_of_the_rotated_quadrature(self, rng):
+        # reference: eigh of quadrature_op(phi) on 60 levels, angle by angle;
+        # the two bases differ by eigenvector phases, which no distribution sees
+        trunc = Truncation(60)
+        states = [random_density_matrix(rng, 60) for _ in range(3)]
+        for phi in (0.0, 0.4, 0.9 * math.pi, 2.5):
+            values, vectors = np.linalg.eigh(quadrature_op(phi, trunc))
+            reference = Povm(vectors=vectors.T, weights=np.ones(60), labels=values, kind="homodyne")
+            povm = homodyne_povm(phi, trunc)
+            np.testing.assert_allclose(povm.labels, values, rtol=0, atol=1e-13)
+            for rho in states:
+                np.testing.assert_allclose(
+                    outcome_distribution(rho, povm),
+                    outcome_distribution(rho, reference),
+                    rtol=0,
+                    atol=1e-14,
+                )
