@@ -138,7 +138,7 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
     n_cut = config.trunc().n_cut
     while True:
         try:
-            return compute(Truncation(n_cut, config.leakage_tol)), n_cut
+            return compute(Truncation(n_cut)), n_cut
         except TruncationError as exc:
             if n_cut >= limit:
                 raise TruncationError(
@@ -190,9 +190,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
     if config.command == "thermalize":
         def compute(trunc):
             traj = propagate(vacuum_state(trunc), params, grid, trunc)
-            search, origin = config.search_max, ""
-            if search is None:
-                search, origin = default_search_max(traj.entries), " (auto)"
+            search = default_search_max(traj.entries)
             trace = thermalization_trace(traj, search)
             columns = {
                 "gamma_t": trace.times,
@@ -202,7 +200,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             summary = (
                 f"{label}: final n_eff = {trace.n_eff[-1]:.6g}, "
                 f"final fidelity = {trace.fidelity_at_opt[-1]:.6g}, "
-                f"search_max = {search:.6g}{origin}"
+                f"search_max = {search:.6g}"
             )
             return columns, [summary], traj.leakage_max
 
@@ -216,12 +214,11 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
                 f"cr bound = {cr_bound(q_series.plateau):.6g}"
             ]
             povms = {}
-            if config.command == "cfi":  # a qfi run ignores homodyne_phis and heterodyne
+            if config.command == "cfi":  # a qfi run ignores homodyne_phis
                 povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in config.homodyne_phis}
-                if config.heterodyne:
-                    povms["cfi_het"] = heterodyne_povm(
-                        trunc, mean_photon=mean_photon_number(trajectories.central.final)
-                    )
+                povms["cfi_het"] = heterodyne_povm(
+                    trunc, mean_photon=mean_photon_number(trajectories.central.final)
+                )
             for name, povm in povms.items():
                 series = cfi_series(params, grid, trunc, fd, povm, trajectories=trajectories)
                 columns[name] = series.values

@@ -4,7 +4,7 @@ Keys are ``command``, ``preset`` and the config fields of
 :class:`ScenarioConfig`; each field declares its default text and its parser
 in one place.  Values are scalars or comma-separated lists.  The four physical
 parameters accept lists, and a run executes over the Cartesian product of all
-lists given.  Angles accept a trailing ``pi`` factor ("0.9pi").  Unknown keys
+lists given.  Angles accept a trailing ``pi`` factor ("0.9pi", "-pi").  Unknown keys
 are errors, not warnings.  ``SystemParams``, ``Truncation`` and ``TimeGrid``
 check their own fields and ``fd_step`` the stencil's placement; validation
 calls them and adds only the rules that belong to a run.
@@ -70,8 +70,6 @@ def homodyne_label(phi: float) -> str:
 def _echo(value) -> str:
     if value is None:
         return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return exact_text(value)
     if isinstance(value, tuple):
@@ -85,8 +83,8 @@ def _parse_number(raw: str, key: str) -> float:
     if text.endswith("pi"):
         factor = math.pi
         text = text[:-2].strip()
-        if not text:
-            text = "1"
+        if text in ("", "+", "-"):  # a bare sign before pi means +-1
+            text += "1"
     try:
         return float(text) * factor
     except ValueError:
@@ -108,23 +106,8 @@ def _parse_int(raw: str, key: str) -> int:
     return value
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    text = raw.strip().lower()
-    if text in ("true", "yes", "1", "on"):
-        return True
-    if text in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"value {raw!r} for {key} is not a boolean", field=key)
-
-
 def _parse_cutoff(raw: str, key: str) -> int | None:
     return None if raw.strip().lower() == "auto" else _parse_int(raw, key)
-
-
-def _parse_optional(raw: str, key: str) -> float | None:
-    if raw.strip().lower() in ("auto", "none", ""):
-        return None
-    return _parse_number(raw, key)
 
 
 def _parse_angles(raw: str, key: str) -> tuple[float, ...]:
@@ -154,13 +137,9 @@ class ScenarioConfig:
     n_th: tuple[float, ...] = _key(None, _parse_float_list)
     # None: n_cut = auto, certified from the steady state
     n_cut: int | None = _key("30", _parse_cutoff)
-    leakage_tol: float = _key("1e-8", _parse_number)
     t_end: float = _key("30.0", _parse_number)
     n_samples: int = _key("201", _parse_int)
-    integrator_step: float | None = _key("auto", _parse_optional)
     homodyne_phis: tuple[float, ...] = _key("", _parse_angles)
-    heterodyne: bool = _key("false", _parse_bool)
-    search_max: float | None = _key("auto", _parse_optional)
     output_path: str = _key(".", _parse_text)
     preset: str | None = None
 
@@ -174,18 +153,16 @@ class ScenarioConfig:
         if self.n_cut is not None:
             return None
         points = [self.params_at(point) for point in self.sweep_points()]
-        return certify_cutoff(points, self.leakage_tol)
+        return certify_cutoff(points, Truncation.leakage_tol)
 
     def trunc(self) -> Truncation:
         """The cutoff of every point: ``n_cut``, or the certified one for ``auto``."""
         certificate = self.cutoff_certificate
         n_cut = self.n_cut if certificate is None else certificate.n_cut
-        return Truncation(n_cut, self.leakage_tol)
+        return Truncation(n_cut)
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(
-            t_end=self.t_end, n_samples=self.n_samples, integrator_step=self.integrator_step
-        )
+        return TimeGrid(t_end=self.t_end, n_samples=self.n_samples)
 
     def fd(self) -> FdConfig:
         """The stencil step of every qfi and cfi run: the library default."""
@@ -293,7 +270,7 @@ def _validate(cfg: ScenarioConfig) -> None:
             cfg.params_at(point)
             if cfg.command in ("qfi", "cfi"):
                 fd_step(point["n_th"], cfg.fd())
-        Truncation(2 if cfg.n_cut is None else cfg.n_cut, cfg.leakage_tol)
+        Truncation(2 if cfg.n_cut is None else cfg.n_cut)
         cfg.grid()
     except ValueError as exc:
         raise ConfigError(str(exc), field=str(exc).split()[0]) from None
@@ -303,14 +280,6 @@ def _validate(cfg: ScenarioConfig) -> None:
             f"{GAP_WINDOW[0]}-{GAP_WINDOW[1]}) needs {SPECTRUM_MIN_NCUT} levels, which no "
             f"steady-state certificate covers",
             field="n_cut",
-        )
-    if cfg.search_max is not None and not (math.isfinite(cfg.search_max) and cfg.search_max > 0):
-        raise ConfigError(
-            f"search_max must be finite and positive, got {cfg.search_max}", field="search_max"
-        )
-    if cfg.command == "cfi" and not cfg.homodyne_phis and not cfg.heterodyne:
-        raise ConfigError(
-            "cfi needs homodyne_phis and/or heterodyne = true", field="homodyne_phis"
         )
 
 
@@ -331,13 +300,6 @@ def resolve_config(
     argument.
     """
     entries = parse_key_values(file_text)
-    if preset is not None:
-        entries.setdefault("preset", preset)
-        if entries["preset"] != preset:
-            raise ConfigError(
-                f"preset {preset!r} conflicts with config preset {entries['preset']!r}",
-                field="preset",
-            )
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -346,6 +308,14 @@ def resolve_config(
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key {key!r}", field=key)
         entries[key] = value.strip()
+    # checked after the overrides, so neither a file nor an override replaces it
+    if preset is not None:
+        entries.setdefault("preset", preset)
+        if entries["preset"] != preset:
+            raise ConfigError(
+                f"preset {preset!r} conflicts with config preset {entries['preset']!r}",
+                field="preset",
+            )
     if command is not None:
         entries["command"] = command
     return build_config(entries)

@@ -53,6 +53,7 @@ from .fock import (
     annihilation,
     as_matrix,
     hamiltonian,
+    mean_photon_number,
 )
 
 __all__ = [
@@ -162,8 +163,7 @@ class Trajectory:
         return self.states[-1]
 
     def photon_numbers(self) -> np.ndarray:
-        populations = self.entries.diagonal(axis1=1, axis2=2).real
-        return (np.arange(self.entries.shape[1]) * populations).sum(axis=1)
+        return mean_photon_number(self.entries)
 
 
 def default_integrator_step(params: SystemParams, trunc: Truncation) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketBoundaryWarning
-from .fock import DensityMatrix, _gibbs_population_rows, _read_only, as_matrix
+from .fock import DensityMatrix, _gibbs_population_rows, _read_only, as_matrix, mean_photon_number
 from .dynamics import Trajectory
 
 __all__ = [
@@ -245,9 +245,7 @@ def effective_temperature(rho, search_max: float) -> tuple[float, float]:
 
 def default_search_max(rho) -> float:
     """Generous search bracket 5 (max <n> + 0.1), over one state or a (m, d, d) stack."""
-    entries = as_matrix(rho)
-    occupations = (np.arange(entries.shape[-1]) * entries.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
-    return 5.0 * (float(np.max(occupations)) + 0.1)
+    return 5.0 * (float(np.max(mean_photon_number(rho))) + 0.1)
 
 
 def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> EffTempTrace:

@@ -257,7 +257,10 @@ def vacuum_state(trunc: Truncation) -> DensityMatrix:
     return DensityMatrix(entries)
 
 
-def mean_photon_number(state) -> float:
-    """<a^dag a> of a state (DensityMatrix or raw matrix)."""
+def mean_photon_number(state) -> float | np.ndarray:
+    """<a^dag a> of a (d, d) state as a float, or of each state of a (..., d, d)
+    stack as an array (DensityMatrix or raw matrices)."""
     entries = as_matrix(state)
-    return float(np.sum(np.arange(entries.shape[0]) * entries.diagonal().real))
+    populations = entries.diagonal(axis1=-2, axis2=-1).real
+    occupation = (np.arange(entries.shape[-1]) * populations).sum(axis=-1)
+    return occupation if occupation.ndim else float(occupation)

@@ -110,7 +110,6 @@ for _name, _nth in (("fig8a", "0.05"), ("fig8b", "0.1"), ("fig8c", "0.15")):
         "chi": "0.65",
         "drive": "1.0",
         "homodyne_phis": "0.9pi",
-        "heterodyne": "true",
         **_COMMON_DYNAMICS,
         "_inferred": ("t_end", "n_samples", "n_cut"),
     }

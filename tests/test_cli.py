@@ -23,7 +23,7 @@ from kerr_thermo import (
 from kerr_thermo import cli, config
 from kerr_thermo.cli import main, reproduce_figure, run
 from kerr_thermo.config import homodyne_label, parse_config, resolve_config
-from kerr_thermo.errors import ConfigError, TruncationError
+from kerr_thermo.errors import ConfigError, NumericalFailureError, TruncationError
 from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
 
@@ -81,15 +81,30 @@ class TestParseConfig:
         cfg = parse_config("command = cfi\nn_th = 0.1\nhomodyne_phis = 0.5pi, 0\n")
         assert cfg.homodyne_phis[0] == pytest.approx(np.pi / 2)
         assert cfg.homodyne_phis[1] == 0.0
-
-    def test_cfi_requires_a_measurement(self):
-        with pytest.raises(ConfigError, match="homodyne"):
-            parse_config("command = cfi\nn_th = 0.1\n")
+        # a bare sign before the suffix means +-1
+        cfg = parse_config("command = cfi\nn_th = 0.1\nhomodyne_phis = -pi, +pi, -0.5pi\n")
+        assert cfg.homodyne_phis == (-np.pi, np.pi, -0.5 * np.pi)
+        assert parse_config("command = cfi\nn_th = 0.1\nhomodyne_phis = - PI\n").homodyne_phis == (-np.pi,)
+        for raw in ("pipi", "-", "--pi", "+-pi"):
+            with pytest.raises(ConfigError, match="is not a number") as info:
+                parse_config(f"command = cfi\nn_th = 0.1\nhomodyne_phis = {raw}\n")
+            assert info.value.field == "homodyne_phis"
 
     def test_override_precedence(self):
         cfg = resolve_config(file_text="command = qfi\nn_th = 0.1\nn_cut = 12\n",
                              overrides=("n_cut=24",))
         assert cfg.n_cut == 24
+
+    def test_preset_override_cannot_replace_the_preset_argument(self, tmp_path):
+        with pytest.raises(ConfigError, match="preset 'fig3a' conflicts with config preset 'fig5a'") as info:
+            resolve_config(preset="fig3a", overrides=("preset=fig5a",), command="qfi")
+        assert info.value.field == "preset"
+        same = resolve_config(preset="fig3a", overrides=("preset=fig3a",), command="qfi")
+        assert same == resolve_config(preset="fig3a", command="qfi")
+        out = tmp_path / "out"
+        argv = ["qfi", "--preset", "fig3a", "--override", "preset=fig5a", "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()
 
     def test_all_presets_build(self):
         for name in FIGURE_NAMES:
@@ -131,19 +146,19 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
+            ("chi", "-1"),
+            ("delta", "inf"),
+            ("n_cut", "1"),
+            # deleted keys: any value is rejected as an unknown key named in the error
             ("integrator_step", "-1"),
             ("integrator_step", "0"),
             ("integrator_step", "nan"),
             ("integrator_step", "inf"),
-            ("integrator_step", "1.0"),  # above the sample spacing 0.5
+            ("integrator_step", "1.0"),
             ("rel_step", "nan"),
             ("search_max", "-1"),
             ("gamma", "0"),
-            ("chi", "-1"),
-            ("delta", "inf"),
-            ("n_cut", "1"),
             ("leakage_tol", "2"),
-            # deleted keys: any value is rejected as an unknown key named in the error
             ("t_start", "-inf"),
             ("heterodyne_radius", "-2"),
             ("heterodyne_step", "nan"),
@@ -158,10 +173,13 @@ class TestParseConfig:
         # t_start only relabelled the time axis, abs_floor mattered only below
         # n_th ~ 1e-6, heterodyne_povm sizes its own grid from n_cut, and
         # rel_step, repetitions, gamma (the unit) and the gap window had one
-        # value in use
+        # value in use; so did leakage_tol (1e-8), integrator_step and
+        # search_max (auto) and heterodyne (true on every cfi preset), which
+        # are method options of the library, not inputs of a run
         for key in (
             "t_start", "abs_floor", "heterodyne_radius", "heterodyne_step", "rel_step", "repetitions",
-            "gamma", "window_lo", "window_hi",
+            "gamma", "window_lo", "window_hi", "leakage_tol", "integrator_step", "search_max",
+            "heterodyne",
         ):
             with pytest.raises(ConfigError, match="unknown key") as info:
                 parse_config(f"command = thermalize\nn_th = 0.1\n{key} = 1\n")
@@ -174,7 +192,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("n_th", ["0", "1e-12"])
     def test_n_th_the_stencil_cannot_take_is_rejected_when_read(self, tmp_path, command, n_th):
         # 1e-12 is positive but leaves the stencil no room above abs_floor
-        text = f"command = {command}\nn_th = {n_th}\nheterodyne = true\nn_cut = 8\nt_end = 1\nn_samples = 3\n"
+        text = f"command = {command}\nn_th = {n_th}\nn_cut = 8\nt_end = 1\nn_samples = 3\n"
         with pytest.raises(ConfigError, match="n_th") as info:
             parse_config(text)
         assert info.value.field == "n_th"
@@ -263,7 +281,7 @@ class TestRun:
         )
         report = run(cfg, out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "cfi.csv").splitlines() if not ln.startswith("#")]
-        assert rows[0] == "gamma_t,qfi,cfi_hom_phi0.1000001pi,cfi_hom_phi0.1000002pi"
+        assert rows[0] == "gamma_t,qfi,cfi_hom_phi0.1000001pi,cfi_hom_phi0.1000002pi,cfi_het"
         hom = [line for line in report.summaries if line.startswith("point (single): cfi_hom")]
         assert len(hom) == 2
         for line in hom:
@@ -314,7 +332,7 @@ class TestRun:
     def test_cfi_sweep_summaries_name_the_point(self, tmp_path):
         cfg = parse_config(
             "command = cfi\nn_th = 0.1\nchi = 0, 0.4\ndrive = 0.5\nn_cut = 12\n"
-            "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\nheterodyne = true\n"
+            "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\n"
         )
         report = run(cfg, out_dir=str(tmp_path))
         for chi in ("0", "0.4"):
@@ -432,11 +450,8 @@ class TestRun:
         trunc = Truncation(cfg.n_cut)
         traj = propagate(vacuum_state(trunc), cfg.params_at(cfg.sweep_points()[0]), cfg.grid(), trunc)
         auto = default_search_max(traj.entries)
-        assert report.summaries[0].endswith(f", search_max = {auto:.6g} (auto)")
+        assert report.summaries[0].endswith(f", search_max = {auto:.6g}")
         assert report.summaries[0] in read_lines(tmp_path / "run_report.txt")
-        cfg = parse_config(FAST_THERMALIZE + "search_max = 0.75\n")
-        report = run(cfg, out_dir=str(tmp_path))
-        assert report.summaries[0].endswith(", search_max = 0.75")
 
     def test_purity_sweep_csv(self, tmp_path):
         cfg = parse_config(
@@ -470,29 +485,31 @@ class TestRun:
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_failing_sweep_point_identified_and_outputs_removed(self, tmp_path):
-        # a step far beyond the RK4 stability limit blows up the run, and the
-        # error must name the sweep point it happened at
-        from kerr_thermo.errors import KerrThermoError
+    def test_failing_sweep_point_identified_and_outputs_removed(self, tmp_path, monkeypatch):
+        # the second point's propagation fails after the first point has run;
+        # the error must name the sweep point it happened at, and no CSV of
+        # the first point may be written
+        propagate_ = cli.propagate
 
-        cfg = parse_config(
-            "command = thermalize\nn_th = 0.05, 2.0\nn_cut = 30\nt_end = 2\n"
-            "n_samples = 5\nintegrator_step = 0.5\n"
-        )
-        with pytest.raises(KerrThermoError, match=r"sweep point 0.*n_th = 0\.05"):
+        def blow_up_at_n_th_2(rho0, params, grid, trunc, **kwargs):
+            if params.n_th == 2.0:
+                raise NumericalFailureError("non-finite state")
+            return propagate_(rho0, params, grid, trunc, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", blow_up_at_n_th_2)
+        cfg = parse_config("command = thermalize\nn_th = 0.05, 2.0\nn_cut = 20\nt_end = 2\nn_samples = 5\n")
+        with pytest.raises(NumericalFailureError, match=r"sweep point 1 \(.*n_th = 2\): non-finite state"):
             run(cfg, out_dir=str(tmp_path))
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".csv")]
 
-    def test_boundary_warning_lands_in_report_once(self, tmp_path):
-        # a too-small effective-temperature bracket trips the boundary warning
-        # at many samples; the report keeps it exactly once
-        cfg = parse_config(
-            "command = thermalize\nn_th = 0.5\nn_cut = 30\nt_end = 4\n"
-            "n_samples = 6\nsearch_max = 0.05\n"
-        )
+    def test_boundary_warning_lands_in_report_once(self, tmp_path, monkeypatch):
+        # a too-small effective-temperature bracket trips the same boundary
+        # warning at both sweep points; the report keeps it exactly once
+        monkeypatch.setattr(cli, "default_search_max", lambda entries: 0.05)
+        cfg = parse_config("command = thermalize\nn_th = 0.4, 0.5\nn_cut = 20\nt_end = 4\nn_samples = 6\n")
         report = run(cfg, out_dir=str(tmp_path))
         boundary = [w for w in report.warnings if "search_max" in w]
-        assert len(boundary) == 1
+        assert boundary == ["effective-temperature maximizer hit search_max = 0.05; enlarge the bracket"]
         assert boundary[0] in read_lines(tmp_path / "run_report.txt")
 
     def test_input_config_file_not_mutated(self, tmp_path):

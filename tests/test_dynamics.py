@@ -274,6 +274,9 @@ class TestPropagate:
             TimeGrid(t_end=1.0, n_samples=1)
         with pytest.raises(ValueError):
             TimeGrid(t_end=1.0, n_samples=11, integrator_step=0.5)
+        for step in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="integrator_step"):
+                TimeGrid(t_end=1.0, n_samples=11, integrator_step=step)
 
 
 class TestBatchedValidation:

@@ -23,6 +23,8 @@ from kerr_thermo import (
     vacuum_state,
 )
 
+from conftest import random_density_matrix
+
 
 class TestAnnihilation:
     def test_dim_two(self):
@@ -78,6 +80,13 @@ class TestSystemParams:
         assert q.n_th == 0.06 and q.delta == p.delta and q.chi == p.chi
 
 
+class TestTruncation:
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
+    def test_leakage_tol_outside_the_open_unit_interval_is_rejected(self, tol):
+        with pytest.raises(ValueError, match="leakage_tol"):
+            Truncation(8, leakage_tol=tol)
+
+
 class TestHamiltonian:
     def test_pure_detuning(self):
         params = SystemParams(delta=1.0, chi=0.0, drive=0.0, n_th=0.0)
@@ -130,6 +139,14 @@ class TestGibbsState:
         # geometric-series sum oracle
         g = gibbs_state(0.05, Truncation(30))
         assert mean_photon_number(g) == pytest.approx(0.05, abs=1e-12)
+
+    def test_mean_photon_number_of_a_stack_is_the_per_state_loop(self, rng):
+        stack = np.array([[random_density_matrix(rng, 14) for _ in range(3)] for _ in range(2)])
+        got = mean_photon_number(stack)
+        assert got.shape == (2, 3)
+        loop = [[mean_photon_number(state) for state in row] for row in stack]
+        assert all(isinstance(value, float) for row in loop for value in row)
+        np.testing.assert_array_equal(got, loop)
 
     def test_trace_exactly_one_and_monotone_positive(self):
         for n in (0.01, 0.3, 2.0):
