@@ -14,8 +14,8 @@ from kerr_thermo import (
     heterodyne_povm,
     homodyne_povm,
     mean_photon_number,
-    perturbed_trajectories,
     qfi_series,
+    tangent_trajectories,
 )
 
 trunc = Truncation(30)
@@ -23,8 +23,8 @@ grid = TimeGrid(t_end=30.0, n_samples=61)
 cfg = FdConfig()
 params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
 
-# one set of propagations feeds the QFI and every CFI series
-trajectories = perturbed_trajectories(params, grid, trunc, cfg)
+# one propagation, carrying the exact n_th-derivative, feeds the QFI and every CFI series
+trajectories = tangent_trajectories(params, grid, trunc)
 qf = qfi_series(params, grid, trunc, cfg, trajectories=trajectories)
 print(f"plateau QFI = {qf.plateau:.4f}")
 print()

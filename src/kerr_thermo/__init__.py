@@ -67,6 +67,7 @@ from .estimation import (
     qfi_series,
     stencil_combine,
     steady_state_qfi,
+    tangent_trajectories,
 )
 from .measurement import (
     Povm,
@@ -132,6 +133,7 @@ __all__ = [
     "fd_derivative",
     "qfi",
     "perturbed_trajectories",
+    "tangent_trajectories",
     "qfi_series",
     "CfiResult",
     "cfi_result",

@@ -35,7 +35,7 @@ from .config import (
     resolve_config,
 )
 from .errors import ConfigError, KerrThermoError, TruncationError
-from .estimation import _AUTO_NCUT_MAX, cr_bound, perturbed_trajectories, qfi_series
+from .estimation import _AUTO_NCUT_MAX, cr_bound, qfi_series, tangent_trajectories
 from .fidelity import EffTempTrace, default_search_max, thermalization_trace
 from .fock import Truncation, mean_photon_number, vacuum_state
 from .dynamics import _leakage, propagate, purity, steady_state
@@ -206,7 +206,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
 
     elif config.command in ("qfi", "cfi"):
         def compute(trunc):
-            trajectories = perturbed_trajectories(params, grid, trunc, fd)
+            trajectories = tangent_trajectories(params, grid, trunc)
             q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
             columns = {"gamma_t": q_series.times, "qfi": q_series.values}
             summaries = [

@@ -165,7 +165,9 @@ class ScenarioConfig:
         return TimeGrid(t_end=self.t_end, n_samples=self.n_samples)
 
     def fd(self) -> FdConfig:
-        """The stencil step of every qfi and cfi run: the library default."""
+        """The library's default stencil step.  The runner takes the exact
+        tangent, and validation keeps every qfi and cfi point where this
+        stencil, its oracle, can also check it."""
         return FdConfig()
 
     def swept_fields(self) -> tuple[str, ...]:
@@ -255,6 +257,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     # phi / pi is not one-to-one on floats, so distinct angles can share a label
     labelled = {}
     for phi in cfg.homodyne_phis:
+        if not math.isfinite(phi):
+            raise ConfigError(f"homodyne_phis must be finite, got {phi!r}", field="homodyne_phis")
         other = labelled.setdefault(homodyne_label(phi), phi)
         if other != phi:
             raise ConfigError(

@@ -22,10 +22,14 @@ RK4 step of size h is exactly the degree-4 Taylor polynomial P(h R), and K
 equal steps are P(h R)^K.  At every cutoff, propagation precomputes
 P(h R)^K once per sample interval by binary powering, which produces the same
 states as stepping one step at a time (up to roundoff) at a small fraction of
-the cost.  A trajectory keeps its samples as one read-only (n_samples, d, d)
-array, filled from the coordinate rows with one gather and validated in one
-pass (one stacked ``eigvalsh``); ``Trajectory.states`` wraps single samples
-as :class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.
+the cost.  R is affine in n_th, so the same powering can carry the map's exact
+n_th-derivative alongside it, at three matrix products for each one of the map
+alone; the trajectory's n_th-derivative then costs two more matrix-vector
+products per sample.  A trajectory keeps its samples as one read-only
+(n_samples, d, d) array, filled from the coordinate rows with one gather and
+validated in one pass (one stacked ``eigvalsh``); ``Trajectory.states`` wraps
+single samples as :class:`~kerr_thermo.fock.DensityMatrix` only when they are
+accessed.
 
 The steady state solves R x = 0 with a trace-one row.  Ordered by coherence
 order k = j - i, R is block tridiagonal (the drive moves k by one, the
@@ -338,13 +342,146 @@ def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
     return _from_coordinate_rows(coords[None], dim)[0]
 
 
-def _rk4_polynomial(x: np.ndarray) -> np.ndarray:
-    """I + X + X^2/2 + X^3/6 + X^4/24, the exact one-step RK4 map for a linear ODE."""
+def _rk4_polynomial(x: np.ndarray, dx: np.ndarray | None = None):
+    """I + X + X^2/2 + X^3/6 + X^4/24, the exact one-step RK4 map for a linear ODE.
+
+    With ``dx`` it returns the pair (P, dP), dP the derivative of P along dx,
+    from the same Horner recursion differentiated: acc' = (dX acc + X acc') / c.
+    """
     eye = np.eye(x.shape[0], dtype=x.dtype)
     acc = eye + x / 4.0
-    acc = eye + (x @ acc) / 3.0
-    acc = eye + (x @ acc) / 2.0
-    return eye + x @ acc
+    dacc = None if dx is None else dx / 4.0
+    for c in (3.0, 2.0, 1.0):
+        if dx is not None:
+            dacc = (dx @ acc + x @ dacc) / c
+        acc = eye + (x @ acc) / c
+    return acc if dx is None else (acc, dacc)
+
+
+def _pair_product(a: tuple, c: tuple) -> tuple:
+    """The product of two maps, or of two (map, derivative) pairs in the block
+    upper-triangular algebra: (A, dA)(C, dC) = (AC, A dC + dA C)."""
+    if len(a) == 1:
+        return (a[0] @ c[0],)
+    derivative = a[0] @ c[1]
+    derivative += a[1] @ c[0]
+    return a[0] @ c[0], derivative
+
+
+def _power(maps: tuple, n: int) -> tuple:
+    """``maps[0]`` to the n-th power, n >= 1, and with a second entry its
+    derivative too, by the binary powering of ``np.linalg.matrix_power`` for
+    n > 3: the same products in the same order, so the map is the same to
+    the bit whether or not a derivative rides along."""
+    z = result = None
+    while n > 0:
+        z = maps if z is None else _pair_product(z, z)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else _pair_product(result, z)
+    return result
+
+
+def _occupation_slope(params: SystemParams, dim: int) -> np.ndarray:
+    """R1 = dR / dn_th on R's COO index set: L is affine in n_th, R = R0 +
+    n_th R1, and R1 = gamma (D[a] + D[a^dag]) is two rows of the table."""
+    table = _generator_table(dim)[2]
+    return params.gamma * (table[3] + table[4])
+
+
+def _dense(values: np.ndarray, dim: int) -> np.ndarray:
+    """The dense (d^2, d^2) matrix with these values on the generator's COO index set."""
+    rows, cols, _ = _generator_table(dim)
+    mat = np.zeros((dim * dim, dim * dim))
+    mat[rows, cols] = values
+    return mat
+
+
+def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangent: bool) -> tuple:
+    """The sample map M = P(h R)^K, and with ``tangent`` its exact n_th-derivative dM.
+
+    K fixed RK4 steps of size h span one sample interval.  Both are projected
+    onto the trace-preserving maps: tr M = tr and tr dM = 0.
+    """
+    dim = trunc.n_cut
+    spacing = grid.spacing
+    step = grid.integrator_step
+    if step is None:
+        step = min(default_integrator_step(params, trunc), spacing)
+    n_steps = max(1, math.ceil(spacing / step - 1e-9))
+    h = spacing / n_steps
+
+    x = h * _dense(generator_entries(params, trunc)[2], dim)
+    if tangent:
+        one_step = _rk4_polynomial(x, h * _dense(_occupation_slope(params, dim), dim))
+    else:
+        one_step = (_rk4_polynomial(x),)
+    maps = _power(one_step, n_steps)
+    # The exact generator annihilates the trace functional, so the exact
+    # RK4 map preserves trace identically; binary powering loses that to
+    # roundoff (~1e-11), which the 1/(12 h) occupation-derivative stencils
+    # downstream would amplify.  Project the map back onto the
+    # trace-preserving affine subspace, and its derivative onto the maps
+    # that annihilate the trace.  This corrects the propagator, not the
+    # state: trace drift remains monitored and never renormalized.
+    tr_vec = np.zeros(dim * dim)
+    tr_vec[:dim] = 1.0
+    for m, image in zip(maps, (tr_vec, 0.0)):
+        m -= np.outer(tr_vec / dim, tr_vec @ m - image)
+    return maps
+
+
+def _evolve(
+    rho0: DensityMatrix,
+    params: SystemParams,
+    grid: TimeGrid,
+    trunc: Truncation,
+    tangent: bool,
+) -> tuple[Trajectory, np.ndarray | None]:
+    """:func:`propagate`, and with ``tangent`` the read-only (n_samples, d, d)
+    stack of the trajectory's exact n_th-derivative (None without).
+
+    The derivative follows x' <- M x' + dM x from x' = 0 (rho0 does not
+    depend on n_th).  It is exactly Hermitian; a non-finite sample raises
+    NumericalFailureError naming its time, after the trajectory's own checks.
+    """
+    dim = trunc.n_cut
+    if rho0.dim != dim:
+        raise ValueError(f"initial state dimension {rho0.dim} does not match n_cut {dim}")
+
+    times = grid.times
+    maps = _sample_maps(params, grid, trunc, tangent)
+    sample_map = maps[0]
+    coords = _coordinates(rho0.entries)
+    rows = np.empty((len(times), coords.size))
+    rows[0] = coords
+    if tangent:
+        drows = np.zeros_like(rows)
+        dcoords = drows[0]
+    # Samples after a failing one are computed too, then discarded by the
+    # validation; they may overflow, which must not warn.
+    with np.errstate(all="ignore"):
+        for k in range(1, len(times)):
+            if tangent:
+                dcoords = sample_map @ dcoords + maps[1] @ coords
+                drows[k] = dcoords
+            coords = sample_map @ coords
+            rows[k] = coords
+        entries = _from_coordinate_rows(rows, dim)
+    entries[0] = rho0.entries
+    leakage_max = _validate_samples(entries, times, trunc)
+    entries.setflags(write=False)
+    trajectory = Trajectory(times=times, entries=entries, leakage_max=leakage_max)
+    if not tangent:
+        return trajectory, None
+    finite = np.isfinite(drows).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(
+            f"non-finite n_th-derivative at tau = {times[np.argmin(finite)]:g}"
+        )
+    derivative = _from_coordinate_rows(drows, dim)
+    derivative.setflags(write=False)
+    return trajectory, derivative
 
 
 def propagate(
@@ -364,45 +501,7 @@ def propagate(
     NumericalFailureError, each naming the first offending time.  The dense
     map holds n_cut^4 doubles.
     """
-    dim = trunc.n_cut
-    if rho0.dim != dim:
-        raise ValueError(f"initial state dimension {rho0.dim} does not match n_cut {dim}")
-
-    times = grid.times
-    spacing = grid.spacing
-    step = grid.integrator_step
-    if step is None:
-        step = min(default_integrator_step(params, trunc), spacing)
-    n_steps = max(1, math.ceil(spacing / step - 1e-9))
-    h = spacing / n_steps
-
-    rows, cols, values = generator_entries(params, trunc)
-    rmat = np.zeros((dim * dim, dim * dim))
-    rmat[rows, cols] = values
-    sample_map = np.linalg.matrix_power(_rk4_polynomial(h * rmat), n_steps)
-    # The exact generator annihilates the trace functional, so the exact
-    # RK4 map preserves trace identically; binary powering loses that to
-    # roundoff (~1e-11), which the 1/(12 h) occupation-derivative stencils
-    # downstream would amplify.  Project the map back onto the
-    # trace-preserving affine subspace.  This corrects the propagator, not
-    # the state: trace drift remains monitored and never renormalized.
-    tr_vec = np.zeros(dim * dim)
-    tr_vec[:dim] = 1.0
-    sample_map -= np.outer(tr_vec / dim, tr_vec @ sample_map - tr_vec)
-    coords = _coordinates(rho0.entries)
-    rows = np.empty((len(times), coords.size))
-    rows[0] = coords
-    # Samples after a failing one are computed too, then discarded by the
-    # validation; they may overflow, which must not warn.
-    with np.errstate(all="ignore"):
-        for k in range(1, len(times)):
-            coords = sample_map @ coords
-            rows[k] = coords
-        entries = _from_coordinate_rows(rows, dim)
-    entries[0] = rho0.entries
-    leakage_max = _validate_samples(entries, times, trunc)
-    entries.setflags(write=False)
-    return Trajectory(times=times, entries=entries, leakage_max=leakage_max)
+    return _evolve(rho0, params, grid, trunc, tangent=False)[0]
 
 
 def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation) -> float:
@@ -612,9 +711,8 @@ def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.nd
     """
     dim = trunc.n_cut
     mat, coords, solver = _steady_solve(params, trunc)
-    rows, cols, table = _generator_table(dim)
-    r1 = params.gamma * (table[3] + table[4])
-    drift = -np.bincount(rows, weights=r1 * coords[cols], minlength=dim * dim)
+    rows, cols, _ = _generator_table(dim)
+    drift = -np.bincount(rows, weights=_occupation_slope(params, dim) * coords[cols], minlength=dim * dim)
     drift[0] = 0.0
     return mat, _from_coordinates(solver.solve(drift), dim)
 

@@ -5,20 +5,26 @@ derivative L, defined by 2 drho = {L, rho}: in the eigenbasis of rho,
 
     F_Q = 2 sum_{k,l} |<k|drho|l>|^2 / (lambda_k + lambda_l),
 
-restricted to eigenvalue pairs whose sum exceeds a rank cutoff.  Parameter
-derivatives use the five-point central stencil
+restricted to eigenvalue pairs whose sum exceeds a rank cutoff.
+
+Every Fisher series, quantum or classical, reads one (central trajectory,
+derivative stack) pair.  :func:`tangent_trajectories` builds it from one
+propagation: the generator is affine in n_th, so the powered RK4 map and its
+exact n_th-derivative are powered together and the samples carry
+d rho / d n_th exactly.  The runner takes this route.
+:func:`perturbed_trajectories` builds the pair by the five-point central stencil
 
     df/dn ~ (-f(n+2h) + 8 f(n+h) - 8 f(n-h) + f(n-2h)) / (12 h),
 
-exact on polynomials up to degree 4.  :func:`perturbed_trajectories`
-propagates one central and four occupation-shifted trajectories from the same
-vacuum and takes the stencil of the sampled state stacks once: the result is a
-(central trajectory, derivative stack) pair, and every Fisher series, quantum
-or classical, reads that pair.  The QFI series is one stacked ``eigh`` of the
-central trajectory; :func:`qfi` is the one-state case of the same kernel, as
-:func:`cfi_result` is of the batched CFI sum.
-The steady state's QFI needs no stencil: its exact derivative is one more
-linear solve, and it certifies the Fock cutoff of ``n_cut = auto`` runs.
+exact on polynomials up to degree 4, over one central and four
+occupation-shifted trajectories from the same vacuum; its roundoff floor is
+about 1e-7 of a series' maximum, and it stays public as the independent
+oracle of the tangent.  The QFI series is one stacked ``eigh`` of the central
+trajectory; :func:`qfi` is the one-state case of the same kernel, as
+:func:`cfi_result` is of the batched CFI sum.  The input gates are phrased so
+that NaN fails them.  The steady state's QFI needs no propagation: its exact
+derivative is one more linear solve, and it certifies the Fock cutoff of
+``n_cut = auto`` runs.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 from .errors import TruncationError
 from .fock import DensityMatrix, SystemParams, Truncation, _read_only, as_matrix, vacuum_state
 from .dynamics import (
+    _evolve,
     _leakage,
     TimeGrid,
     Trajectory,
@@ -49,6 +56,7 @@ __all__ = [
     "fd_derivative",
     "qfi",
     "perturbed_trajectories",
+    "tangent_trajectories",
     "qfi_series",
     "CfiResult",
     "cfi_result",
@@ -124,8 +132,8 @@ class FisherSeries:
         values = _read_only(self.values, float)
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
-        if np.any(values < 0):
-            raise ValueError("Fisher information values must be nonnegative")
+        if not np.all(values >= 0):
+            raise ValueError("Fisher information values must be nonnegative (and not NaN)")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -215,11 +223,11 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     # drho in the eigenbasis; the other temporaries are real or short-lived.
     sym = np.conjugate(drho.swapaxes(-1, -2), order="C")
     herm_defect = np.abs(drho - sym).max(axis=(1, 2))
-    bad = herm_defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(1, 2)))
+    bad = ~(herm_defect <= 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(1, 2))))
     if bad.any():
         raise ValueError(f"drho is not Hermitian: defect {herm_defect[np.argmax(bad)]:.3e}")
     trace_defect = np.abs(np.trace(drho, axis1=1, axis2=2))
-    bad = trace_defect > 1e-6
+    bad = ~(trace_defect <= 1e-6)
     if bad.any():
         raise ValueError(f"drho is not traceless: |Tr drho| = {trace_defect[np.argmax(bad)]:.3e}")
 
@@ -240,15 +248,17 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
 class PerturbedTrajectories:
     """A central trajectory and its n_th-derivative at every sample.
 
-    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th:
-    the five-point stencil over four runs at n_th + {-2h, -h, +h, +2h}, all
-    started from the central run's vacuum, with its trace projected out.
-    ``step`` is the stencil half-step h; the shifted runs themselves are not
-    kept.  Every Fisher series reads this (central, derivative) pair.
+    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th,
+    from one of two sources.  :func:`tangent_trajectories` gives the exact
+    derivative of the propagated map (``step`` None).  :func:`perturbed_trajectories`
+    gives the five-point stencil over four runs at n_th + {-2h, -h, +h, +2h},
+    all started from the central run's vacuum, with its trace projected out
+    (``step`` the half-step h; the shifted runs are not kept).  Every Fisher
+    series reads this (central, derivative) pair.
     """
 
     params: SystemParams
-    step: float
+    step: float | None
     central: Trajectory
     derivative: np.ndarray
 
@@ -261,9 +271,12 @@ class PerturbedTrajectories:
 
     @property
     def rank_tol_rel(self) -> float:
-        """Relative QFI rank cutoff.  Stencil entries carry roundoff of order
-        eps/h, which near-null eigenvalue pairs would turn into spurious Fisher
-        information, so it grows with that floor (~1e-10 at the default step)."""
+        """Relative QFI rank cutoff: 1e-12 for the exact tangent.  Stencil
+        entries carry roundoff of order eps/h, which near-null eigenvalue pairs
+        would turn into spurious Fisher information, so for a stencil pair it
+        grows with that floor (~1e-10 at the default step)."""
+        if self.step is None:
+            return 1e-12
         return max(1e-12, 25.0 * np.finfo(float).eps / self.step)
 
 
@@ -290,6 +303,21 @@ def perturbed_trajectories(
     return PerturbedTrajectories(params=params, step=h, central=runs[0], derivative=drho)
 
 
+def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation) -> PerturbedTrajectories:
+    """Propagate the vacuum-seeded run once, carrying its exact n_th-derivative.
+
+    The central trajectory is the one :func:`propagate` returns, to the bit,
+    and validated as it is.  The derivative is the exact derivative of that
+    trajectory (no stencil step): R = R0 + n_th R1, so the one-step map P(hR)
+    has the derivative dP along hR1, the pair (P, dP) is powered as
+    (AC, A dC + dA C), and the samples follow x' <- M x' + dM x from x' = 0
+    (Van Loan 1978; Najfeld & Havel 1995).  One propagation, at about three
+    matrix products for each one of the map alone.
+    """
+    central, derivative = _evolve(vacuum_state(trunc), params, grid, trunc, tangent=True)
+    return PerturbedTrajectories(params=params, step=None, central=central, derivative=derivative)
+
+
 def _checked_pair(
     params: SystemParams,
     grid: TimeGrid,
@@ -297,8 +325,9 @@ def _checked_pair(
     cfg: FdConfig,
     pair: PerturbedTrajectories | None,
 ) -> PerturbedTrajectories:
-    """The (central, derivative) pair for these inputs: propagated when ``pair``
-    is None, else checked against them.  A pair built for other inputs raises
+    """The (central, derivative) pair for these inputs: the stencil pair
+    propagated when ``pair`` is None, else ``pair`` checked against them (its
+    step only for a stencil pair).  A pair built for other inputs raises
     ValueError naming the field that differs."""
     if pair is None:
         return perturbed_trajectories(params, grid, trunc, cfg)
@@ -310,7 +339,7 @@ def _checked_pair(
         raise ValueError(
             f"trajectories dimension {pair.central.entries.shape[-1]} differs from n_cut {trunc.n_cut}"
         )
-    step = fd_step(params.n_th, cfg)
+    step = None if pair.step is None else fd_step(params.n_th, cfg)
     if pair.step != step:
         raise ValueError(f"trajectories.step {pair.step!r} differs from the stencil step {step!r}")
     return pair
@@ -361,7 +390,7 @@ def _cfi_rows(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if p.size and float(p.min()) < -1e-12:
         raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
     total = p.sum(axis=1)
-    bad = np.abs(total - 1.0) > 1e-6
+    bad = ~(np.abs(total - 1.0) <= 1e-6)
     if bad.any():
         raise ValueError(f"probabilities sum to {float(total[np.argmax(bad)])!r}, not 1 within 1e-6")
     p = np.clip(p, 0.0, None)

@@ -14,9 +14,10 @@ Outcome probabilities are linear in the state: one real (n_outcomes, d^2) map
 on the Hermitian-basis coordinates gives a whole trajectory's distributions in
 one matmul, and :func:`outcome_distribution` is its one-state case.  By the
 same linearity, the same map applied to the coordinates of d rho / d n_th
-gives the derivatives of the distributions, so :func:`cfi_series` reads the
-(central trajectory, derivative stack) pair of
-:func:`~kerr_thermo.estimation.perturbed_trajectories` with two matmuls and
+gives the derivatives of the distributions, so :func:`cfi_series` reads a
+(central trajectory, derivative stack) pair, the exact one of
+:func:`~kerr_thermo.estimation.tangent_trajectories` or the stencil one of
+:func:`~kerr_thermo.estimation.perturbed_trajectories`, with two matmuls and
 takes the CFI sum over every sample at once.
 """
 
@@ -98,7 +99,7 @@ class Povm:
         for name, arr in (("vectors", vectors), ("weights", weights), ("labels", labels)):
             object.__setattr__(self, name, arr)
         defect = float(np.abs(self.completeness_operator() - np.eye(self.dim)).max())
-        if defect > self.completeness_tol:
+        if not defect <= self.completeness_tol:
             raise ValueError(
                 f"POVM completeness defect {defect:.3e} exceeds tolerance "
                 f"{self.completeness_tol:.1e}"

@@ -14,9 +14,9 @@ from kerr_thermo import (
     heterodyne_povm,
     homodyne_povm,
     mean_photon_number,
-    perturbed_trajectories,
     propagate,
     qfi_series,
+    tangent_trajectories,
     thermalization_trace,
     vacuum_state,
 )
@@ -286,6 +286,21 @@ class TestRun:
         assert len(hom) == 2
         for line in hom:
             assert "max skipped mass = " in line and "completeness defect = " in line
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "infpi", "nan"])
+    def test_non_finite_homodyne_angle_is_rejected(self, raw):
+        with pytest.raises(ConfigError, match="homodyne_phis must be finite") as info:
+            parse_config(f"command = cfi\nn_th = 0.1\nhomodyne_phis = 0, {raw}\n")
+        assert info.value.field == "homodyne_phis"
+
+    def test_huge_finite_homodyne_angle_runs(self, tmp_path):
+        cfg = parse_config(
+            "command = cfi\nn_th = 0.1\nn_cut = 8\nt_end = 1\nn_samples = 3\nhomodyne_phis = 1e300pi\n"
+        )
+        run(cfg, out_dir=str(tmp_path))
+        rows = [ln for ln in read_lines(tmp_path / "cfi.csv").splitlines() if not ln.startswith("#")]
+        assert rows[0] == "gamma_t,qfi,cfi_hom_phi1e+300pi,cfi_het"
+        assert all(np.isfinite([float(x) for x in row.split(",")]).all() for row in rows[1:])
 
     def test_homodyne_label_collision_is_error(self):
         # phi / pi maps this angle and the next float up to one label
@@ -605,7 +620,7 @@ class TestRunnerAddsNoDefaults:
         run(cfg, out_dir=str(tmp_path))
         params = cfg.params_at(cfg.sweep_points()[0])
         grid, trunc, fd = cfg.grid(), cfg.trunc(), FdConfig()
-        pair = perturbed_trajectories(params, grid, trunc, fd)
+        pair = tangent_trajectories(params, grid, trunc)
         expected = {"gamma_t": pair.times, "qfi": qfi_series(params, grid, trunc, fd, trajectories=pair).values}
         povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in cfg.homodyne_phis}
         povms["cfi_het"] = heterodyne_povm(trunc, mean_photon=mean_photon_number(pair.central.final))

@@ -150,14 +150,14 @@ class TestHermitianBasis:
 
     def test_dense_sample_map_is_real(self, monkeypatch):
         powered = []
-        matrix_power = np.linalg.matrix_power
+        power = dynamics._power
 
-        def spy(mat, n):
-            out = matrix_power(mat, n)
-            powered.append(out.dtype)
+        def spy(maps, n):
+            out = power(maps, n)
+            powered.extend(m.dtype for m in out)
             return out
 
-        monkeypatch.setattr(dynamics.np.linalg, "matrix_power", spy)
+        monkeypatch.setattr(dynamics, "_power", spy)
         trunc = Truncation(10)
         propagate(vacuum_state(trunc), linear_params(0.05), TimeGrid(t_end=0.5, n_samples=3), trunc)
         assert powered == [np.float64]

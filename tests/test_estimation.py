@@ -5,6 +5,7 @@ import pytest
 
 from kerr_thermo import (
     FdConfig,
+    FisherSeries,
     SystemParams,
     TimeGrid,
     Truncation,
@@ -144,6 +145,21 @@ class TestQfi:
         with pytest.raises(ValueError, match="traceless"):
             qfi(rho, np.eye(4) * 0.1)
 
+    def test_nan_fails_the_hermitian_gate(self):
+        drho = np.zeros((4, 4), dtype=complex)
+        drho[0, 1] = drho[1, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian: defect nan"):
+            qfi(gibbs_state(0.1, Truncation(4)), drho)
+
+    def test_nan_fails_the_trace_gate(self):
+        # Hermitian with finite entries, but the summed diagonal overflows
+        # into inf - inf = nan
+        drho = np.diag([1e308, 1e308, -1e308, -1e308] + [0.0] * 12).astype(complex)
+        with np.errstate(all="ignore"):
+            assert np.isnan(np.trace(drho[None], axis1=1, axis2=2)[0])
+            with pytest.raises(ValueError, match=r"not traceless: \|Tr drho\| = nan"):
+                qfi(gibbs_state(0.1, Truncation(16)), drho)
+
     def test_nonnegative_on_random_families(self, rng):
         for _ in range(5):
             rho = random_density_matrix(rng, 6)
@@ -247,6 +263,16 @@ class TestCfi:
             cfi([0.6, 0.5, -0.1], [0, 0, 0])
         with pytest.raises(ValueError, match="sum"):
             cfi([0.4, 0.4], [0.0, 0.0])
+
+    def test_nan_fails_the_sum_gate(self):
+        with pytest.raises(ValueError, match="probabilities sum to nan"):
+            cfi([np.nan, 1.0], [0.0, 0.0])
+
+
+class TestFisherSeries:
+    def test_nan_fails_the_nonnegativity_gate(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FisherSeries(times=np.arange(3.0), values=np.array([0.0, np.nan, 1.0]), kind="qfi")
 
 
 class TestCrBound:

@@ -23,6 +23,7 @@ from kerr_thermo import (
     quadrature_op,
     steady_state,
     steady_state_tangent,
+    tangent_trajectories,
     vacuum_state,
 )
 from kerr_thermo import measurement
@@ -61,6 +62,11 @@ class TestHomodynePovm:
         povm = homodyne_povm(0.3, Truncation(25))
         defect = np.abs(povm.completeness_operator() - np.eye(25)).max()
         assert defect <= 1e-12
+
+    def test_nan_fails_the_completeness_gate(self):
+        # e^{i phi n} at phi = inf is nan on every component
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="completeness defect nan exceeds"):
+            homodyne_povm(math.inf, Truncation(8))
 
     def test_vacuum_moments(self):
         # vacuum quadrature moments oracle: mean 0, variance 1/4
@@ -203,6 +209,8 @@ class TestOutcomeDistribution:
 
 
 class TestCfiSeries:
+    # the pair is the runner's, the exact tangent; tests/test_fisher_pair.py
+    # reads cfi_series over the stencil pair
     def test_undriven_heterodyne_plateau(self):
         # analytic oracle: CFI -> 1/(n_th+1)^2, strictly below QFI 1/(n(n+1))
         n = 0.05
@@ -210,7 +218,7 @@ class TestCfiSeries:
         trunc = Truncation(30)
         grid = TimeGrid(t_end=25.0, n_samples=26)
         cfg = FdConfig()
-        tt = perturbed_trajectories(params, grid, trunc, cfg)
+        tt = tangent_trajectories(params, grid, trunc)
         het = cfi_series(params, grid, trunc, cfg, heterodyne_povm(trunc), trajectories=tt)
         qf = qfi_series(params, grid, trunc, cfg, trajectories=tt)
         assert het.plateau == pytest.approx(1.0 / (n + 1) ** 2, rel=1e-3)
@@ -222,7 +230,7 @@ class TestCfiSeries:
         trunc = Truncation(30)
         grid = TimeGrid(t_end=4.0, n_samples=5)
         cfg = FdConfig()
-        tt = perturbed_trajectories(params, grid, trunc, cfg)
+        tt = tangent_trajectories(params, grid, trunc)
         one = cfi_series(params, grid, trunc, cfg, homodyne_povm(0.4, trunc), trajectories=tt)
         two = cfi_series(params, grid, trunc, cfg, homodyne_povm(0.4 + math.pi, trunc), trajectories=tt)
         np.testing.assert_allclose(one.values, two.values, atol=1e-8)
@@ -233,7 +241,7 @@ class TestCfiSeries:
         trunc = Truncation(30)
         grid = TimeGrid(t_end=8.0, n_samples=9)
         cfg = FdConfig()
-        tt = perturbed_trajectories(params, grid, trunc, cfg)
+        tt = tangent_trajectories(params, grid, trunc)
         qf = qfi_series(params, grid, trunc, cfg, trajectories=tt)
         mean_n = mean_photon_number(tt.central.final)
         povms = [

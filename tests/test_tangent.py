@@ -1,0 +1,191 @@
+"""Oracles for the exact tangent, the (central, derivative) pair the runner reads.
+
+``tangent_trajectories`` differentiates the powered RK4 map itself, so its
+central run must be ``propagate``'s to the bit, and its derivative must agree
+with the five-point stencil (whose roundoff floor it undercuts), with the exact
+steady-state tangent at the plateau and with the chi = 0 closed forms.  Each
+band is two to three times the largest deviation measured (2 cores, OpenBLAS
+0.3.31).  The criteria 6-8 twins run the contract's checks through the
+runner's route at the certified cutoffs.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from kerr_thermo import (
+    FdConfig,
+    NumericalFailureError,
+    SystemParams,
+    TimeGrid,
+    Truncation,
+    certify_cutoff,
+    cfi_series,
+    heterodyne_povm,
+    homodyne_povm,
+    mean_photon_number,
+    perturbed_trajectories,
+    propagate,
+    qfi_series,
+    steady_state_qfi,
+    tangent_trajectories,
+    vacuum_state,
+)
+from kerr_thermo import dynamics
+from kerr_thermo.config import resolve_config
+from test_gaussian_transient import FIG3A_CHI0, occupation, relative_deviation
+
+CFG = FdConfig()
+# The stencil at this step sits well above its own roundoff floor.
+COARSE = FdConfig(rel_step=1e-2)
+FISHER_PRESETS = ("fig3a", "fig3b", "fig3c", "fig5a", "fig5b", "fig5c", "fig8a", "fig8b", "fig8c")
+PRESET_POINTS = [
+    (name, index)
+    for name in FISHER_PRESETS
+    for index in range(len(resolve_config(preset=name).sweep_points()))
+]
+
+# Largest deviations measured over the 21 preset points: QFI series against
+# the stencil at rel_step 1e-2, 9.7e-9 of the series maximum (fig5a, drive
+# 0.5); tau = 30 plateau against steady_state_qfi, 3.8e-10 relative.
+STENCIL_BAND = 2e-8
+PLATEAU_BAND = 1e-9
+# chi = 0 closed forms at n_cut 14 and 20: QFI 9.5e-10, homodyne at most
+# 1.5e-10, heterodyne 1.3e-10.  The stencil's bands are 2e-7, 5e-7 and 2e-7.
+QFI_BAND = 2e-9
+HOMODYNE_BAND = 5e-10
+HETERODYNE_BAND = 5e-10
+
+
+@functools.lru_cache(maxsize=None)
+def preset_point(name, index):
+    cfg = resolve_config(preset=name)
+    params = cfg.params_at(cfg.sweep_points()[index])
+    return params, cfg.grid(), cfg.trunc()
+
+
+@functools.lru_cache(maxsize=None)
+def tangent_pair(params, grid, trunc):
+    return tangent_trajectories(params, grid, trunc)
+
+
+def test_pair_is_exact_and_read_only():
+    params, grid, trunc = preset_point("fig8a", 0)
+    tt = tangent_pair(params, grid, trunc)
+    assert tt.step is None
+    assert tt.rank_tol_rel == 1e-12
+    assert tt.derivative.shape == (grid.n_samples, trunc.n_cut, trunc.n_cut)
+    assert not tt.derivative.flags.writeable
+    assert not tt.derivative[0].any()
+    assert np.abs(tt.derivative - tt.derivative.conj().swapaxes(1, 2)).max() == 0.0
+    assert np.abs(np.trace(tt.derivative, axis1=1, axis2=2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig5c", "fig8a"])
+def test_central_stack_is_bit_identical_to_propagate(name):
+    params, grid, trunc = preset_point(name, 0)
+    central = tangent_pair(params, grid, trunc).central
+    alone = propagate(vacuum_state(trunc), params, grid, trunc)
+    np.testing.assert_array_equal(central.entries.view(np.uint64), alone.entries.view(np.uint64))
+    assert central.leakage_max == alone.leakage_max
+
+
+def test_any_stencil_config_reads_a_tangent_pair():
+    # the step is checked only for a stencil pair
+    params, grid, trunc = preset_point("fig8a", 0)
+    tt = tangent_pair(params, grid, trunc)
+    a = qfi_series(params, grid, trunc, CFG, trajectories=tt).values
+    b = qfi_series(params, grid, trunc, COARSE, trajectories=tt).values
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, index", PRESET_POINTS)
+def test_agrees_with_stencil_and_steady_state(name, index):
+    params, grid, trunc = preset_point(name, index)
+    exact = qfi_series(params, grid, trunc, CFG, trajectories=tangent_pair(params, grid, trunc)).values
+    stencil = qfi_series(params, grid, trunc, COARSE).values
+    assert np.abs(exact - stencil).max() <= STENCIL_BAND * exact.max()
+    plateau = steady_state_qfi(params, trunc)[0]
+    assert abs(exact[-1] / plateau - 1.0) <= PLATEAU_BAND
+
+
+@pytest.mark.parametrize("n_cut", (14, 20))
+def test_chi0_closed_forms(n_cut):
+    grid, trunc = TimeGrid(t_end=30.0, n_samples=201), Truncation(n_cut)
+    tt = tangent_pair(FIG3A_CHI0, grid, trunc)
+    n, dn = occupation()
+    qfi = qfi_series(FIG3A_CHI0, grid, trunc, CFG, trajectories=tt).values
+    assert relative_deviation(qfi, dn**2 / (n * (n + 1))) < QFI_BAND
+    for phi in (0.0, 0.3, 0.5 * math.pi):
+        hom = cfi_series(FIG3A_CHI0, grid, trunc, CFG, homodyne_povm(phi, trunc), trajectories=tt).values
+        assert relative_deviation(hom, 2 * dn**2 / (2 * n + 1) ** 2) < HOMODYNE_BAND
+    povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
+    het = cfi_series(FIG3A_CHI0, grid, trunc, CFG, povm, trajectories=tt).values
+    assert relative_deviation(het, dn**2 / (n + 1) ** 2) < HETERODYNE_BAND
+
+
+# Twins of acceptance criteria 6, 7 and 8 through the runner's route: the
+# same points, grid and checks, at the cutoff certify_cutoff gives the sweep.
+CONTRACT_GRID = TimeGrid(t_end=30.0, n_samples=121)
+
+
+def certified_series(points):
+    trunc = Truncation(certify_cutoff(points, Truncation.leakage_tol).n_cut)
+    return trunc, [
+        qfi_series(p, CONTRACT_GRID, trunc, CFG, trajectories=tangent_pair(p, CONTRACT_GRID, trunc))
+        for p in points
+    ]
+
+
+def test_criterion_6_twin_kerr_trend():
+    points = [SystemParams(delta=-3.5, chi=chi, drive=1.0, n_th=0.05) for chi in (0.0, 0.3, 0.6)]
+    _, series = certified_series(points)
+    plats = [s.plateau for s in series]
+    assert plats[0] < plats[1] < plats[2]
+    assert series[2].time_at_fraction(0.95) > series[0].time_at_fraction(0.95)
+
+
+def test_criterion_7_twin_drive_trend():
+    points = [SystemParams(delta=-3.5, chi=0.5, drive=drive, n_th=0.05) for drive in (0.5, 1.0, 1.5)]
+    _, series = certified_series(points)
+    plats = [s.plateau for s in series]
+    assert plats[0] < plats[1] < plats[2]
+
+
+@pytest.mark.parametrize("n_th", (0.05, 0.1))
+def test_criterion_8_twin_gaussian_measurement_bounds(n_th):
+    params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=n_th)
+    trunc, (qf,) = certified_series([params])
+    tt = tangent_pair(params, CONTRACT_GRID, trunc)
+    bound = qf.values * (1.0 + 1e-6)
+    hom = {
+        phi: cfi_series(params, CONTRACT_GRID, trunc, CFG, homodyne_povm(phi, trunc), trajectories=tt)
+        for phi in (k * math.pi / 12.0 for k in range(12))
+    }
+    het_povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
+    het = cfi_series(params, CONTRACT_GRID, trunc, CFG, het_povm, trajectories=tt)
+    for series in [*hom.values(), het]:
+        assert np.all(series.values <= bound)
+    assert max(series.plateau for series in hom.values()) >= het.plateau
+    # the amplitude quadrature beats the phase quadrature at the plateau
+    assert hom[0.0].plateau >= hom[math.pi / 2].plateau
+
+
+def test_non_finite_derivative_raises(monkeypatch):
+    params, trunc = SystemParams(delta=-1.0, chi=0.3, drive=0.2, n_th=0.05), Truncation(10)
+    grid = TimeGrid(t_end=1.0, n_samples=5)
+    slope = dynamics._occupation_slope
+    monkeypatch.setattr(dynamics, "_occupation_slope", lambda *args: np.nan * slope(*args))
+    with pytest.raises(NumericalFailureError, match=r"non-finite n_th-derivative at tau = 0\.25\b"):
+        tangent_trajectories(params, grid, trunc)
+    # the central run does not read the slope
+    propagate(vacuum_state(trunc), params, grid, trunc)
+
+
+def test_stencil_pair_is_still_checked_for_its_step():
+    params, grid, trunc = SystemParams(delta=-1.0, chi=0.3, drive=0.2, n_th=0.05), TimeGrid(1.0, 3), Truncation(10)
+    stencil = perturbed_trajectories(params, grid, trunc, CFG)
+    with pytest.raises(ValueError, match="trajectories.step"):
+        qfi_series(params, grid, trunc, COARSE, trajectories=stencil)
