@@ -16,6 +16,9 @@ values never share a file or a column.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import os
 import sys
 import time
@@ -57,6 +60,7 @@ class RunReport:
     n_cut_rule: str = "fixed"
     leakage_max: float = 0.0
     wall_time_s: float = 0.0
+    blas: str = "not identified"
     out_dir: str = ""
     warnings: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
@@ -72,6 +76,7 @@ class RunReport:
             f"n_cut rule: {self.n_cut_rule}",
             f"leakage max: {self.leakage_max:.3e}",
             f"wall time s: {self.wall_time_s:.2f}",
+            f"blas: {self.blas}",
             "",
             "resolved config:",
         ]
@@ -99,6 +104,67 @@ class _PointResult:
     leakage_max: float
     warnings: list[str]
     summaries: list[str]
+
+
+# OpenBLAS threads while a command computes; the others keep the process's
+# count.  thermalize spends its time in stacked 14 x 14 eigvalsh calls and in
+# the n_cut 14 map powering, where a second thread burns CPU and buys no wall
+# time: perfbench thermalize on a 2-core VM took about 1.0 s CPU for 0.55 s
+# wall at two threads, 0.5 s CPU for the same wall time at one.  fisher's
+# larger map products do gain from two (0.125 s against 0.15 s with one).
+_BLAS_THREADS = {"thermalize": 1}
+
+
+class _OpenBlas:
+    """numpy's bundled OpenBLAS, reached through its exported ctypes symbols."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._get = lib.scipy_openblas_get_num_threads64_
+        self._set = lib.scipy_openblas_set_num_threads64_
+        get_config = lib.scipy_openblas_get_config64_
+        get_config.restype = ctypes.c_char_p
+        self.name = " ".join(get_config().decode(errors="replace").split())
+
+    def threads(self) -> int:
+        return self._get()
+
+    def set_threads(self, count: int) -> None:
+        self._set(count)
+
+
+@functools.cache
+def _openblas() -> _OpenBlas | None:
+    """The BLAS numpy links, or None when its thread-control symbols are not exported.
+
+    Looked up on first use, never at import.
+    """
+    try:
+        return _OpenBlas(ctypes.CDLL(np.linalg._umath_linalg.__file__))
+    except (AttributeError, OSError):
+        return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int | None):
+    """Run the block with OpenBLAS on ``count`` threads, restoring the old count after.
+
+    ``count=None`` leaves the count alone.  No environment variable is read or
+    set.  Yields the BLAS and the thread count the block runs with, for the
+    run report; without the OpenBLAS symbols nothing is changed.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield "not identified, thread count left as it is"
+        return
+    old = blas.threads()
+    if count is None:
+        yield f"{blas.name}, compute threads: {old}"
+        return
+    blas.set_threads(count)
+    try:
+        yield f"{blas.name}, compute threads: {blas.threads()}"
+    finally:
+        blas.set_threads(old)
 
 
 # Commands whose sweep points are rows of one table rather than time series.
@@ -184,7 +250,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
     summaries, leakage)``; the truncation retry runs it.
     """
     params = config.params_at(point)
-    grid, fd = config.grid(), config.fd()
+    grid = config.grid()
     label = _point_label(config, point)
 
     if config.command == "thermalize":
@@ -200,14 +266,15 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             summary = (
                 f"{label}: final n_eff = {trace.n_eff[-1]:.6g}, "
                 f"final fidelity = {trace.fidelity_at_opt[-1]:.6g}, "
-                f"search_max = {search:.6g}"
+                f"search_max = {search:.6g}, "
+                f"fidelity evaluations per state = {trace.evaluations.mean():.1f}"
             )
             return columns, [summary], traj.leakage_max
 
     elif config.command in ("qfi", "cfi"):
         def compute(trunc):
             trajectories = tangent_trajectories(params, grid, trunc)
-            q_series = qfi_series(params, grid, trunc, fd, trajectories=trajectories)
+            q_series = qfi_series(params, grid, trunc, trajectories=trajectories)
             columns = {"gamma_t": q_series.times, "qfi": q_series.values}
             summaries = [
                 f"{label}: qfi: plateau = {q_series.plateau:.6g}, "
@@ -220,7 +287,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
                     trunc, mean_photon=mean_photon_number(trajectories.central.final)
                 )
             for name, povm in povms.items():
-                series = cfi_series(params, grid, trunc, fd, povm, trajectories=trajectories)
+                series = cfi_series(params, grid, trunc, cfg=None, povm=povm, trajectories=trajectories)
                 columns[name] = series.values
                 summaries.append(
                     f"{label}: {name}: plateau = {series.plateau:.6g}, "
@@ -261,10 +328,19 @@ def _check_jobs(jobs: int | None) -> None:
 
 
 def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
-    """Evaluate the sweep points in order, in this process, and aggregate the report."""
-    # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
-    trunc = config.trunc()
-    results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
+    """Evaluate the sweep points in order, in this process, and aggregate the report.
+
+    The whole step (cutoff certification, propagation and post-processing)
+    runs under the command's BLAS thread count, ``_BLAS_THREADS``: one thread
+    for ``thermalize``, the process's own count for every other command.  The
+    limit covers the whole step because a thread pool that one call leaves
+    spinning keeps burning CPU through the next.  The report names the BLAS
+    and the count the step ran with.
+    """
+    with _blas_threads(_BLAS_THREADS.get(config.command)) as blas:
+        # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
+        trunc = config.trunc()
+        results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
 
     report = RunReport(
         command=config.command,
@@ -272,6 +348,7 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
         config_hash=config.config_hash(),
         n_cut_used=trunc.n_cut,
         n_cut_rule=_cutoff_rule(config),
+        blas=blas,
     )
     for res in results:
         report.n_cut_used = max(report.n_cut_used, res.n_cut_used)

@@ -322,14 +322,17 @@ def _checked_pair(
     params: SystemParams,
     grid: TimeGrid,
     trunc: Truncation,
-    cfg: FdConfig,
+    cfg: FdConfig | None,
     pair: PerturbedTrajectories | None,
 ) -> PerturbedTrajectories:
-    """The (central, derivative) pair for these inputs: the stencil pair
-    propagated when ``pair`` is None, else ``pair`` checked against them (its
-    step only for a stencil pair).  A pair built for other inputs raises
-    ValueError naming the field that differs."""
+    """The (central, derivative) pair for these inputs: the stencil pair of
+    ``cfg`` propagated when ``pair`` is None, else ``pair`` checked against
+    them (its step only for a stencil pair and a given ``cfg``).  A pair built
+    for other inputs raises ValueError naming the field that differs, and so
+    does passing neither a pair nor a config."""
     if pair is None:
+        if cfg is None:
+            raise ValueError("pass trajectories, or an FdConfig to propagate the stencil pair")
         return perturbed_trajectories(params, grid, trunc, cfg)
     if pair.params != params:
         raise ValueError(f"trajectories.params {pair.params} differs from params {params}")
@@ -339,6 +342,8 @@ def _checked_pair(
         raise ValueError(
             f"trajectories dimension {pair.central.entries.shape[-1]} differs from n_cut {trunc.n_cut}"
         )
+    if cfg is None:
+        return pair
     step = None if pair.step is None else fd_step(params.n_th, cfg)
     if pair.step != step:
         raise ValueError(f"trajectories.step {pair.step!r} differs from the stencil step {step!r}")
@@ -349,7 +354,7 @@ def qfi_series(
     params: SystemParams,
     grid: TimeGrid,
     trunc: Truncation,
-    cfg: FdConfig,
+    cfg: FdConfig | None = None,
     *,
     trajectories: PerturbedTrajectories | None = None,
 ) -> FisherSeries:
@@ -357,7 +362,9 @@ def qfi_series(
 
     Pass ``trajectories`` to reuse propagations already computed (e.g. when a
     measurement CFI series over the same grid is also wanted); a pair built
-    for other inputs raises ValueError.
+    for other inputs raises ValueError.  ``cfg`` is needed only without
+    ``trajectories``, to propagate the stencil pair; omitting both raises
+    ValueError.
     """
     tr = _checked_pair(params, grid, trunc, cfg, trajectories)
     values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)[0]

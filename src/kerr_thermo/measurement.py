@@ -316,7 +316,7 @@ def cfi_series(
     params: SystemParams,
     grid: TimeGrid,
     trunc: Truncation,
-    cfg: FdConfig,
+    cfg: FdConfig | None,
     povm: Povm,
     *,
     trajectories: PerturbedTrajectories | None = None,
@@ -325,10 +325,11 @@ def cfi_series(
 
     Reuses the same (central, derivative) pair as the QFI series (pass it in
     to avoid re-propagating; a pair built for other inputs, or a POVM on
-    another dimension, raises ValueError).  The outcome map gives the
-    distributions of the central stack in one matmul and, by linearity, their
-    n_th-derivatives from the derivative stack in one more; the classical
-    Fisher sum runs over every sample at once.
+    another dimension, raises ValueError).  ``cfg`` may be None when
+    ``trajectories`` is given: it only propagates the stencil pair.  The
+    outcome map gives the distributions of the central stack in one matmul
+    and, by linearity, their n_th-derivatives from the derivative stack in
+    one more; the classical Fisher sum runs over every sample at once.
     """
     tr = _checked_pair(params, grid, trunc, cfg, trajectories)
     if povm.dim != trunc.n_cut:

@@ -465,7 +465,10 @@ class TestRun:
         trunc = Truncation(cfg.n_cut)
         traj = propagate(vacuum_state(trunc), cfg.params_at(cfg.sweep_points()[0]), cfg.grid(), trunc)
         auto = default_search_max(traj.entries)
-        assert report.summaries[0].endswith(f", search_max = {auto:.6g}")
+        evaluations = thermalization_trace(traj, auto).evaluations.mean()
+        assert report.summaries[0].endswith(
+            f", search_max = {auto:.6g}, fidelity evaluations per state = {evaluations:.1f}"
+        )
         assert report.summaries[0] in read_lines(tmp_path / "run_report.txt")
 
     def test_purity_sweep_csv(self, tmp_path):
@@ -534,6 +537,84 @@ class TestRun:
         rc = main(["thermalize", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 0
         assert cfgfile.read_text() == before
+
+
+needs_openblas = pytest.mark.skipif(
+    cli._openblas() is None, reason="numpy's BLAS exports no OpenBLAS thread control"
+)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS set to 2 threads for the test, its own count restored after."""
+    blas = cli._openblas()
+    old = blas.threads()
+    blas.set_threads(2)
+    yield blas
+    blas.set_threads(old)
+
+
+def recording_threads(monkeypatch, blas, name):
+    """Record the BLAS thread count at each call of ``cli.<name>``."""
+    seen = []
+    fn = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(blas.threads())
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return seen
+
+
+@needs_openblas
+class TestBlasThreads:
+    def test_thermalize_computes_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        seen = {
+            name: recording_threads(monkeypatch, two_blas_threads, name)
+            for name in ("propagate", "thermalization_trace")
+        }
+        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path))
+        assert seen == {"propagate": [1], "thermalization_trace": [1]}
+        assert two_blas_threads.threads() == 2
+        lines = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert lines[4:6] == ["n_cut used: 20", "n_cut rule: fixed"]
+        assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 1"
+
+    def test_count_restored_when_a_point_raises(self, tmp_path, monkeypatch, two_blas_threads):
+        propagate_ = cli.propagate
+
+        def blow_up_at_n_th_2(rho0, params, grid, trunc, **kwargs):
+            if params.n_th == 2.0:
+                raise NumericalFailureError("non-finite state")
+            return propagate_(rho0, params, grid, trunc, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", blow_up_at_n_th_2)
+        cfg = parse_config("command = thermalize\nn_th = 0.05, 2.0\nn_cut = 20\nt_end = 2\nn_samples = 5\n")
+        with pytest.raises(NumericalFailureError):
+            run(cfg, out_dir=str(tmp_path))
+        assert two_blas_threads.threads() == 2
+
+    def test_cfi_keeps_the_count(self, tmp_path, monkeypatch, two_blas_threads):
+        seen = recording_threads(monkeypatch, two_blas_threads, "tangent_trajectories")
+        cfg = parse_config(
+            "command = cfi\nn_th = 0.1\nchi = 0.4\ndrive = 0.5\nn_cut = 12\n"
+            "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\n"
+        )
+        run(cfg, out_dir=str(tmp_path))
+        assert seen == [2]
+        assert two_blas_threads.threads() == 2
+        report = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert report[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
+
+
+def test_run_without_blas_thread_control(tmp_path, monkeypatch):
+    # a BLAS without the OpenBLAS symbols: the run completes and says so
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    report = run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path))
+    assert report.blas == "not identified, thread count left as it is"
+    assert read_lines(tmp_path / "run_report.txt").splitlines()[8] == f"blas: {report.blas}"
+    assert (tmp_path / "thermalize.csv").exists()
 
 
 class TestMainEntry:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kerr_thermo import (
+    EffTempTrace,
     SystemParams,
     TimeGrid,
     Truncation,
@@ -18,6 +19,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import fidelity
+from kerr_thermo.config import resolve_config
 from kerr_thermo.errors import BracketBoundaryWarning
 
 from conftest import random_density_matrix, random_unitary
@@ -148,6 +150,13 @@ class TestThermalizationTrace:
         trace = thermalization_trace(traj, search_max=0.5)
         np.testing.assert_allclose(trace.n_eff, 0.0, atol=1e-6)
 
+    def test_evaluation_counts_checked(self):
+        times, ones = np.arange(3.0), np.ones(3)
+        assert EffTempTrace(times, ones, ones).evaluations is None
+        for bad in (np.full(2, 26), np.array([26, -1, 26])):
+            with pytest.raises(ValueError, match="one nonnegative count per time"):
+                EffTempTrace(times, ones, ones, evaluations=bad)
+
     def test_fidelities_within_unit_interval(self):
         trunc = Truncation(30)
         params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
@@ -231,7 +240,7 @@ def count_kernel_calls(monkeypatch):
     kernel = fidelity._gibbs_fidelities
 
     def counted(rho, n_eff):
-        calls.append(np.size(n_eff))
+        calls.append(int(np.prod(np.broadcast_shapes(rho.shape[:-2], np.shape(n_eff)))))
         return kernel(rho, n_eff)
 
     monkeypatch.setattr(fidelity, "_gibbs_fidelities", counted)
@@ -254,14 +263,48 @@ class TestEffectiveTemperatureSearch:
 
     def test_batched_trace_matches_single_states(self, fig2a_trajectory, monkeypatch):
         # the lockstep search takes each state's scalar iterates, and it is
-        # batched: one stacked call per state's scan plus one per Brent round
+        # batched: one stacked call per scan chunk plus one per Brent round
         traj, search_max = fig2a_trajectory
         calls = count_kernel_calls(monkeypatch)
         trace = thermalization_trace(traj, search_max)
         assert len(calls) <= len(traj.states) + 40
+        assert sum(calls) == trace.evaluations.sum()
         single = np.array([effective_temperature(s, search_max) for s in traj.states])
-        np.testing.assert_allclose(trace.n_eff, single[:, 0], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(trace.fidelity_at_opt, single[:, 1], rtol=0, atol=1e-14)
+        assert np.array_equal(trace.n_eff, single[:, 0])
+        assert np.array_equal(trace.fidelity_at_opt, single[:, 1])
+
+    def test_scan_chunk_boundaries(self, fig2a_trajectory):
+        # stacks one state short of, at and past a scan chunk, and one that
+        # ends mid-chunk, give every state its single-state search bit for bit
+        traj, search_max = fig2a_trajectory
+        chunk = fidelity._SCAN_MATRICES // fidelity._SCAN_POINTS
+        single = np.array([effective_temperature(s, search_max) for s in traj.states])
+        for m in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            n_eff, fid, evaluations = fidelity._effective_temperatures(traj.entries[:m], search_max)
+            assert np.array_equal(n_eff, single[:m, 0])
+            assert np.array_equal(fid, single[:m, 1])
+            assert len(evaluations) == m
+
+    def test_evaluations_pinned_on_the_benchmark_draw(self, monkeypatch):
+        # perfbench's thermalize seed-1 draw (fig2a at n_th 0.05, 0.1 and
+        # drive 0.6531, 0.9241, 201 states each at the certified n_cut 14):
+        # the search evaluates 26.0, 26.9, 26.0 and 26.0 Gibbs-fidelity
+        # matrices per state, counted by the kernel and by the trace alike
+        config = resolve_config(
+            preset="fig2a", overrides=("n_th=0.05,0.1", "drive=0.6531,0.9241"), command="thermalize"
+        )
+        trunc, grid = config.trunc(), config.grid()
+        calls = count_kernel_calls(monkeypatch)
+        totals = []
+        for point in config.sweep_points():
+            traj = propagate(vacuum_state(trunc), config.params_at(point), grid, trunc)
+            start = len(calls)
+            trace = thermalization_trace(traj)
+            totals.append(sum(calls[start:]))
+            assert trace.evaluations.sum() == totals[-1]
+        assert trunc.n_cut == 14
+        assert totals == [5232, 5416, 5232, 5232]
+        assert round(sum(totals) / (4 * 201), 2) == 26.26
 
     def test_evaluation_budget(self, fig2a_trajectory, monkeypatch):
         # at most 30 fidelity evaluations per state on average; the vacuum at

@@ -225,7 +225,9 @@ READ_ONLY_RECORDS = {
     "FisherSeries": (FisherSeries, lambda: dict(times=np.arange(3.0), values=np.ones(3)), dict(kind="qfi")),
     "EffTempTrace": (
         EffTempTrace,
-        lambda: dict(times=np.arange(3.0), n_eff=np.ones(3), fidelity_at_opt=np.ones(3)),
+        lambda: dict(
+            times=np.arange(3.0), n_eff=np.ones(3), fidelity_at_opt=np.ones(3), evaluations=np.full(3, 26)
+        ),
         {},
     ),
     "Trajectory": (

@@ -93,12 +93,22 @@ def test_central_stack_is_bit_identical_to_propagate(name):
 
 
 def test_any_stencil_config_reads_a_tangent_pair():
-    # the step is checked only for a stencil pair
+    # the step is checked only for a stencil pair, and a given pair needs no config
     params, grid, trunc = preset_point("fig8a", 0)
     tt = tangent_pair(params, grid, trunc)
     a = qfi_series(params, grid, trunc, CFG, trajectories=tt).values
     b = qfi_series(params, grid, trunc, COARSE, trajectories=tt).values
+    c = qfi_series(params, grid, trunc, trajectories=tt).values
     np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, c)
+
+
+def test_neither_pair_nor_config_is_refused():
+    params, grid, trunc = preset_point("fig8a", 0)
+    with pytest.raises(ValueError, match="an FdConfig"):
+        qfi_series(params, grid, trunc)
+    with pytest.raises(ValueError, match="an FdConfig"):
+        cfi_series(params, grid, trunc, None, homodyne_povm(0.3, trunc))
 
 
 @pytest.mark.parametrize("name, index", PRESET_POINTS)
