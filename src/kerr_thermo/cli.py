@@ -106,22 +106,28 @@ class _PointResult:
     summaries: list[str]
 
 
-# OpenBLAS threads while a command computes; the others keep the process's
-# count.  thermalize spends its time in stacked 14 x 14 eigvalsh calls and in
-# the n_cut 14 map powering, where a second thread burns CPU and buys no wall
-# time: perfbench thermalize on a 2-core VM took about 1.0 s CPU for 0.55 s
-# wall at two threads, 0.5 s CPU for the same wall time at one.  fisher's
-# larger map products do gain from two (0.125 s against 0.15 s with one).
-_BLAS_THREADS = {"thermalize": 1}
+# thermalize computes a point on one OpenBLAS thread up to this cutoff, and
+# on the process's count above it.  Measured on a fig2a point (201 samples,
+# best of three, 2-core x86-64 VM): a second thread saves propagate 3-6 ms at
+# n_cut 14-16, under 5% of the point's wall time, while the trace's stacked
+# small eigvalsh calls leave it spinning and the point's CPU time about
+# doubles; from n_cut 18 it saves 7-15% of the wall time, at n_cut 30 about
+# 30% (1.06 s -> 0.75 s) and at n_cut 40 about 35% (3.8 s -> 2.6 s).
+_ONE_THREAD_NCUT_MAX = 16
+
+# Name prefixes and suffixes of OpenBLAS's thread control: numpy 2 wheels
+# export scipy_openblas_*64_, numpy 1.x wheels openblas_*64_, a system
+# OpenBLAS openblas_* (scipy_openblas_* in an LP64 scipy-openblas build).
+_OPENBLAS_NAMES = (("scipy_", "64_"), ("", "64_"), ("", ""), ("scipy_", ""))
 
 
 class _OpenBlas:
-    """numpy's bundled OpenBLAS, reached through its exported ctypes symbols."""
+    """An OpenBLAS, reached through its exported ctypes symbols."""
 
-    def __init__(self, lib: ctypes.CDLL):
-        self._get = lib.scipy_openblas_get_num_threads64_
-        self._set = lib.scipy_openblas_set_num_threads64_
-        get_config = lib.scipy_openblas_get_config64_
+    def __init__(self, lib, prefix: str, suffix: str):
+        self._get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+        self._set = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+        get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
         get_config.restype = ctypes.c_char_p
         self.name = " ".join(get_config().decode(errors="replace").split())
 
@@ -132,39 +138,59 @@ class _OpenBlas:
         self._set(count)
 
 
+def _find_openblas(lib) -> _OpenBlas | None:
+    """The OpenBLAS thread control ``lib`` exports under any known name, or None."""
+    for prefix, suffix in _OPENBLAS_NAMES:
+        try:
+            return _OpenBlas(lib, prefix, suffix)
+        except AttributeError:
+            continue
+    return None
+
+
 @functools.cache
 def _openblas() -> _OpenBlas | None:
-    """The BLAS numpy links, or None when its thread-control symbols are not exported.
+    """The OpenBLAS numpy links, or None when no thread control is found.
 
     Looked up on first use, never at import.
     """
     try:
-        return _OpenBlas(ctypes.CDLL(np.linalg._umath_linalg.__file__))
-    except (AttributeError, OSError):
+        return _find_openblas(ctypes.CDLL(np.linalg._umath_linalg.__file__))
+    except OSError:
         return None
 
 
 @contextlib.contextmanager
-def _blas_threads(count: int | None):
-    """Run the block with OpenBLAS on ``count`` threads, restoring the old count after.
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, restoring the old count after.
 
-    ``count=None`` leaves the count alone.  No environment variable is read or
-    set.  Yields the BLAS and the thread count the block runs with, for the
-    run report; without the OpenBLAS symbols nothing is changed.
+    No environment variable is read or set; without the OpenBLAS symbols the
+    count is left as it is.
     """
     blas = _openblas()
     if blas is None:
-        yield "not identified, thread count left as it is"
+        yield
         return
     old = blas.threads()
-    if count is None:
-        yield f"{blas.name}, compute threads: {old}"
-        return
-    blas.set_threads(count)
+    blas.set_threads(1)
     try:
-        yield f"{blas.name}, compute threads: {blas.threads()}"
+        yield
     finally:
         blas.set_threads(old)
+
+
+def _one_thread(command: str, n_cut: int) -> bool:
+    """Whether a point of ``command`` at ``n_cut`` computes on one BLAS thread."""
+    return command == "thermalize" and n_cut <= _ONE_THREAD_NCUT_MAX
+
+
+def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
+    """The BLAS and the thread counts the points' final computes ran with."""
+    blas = _openblas()
+    if blas is None:
+        return "not identified, thread count left as it is"
+    counts = sorted({1 if _one_thread(config.command, r.n_cut_used) else blas.threads() for r in results})
+    return f"{blas.name}, compute threads: {', '.join(map(str, counts))}"
 
 
 # Commands whose sweep points are rows of one table rather than time series.
@@ -199,12 +225,16 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
     sample map's n_cut^6 build cost and n_cut^4 memory, and 120
     (``_TABLE_NCUT_MAX``) for the table commands.  A larger cutoff must be set
     explicitly.  When the retries run out the error names the last cutoff tried.
+    Each try runs on one BLAS thread when ``_one_thread`` says so for its
+    cutoff, so a retry that outgrows ``_ONE_THREAD_NCUT_MAX`` gets the
+    process's count back.
     """
     limit = _TABLE_NCUT_MAX if config.command in _TABLE_COMMANDS else _AUTO_NCUT_MAX
     n_cut = config.trunc().n_cut
     while True:
         try:
-            return compute(Truncation(n_cut)), n_cut
+            with _one_blas_thread() if _one_thread(config.command, n_cut) else contextlib.nullcontext():
+                return compute(Truncation(n_cut)), n_cut
         except TruncationError as exc:
             if n_cut >= limit:
                 raise TruncationError(
@@ -287,7 +317,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
                     trunc, mean_photon=mean_photon_number(trajectories.central.final)
                 )
             for name, povm in povms.items():
-                series = cfi_series(params, grid, trunc, cfg=None, povm=povm, trajectories=trajectories)
+                series = cfi_series(params, grid, trunc, povm=povm, trajectories=trajectories)
                 columns[name] = series.values
                 summaries.append(
                     f"{label}: {name}: plateau = {series.plateau:.6g}, "
@@ -330,17 +360,16 @@ def _check_jobs(jobs: int | None) -> None:
 def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
     """Evaluate the sweep points in order, in this process, and aggregate the report.
 
-    The whole step (cutoff certification, propagation and post-processing)
-    runs under the command's BLAS thread count, ``_BLAS_THREADS``: one thread
-    for ``thermalize``, the process's own count for every other command.  The
-    limit covers the whole step because a thread pool that one call leaves
-    spinning keeps burning CPU through the next.  The report names the BLAS
-    and the count the step ran with.
+    A thermalize point up to n_cut ``_ONE_THREAD_NCUT_MAX`` computes on one
+    BLAS thread (see ``_with_truncation_retry``); the limit covers its
+    propagation and its trace together, because a thread pool that one call
+    leaves spinning keeps burning CPU through the next.  The cutoff
+    certification at these sizes does not wake the pool.  The report names
+    the BLAS and the thread counts the points ran with.
     """
-    with _blas_threads(_BLAS_THREADS.get(config.command)) as blas:
-        # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
-        trunc = config.trunc()
-        results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
+    # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
+    trunc = config.trunc()
+    results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
 
     report = RunReport(
         command=config.command,
@@ -348,7 +377,7 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
         config_hash=config.config_hash(),
         n_cut_used=trunc.n_cut,
         n_cut_rule=_cutoff_rule(config),
-        blas=blas,
+        blas=_blas_report(config, results),
     )
     for res in results:
         report.n_cut_used = max(report.n_cut_used, res.n_cut_used)

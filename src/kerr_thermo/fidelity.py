@@ -6,14 +6,11 @@ the achieved fidelity quantifies how thermal the state actually is.  No claim
 is made that the state is Gibbs when it is not.
 
 A trajectory's states are searched together, in bounded stacks: the coarse
-scan takes chunks of 8 states against its 16 points, 128 matrices per stacked
-``eigvalsh``, and the Brent refinement runs every state in lockstep.  The
-refinement is one bounded Brent maximizer over an objective ``f(idx, x)`` that
-evaluates only the states still searching: it carries those states alone and
-drops each one as it converges, so a round costs one stacked ``eigvalsh`` over
-the open states and no bookkeeping over the closed ones.  Each state evaluates
-the same points as a search of that state alone, which is what
-:func:`effective_temperature` runs, and the trace records how many.
+scan takes one state's 16 points per stacked ``eigvalsh``, and the Brent
+refinement runs every state in lockstep, one stacked ``eigvalsh`` per round
+over the states still searching.  Each state evaluates the same points as a
+search of that state alone, which is what :func:`effective_temperature` runs,
+and the trace records how many.
 """
 
 from __future__ import annotations
@@ -44,11 +41,6 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # Coarse scan size and Brent tolerance of the effective-temperature search.
 _SCAN_POINTS = 16
 _XTOL = 1e-7
-# Matrices per stacked call of the scan: 8 states against the 16 points.  At
-# n_cut 30 one chunk's temporaries are about 2 MB; a 201-state trajectory at
-# n_cut 14 scans in 0.049 s this way against 0.059 s one state per call (one
-# OpenBLAS thread on a 2-core x86-64 VM).
-_SCAN_MATRICES = 128
 
 
 @dataclass(frozen=True)
@@ -147,46 +139,35 @@ def _gibbs_fidelities(rho: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
 
 
 def _brent_max(
-    f, lo: np.ndarray, hi: np.ndarray, xtol: float
+    rho: np.ndarray, lo: np.ndarray, hi: np.ndarray, xtol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize ``f`` for every state k on [lo[k], hi[k]].
+    """Maximize the Gibbs fidelity of each state ``rho[k]`` on [lo[k], hi[k]].
 
-    ``f(idx, x)`` returns the objective of the states ``idx`` at the points
-    ``x``, one point per state, and is called only on the states still
-    searching.  Brent's bounded minimizer applied to -f, Brent, *Algorithms
-    for Minimization without Derivatives* (1973), ch. 5: parabolic
-    interpolation through the three best points, falling back to a
-    golden-section step whenever the parabola is not trusted.  A state stops
-    when its best point lies within 2 tol of its bracket midpoint, where
+    Brent's bounded minimizer applied to -F, Brent, *Algorithms for
+    Minimization without Derivatives* (1973), ch. 5: parabolic interpolation
+    through the three best points, falling back to a golden-section step
+    whenever the parabola is not trusted.  A state stops when its best point
+    lies within 2 tol of its bracket midpoint, where
     tol = sqrt(eps) |x| + xtol / 3.  The states run in lockstep: every state
     takes the steps the algorithm would take on it alone, selected by masks,
-    and a converged state leaves the arrays.  Returns ``(x, f(x))`` for the
-    best point each state evaluated, and the number of evaluations per state.
+    and each round evaluates the states still searching in one stacked call.
+    Returns ``(x, F(x))`` for the best point each state evaluated, and the
+    number of fidelity evaluations each state took.
     """
-    best_x = np.empty_like(lo)
-    best_f = np.empty_like(lo)
-    evaluations = np.ones(len(lo), dtype=int)
-    idx = np.arange(len(lo))
     a, b = lo.copy(), hi.copy()
     x = a + _GOLDEN * (b - a)
     w, v = x.copy(), x.copy()
-    fx = -f(idx, x)
+    fx = -_gibbs_fidelities(rho, x)
+    evaluations = np.ones(len(x), dtype=int)
     fw, fv = fx.copy(), fx.copy()
     d = np.zeros_like(x)
     e = np.zeros_like(x)
     while True:
         mid = 0.5 * (a + b)
         tol = _SQRT_EPS * np.abs(x) + xtol / 3.0
-        done = np.abs(x - mid) <= 2.0 * tol - 0.5 * (b - a)
-        if done.any():
-            best_x[idx[done]] = x[done]
-            best_f[idx[done]] = -fx[done]
-            if done.all():
-                return best_x, best_f, evaluations
-            searching = ~done
-            idx, a, b, x, w, v, fx, fw, fv, d, e, mid, tol = (
-                arr[searching] for arr in (idx, a, b, x, w, v, fx, fw, fv, d, e, mid, tol)
-            )
+        active = ~(np.abs(x - mid) <= 2.0 * tol - 0.5 * (b - a))
+        if not active.any():
+            return x, -fx, evaluations
         r = (x - w) * (fx - fv)
         q = (x - v) * (fx - fw)
         p = (x - v) * q - (x - w) * r
@@ -208,12 +189,13 @@ def _brent_max(
         e = np.where(parabolic, d, golden)
         d = np.where(parabolic, step, _GOLDEN * golden)
         u = x + np.where(np.abs(d) >= tol, d, np.copysign(tol, d))
-        fu = -f(idx, u)
-        evaluations[idx] += 1
+        fu = fx.copy()
+        fu[active] = -_gibbs_fidelities(rho[active], u[active])
+        evaluations += active
 
         left = u < x
-        better = fu <= fx
-        worse = ~better
+        better = active & (fu <= fx)
+        worse = active & ~better
         to_w = worse & ((fu <= fw) | (w == x))
         to_v = worse & ~to_w & ((fu <= fv) | (v == x) | (v == w))
         a = np.where(better & ~left, x, np.where(worse & left, u, a))
@@ -231,10 +213,9 @@ def _effective_temperatures(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective temperature, fidelity and evaluation count of every state of a (m, d, d) stack.
 
-    The scan evaluates chunks of states against its 16 points, 128 matrices
-    per stacked call, so the temporaries stay bounded whatever m is; the
-    Brent search then runs all states in lockstep.  The kernel is looked up
-    at each call, never bound.  Warns once, for the caller of the public
+    The scan evaluates one state's 16 points per stacked call, so the
+    temporaries stay at 16 matrices, not 16 m; the Brent search then runs
+    all states in lockstep.  Warns once, for the caller of the public
     function, when any state's best scan point is search_max.
     """
     if not search_max > 0:
@@ -243,10 +224,7 @@ def _effective_temperatures(
         grid = np.concatenate(([0.0], np.geomspace(1e-4, search_max, _SCAN_POINTS - 1)))
     else:
         grid = np.linspace(0.0, search_max, _SCAN_POINTS)
-    chunk = _SCAN_MATRICES // _SCAN_POINTS
-    values = np.concatenate(
-        [_gibbs_fidelities(rho[i : i + chunk, None], grid) for i in range(0, len(rho), chunk)]
-    )
+    values = np.stack([_gibbs_fidelities(state, grid) for state in rho])
     best = np.argmax(values, axis=1)
     if np.any(best == len(grid) - 1):
         warnings.warn(
@@ -257,9 +235,7 @@ def _effective_temperatures(
         )
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, len(grid) - 1)]
-    n_opt, f_opt, evaluations = _brent_max(
-        lambda idx, x: _gibbs_fidelities(rho[idx], x), lo, hi, xtol=_XTOL
-    )
+    n_opt, f_opt, evaluations = _brent_max(rho, lo, hi, xtol=_XTOL)
     # the best scan point wins if it scores higher than the refined one
     f_best = values[np.arange(len(rho)), best]
     scan_wins = f_best > f_opt

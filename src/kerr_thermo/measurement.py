@@ -316,8 +316,8 @@ def cfi_series(
     params: SystemParams,
     grid: TimeGrid,
     trunc: Truncation,
-    cfg: FdConfig | None,
-    povm: Povm,
+    cfg: FdConfig | None = None,
+    povm: Povm | None = None,
     *,
     trajectories: PerturbedTrajectories | None = None,
 ) -> FisherSeries:
@@ -325,12 +325,15 @@ def cfi_series(
 
     Reuses the same (central, derivative) pair as the QFI series (pass it in
     to avoid re-propagating; a pair built for other inputs, or a POVM on
-    another dimension, raises ValueError).  ``cfg`` may be None when
-    ``trajectories`` is given: it only propagates the stencil pair.  The
-    outcome map gives the distributions of the central stack in one matmul
-    and, by linearity, their n_th-derivatives from the derivative stack in
-    one more; the classical Fisher sum runs over every sample at once.
+    another dimension, raises ValueError).  As in :func:`qfi_series`, ``cfg``
+    is needed only without ``trajectories``, to propagate the stencil pair;
+    ``povm`` is required, by position or by name.  The outcome map gives the
+    distributions of the central stack in one matmul and, by linearity, their
+    n_th-derivatives from the derivative stack in one more; the classical
+    Fisher sum runs over every sample at once.
     """
+    if povm is None:
+        raise TypeError("cfi_series() needs a povm")
     tr = _checked_pair(params, grid, trunc, cfg, trajectories)
     if povm.dim != trunc.n_cut:
         raise ValueError(f"povm.dim {povm.dim} differs from n_cut {trunc.n_cut}")

@@ -567,6 +567,9 @@ def recording_threads(monkeypatch, blas, name):
     return seen
 
 
+SMALL_THERMALIZE = FAST_THERMALIZE.replace("n_cut = 20", "n_cut = 14")
+
+
 @needs_openblas
 class TestBlasThreads:
     def test_thermalize_computes_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
@@ -574,25 +577,53 @@ class TestBlasThreads:
             name: recording_threads(monkeypatch, two_blas_threads, name)
             for name in ("propagate", "thermalization_trace")
         }
-        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path))
+        run(parse_config(SMALL_THERMALIZE), out_dir=str(tmp_path))
         assert seen == {"propagate": [1], "thermalization_trace": [1]}
         assert two_blas_threads.threads() == 2
         lines = read_lines(tmp_path / "run_report.txt").splitlines()
-        assert lines[4:6] == ["n_cut used: 20", "n_cut rule: fixed"]
+        assert lines[4:6] == ["n_cut used: 14", "n_cut rule: fixed"]
         assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 1"
+
+    def test_thermalize_above_the_threshold_keeps_the_count(self, tmp_path, monkeypatch, two_blas_threads):
+        assert cli._ONE_THREAD_NCUT_MAX < 20
+        seen = recording_threads(monkeypatch, two_blas_threads, "propagate")
+        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path))
+        assert seen == [2]
+        lines = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
+
+    def test_retry_past_the_threshold_gets_the_count_back(self, tmp_path, monkeypatch, two_blas_threads):
+        # n_cut 10 fails and the retry runs at 20, above the one-thread cutoff
+        seen = []
+        propagate_ = cli.propagate
+
+        def fail_first(rho0, params, grid, trunc, **kwargs):
+            seen.append((trunc.n_cut, two_blas_threads.threads()))
+            if len(seen) == 1:
+                raise TruncationError("transient leakage")
+            return propagate_(rho0, params, grid, trunc, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", fail_first)
+        run(parse_config(FAST_THERMALIZE.replace("n_cut = 20", "n_cut = 10")), out_dir=str(tmp_path))
+        assert seen == [(10, 1), (20, 2)]
+        lines = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
 
     def test_count_restored_when_a_point_raises(self, tmp_path, monkeypatch, two_blas_threads):
         propagate_ = cli.propagate
+        seen = []
 
         def blow_up_at_n_th_2(rho0, params, grid, trunc, **kwargs):
+            seen.append(two_blas_threads.threads())
             if params.n_th == 2.0:
                 raise NumericalFailureError("non-finite state")
             return propagate_(rho0, params, grid, trunc, **kwargs)
 
         monkeypatch.setattr(cli, "propagate", blow_up_at_n_th_2)
-        cfg = parse_config("command = thermalize\nn_th = 0.05, 2.0\nn_cut = 20\nt_end = 2\nn_samples = 5\n")
+        cfg = parse_config("command = thermalize\nn_th = 0.05, 2.0\nn_cut = 14\nt_end = 2\nn_samples = 5\n")
         with pytest.raises(NumericalFailureError):
             run(cfg, out_dir=str(tmp_path))
+        assert seen == [1, 1]
         assert two_blas_threads.threads() == 2
 
     def test_cfi_keeps_the_count(self, tmp_path, monkeypatch, two_blas_threads):
@@ -608,10 +639,41 @@ class TestBlasThreads:
         assert report[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
 
 
+class FakeOpenBlas:
+    """A library exporting OpenBLAS's thread control under ``prefix`` and ``suffix``."""
+
+    def __init__(self, prefix, suffix):
+        self.count = 2
+
+        def get_config():
+            return b"OpenBLAS 0.3.0  fake"
+
+        def set_threads(n):
+            self.count = n
+
+        setattr(self, f"{prefix}openblas_get_num_threads{suffix}", lambda: self.count)
+        setattr(self, f"{prefix}openblas_set_num_threads{suffix}", set_threads)
+        setattr(self, f"{prefix}openblas_get_config{suffix}", get_config)
+
+
+@pytest.mark.parametrize("prefix, suffix", [("scipy_", "64_"), ("", "64_"), ("", ""), ("scipy_", "")])
+def test_openblas_found_under_every_export_name(prefix, suffix):
+    # numpy 2 wheels, numpy 1.x wheels, a system OpenBLAS, an LP64 scipy-openblas
+    lib = FakeOpenBlas(prefix, suffix)
+    blas = cli._find_openblas(lib)
+    assert blas.name == "OpenBLAS 0.3.0 fake"
+    blas.set_threads(1)
+    assert (blas.threads(), lib.count) == (1, 1)
+
+
+def test_no_openblas_thread_control_found():
+    assert cli._find_openblas(object()) is None
+
+
 def test_run_without_blas_thread_control(tmp_path, monkeypatch):
     # a BLAS without the OpenBLAS symbols: the run completes and says so
     monkeypatch.setattr(cli, "_openblas", lambda: None)
-    report = run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path))
+    report = run(parse_config(SMALL_THERMALIZE), out_dir=str(tmp_path))
     assert report.blas == "not identified, thread count left as it is"
     assert read_lines(tmp_path / "run_report.txt").splitlines()[8] == f"blas: {report.blas}"
     assert (tmp_path / "thermalize.csv").exists()

@@ -263,7 +263,7 @@ class TestEffectiveTemperatureSearch:
 
     def test_batched_trace_matches_single_states(self, fig2a_trajectory, monkeypatch):
         # the lockstep search takes each state's scalar iterates, and it is
-        # batched: one stacked call per scan chunk plus one per Brent round
+        # batched: one stacked call per state's scan plus one per Brent round
         traj, search_max = fig2a_trajectory
         calls = count_kernel_calls(monkeypatch)
         trace = thermalization_trace(traj, search_max)
@@ -272,18 +272,6 @@ class TestEffectiveTemperatureSearch:
         single = np.array([effective_temperature(s, search_max) for s in traj.states])
         assert np.array_equal(trace.n_eff, single[:, 0])
         assert np.array_equal(trace.fidelity_at_opt, single[:, 1])
-
-    def test_scan_chunk_boundaries(self, fig2a_trajectory):
-        # stacks one state short of, at and past a scan chunk, and one that
-        # ends mid-chunk, give every state its single-state search bit for bit
-        traj, search_max = fig2a_trajectory
-        chunk = fidelity._SCAN_MATRICES // fidelity._SCAN_POINTS
-        single = np.array([effective_temperature(s, search_max) for s in traj.states])
-        for m in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-            n_eff, fid, evaluations = fidelity._effective_temperatures(traj.entries[:m], search_max)
-            assert np.array_equal(n_eff, single[:m, 0])
-            assert np.array_equal(fid, single[:m, 1])
-            assert len(evaluations) == m
 
     def test_evaluations_pinned_on_the_benchmark_draw(self, monkeypatch):
         # perfbench's thermalize seed-1 draw (fig2a at n_th 0.05, 0.1 and

@@ -108,7 +108,9 @@ def test_neither_pair_nor_config_is_refused():
     with pytest.raises(ValueError, match="an FdConfig"):
         qfi_series(params, grid, trunc)
     with pytest.raises(ValueError, match="an FdConfig"):
-        cfi_series(params, grid, trunc, None, homodyne_povm(0.3, trunc))
+        cfi_series(params, grid, trunc, povm=homodyne_povm(0.3, trunc))
+    with pytest.raises(TypeError, match="needs a povm"):
+        cfi_series(params, grid, trunc, trajectories=tangent_pair(params, grid, trunc))
 
 
 @pytest.mark.parametrize("name, index", PRESET_POINTS)
