@@ -108,7 +108,7 @@ class _PointResult:
 
 # thermalize computes a point on one OpenBLAS thread up to this cutoff, and
 # on the process's count above it.  Measured on a fig2a point (201 samples,
-# best of three, 2-core x86-64 VM): a second thread saves propagate 3-6 ms at
+# three runs each, 2-core x86-64 VM): a second thread saves propagate 3-6 ms at
 # n_cut 14-16, under 5% of the point's wall time, while the trace's stacked
 # small eigvalsh calls leave it spinning and the point's CPU time about
 # doubles; from n_cut 18 it saves 7-15% of the wall time, at n_cut 30 about
@@ -128,7 +128,9 @@ class _OpenBlas:
         self._get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
         self._set = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
         get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
-        get_config.restype = ctypes.c_char_p
+        self._get.argtypes, self._get.restype = [], ctypes.c_int
+        self._set.argtypes, self._set.restype = [ctypes.c_int], None
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
         self.name = " ".join(get_config().decode(errors="replace").split())
 
     def threads(self) -> int:
