@@ -2,20 +2,20 @@
 # and how the Kerr coefficient and drive amplitude raise the plateau.  The
 # linear undriven probe plateaus at the thermal-state value 1/(n(n+1)); Kerr
 # nonlinearity and driving push the plateau above it, meaning better
-# temperature precision per measurement.
+# temperature precision per measurement.  Each series comes from one
+# propagation that carries the exact n_th-derivative.
 
-from kerr_thermo import FdConfig, SystemParams, TimeGrid, Truncation, cr_bound, qfi_series
+from kerr_thermo import SystemParams, TimeGrid, Truncation, cr_bound, qfi_series, tangent_trajectories
 
 trunc = Truncation(30)
 grid = TimeGrid(t_end=30.0, n_samples=61)
-cfg = FdConfig()
 n_th = 0.05
 
 print(f"thermal-state reference: 1/(n(n+1)) = {1 / (n_th * (1 + n_th)):.4f} at n_th = {n_th}")
 print()
 print("plateau QFI vs Kerr coefficient (drive = 1, delta = -3.5):")
 for chi in (0.0, 0.3, 0.6):
-    series = qfi_series(SystemParams(-3.5, chi, 1.0, n_th), grid, trunc, cfg)
+    series = qfi_series(tangent_trajectories(SystemParams(-3.5, chi, 1.0, n_th), grid, trunc))
     t95 = series.time_at_fraction(0.95)
     print(
         f"  chi = {chi:3.1f}: plateau = {series.plateau:8.4f}"
@@ -26,7 +26,7 @@ for chi in (0.0, 0.3, 0.6):
 print()
 print("plateau QFI vs drive amplitude (chi = 0.5, delta = -3.5):")
 for drive in (0.5, 1.0, 1.5):
-    series = qfi_series(SystemParams(-3.5, 0.5, drive, n_th), grid, trunc, cfg)
+    series = qfi_series(tangent_trajectories(SystemParams(-3.5, 0.5, drive, n_th), grid, trunc))
     print(f"  drive = {drive:3.1f}: plateau = {series.plateau:8.4f}")
 
 print()

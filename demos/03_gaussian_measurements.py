@@ -6,7 +6,6 @@
 import math
 
 from kerr_thermo import (
-    FdConfig,
     SystemParams,
     TimeGrid,
     Truncation,
@@ -20,12 +19,11 @@ from kerr_thermo import (
 
 trunc = Truncation(30)
 grid = TimeGrid(t_end=30.0, n_samples=61)
-cfg = FdConfig()
 params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
 
 # one propagation, carrying the exact n_th-derivative, feeds the QFI and every CFI series
 trajectories = tangent_trajectories(params, grid, trunc)
-qf = qfi_series(params, grid, trunc, cfg, trajectories=trajectories)
+qf = qfi_series(trajectories)
 print(f"plateau QFI = {qf.plateau:.4f}")
 print()
 
@@ -33,14 +31,14 @@ print("plateau homodyne CFI over the quadrature angle:")
 best_phi, best = 0.0, -1.0
 for k in range(12):
     phi = k * math.pi / 12
-    series = cfi_series(params, grid, trunc, cfg, homodyne_povm(phi, trunc), trajectories=trajectories)
+    series = cfi_series(trajectories, homodyne_povm(phi, trunc))
     bar = "#" * int(round(40 * series.plateau / qf.plateau))
     print(f"  phi = {phi / math.pi:5.3f} pi: {series.plateau:7.4f}  {bar}")
     if series.plateau > best:
         best_phi, best = phi, series.plateau
 
 het_povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(trajectories.central.final))
-het = cfi_series(params, grid, trunc, cfg, het_povm, trajectories=trajectories)
+het = cfi_series(trajectories, het_povm)
 print()
 print(f"plateau heterodyne CFI = {het.plateau:.4f}")
 print()

@@ -306,7 +306,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
     elif config.command in ("qfi", "cfi"):
         def compute(trunc):
             trajectories = tangent_trajectories(params, grid, trunc)
-            q_series = qfi_series(params, grid, trunc, trajectories=trajectories)
+            q_series = qfi_series(trajectories)
             columns = {"gamma_t": q_series.times, "qfi": q_series.values}
             summaries = [
                 f"{label}: qfi: plateau = {q_series.plateau:.6g}, "
@@ -319,7 +319,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
                     trunc, mean_photon=mean_photon_number(trajectories.central.final)
                 )
             for name, povm in povms.items():
-                series = cfi_series(params, grid, trunc, povm=povm, trajectories=trajectories)
+                series = cfi_series(trajectories, povm)
                 columns[name] = series.values
                 summaries.append(
                     f"{label}: {name}: plateau = {series.plateau:.6g}, "

@@ -8,9 +8,10 @@ derivative L, defined by 2 drho = {L, rho}: in the eigenbasis of rho,
 restricted to eigenvalue pairs whose sum exceeds a rank cutoff.
 
 Every Fisher series, quantum or classical, reads one (central trajectory,
-derivative stack) pair.  :func:`tangent_trajectories` builds it from one
-propagation: the generator is affine in n_th, so the powered RK4 map and its
-exact n_th-derivative are powered together and the samples carry
+derivative stack) pair and nothing else: ``qfi_series(pair)`` and
+``cfi_series(pair, povm)``.  :func:`tangent_trajectories` builds the pair
+from one propagation: the generator is affine in n_th, so the powered RK4 map
+and its exact n_th-derivative are powered together and the samples carry
 d rho / d n_th exactly.  The runner takes this route.
 :func:`perturbed_trajectories` builds the pair by the five-point central stencil
 
@@ -257,7 +258,6 @@ class PerturbedTrajectories:
     series reads this (central, derivative) pair.
     """
 
-    params: SystemParams
     step: float | None
     central: Trajectory
     derivative: np.ndarray
@@ -300,7 +300,7 @@ def perturbed_trajectories(
     dim = drho.shape[-1]
     drho -= (np.trace(drho, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
     drho.setflags(write=False)
-    return PerturbedTrajectories(params=params, step=h, central=runs[0], derivative=drho)
+    return PerturbedTrajectories(step=h, central=runs[0], derivative=drho)
 
 
 def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation) -> PerturbedTrajectories:
@@ -315,58 +315,15 @@ def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation
     matrix products for each one of the map alone.
     """
     central, derivative = _evolve(vacuum_state(trunc), params, grid, trunc, tangent=True)
-    return PerturbedTrajectories(params=params, step=None, central=central, derivative=derivative)
+    return PerturbedTrajectories(step=None, central=central, derivative=derivative)
 
 
-def _checked_pair(
-    params: SystemParams,
-    grid: TimeGrid,
-    trunc: Truncation,
-    cfg: FdConfig | None,
-    pair: PerturbedTrajectories | None,
-) -> PerturbedTrajectories:
-    """The (central, derivative) pair for these inputs: the stencil pair of
-    ``cfg`` propagated when ``pair`` is None, else ``pair`` checked against
-    them (its step only for a stencil pair and a given ``cfg``).  A pair built
-    for other inputs raises ValueError naming the field that differs, and so
-    does passing neither a pair nor a config."""
-    if pair is None:
-        if cfg is None:
-            raise ValueError("pass trajectories, or an FdConfig to propagate the stencil pair")
-        return perturbed_trajectories(params, grid, trunc, cfg)
-    if pair.params != params:
-        raise ValueError(f"trajectories.params {pair.params} differs from params {params}")
-    if not np.array_equal(pair.times, grid.times):
-        raise ValueError("trajectories.times differs from grid.times")
-    if pair.central.entries.shape[-1] != trunc.n_cut:
-        raise ValueError(
-            f"trajectories dimension {pair.central.entries.shape[-1]} differs from n_cut {trunc.n_cut}"
-        )
-    if cfg is None:
-        return pair
-    step = None if pair.step is None else fd_step(params.n_th, cfg)
-    if pair.step != step:
-        raise ValueError(f"trajectories.step {pair.step!r} differs from the stencil step {step!r}")
-    return pair
-
-
-def qfi_series(
-    params: SystemParams,
-    grid: TimeGrid,
-    trunc: Truncation,
-    cfg: FdConfig | None = None,
-    *,
-    trajectories: PerturbedTrajectories | None = None,
-) -> FisherSeries:
-    """QFI of the evolved probe state as a function of time.
-
-    Pass ``trajectories`` to reuse propagations already computed (e.g. when a
-    measurement CFI series over the same grid is also wanted); a pair built
-    for other inputs raises ValueError.  ``cfg`` is needed only without
-    ``trajectories``, to propagate the stencil pair; omitting both raises
-    ValueError.
-    """
-    tr = _checked_pair(params, grid, trunc, cfg, trajectories)
+def qfi_series(trajectories: PerturbedTrajectories) -> FisherSeries:
+    """QFI of the evolved probe state as a function of time, read from a
+    (central, derivative) pair: one stacked ``eigh`` of the central trajectory
+    at the pair's rank cutoff.  The same pair feeds every
+    :func:`~kerr_thermo.measurement.cfi_series` over the same propagation."""
+    tr = trajectories
     values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)[0]
     return FisherSeries(times=tr.times, values=values, kind="qfi")
 

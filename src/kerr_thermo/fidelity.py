@@ -60,10 +60,10 @@ class EffTempTrace:
         fid = _read_only(self.fidelity_at_opt, float)
         if not (len(times) == len(n_eff) == len(fid)):
             raise ValueError("times, n_eff and fidelity_at_opt must have equal length")
-        if np.any(n_eff < 0):
-            raise ValueError("n_eff values must be nonnegative")
-        if np.any(fid < 0) or np.any(fid > 1.0 + 1e-9):
-            raise ValueError("fidelity_at_opt values must lie in [0, 1]")
+        if not np.all(n_eff >= 0):
+            raise ValueError("n_eff values must be nonnegative (and not NaN)")
+        if not np.all((fid >= 0) & (fid <= 1.0 + 1e-9)):
+            raise ValueError("fidelity_at_opt values must lie in [0, 1] (and not be NaN)")
         fields = {"times": times, "n_eff": n_eff, "fidelity_at_opt": fid}
         if self.evaluations is not None:
             evals = _read_only(self.evaluations, int)

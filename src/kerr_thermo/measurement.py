@@ -14,8 +14,8 @@ Outcome probabilities are linear in the state: one real (n_outcomes, d^2) map
 on the Hermitian-basis coordinates gives a whole trajectory's distributions in
 one matmul, and :func:`outcome_distribution` is its one-state case.  By the
 same linearity, the same map applied to the coordinates of d rho / d n_th
-gives the derivatives of the distributions, so :func:`cfi_series` reads a
-(central trajectory, derivative stack) pair, the exact one of
+gives the derivatives of the distributions, so ``cfi_series(pair, povm)``
+reads a (central trajectory, derivative stack) pair, the exact one of
 :func:`~kerr_thermo.estimation.tangent_trajectories` or the stencil one of
 :func:`~kerr_thermo.estimation.perturbed_trajectories`, with two matmuls and
 takes the CFI sum over every sample at once.
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridInsufficientError, TruncationError, TailMassWarning
-from .fock import SystemParams, Truncation, _read_only, annihilation, as_matrix
-from .dynamics import TimeGrid, _coordinates
-from .estimation import FdConfig, FisherSeries, PerturbedTrajectories, _cfi_rows, _checked_pair
+from .fock import Truncation, _read_only, annihilation, as_matrix
+from .dynamics import _coordinates
+from .estimation import FisherSeries, PerturbedTrajectories, _cfi_rows
 
 __all__ = [
     "Povm",
@@ -312,38 +312,26 @@ def _probabilities(entries: np.ndarray, outcome_map: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None, out=p)
 
 
-def cfi_series(
-    params: SystemParams,
-    grid: TimeGrid,
-    trunc: Truncation,
-    cfg: FdConfig | None = None,
-    povm: Povm | None = None,
-    *,
-    trajectories: PerturbedTrajectories | None = None,
-) -> FisherSeries:
+def cfi_series(trajectories: PerturbedTrajectories, povm: Povm) -> FisherSeries:
     """CFI of the POVM outcome distribution along the evolved probe state.
 
-    Reuses the same (central, derivative) pair as the QFI series (pass it in
-    to avoid re-propagating; a pair built for other inputs, or a POVM on
-    another dimension, raises ValueError).  As in :func:`qfi_series`, ``cfg``
-    is needed only without ``trajectories``, to propagate the stencil pair;
-    ``povm`` is required, by position or by name.  The outcome map gives the
+    Reads the same (central, derivative) pair as
+    :func:`~kerr_thermo.estimation.qfi_series`; a POVM on another dimension
+    than the pair's raises ValueError.  The outcome map gives the
     distributions of the central stack in one matmul and, by linearity, their
     n_th-derivatives from the derivative stack in one more; the classical
     Fisher sum runs over every sample at once.
     """
-    if povm is None:
-        raise TypeError("cfi_series() needs a povm")
-    tr = _checked_pair(params, grid, trunc, cfg, trajectories)
-    if povm.dim != trunc.n_cut:
-        raise ValueError(f"povm.dim {povm.dim} differs from n_cut {trunc.n_cut}")
+    central = trajectories.central.entries
+    if povm.dim != central.shape[-1]:
+        raise ValueError(f"povm.dim {povm.dim} differs from the trajectories' dimension {central.shape[-1]}")
     outcome_map = _outcome_map(povm)
-    p = _probabilities(tr.central.entries, outcome_map)
-    dp = _coordinates(tr.derivative) @ outcome_map.T
+    p = _probabilities(central, outcome_map)
+    dp = _coordinates(trajectories.derivative) @ outcome_map.T
     values, skipped = _cfi_rows(p, dp)
     kind = "cfi_homodyne" if povm.kind == "homodyne" else "cfi_heterodyne"
     return FisherSeries(
-        times=tr.times,
+        times=trajectories.times,
         values=values,
         kind=kind,
         phi=povm.phi,

@@ -64,7 +64,7 @@ def test_criterion_2_thermal_qfi_oracle():
     params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.05)
     grid = TimeGrid(t_end=30.0, n_samples=61)
     for rel_step, band in ((1e-3, 0.005), (1e-7, 0.05)):
-        series = qfi_series(params, grid, N_CUT, FdConfig(rel_step=rel_step))
+        series = qfi_series(perturbed_trajectories(params, grid, N_CUT, FdConfig(rel_step=rel_step)))
         err = abs(series.plateau - THERMAL_QFI_005) / THERMAL_QFI_005
         report(
             f"criterion 2 thermal QFI (rel_step {rel_step:g})",
@@ -149,7 +149,7 @@ def test_criterion_6_kerr_trend():
     series = {}
     for chi in (0.0, 0.3, 0.6):
         params = SystemParams(delta=-3.5, chi=chi, drive=1.0, n_th=0.05)
-        series[chi] = qfi_series(params, grid, N_CUT, cfg)
+        series[chi] = qfi_series(perturbed_trajectories(params, grid, N_CUT, cfg))
     plats = [series[c].plateau for c in (0.0, 0.3, 0.6)]
     report(
         "criterion 6 plateau QFI increasing in chi",
@@ -173,7 +173,7 @@ def test_criterion_7_drive_trend():
     plats = []
     for drive in (0.5, 1.0, 1.5):
         params = SystemParams(delta=-3.5, chi=0.5, drive=drive, n_th=0.05)
-        plats.append(qfi_series(params, grid, N_CUT, cfg).plateau)
+        plats.append(qfi_series(perturbed_trajectories(params, grid, N_CUT, cfg)).plateau)
     report(
         "criterion 7 plateau QFI increasing in drive",
         plats[0] < plats[1] < plats[2],
@@ -187,14 +187,14 @@ def _fig8_series(n_th):
     cfg = FdConfig()
     params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=n_th)
     tt = perturbed_trajectories(params, grid, N_CUT, cfg)
-    qf = qfi_series(params, grid, N_CUT, cfg, trajectories=tt)
+    qf = qfi_series(tt)
     phis = [k * math.pi / 12.0 for k in range(12)]
     hom = {
-        phi: cfi_series(params, grid, N_CUT, cfg, homodyne_povm(phi, N_CUT), trajectories=tt)
+        phi: cfi_series(tt, homodyne_povm(phi, N_CUT))
         for phi in phis
     }
     het_povm = heterodyne_povm(N_CUT, mean_photon=mean_photon_number(tt.central.final))
-    het = cfi_series(params, grid, N_CUT, cfg, het_povm, trajectories=tt)
+    het = cfi_series(tt, het_povm)
     return qf, hom, het
 
 
@@ -237,10 +237,8 @@ def test_criterion_8_amplitude_vs_phase_quadrature():
         cfg = FdConfig()
         params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=n_th)
         tt = perturbed_trajectories(params, grid, N_CUT, cfg)
-        c0 = cfi_series(params, grid, N_CUT, cfg, homodyne_povm(0.0, N_CUT), trajectories=tt)
-        c90 = cfi_series(
-            params, grid, N_CUT, cfg, homodyne_povm(math.pi / 2, N_CUT), trajectories=tt
-        )
+        c0 = cfi_series(tt, homodyne_povm(0.0, N_CUT))
+        c90 = cfi_series(tt, homodyne_povm(math.pi / 2, N_CUT))
         report(
             f"criterion 8 CFI_hom(0) >= CFI_hom(pi/2) at plateau, n_th={n_th}",
             c0.plateau >= c90.plateau,

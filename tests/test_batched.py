@@ -112,7 +112,7 @@ def test_states_view_builds_density_matrices_on_access_only(fig8a, monkeypatch):
 
 def test_qfi_series_matches_per_state_qfi(fig8a):
     trunc, tt = fig8a
-    series = qfi_series(FIG8A, GRID, trunc, CFG, trajectories=tt)
+    series = qfi_series(tt)
     rank_rel = max(1e-12, 25.0 * np.finfo(float).eps / tt.step)
     dim = trunc.n_cut
     expected = []
@@ -144,8 +144,8 @@ def test_fisher_post_processing_memory_is_bounded():
     assert povm.n_outcomes == 1617
     tracemalloc.start()
     try:
-        qfi_series(FIG8A, GRID, trunc, CFG, trajectories=tt)
-        cfi_series(FIG8A, GRID, trunc, CFG, povm, trajectories=tt)
+        qfi_series(tt)
+        cfi_series(tt, povm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kerr_thermo import (
-    FdConfig,
     Truncation,
     cfi_series,
     default_search_max,
@@ -150,11 +149,6 @@ class TestParseConfig:
             ("delta", "inf"),
             ("n_cut", "1"),
             # deleted keys: any value is rejected as an unknown key named in the error
-            ("integrator_step", "-1"),
-            ("integrator_step", "0"),
-            ("integrator_step", "nan"),
-            ("integrator_step", "inf"),
-            ("integrator_step", "1.0"),
             ("rel_step", "nan"),
             ("search_max", "-1"),
             ("gamma", "0"),
@@ -187,6 +181,12 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="unknown key") as info:
                 resolve_config(preset="fig2a", overrides=(f"{key}=1",))
             assert info.value.field == key
+        # a deleted key is unknown whatever its value, in its old range or out of it
+        for value in ("-1", "0", "nan", "inf", "1.0"):
+            text = f"command = thermalize\nn_th = 0.1\nt_end = 1\nn_samples = 3\nintegrator_step = {value}\n"
+            with pytest.raises(ConfigError, match="unknown key 'integrator_step'") as info:
+                parse_config(text)
+            assert info.value.field == "integrator_step"
 
     @pytest.mark.parametrize("command", ["qfi", "cfi"])
     @pytest.mark.parametrize("n_th", ["0", "1e-12"])
@@ -762,13 +762,13 @@ class TestRunnerAddsNoDefaults:
         cfg = resolve_config(preset="fig8a", overrides=self.SHORT_GRID)
         run(cfg, out_dir=str(tmp_path))
         params = cfg.params_at(cfg.sweep_points()[0])
-        grid, trunc, fd = cfg.grid(), cfg.trunc(), FdConfig()
+        grid, trunc = cfg.grid(), cfg.trunc()
         pair = tangent_trajectories(params, grid, trunc)
-        expected = {"gamma_t": pair.times, "qfi": qfi_series(params, grid, trunc, fd, trajectories=pair).values}
+        expected = {"gamma_t": pair.times, "qfi": qfi_series(pair).values}
         povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in cfg.homodyne_phis}
         povms["cfi_het"] = heterodyne_povm(trunc, mean_photon=mean_photon_number(pair.central.final))
         for name, povm in povms.items():
-            expected[name] = cfi_series(params, grid, trunc, fd, povm, trajectories=pair).values
+            expected[name] = cfi_series(pair, povm).values
         got = printed_columns(tmp_path / "cfi.csv")
         assert list(got) == ["gamma_t", "qfi", "cfi_hom_phi0.9pi", "cfi_het"]
         assert got == {name: printed(values) for name, values in expected.items()}

@@ -1,4 +1,4 @@
-"""The demo scripts still compile, import only exported names, and the fast one runs."""
+"""The demo scripts still compile, import only exported names, and the fast ones run."""
 
 import ast
 import os
@@ -27,12 +27,22 @@ def test_demo_compiles_and_imports_exported_names(demo, tmp_path):
     assert set(imported) <= set(kerr_thermo.__all__)
 
 
-def test_spectrum_and_purity_demo_runs():
+def run_demo(name):
     src = str(Path(kerr_thermo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    demo = next(path for path in DEMOS if path.name == "04_spectrum_and_purity.py")
+    demo = next(path for path in DEMOS if path.name == name)
     result = subprocess.run(
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert "gap variance over levels 30..50" in result.stdout
+    return result.stdout
+
+
+def test_spectrum_and_purity_demo_runs():
+    assert "gap variance over levels 30..50" in run_demo("04_spectrum_and_purity.py")
+
+
+def test_gaussian_measurements_demo_runs():
+    stdout = run_demo("03_gaussian_measurements.py")
+    assert "plateau QFI = " in stdout
+    assert "best homodyne angle: " in stdout

@@ -205,13 +205,13 @@ class TestQfiSeries:
     def test_initial_vacuum_carries_no_information(self):
         params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.05)
         trunc = Truncation(20)
-        series = qfi_series(params, TimeGrid(t_end=2.0, n_samples=5), trunc, FdConfig())
+        series = qfi_series(perturbed_trajectories(params, TimeGrid(2.0, 5), trunc, FdConfig()))
         assert series.values[0] == 0.0
 
     def test_linear_cavity_plateau_matches_thermal_fisher(self):
         params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.05)
         trunc = Truncation(30)
-        series = qfi_series(params, TimeGrid(t_end=20.0, n_samples=21), trunc, FdConfig())
+        series = qfi_series(perturbed_trajectories(params, TimeGrid(20.0, 21), trunc, FdConfig()))
         assert series.plateau == pytest.approx(thermal_fisher(0.05), rel=1e-4)
 
     def test_derivative_is_hermitian_and_traceless(self):
@@ -226,7 +226,7 @@ class TestQfiSeries:
     def test_plateau_detection(self):
         params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.1)
         trunc = Truncation(25)
-        series = qfi_series(params, TimeGrid(t_end=30.0, n_samples=31), trunc, FdConfig())
+        series = qfi_series(perturbed_trajectories(params, TimeGrid(30.0, 31), trunc, FdConfig()))
         tail = series.values[-max(2, round(0.1 * len(series.values))):]
         assert np.max(np.abs(tail - series.plateau)) <= 1e-3 * series.plateau
 

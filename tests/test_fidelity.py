@@ -157,6 +157,18 @@ class TestThermalizationTrace:
             with pytest.raises(ValueError, match="one nonnegative count per time"):
                 EffTempTrace(times, ones, ones, evaluations=bad)
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_n_eff_gate_rejects_negative_and_nan(self, bad):
+        with pytest.raises(ValueError, match="n_eff"):
+            EffTempTrace([0.0, 1.0], [0.1, bad], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, 1.0 + 1e-6])
+    def test_fidelity_gate_rejects_outside_unit_interval_and_nan(self, bad):
+        with pytest.raises(ValueError, match="fidelity_at_opt"):
+            EffTempTrace([0.0, 1.0], [0.1, 0.1], [1.0, bad])
+        # the gate's roundoff allowance above one still passes
+        EffTempTrace([0.0, 1.0], [0.1, 0.1], [1.0, 1.0 + 1e-10])
+
     def test_fidelities_within_unit_interval(self):
         trunc = Truncation(30)
         params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)

@@ -22,7 +22,6 @@ from kerr_thermo import (
     mean_photon_number,
     perturbed_trajectories,
     propagate,
-    qfi_series,
     stencil_combine,
     vacuum_state,
 )
@@ -51,7 +50,7 @@ def independent_runs():
 
 def test_pair_holds_only_the_central_run_and_its_derivative():
     names = [f.name for f in dataclasses.fields(PerturbedTrajectories)]
-    assert names == ["params", "step", "central", "derivative"]
+    assert names == ["step", "central", "derivative"]
     tt = pair()
     assert tt.derivative.shape == (201, 16, 16)
     assert not tt.derivative.flags.writeable
@@ -86,54 +85,12 @@ def test_cfi_series_matches_stencil_over_distributions(kind):
     dp = stencil_combine(p[2], p[1], p[-1], p[-2], h)
     keep = p[0] > 1e-14
     expected = np.where(keep, dp**2 / np.where(keep, p[0], 1.0), 0.0).sum(axis=1)
-    got = cfi_series(FIG8A, GRID, TRUNC, CFG, povm, trajectories=tt).values
+    got = cfi_series(tt, povm).values
     assert expected.max() > 1.0
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-7 * expected.max())
 
 
-# A pair built for other inputs: each mismatch raises, naming its field.
-SMALL = SystemParams(delta=-1.0, chi=0.3, drive=0.2, n_th=0.05)
-SMALL_GRID = TimeGrid(t_end=1.0, n_samples=3)
-SMALL_TRUNC = Truncation(10)
-
-
-@functools.lru_cache(maxsize=None)
-def small_pair():
-    return perturbed_trajectories(SMALL, SMALL_GRID, SMALL_TRUNC, CFG)
-
-
-def series_from_small_pair(kind, params=SMALL, grid=SMALL_GRID, trunc=SMALL_TRUNC, cfg=CFG):
-    if kind == "qfi":
-        return qfi_series(params, grid, trunc, cfg, trajectories=small_pair())
-    return cfi_series(params, grid, trunc, cfg, homodyne_povm(0.3, trunc), trajectories=small_pair())
-
-
-@pytest.mark.parametrize("kind", ["qfi", "cfi"])
-def test_pair_for_other_params_is_rejected(kind):
-    series_from_small_pair(kind)
-    with pytest.raises(ValueError, match="trajectories.params"):
-        series_from_small_pair(kind, params=SMALL.with_n_th(0.06))
-
-
-@pytest.mark.parametrize("kind", ["qfi", "cfi"])
-def test_pair_on_another_grid_is_rejected(kind):
-    with pytest.raises(ValueError, match="trajectories.times"):
-        series_from_small_pair(kind, grid=TimeGrid(t_end=2.0, n_samples=3))
-
-
-@pytest.mark.parametrize("kind", ["qfi", "cfi"])
-def test_pair_at_another_cutoff_is_rejected(kind):
-    with pytest.raises(ValueError, match="trajectories dimension 10 differs from n_cut 12"):
-        series_from_small_pair(kind, trunc=Truncation(12))
-
-
-@pytest.mark.parametrize("kind", ["qfi", "cfi"])
-def test_pair_at_another_stencil_step_is_rejected(kind):
-    with pytest.raises(ValueError, match="trajectories.step"):
-        series_from_small_pair(kind, cfg=FdConfig(rel_step=1e-2))
-
-
 def test_povm_on_another_dimension_is_rejected():
     povm = homodyne_povm(0.3, Truncation(12))
-    with pytest.raises(ValueError, match="povm.dim 12 differs from n_cut 10"):
-        cfi_series(SMALL, SMALL_GRID, SMALL_TRUNC, CFG, povm, trajectories=small_pair())
+    with pytest.raises(ValueError, match="povm.dim 12 differs from the trajectories' dimension 16"):
+        cfi_series(pair(), povm)

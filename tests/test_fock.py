@@ -244,7 +244,6 @@ READ_ONLY_RECORDS = {
         PerturbedTrajectories,
         lambda: dict(derivative=np.zeros((2, 2, 2), dtype=complex)),
         dict(
-            params=SystemParams(0.0, 0.0, 0.0, 0.1),
             step=1e-4,
             central=Trajectory(np.arange(2.0), np.zeros((2, 2, 2), dtype=complex), 0.0),
         ),

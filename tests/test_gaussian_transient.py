@@ -80,7 +80,7 @@ def test_probe_ends_displaced_thermal(n_cut):
 @pytest.mark.parametrize("n_cut", N_CUTS)
 def test_qfi_series(n_cut):
     n, dn = occupation()
-    values = qfi_series(FIG3A_CHI0, GRID, Truncation(n_cut), CFG, trajectories=pair(n_cut)).values
+    values = qfi_series(pair(n_cut)).values
     assert relative_deviation(values, dn**2 / (n * (n + 1))) < QFI_BAND
 
 
@@ -90,7 +90,7 @@ def test_homodyne_cfi_series(n_cut, phi):
     n, dn = occupation()
     trunc = Truncation(n_cut)
     povm = homodyne_povm(phi, trunc)
-    values = cfi_series(FIG3A_CHI0, GRID, trunc, CFG, povm, trajectories=pair(n_cut)).values
+    values = cfi_series(pair(n_cut), povm).values
     assert relative_deviation(values, 2 * dn**2 / (2 * n + 1) ** 2) < HOMODYNE_BAND
 
 
@@ -100,5 +100,5 @@ def test_heterodyne_cfi_series(n_cut):
     trunc = Truncation(n_cut)
     tt = pair(n_cut)
     povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
-    values = cfi_series(FIG3A_CHI0, GRID, trunc, CFG, povm, trajectories=tt).values
+    values = cfi_series(tt, povm).values
     assert relative_deviation(values, dn**2 / (n + 1) ** 2) < HETERODYNE_BAND

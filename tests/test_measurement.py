@@ -217,10 +217,9 @@ class TestCfiSeries:
         params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=n)
         trunc = Truncation(30)
         grid = TimeGrid(t_end=25.0, n_samples=26)
-        cfg = FdConfig()
         tt = tangent_trajectories(params, grid, trunc)
-        het = cfi_series(params, grid, trunc, cfg, heterodyne_povm(trunc), trajectories=tt)
-        qf = qfi_series(params, grid, trunc, cfg, trajectories=tt)
+        het = cfi_series(tt, heterodyne_povm(trunc))
+        qf = qfi_series(tt)
         assert het.plateau == pytest.approx(1.0 / (n + 1) ** 2, rel=1e-3)
         assert het.plateau < qf.plateau
 
@@ -229,10 +228,9 @@ class TestCfiSeries:
         params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
         trunc = Truncation(30)
         grid = TimeGrid(t_end=4.0, n_samples=5)
-        cfg = FdConfig()
         tt = tangent_trajectories(params, grid, trunc)
-        one = cfi_series(params, grid, trunc, cfg, homodyne_povm(0.4, trunc), trajectories=tt)
-        two = cfi_series(params, grid, trunc, cfg, homodyne_povm(0.4 + math.pi, trunc), trajectories=tt)
+        one = cfi_series(tt, homodyne_povm(0.4, trunc))
+        two = cfi_series(tt, homodyne_povm(0.4 + math.pi, trunc))
         np.testing.assert_allclose(one.values, two.values, atol=1e-8)
 
     def test_data_processing_inequality(self):
@@ -240,9 +238,8 @@ class TestCfiSeries:
         params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
         trunc = Truncation(30)
         grid = TimeGrid(t_end=8.0, n_samples=9)
-        cfg = FdConfig()
         tt = tangent_trajectories(params, grid, trunc)
-        qf = qfi_series(params, grid, trunc, cfg, trajectories=tt)
+        qf = qfi_series(tt)
         mean_n = mean_photon_number(tt.central.final)
         povms = [
             homodyne_povm(0.0, trunc),
@@ -250,18 +247,17 @@ class TestCfiSeries:
             heterodyne_povm(trunc, mean_photon=mean_n),
         ]
         for povm in povms:
-            series = cfi_series(params, grid, trunc, cfg, povm, trajectories=tt)
+            series = cfi_series(tt, povm)
             assert np.all(series.values <= qf.values * (1.0 + 1e-6))
 
     def test_kind_labels(self):
         params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.1)
         trunc = Truncation(15)
         grid = TimeGrid(t_end=1.0, n_samples=3)
-        cfg = FdConfig()
-        tt = perturbed_trajectories(params, grid, trunc, cfg)
-        hom = cfi_series(params, grid, trunc, cfg, homodyne_povm(0.25, trunc), trajectories=tt)
+        tt = perturbed_trajectories(params, grid, trunc, FdConfig())
+        hom = cfi_series(tt, homodyne_povm(0.25, trunc))
         assert hom.kind == "cfi_homodyne" and hom.phi == pytest.approx(0.25)
-        het = cfi_series(params, grid, trunc, cfg, heterodyne_povm(trunc), trajectories=tt)
+        het = cfi_series(tt, heterodyne_povm(trunc))
         assert het.kind == "cfi_heterodyne" and het.phi is None
 
 

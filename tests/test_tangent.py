@@ -37,7 +37,6 @@ from kerr_thermo import dynamics
 from kerr_thermo.config import resolve_config
 from test_gaussian_transient import FIG3A_CHI0, occupation, relative_deviation
 
-CFG = FdConfig()
 # The stencil at this step sits well above its own roundoff floor.
 COARSE = FdConfig(rel_step=1e-2)
 FISHER_PRESETS = ("fig3a", "fig3b", "fig3c", "fig5a", "fig5b", "fig5c", "fig8a", "fig8b", "fig8c")
@@ -92,32 +91,11 @@ def test_central_stack_is_bit_identical_to_propagate(name):
     assert central.leakage_max == alone.leakage_max
 
 
-def test_any_stencil_config_reads_a_tangent_pair():
-    # the step is checked only for a stencil pair, and a given pair needs no config
-    params, grid, trunc = preset_point("fig8a", 0)
-    tt = tangent_pair(params, grid, trunc)
-    a = qfi_series(params, grid, trunc, CFG, trajectories=tt).values
-    b = qfi_series(params, grid, trunc, COARSE, trajectories=tt).values
-    c = qfi_series(params, grid, trunc, trajectories=tt).values
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, c)
-
-
-def test_neither_pair_nor_config_is_refused():
-    params, grid, trunc = preset_point("fig8a", 0)
-    with pytest.raises(ValueError, match="an FdConfig"):
-        qfi_series(params, grid, trunc)
-    with pytest.raises(ValueError, match="an FdConfig"):
-        cfi_series(params, grid, trunc, povm=homodyne_povm(0.3, trunc))
-    with pytest.raises(TypeError, match="needs a povm"):
-        cfi_series(params, grid, trunc, trajectories=tangent_pair(params, grid, trunc))
-
-
 @pytest.mark.parametrize("name, index", PRESET_POINTS)
 def test_agrees_with_stencil_and_steady_state(name, index):
     params, grid, trunc = preset_point(name, index)
-    exact = qfi_series(params, grid, trunc, CFG, trajectories=tangent_pair(params, grid, trunc)).values
-    stencil = qfi_series(params, grid, trunc, COARSE).values
+    exact = qfi_series(tangent_pair(params, grid, trunc)).values
+    stencil = qfi_series(perturbed_trajectories(params, grid, trunc, COARSE)).values
     assert np.abs(exact - stencil).max() <= STENCIL_BAND * exact.max()
     plateau = steady_state_qfi(params, trunc)[0]
     assert abs(exact[-1] / plateau - 1.0) <= PLATEAU_BAND
@@ -128,13 +106,13 @@ def test_chi0_closed_forms(n_cut):
     grid, trunc = TimeGrid(t_end=30.0, n_samples=201), Truncation(n_cut)
     tt = tangent_pair(FIG3A_CHI0, grid, trunc)
     n, dn = occupation()
-    qfi = qfi_series(FIG3A_CHI0, grid, trunc, CFG, trajectories=tt).values
+    qfi = qfi_series(tt).values
     assert relative_deviation(qfi, dn**2 / (n * (n + 1))) < QFI_BAND
     for phi in (0.0, 0.3, 0.5 * math.pi):
-        hom = cfi_series(FIG3A_CHI0, grid, trunc, CFG, homodyne_povm(phi, trunc), trajectories=tt).values
+        hom = cfi_series(tt, homodyne_povm(phi, trunc)).values
         assert relative_deviation(hom, 2 * dn**2 / (2 * n + 1) ** 2) < HOMODYNE_BAND
     povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
-    het = cfi_series(FIG3A_CHI0, grid, trunc, CFG, povm, trajectories=tt).values
+    het = cfi_series(tt, povm).values
     assert relative_deviation(het, dn**2 / (n + 1) ** 2) < HETERODYNE_BAND
 
 
@@ -145,10 +123,7 @@ CONTRACT_GRID = TimeGrid(t_end=30.0, n_samples=121)
 
 def certified_series(points):
     trunc = Truncation(certify_cutoff(points, Truncation.leakage_tol).n_cut)
-    return trunc, [
-        qfi_series(p, CONTRACT_GRID, trunc, CFG, trajectories=tangent_pair(p, CONTRACT_GRID, trunc))
-        for p in points
-    ]
+    return trunc, [qfi_series(tangent_pair(p, CONTRACT_GRID, trunc)) for p in points]
 
 
 def test_criterion_6_twin_kerr_trend():
@@ -173,11 +148,11 @@ def test_criterion_8_twin_gaussian_measurement_bounds(n_th):
     tt = tangent_pair(params, CONTRACT_GRID, trunc)
     bound = qf.values * (1.0 + 1e-6)
     hom = {
-        phi: cfi_series(params, CONTRACT_GRID, trunc, CFG, homodyne_povm(phi, trunc), trajectories=tt)
+        phi: cfi_series(tt, homodyne_povm(phi, trunc))
         for phi in (k * math.pi / 12.0 for k in range(12))
     }
     het_povm = heterodyne_povm(trunc, mean_photon=mean_photon_number(tt.central.final))
-    het = cfi_series(params, CONTRACT_GRID, trunc, CFG, het_povm, trajectories=tt)
+    het = cfi_series(tt, het_povm)
     for series in [*hom.values(), het]:
         assert np.all(series.values <= bound)
     assert max(series.plateau for series in hom.values()) >= het.plateau
@@ -194,10 +169,3 @@ def test_non_finite_derivative_raises(monkeypatch):
         tangent_trajectories(params, grid, trunc)
     # the central run does not read the slope
     propagate(vacuum_state(trunc), params, grid, trunc)
-
-
-def test_stencil_pair_is_still_checked_for_its_step():
-    params, grid, trunc = SystemParams(delta=-1.0, chi=0.3, drive=0.2, n_th=0.05), TimeGrid(1.0, 3), Truncation(10)
-    stencil = perturbed_trajectories(params, grid, trunc, CFG)
-    with pytest.raises(ValueError, match="trajectories.step"):
-        qfi_series(params, grid, trunc, COARSE, trajectories=stencil)
