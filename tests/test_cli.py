@@ -151,6 +151,11 @@ class TestParseConfig:
             # deleted keys: any value is rejected as an unknown key named in the error
             ("rel_step", "nan"),
             ("search_max", "-1"),
+            ("integrator_step", "-1"),
+            ("integrator_step", "0"),
+            ("integrator_step", "nan"),
+            ("integrator_step", "inf"),
+            ("integrator_step", "1.0"),
             ("gamma", "0"),
             ("leakage_tol", "2"),
             ("t_start", "-inf"),
@@ -181,12 +186,6 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="unknown key") as info:
                 resolve_config(preset="fig2a", overrides=(f"{key}=1",))
             assert info.value.field == key
-        # a deleted key is unknown whatever its value, in its old range or out of it
-        for value in ("-1", "0", "nan", "inf", "1.0"):
-            text = f"command = thermalize\nn_th = 0.1\nt_end = 1\nn_samples = 3\nintegrator_step = {value}\n"
-            with pytest.raises(ConfigError, match="unknown key 'integrator_step'") as info:
-                parse_config(text)
-            assert info.value.field == "integrator_step"
 
     @pytest.mark.parametrize("command", ["qfi", "cfi"])
     @pytest.mark.parametrize("n_th", ["0", "1e-12"])
