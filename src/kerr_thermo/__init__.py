@@ -60,9 +60,7 @@ from .estimation import (
     certify_cutoff,
     cfi_result,
     cr_bound,
-    fd_derivative,
     fd_step,
-    perturbed_trajectories,
     qfi,
     qfi_series,
     stencil_combine,
@@ -130,9 +128,7 @@ __all__ = [
     "PerturbedTrajectories",
     "fd_step",
     "stencil_combine",
-    "fd_derivative",
     "qfi",
-    "perturbed_trajectories",
     "tangent_trajectories",
     "qfi_series",
     "CfiResult",

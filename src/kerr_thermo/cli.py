@@ -196,7 +196,7 @@ def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
 
 
 # Commands whose sweep points are rows of one table rather than time series.
-_TABLE_COMMANDS = ("spectrum", "purity-sweep", "steady-state")
+_TABLE_COMMANDS = ("spectrum", "purity-sweep")
 
 # The leakage retry of the table commands stops growing n_cut here.  One
 # block-tridiagonal steady-state solve at 120 levels takes 0.12-0.16 s and
@@ -335,13 +335,13 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             report = gap_variance(spectrum(params, trunc), *GAP_WINDOW)
             return {"var_gap": np.array([report.variance])}, [], 0.0
 
-    else:  # purity-sweep, steady-state
+    else:  # purity-sweep
         def compute(trunc):
             ss = steady_state(params, trunc)
-            columns = {}
-            if config.command == "steady-state":
-                columns["photon_number"] = np.array([mean_photon_number(ss)])
-            columns["purity"] = np.array([purity(ss)])
+            columns = {
+                "purity": np.array([purity(ss)]),
+                "photon_number": np.array([mean_photon_number(ss)]),
+            }
             return columns, [], _leakage(ss.entries)
 
     with warnings.catch_warnings(record=True) as caught:

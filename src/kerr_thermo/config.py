@@ -39,7 +39,6 @@ COMMANDS = (
     "cfi",
     "spectrum",
     "purity-sweep",
-    "steady-state",
 )
 
 # Fields whose values may be swept (comma lists).

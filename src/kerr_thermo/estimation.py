@@ -12,27 +12,21 @@ derivative stack) pair and nothing else: ``qfi_series(pair)`` and
 ``cfi_series(pair, povm)``.  :func:`tangent_trajectories` builds the pair
 from one propagation: the generator is affine in n_th, so the powered RK4 map
 and its exact n_th-derivative are powered together and the samples carry
-d rho / d n_th exactly.  The runner takes this route.
-:func:`perturbed_trajectories` builds the pair by the five-point central stencil
-
-    df/dn ~ (-f(n+2h) + 8 f(n+h) - 8 f(n-h) + f(n-2h)) / (12 h),
-
-exact on polynomials up to degree 4, over one central and four
-occupation-shifted trajectories from the same vacuum; its roundoff floor is
-about 1e-7 of a series' maximum, and it stays public as the independent
-oracle of the tangent.  The QFI series is one stacked ``eigh`` of the central
-trajectory; :func:`qfi` is the one-state case of the same kernel, as
-:func:`cfi_result` is of the batched CFI sum.  The input gates are phrased so
-that NaN fails them.  The steady state's QFI needs no propagation: its exact
-derivative is one more linear solve, and it certifies the Fock cutoff of
-``n_cut = auto`` runs.
+d rho / d n_th exactly.  The pair carries the relative rank floor its QFI is
+taken at, so a pair built another way (the tests' five-point stencil, whose
+entries carry roundoff of order eps/h) can raise it.  The QFI series is one
+stacked ``eigh`` of the central trajectory; :func:`qfi` is the one-state case
+of the same kernel, as :func:`cfi_result` is of the batched CFI sum.  The
+input gates are phrased so that NaN fails them.  The steady state's QFI needs
+no propagation: its exact derivative is one more linear solve, and it
+certifies the Fock cutoff of ``n_cut = auto`` runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +37,6 @@ from .dynamics import (
     _leakage,
     TimeGrid,
     Trajectory,
-    propagate,
     steady_state_tangent,
 )
 
@@ -54,9 +47,7 @@ __all__ = [
     "PerturbedTrajectories",
     "fd_step",
     "stencil_combine",
-    "fd_derivative",
     "qfi",
-    "perturbed_trajectories",
     "tangent_trajectories",
     "qfi_series",
     "CfiResult",
@@ -159,6 +150,7 @@ def fd_step(n_th: float, cfg: FdConfig) -> float:
     not positive or when the shrunk step n_th / 4 falls below ``abs_floor``.
     Config validation calls it at every sweep point of a qfi or cfi run, so a
     point the stencil cannot take is rejected before anything runs.
+    perfbench's ``fisher`` oracle imports it, FdConfig and stencil_combine.
     """
     if not n_th > 0:
         raise ValueError(f"n_th must be positive for a centered stencil, got {n_th}")
@@ -184,23 +176,18 @@ def stencil_combine(f_p2, f_p1, f_m1, f_m2, h: float):
     return (diff2 + 8.0 * diff1) / (12.0 * h)
 
 
-def fd_derivative(f: Callable[[float], np.ndarray], n_th: float, cfg: FdConfig):
-    """Five-point derivative of ``f`` with respect to n_th at the configured step."""
-    h = fd_step(n_th, cfg)
-    return stencil_combine(f(n_th + 2 * h), f(n_th + h), f(n_th - h), f(n_th - 2 * h), h)
-
-
 def qfi(rho: DensityMatrix, drho, *, rank_tol_rel: float = 1e-12) -> SldResult:
     """Quantum Fisher information Tr(rho L^2) for the family with derivative ``drho``.
 
     ``drho`` must be Hermitian and traceless (it is the derivative of a
     Hermitian unit-trace family).  Eigenvalue pairs with lambda_k + lambda_l
     at or below ``rank_tol_rel`` times the largest eigenvalue are excluded
-    (default 1e-12, scale invariant; 0 keeps every pair with a positive sum).
-    Derivatives obtained by finite differences carry roundoff of order eps/h
-    in their entries, and near-null eigenvalue pairs turn that noise into
-    spurious Fisher information; callers in that situation should raise the
-    cutoff accordingly (see :attr:`PerturbedTrajectories.rank_tol_rel`).
+    (default 1e-12, scale invariant; 0 keeps every pair with a positive sum;
+    a negative or NaN value raises ValueError).  Derivatives obtained by
+    finite differences carry roundoff of order eps/h in their entries, and
+    near-null eigenvalue pairs turn that noise into spurious Fisher
+    information; callers in that situation should raise the cutoff
+    accordingly, as a pair does through its ``rank_tol_rel`` field.
     """
     r = as_matrix(rho)
     d = as_matrix(drho)
@@ -220,6 +207,8 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     eigenvectors.  An input gate that fails raises for the first
     failing sample.
     """
+    if not rank_tol_rel >= 0:
+        raise ValueError(f"rank_tol_rel must be nonnegative (and not NaN), got {rank_tol_rel}")
     # One stack-sized buffer holds drho^dag, then the symmetric part, then
     # drho in the eigenbasis; the other temporaries are real or short-lived.
     sym = np.conjugate(drho.swapaxes(-1, -2), order="C")
@@ -249,18 +238,17 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
 class PerturbedTrajectories:
     """A central trajectory and its n_th-derivative at every sample.
 
-    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th,
-    from one of two sources.  :func:`tangent_trajectories` gives the exact
-    derivative of the propagated map (``step`` None).  :func:`perturbed_trajectories`
-    gives the five-point stencil over four runs at n_th + {-2h, -h, +h, +2h},
-    all started from the central run's vacuum, with its trace projected out
-    (``step`` the half-step h; the shifted runs are not kept).  Every Fisher
-    series reads this (central, derivative) pair.
+    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th;
+    :func:`tangent_trajectories` gives the exact derivative of the propagated
+    map.  ``rank_tol_rel`` is the relative rank floor the pair's QFI is taken
+    at (see :func:`qfi`): 1e-12 suits an exact derivative, and a pair whose
+    derivative carries roundoff, such as a finite-difference stencil, carries
+    a floor raised above it.  Every Fisher series reads this pair.
     """
 
-    step: float | None
     central: Trajectory
     derivative: np.ndarray
+    rank_tol_rel: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "derivative", _read_only(self.derivative))
@@ -268,39 +256,6 @@ class PerturbedTrajectories:
     @property
     def times(self) -> np.ndarray:
         return self.central.times
-
-    @property
-    def rank_tol_rel(self) -> float:
-        """Relative QFI rank cutoff: 1e-12 for the exact tangent.  Stencil
-        entries carry roundoff of order eps/h, which near-null eigenvalue pairs
-        would turn into spurious Fisher information, so for a stencil pair it
-        grows with that floor (~1e-10 at the default step)."""
-        if self.step is None:
-            return 1e-12
-        return max(1e-12, 25.0 * np.finfo(float).eps / self.step)
-
-
-def perturbed_trajectories(
-    params: SystemParams,
-    grid: TimeGrid,
-    trunc: Truncation,
-    cfg: FdConfig,
-) -> PerturbedTrajectories:
-    """Propagate the five vacuum-seeded runs and take the stencil once."""
-    h = fd_step(params.n_th, cfg)
-    rho0 = vacuum_state(trunc)
-    runs = {
-        k: propagate(rho0, params.with_n_th(params.n_th + k * h), grid, trunc)
-        for k in (-2, -1, 0, 1, 2)
-    }
-    drho = stencil_combine(runs[2].entries, runs[1].entries, runs[-1].entries, runs[-2].entries, h)
-    # The differentiated family has unit trace for every n_th, so its
-    # derivative is exactly traceless; remove the stencil's 1/(12 h)
-    # amplified trace roundoff before it meets the qfi input gate.
-    dim = drho.shape[-1]
-    drho -= (np.trace(drho, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
-    drho.setflags(write=False)
-    return PerturbedTrajectories(step=h, central=runs[0], derivative=drho)
 
 
 def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation) -> PerturbedTrajectories:
@@ -315,7 +270,7 @@ def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation
     matrix products for each one of the map alone.
     """
     central, derivative = _evolve(vacuum_state(trunc), params, grid, trunc, tangent=True)
-    return PerturbedTrajectories(step=None, central=central, derivative=derivative)
+    return PerturbedTrajectories(central, derivative)
 
 
 def qfi_series(trajectories: PerturbedTrajectories) -> FisherSeries:

@@ -218,8 +218,8 @@ def _effective_temperatures(
     all states in lockstep.  Warns once, for the caller of the public
     function, when any state's best scan point is search_max.
     """
-    if not search_max > 0:
-        raise ValueError(f"search_max must be positive, got {search_max}")
+    if not (search_max > 0 and math.isfinite(search_max)):
+        raise ValueError(f"search_max must be finite and positive, got {search_max}")
     if search_max > 1e-4:
         grid = np.concatenate(([0.0], np.geomspace(1e-4, search_max, _SCAN_POINTS - 1)))
     else:

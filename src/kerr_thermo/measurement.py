@@ -15,9 +15,8 @@ on the Hermitian-basis coordinates gives a whole trajectory's distributions in
 one matmul, and :func:`outcome_distribution` is its one-state case.  By the
 same linearity, the same map applied to the coordinates of d rho / d n_th
 gives the derivatives of the distributions, so ``cfi_series(pair, povm)``
-reads a (central trajectory, derivative stack) pair, the exact one of
-:func:`~kerr_thermo.estimation.tangent_trajectories` or the stencil one of
-:func:`~kerr_thermo.estimation.perturbed_trajectories`, with two matmuls and
+reads a (central trajectory, derivative stack) pair, such as the exact one of
+:func:`~kerr_thermo.estimation.tangent_trajectories`, with two matmuls and
 takes the CFI sum over every sample at once.
 """
 
@@ -113,11 +112,6 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def element(self, i: int) -> np.ndarray:
-        """The i-th POVM element w_i |v_i><v_i| as an explicit matrix."""
-        v = self.vectors[i]
-        return self.weights[i] * np.outer(v, v.conj())
 
     def completeness_operator(self) -> np.ndarray:
         """sum_i w_i |v_i><v_i|; equals the identity up to ``completeness_defect``."""

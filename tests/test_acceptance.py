@@ -17,13 +17,11 @@ from kerr_thermo import (
     Truncation,
     cfi,
     cfi_series,
-    fd_derivative,
     gibbs_state,
     heterodyne_povm,
     homodyne_povm,
     mean_photon_number,
     outcome_distribution,
-    perturbed_trajectories,
     propagate,
     purity,
     qfi_series,
@@ -34,6 +32,7 @@ from kerr_thermo import (
     uhlmann_fidelity,
     vacuum_state,
 )
+from stencil import fd_derivative, perturbed_trajectories
 from conftest import random_density_matrix, random_unitary
 
 THERMAL_QFI_005 = 1.0 / (0.05 * 1.05)  # 19.047619...

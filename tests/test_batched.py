@@ -17,7 +17,6 @@ from kerr_thermo import (
     homodyne_povm,
     mean_photon_number,
     outcome_distribution,
-    perturbed_trajectories,
     propagate,
     qfi,
     qfi_series,
@@ -25,6 +24,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics, fock, measurement
+from stencil import perturbed_trajectories
 
 FIG8A = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
 GRID = TimeGrid(t_end=30.0, n_samples=201)
@@ -113,13 +113,12 @@ def test_states_view_builds_density_matrices_on_access_only(fig8a, monkeypatch):
 def test_qfi_series_matches_per_state_qfi(fig8a):
     trunc, tt = fig8a
     series = qfi_series(tt)
-    rank_rel = max(1e-12, 25.0 * np.finfo(float).eps / tt.step)
     dim = trunc.n_cut
     expected = []
     for k, state in enumerate(tt.central.states):
         drho = tt.derivative[k].copy()
         drho -= (np.trace(drho) / dim) * np.eye(dim)
-        expected.append(qfi(state, drho, rank_tol_rel=rank_rel).qfi)
+        expected.append(qfi(state, drho, rank_tol_rel=tt.rank_tol_rel).qfi)
     np.testing.assert_allclose(series.values, expected, rtol=1e-12, atol=0)
 
 

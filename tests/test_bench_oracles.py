@@ -1,0 +1,34 @@
+"""The benchmark's own correctness checks, run on each workload's seed-1 draw.
+
+``perfbench/workloads.py`` judges every benchmark run by oracles that import
+library names (``fd_step``, ``stencil_combine``, ``qfi``, ``ScenarioConfig.fd``)
+and by a capture hook on ``cli.propagate``.  Running them here makes a library
+change that breaks what the benchmark uses fail the test suite, not only the
+benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from kerr_thermo import cli
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import scenario  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_workload_passes_its_checks(name, tmp_path, monkeypatch):
+    bench = workloads.make_scenario(name, 1)
+    config = workloads.resolve(bench)
+    out_dir, capture_dir = tmp_path / "out", tmp_path / "capture"
+    capture_dir.mkdir()
+    # install_capture replaces cli.propagate; monkeypatch puts it back
+    monkeypatch.setattr(cli, "propagate", cli.propagate)
+    scenario.install_capture(str(capture_dir))
+    cli.run(config, out_dir=str(out_dir), jobs=bench.jobs)
+    results = workloads.run_checks(bench, str(out_dir), str(capture_dir))
+    assert results
+    assert all(r.ok for r in results), [r.detail for r in results if not r.ok]

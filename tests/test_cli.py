@@ -14,7 +14,9 @@ from kerr_thermo import (
     homodyne_povm,
     mean_photon_number,
     propagate,
+    purity,
     qfi_series,
+    steady_state,
     tangent_trajectories,
     thermalization_trace,
     vacuum_state,
@@ -454,7 +456,7 @@ class TestRun:
         assert float(rows[1].split(",")[1]) == pytest.approx(1.0 / 1.1, abs=1e-6)
 
     def test_steady_state_retry_stops_at_its_size_cap(self, tmp_path):
-        cfg = parse_config("command = steady-state\nn_th = 0.05\ndelta = 0\ndrive = 10\nn_cut = 30\n")
+        cfg = parse_config("command = purity-sweep\nn_th = 0.05\ndelta = 0\ndrive = 10\nn_cut = 30\n")
         with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 120.*set a larger n_cut"):
             run(cfg, out_dir=str(tmp_path))
 
@@ -476,10 +478,14 @@ class TestRun:
             "delta = -3.5\nn_cut = 20\n"
         )
         run(cfg, out_dir=str(tmp_path))
-        text = read_lines(tmp_path / "purity_sweep.csv")
-        rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert rows[0] == "chi,purity"
-        assert len(rows) == 3
+        states = [steady_state(cfg.params_at(point), cfg.trunc()) for point in cfg.sweep_points()]
+        got = printed_columns(tmp_path / "purity_sweep.csv")
+        assert list(got) == ["chi", "purity", "photon_number"]
+        assert got == {
+            "chi": printed([0.2, 0.4]),
+            "purity": printed([purity(ss) for ss in states]),
+            "photon_number": printed([mean_photon_number(ss) for ss in states]),
+        }
 
     def test_spectrum_csv(self, tmp_path):
         cfg = parse_config(
@@ -818,6 +824,6 @@ class TestReproduceFigure:
     def test_fig7a_purity(self, tmp_path):
         report = reproduce_figure("fig7a", out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "fig7a.csv").splitlines() if not ln.startswith("#")]
-        assert rows[0] == "chi,purity"
+        assert rows[0] == "chi,purity,photon_number"
         purities = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(a > b for a, b in zip(purities, purities[1:]))

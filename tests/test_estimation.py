@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,18 +14,19 @@ from kerr_thermo import (
     cfi,
     cfi_result,
     cr_bound,
-    fd_derivative,
     fd_step,
     gibbs_populations,
     gibbs_state,
-    perturbed_trajectories,
     qfi,
     qfi_series,
     stencil_combine,
     steady_state_qfi,
+    tangent_trajectories,
+    vacuum_state,
 )
 from kerr_thermo.errors import TruncationError
 
+from stencil import fd_derivative, perturbed_trajectories
 from conftest import random_density_matrix
 
 
@@ -159,6 +161,24 @@ class TestQfi:
             assert np.isnan(np.trace(drho[None], axis1=1, axis2=2)[0])
             with pytest.raises(ValueError, match=r"not traceless: \|Tr drho\| = nan"):
                 qfi(gibbs_state(0.1, Truncation(16)), drho)
+
+    @pytest.mark.parametrize("rank_tol_rel", [math.nan, -1.0, 0.0])
+    def test_rank_floor_must_be_nonnegative(self, rank_tol_rel):
+        # the vacuum with drho = diag(-1, 1, 0, ...): unchecked, nan dropped
+        # every pair (QFI 0) and -1 kept the null pairs (QFI nan)
+        rho = vacuum_state(Truncation(6))
+        drho = np.diag([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+        pair = tangent_trajectories(SystemParams(0.0, 0.0, 0.0, 1e-3), TimeGrid(1.0, 2), Truncation(6))
+        pair = dataclasses.replace(pair, rank_tol_rel=rank_tol_rel)
+        if rank_tol_rel >= 0:
+            assert qfi(rho, drho, rank_tol_rel=rank_tol_rel).qfi == 1.0
+            assert np.all(np.isfinite(qfi_series(pair).values))
+        else:
+            match = f"rank_tol_rel must be nonnegative .* got {rank_tol_rel}"
+            with pytest.raises(ValueError, match=match):
+                qfi(rho, drho, rank_tol_rel=rank_tol_rel)
+            with pytest.raises(ValueError, match=match):
+                qfi_series(pair)
 
     def test_nonnegative_on_random_families(self, rng):
         for _ in range(5):

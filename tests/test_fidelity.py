@@ -122,8 +122,10 @@ class TestEffectiveTemperature:
             effective_temperature(rho, search_max=0.3)
 
     def test_invalid_search_max(self):
-        with pytest.raises(ValueError):
-            effective_temperature(vacuum_state(Truncation(5)), search_max=0.0)
+        # inf once escaped as numpy's LinAlgError from the scan's eigensolver
+        for search_max in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="search_max must be finite and positive"):
+                effective_temperature(gibbs_state(0.1, Truncation(6)), search_max=search_max)
 
     def test_default_search_max_scales_with_occupation(self):
         rho = gibbs_state(0.2, Truncation(40))

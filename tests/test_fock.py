@@ -244,7 +244,7 @@ READ_ONLY_RECORDS = {
         PerturbedTrajectories,
         lambda: dict(derivative=np.zeros((2, 2, 2), dtype=complex)),
         dict(
-            step=1e-4,
+            rank_tol_rel=1e-10,
             central=Trajectory(np.arange(2.0), np.zeros((2, 2, 2), dtype=complex), 0.0),
         ),
     ),

@@ -32,9 +32,9 @@ from kerr_thermo import (
     heterodyne_povm,
     homodyne_povm,
     mean_photon_number,
-    perturbed_trajectories,
     qfi_series,
 )
+from stencil import perturbed_trajectories
 
 FIG3A_CHI0 = SystemParams(delta=-3.5, chi=0.0, drive=1.0, n_th=0.05)
 GRID = TimeGrid(t_end=30.0, n_samples=201)

@@ -12,13 +12,11 @@ from kerr_thermo import (
     cfi,
     cfi_series,
     coherent_state,
-    fd_derivative,
     gibbs_state,
     heterodyne_povm,
     homodyne_povm,
     mean_photon_number,
     outcome_distribution,
-    perturbed_trajectories,
     qfi_series,
     quadrature_op,
     steady_state,
@@ -29,6 +27,7 @@ from kerr_thermo import (
 from kerr_thermo import measurement
 from kerr_thermo.errors import GridInsufficientError, TailMassWarning, TruncationError
 
+from stencil import element, fd_derivative, perturbed_trajectories
 from conftest import random_density_matrix
 
 
@@ -81,7 +80,7 @@ class TestHomodynePovm:
         # at n_cut 60 the outcomes are the full quadrature eigenbasis
         povm = homodyne_povm(0.1, Truncation(60))
         for i in range(povm.n_outcomes):
-            el = povm.element(i)
+            el = element(povm, i)
             ev = np.linalg.eigvalsh(el)
             assert ev[0] >= -1e-10
             assert ev[-1] == pytest.approx(1.0, abs=1e-10)
