@@ -100,6 +100,45 @@ class TestUhlmannFidelity:
             uhlmann_fidelity(bad, np.eye(2) / 2)
 
 
+def doubled_gibbs():
+    return 2.0 * gibbs_state(0.1, Truncation(6)).entries
+
+
+def gibbs_with_nan():
+    rho = gibbs_state(0.1, Truncation(6)).entries.copy()
+    rho[2, 2] = math.nan
+    return rho
+
+
+class TestRawArrayChecks:
+    """Raw arrays get the trace and finiteness checks that DensityMatrix makes.
+
+    A doubled Gibbs state once returned (1e-4, 1.0) from effective_temperature
+    and 1.0 from uhlmann_fidelity (by clipping); a NaN entry once returned
+    (1.0, 0.048) with a BracketBoundaryWarning, and numpy's LinAlgError from
+    uhlmann_fidelity.
+    """
+
+    @pytest.mark.parametrize(
+        "make_bad, message",
+        [(doubled_gibbs, "unit trace"), (gibbs_with_nan, "non-finite")],
+        ids=["doubled_trace", "nan_entry"],
+    )
+    def test_rejected(self, make_bad, message):
+        good = gibbs_state(0.1, Truncation(6)).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                effective_temperature(make_bad(), 1.0)
+        for pair in ((make_bad(), make_bad()), (make_bad(), good), (good, make_bad())):
+            with pytest.raises(ValueError, match=message):
+                uhlmann_fidelity(*pair)
+
+    def test_trace_within_tolerance_passes(self):
+        rho = gibbs_state(0.1, Truncation(6)).entries * (1.0 + 5e-8)
+        assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-7)
+
+
 class TestEffectiveTemperature:
     def test_recovers_gibbs_occupations(self):
         trunc = Truncation(60)
@@ -158,6 +197,19 @@ class TestThermalizationTrace:
         for bad in (np.full(2, 26), np.array([26, -1, 26])):
             with pytest.raises(ValueError, match="one nonnegative count per time"):
                 EffTempTrace(times, ones, ones, evaluations=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.1, 1.5])
+    def test_final_window_rejects_fraction_outside_unit_interval(self, bad):
+        # nan once raised "cannot convert float NaN to integer", 0 and
+        # negative values used two samples and 1.5 the whole trace
+        trace = EffTempTrace(np.arange(10.0), np.linspace(0.1, 0.2, 10), np.ones(10))
+        with pytest.raises(ValueError, match="window_frac"):
+            trace.final_window_change(bad)
+
+    def test_final_window_spans_the_last_samples(self):
+        trace = EffTempTrace(np.arange(10.0), np.linspace(0.1, 0.2, 10), np.ones(10))
+        assert trace.final_window_change(0.1) == pytest.approx((0.1 / 9) / 0.2)
+        assert trace.final_window_change(1.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan])
     def test_n_eff_gate_rejects_negative_and_nan(self, bad):
@@ -261,6 +313,46 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture(scope="module")
+def benchmark_draw():
+    """perfbench's thermalize seed-1 draw: fig2a at n_th 0.05, 0.1 and drive
+    0.6531, 0.9241, 201 states each at the certified n_cut 14."""
+    config = resolve_config(
+        preset="fig2a", overrides=("n_th=0.05,0.1", "drive=0.6531,0.9241"), command="thermalize"
+    )
+    trunc, grid = config.trunc(), config.grid()
+    assert trunc.n_cut == 14
+    return [
+        propagate(vacuum_state(trunc), config.params_at(point), grid, trunc)
+        for point in config.sweep_points()
+    ]
+
+
+def assert_trace_matches_single_states(traj, search_max, monkeypatch):
+    """The trace against effective_temperature run on each state alone.
+
+    Anchor states (0, 1, every 16th and the last) run that search in
+    lockstep and match it bit for bit.  Every other state is bracketed around
+    the anchors' interpolated optimum and lands within Brent's tolerance of
+    it, at no lower fidelity.  The search is batched: one stacked kernel call
+    per fully searched state's scan, and at most 40 rounds in each of the
+    three lockstep Brent searches (anchors, bracketed states, fallbacks).
+    """
+    calls = count_kernel_calls(monkeypatch)
+    trace = thermalization_trace(traj, search_max)
+    monkeypatch.undo()
+    assert sum(calls) == trace.evaluations.sum()
+    assert len(calls) <= np.count_nonzero(trace.evaluations > 16) + 120
+    single = np.array([effective_temperature(s, search_max) for s in traj.states])
+    m = len(traj.states)
+    anchor = np.zeros(m, dtype=bool)
+    anchor[::16] = anchor[:2] = anchor[-1] = True
+    assert np.array_equal(trace.n_eff[anchor], single[anchor, 0])
+    assert np.array_equal(trace.fidelity_at_opt[anchor], single[anchor, 1])
+    np.testing.assert_allclose(trace.n_eff[~anchor], single[~anchor, 0], rtol=0, atol=1e-7)
+    assert np.all(trace.fidelity_at_opt[~anchor] >= single[~anchor, 1] - 1e-12)
+
+
 class TestEffectiveTemperatureSearch:
     def test_agrees_with_oracle(self, fig2a_trajectory):
         traj, search_max = fig2a_trajectory
@@ -276,37 +368,46 @@ class TestEffectiveTemperatureSearch:
         np.testing.assert_allclose(trace.fidelity_at_opt, uhlmann, rtol=0, atol=1e-7)
 
     def test_batched_trace_matches_single_states(self, fig2a_trajectory, monkeypatch):
-        # the lockstep search takes each state's scalar iterates, and it is
-        # batched: one stacked call per state's scan plus one per Brent round
         traj, search_max = fig2a_trajectory
-        calls = count_kernel_calls(monkeypatch)
-        trace = thermalization_trace(traj, search_max)
-        assert len(calls) <= len(traj.states) + 40
-        assert sum(calls) == trace.evaluations.sum()
-        single = np.array([effective_temperature(s, search_max) for s in traj.states])
-        assert np.array_equal(trace.n_eff, single[:, 0])
-        assert np.array_equal(trace.fidelity_at_opt, single[:, 1])
+        assert_trace_matches_single_states(traj, search_max, monkeypatch)
 
-    def test_evaluations_pinned_on_the_benchmark_draw(self, monkeypatch):
-        # perfbench's thermalize seed-1 draw (fig2a at n_th 0.05, 0.1 and
-        # drive 0.6531, 0.9241, 201 states each at the certified n_cut 14):
-        # the search evaluates 26.0, 26.9, 26.0 and 26.0 Gibbs-fidelity
-        # matrices per state, counted by the kernel and by the trace alike
-        config = resolve_config(
-            preset="fig2a", overrides=("n_th=0.05,0.1", "drive=0.6531,0.9241"), command="thermalize"
-        )
-        trunc, grid = config.trunc(), config.grid()
+    def test_batched_trace_matches_single_states_on_the_benchmark_draw(
+        self, benchmark_draw, monkeypatch
+    ):
+        for traj in benchmark_draw:
+            assert_trace_matches_single_states(traj, default_search_max(traj.entries), monkeypatch)
+
+    def test_evaluations_pinned_on_the_benchmark_draw(self, benchmark_draw, monkeypatch):
+        # perfbench's thermalize seed-1 draw: the search evaluates 11.22,
+        # 11.29, 11.43 and 11.25 Gibbs-fidelity matrices per state (26.0,
+        # 26.9, 26.0 and 26.0 when every state ran the full search), counted
+        # by the kernel and by the trace alike
         calls = count_kernel_calls(monkeypatch)
         totals = []
-        for point in config.sweep_points():
-            traj = propagate(vacuum_state(trunc), config.params_at(point), grid, trunc)
+        for traj in benchmark_draw:
             start = len(calls)
             trace = thermalization_trace(traj)
             totals.append(sum(calls[start:]))
             assert trace.evaluations.sum() == totals[-1]
-        assert trunc.n_cut == 14
-        assert totals == [5232, 5416, 5232, 5232]
-        assert round(sum(totals) / (4 * 201), 2) == 26.26
+        assert totals == [2255, 2269, 2297, 2262]
+        assert round(sum(totals) / (4 * 201), 2) == 11.3
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c", "fig2d"])
+    def test_one_maximum_per_state(self, preset):
+        # the trace brackets most states around a predicted optimum and trusts
+        # the maximum it finds there; that needs F(n_eff) to have one local
+        # maximum, checked on a 400-point grid at every 10th state
+        config = resolve_config(preset=preset, command="thermalize")
+        trunc = config.trunc()
+        (point,) = config.sweep_points()
+        traj = propagate(vacuum_state(trunc), config.params_at(point), config.grid(), trunc)
+        grid = np.linspace(0.0, default_search_max(traj.entries), 400)
+        for k, rho in enumerate(traj.entries[::10]):
+            slopes = np.sign(np.diff(fidelity._gibbs_fidelities(rho, grid)))
+            slopes = slopes[slopes != 0]
+            maxima = np.count_nonzero((slopes[:-1] > 0) & (slopes[1:] < 0))
+            maxima += (slopes[0] < 0) + (slopes[-1] > 0)
+            assert maxima == 1, f"state {10 * k} has {maxima} local maxima"
 
     def test_evaluation_budget(self, fig2a_trajectory, monkeypatch):
         # at most 30 fidelity evaluations per state on average; the vacuum at
