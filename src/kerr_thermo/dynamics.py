@@ -262,9 +262,8 @@ def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         urow[position] = pair
         uval[position] = (c, sign * 1j * c)
 
-    summed = []
-    for terms in parts:
-        flat, vals = [], []
+    flat, vals, part = [], [], []
+    for index, terms in enumerate(parts):
         for weight, left, right in terms:
             (ra, ca, va), (rb, cb, vb) = _coo(left), _coo(right.T)
             r = (ra[:, None] * dim + rb).ravel()
@@ -273,12 +272,15 @@ def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             entries = uval[r][:, :, None] * v[:, None, None] * uval[s].conj()[:, None, :]
             flat.append((urow[r][:, :, None] * dd + urow[s][:, None, :]).ravel())
             vals.append(entries.real.ravel())
-        flat, where = np.unique(np.concatenate(flat), return_inverse=True)
-        summed.append((flat, np.bincount(where, weights=np.concatenate(vals))))
-    flat = np.unique(np.concatenate([part_flat for part_flat, _ in summed]))
-    table = np.zeros((len(parts), flat.size))
-    for row, (part_flat, part_vals) in zip(table, summed):
-        row[np.searchsorted(flat, part_flat)] = part_vals
+            part.append(np.full(flat[-1].size, index))
+    # one sum over every part's entries, keyed by (part, coordinate pair);
+    # return_inverse keeps np.unique off its numpy.ma branch
+    flat, where = np.unique(np.concatenate(flat), return_inverse=True)
+    table = np.bincount(
+        np.concatenate(part) * flat.size + where,
+        weights=np.concatenate(vals),
+        minlength=len(parts) * flat.size,
+    ).reshape(len(parts), flat.size)
     keep = np.any(table != 0.0, axis=0)
     rows, cols = np.divmod(flat[keep], dd)
     table = table[:, keep]

@@ -112,12 +112,12 @@ class DensityMatrix:
         trace_defect = abs(complex(entries.trace()) - 1.0)
         if trace_defect > self.tol:
             raise ValueError(
-                f"trace deviates from 1 by {trace_defect:.3e}, exceeds tol {self.tol:.1e}"
+                f"not unit trace: trace deviates from 1 by {trace_defect:.3e}, exceeds tol {self.tol:.1e}"
             )
         lam_min = float(np.linalg.eigvalsh(entries)[0])
         if lam_min < -self.tol:
             raise ValueError(
-                f"smallest eigenvalue {lam_min:.3e} below -tol = {-self.tol:.1e}"
+                f"not positive semidefinite: smallest eigenvalue {lam_min:.3e} below -tol = {-self.tol:.1e}"
             )
         object.__setattr__(self, "entries", entries)
 

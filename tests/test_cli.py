@@ -327,6 +327,23 @@ class TestRun:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
+    def test_runs_leave_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma takes a fresh process about 10 ms to import, inside its
+        # first point; a bare np.unique in the generator table once imported it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys\n"
+            "from kerr_thermo.cli import run\n"
+            "from kerr_thermo.config import parse_config\n"
+            "for command in ('thermalize', 'cfi', 'purity-sweep'):\n"
+            "    cfg = parse_config(f'command = {command}\\nn_th = 0.1\\ndrive = 0.5\\n'\n"
+            "                       'n_cut = 8\\nt_end = 1\\nn_samples = 5\\n')\n"
+            f"    run(cfg, out_dir={str(tmp_path)!r} + '/' + command)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
     def test_package_exports_every_library_name(self):
         import kerr_thermo
         from kerr_thermo import dynamics, errors, estimation, fidelity, fock, measurement, spectral
