@@ -34,7 +34,6 @@ from .fock import (
 from .dynamics import (
     TimeGrid,
     Trajectory,
-    default_integrator_step,
     generator_entries,
     lindblad_rhs,
     propagate,
@@ -108,7 +107,6 @@ __all__ = [
     # dynamics
     "TimeGrid",
     "Trajectory",
-    "default_integrator_step",
     "generator_entries",
     "lindblad_rhs",
     "propagate",

@@ -9,7 +9,7 @@ The factor 2 inside D is deliberate and doubles the more common half-convention:
 for the linear cavity it gives d<n>/dtau = -2 gamma <n> + 2 gamma n_th, a rate the
 test suite pins down so the convention cannot silently drift.
 
-Propagation is classical fixed-step 4-stage Runge-Kutta.  The generator maps
+Propagation applies the exact sample map exp(spacing R).  The generator maps
 Hermitian matrices to Hermitian matrices, so it acts as a real matrix
 R = U L U^dag on the coordinates of rho in the orthonormal Hermitian basis
 |i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j), and the
@@ -17,14 +17,13 @@ trace is the sum of the first d coordinates.  R is linear in its five
 coefficients (delta, chi, drive, gamma (n_th + 1), gamma n_th), so each
 dimension caches the five parameter-free parts as one COO index set and a
 (5, nnz) value table, built with numpy index arithmetic; a point's R is the
-coefficients times the table.  Because R is linear and time independent, one
-RK4 step of size h is exactly the degree-4 Taylor polynomial P(h R), and K
-equal steps are P(h R)^K.  At every cutoff, propagation precomputes
-P(h R)^K once per sample interval by binary powering, which produces the same
-states as stepping one step at a time (up to roundoff) at a small fraction of
-the cost.  R is affine in n_th, so the same powering can carry the map's exact
-n_th-derivative alongside it, at three matrix products for each one of the map
-alone; the trajectory's n_th-derivative then costs two more matrix-vector
+coefficients times the table.  Because R is time independent, one map spans
+every sample interval.  It is built once per propagation by scaling and
+squaring: a degree-8 Taylor polynomial of spacing R / 2^s, squared s times,
+with s from the 1-norm of spacing R (Al-Mohy & Higham 2009).  R is affine in
+n_th, so the same products can carry the map's exact n_th-derivative
+alongside it, at three matrix products for each one of the map alone; the
+trajectory's n_th-derivative then costs two more matrix-vector
 products per sample.  A trajectory keeps its samples as one read-only
 (n_samples, d, d) array, filled from the coordinate rows with one gather and
 validated in one pass (one stacked ``eigvalsh``); ``Trajectory.states`` wraps
@@ -63,7 +62,6 @@ from .fock import (
 __all__ = [
     "TimeGrid",
     "Trajectory",
-    "default_integrator_step",
     "generator_entries",
     "lindblad_rhs",
     "propagate",
@@ -82,9 +80,9 @@ _STATE_TOL = 1e-6
 class TimeGrid:
     """Output sampling grid in dimensionless time tau = gamma * t, from 0 to ``t_end``.
 
-    ``integrator_step`` is the internal RK4 step; ``None`` selects the default
-    rate-scaled rule (see :func:`default_integrator_step`).  When given, it
-    must not exceed the sample spacing.
+    ``integrator_step`` is an upper bound on the substep spacing / 2^s that
+    the sample map's scaling and squaring takes; ``None`` leaves s to the
+    map's norm alone.  When given, it must not exceed the sample spacing.
     """
 
     t_end: float
@@ -168,18 +166,6 @@ class Trajectory:
 
     def photon_numbers(self) -> np.ndarray:
         return mean_photon_number(self.entries)
-
-
-def default_integrator_step(params: SystemParams, trunc: Truncation) -> float:
-    """Rate-scaled RK4 step: 1e-3 over the fastest rate present in the generator."""
-    rate = max(
-        1.0,
-        abs(params.delta),
-        params.chi * trunc.n_cut,
-        params.drive,
-        params.gamma * (params.n_th + 1.0) * trunc.n_cut,
-    )
-    return 1e-3 / rate
 
 
 def _jump_terms(params: SystemParams, dim: int):
@@ -344,20 +330,14 @@ def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
     return _from_coordinate_rows(coords[None], dim)[0]
 
 
-def _rk4_polynomial(x: np.ndarray, dx: np.ndarray | None = None):
-    """I + X + X^2/2 + X^3/6 + X^4/24, the exact one-step RK4 map for a linear ODE.
-
-    With ``dx`` it returns the pair (P, dP), dP the derivative of P along dx,
-    from the same Horner recursion differentiated: acc' = (dX acc + X acc') / c.
-    """
-    eye = np.eye(x.shape[0], dtype=x.dtype)
-    acc = eye + x / 4.0
-    dacc = None if dx is None else dx / 4.0
-    for c in (3.0, 2.0, 1.0):
-        if dx is not None:
-            dacc = (dx @ acc + x @ dacc) / c
-        acc = eye + (x @ acc) / c
-    return acc if dx is None else (acc, dacc)
+# exp(A) = T_8(A / 2^s)^(2^s), T_8 the degree-8 Taylor polynomial, with s the
+# least count that brings ||A / 2^s||_1 within theta_8: there T_8(X) =
+# exp(X + dX) with ||dX|| <= 2^-53 ||X||.  The theta_m backward-error bound is
+# Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009); its values for
+# Taylor polynomials (theta_12 = 0.2996, theta_18 = 1.091) are tabulated in
+# Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011).
+_TAYLOR_DEGREE = 8
+_TAYLOR_THETA = 4.991e-2
 
 
 def _pair_product(a: tuple, c: tuple) -> tuple:
@@ -370,18 +350,19 @@ def _pair_product(a: tuple, c: tuple) -> tuple:
     return a[0] @ c[0], derivative
 
 
-def _power(maps: tuple, n: int) -> tuple:
-    """``maps[0]`` to the n-th power, n >= 1, and with a second entry its
-    derivative too, by the binary powering of ``np.linalg.matrix_power`` for
-    n > 3: the same products in the same order, so the map is the same to
-    the bit whether or not a derivative rides along."""
-    z = result = None
-    while n > 0:
-        z = maps if z is None else _pair_product(z, z)
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else _pair_product(result, z)
-    return result
+def _taylor(a: tuple) -> tuple:
+    """T_8(A) = I + A + A^2/2! + ... + A^8/8! for ``a = (A,)``, and for
+    ``a = (A, dA)`` the pair (T_8(A), its derivative along dA): Horner's rule
+    acc <- I + A acc / k in the pair algebra, so both take the same products."""
+    diagonal = np.s_[:: a[0].shape[0] + 1]
+    acc = tuple(m / _TAYLOR_DEGREE for m in a)
+    acc[0].flat[diagonal] += 1.0
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        acc = _pair_product(a, acc)
+        for m in acc:
+            m /= k
+        acc[0].flat[diagonal] += 1.0
+    return acc
 
 
 def _occupation_slope(params: SystemParams, dim: int) -> np.ndarray:
@@ -400,36 +381,41 @@ def _dense(values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangent: bool) -> tuple:
-    """The sample map M = P(h R)^K, and with ``tangent`` its exact n_th-derivative dM.
-
-    K fixed RK4 steps of size h span one sample interval.  Both are projected
-    onto the trace-preserving maps: tr M = tr and tr dM = 0.
+    """The sample map M = exp(spacing R), and with ``tangent`` its exact
+    n_th-derivative dM, by scaling and squaring: T_8(A / 2^s) squared s times,
+    A = spacing R.  s is the least count with ||A / 2^s||_1 <= theta_8, raised
+    so that the substep spacing / 2^s is at most ``grid.integrator_step``
+    when one is set.  The pair takes the same products, so M is the same to
+    the bit with or without dM.  Both are projected onto the trace-preserving
+    maps: tr M = tr and tr dM = 0.
     """
     dim = trunc.n_cut
+    _, cols, values = generator_entries(params, trunc)
     spacing = grid.spacing
-    step = grid.integrator_step
-    if step is None:
-        step = min(default_integrator_step(params, trunc), spacing)
-    n_steps = max(1, math.ceil(spacing / step - 1e-9))
-    h = spacing / n_steps
+    norm = spacing * np.bincount(cols, np.abs(values), minlength=dim * dim).max()
+    n_squarings = math.ceil(math.log2(max(norm / _TAYLOR_THETA, 1.0)))
+    if grid.integrator_step is not None:
+        n_squarings = max(n_squarings, math.ceil(math.log2(spacing / grid.integrator_step)))
+    h = spacing / 2.0**n_squarings
 
-    x = h * _dense(generator_entries(params, trunc)[2], dim)
+    x = (_dense(h * values, dim),)
     if tangent:
-        one_step = _rk4_polynomial(x, h * _dense(_occupation_slope(params, dim), dim))
-    else:
-        one_step = (_rk4_polynomial(x),)
-    maps = _power(one_step, n_steps)
-    # The exact generator annihilates the trace functional, so the exact
-    # RK4 map preserves trace identically; binary powering loses that to
-    # roundoff (~1e-11), which the 1/(12 h) occupation-derivative stencils
+        x += (_dense(h * _occupation_slope(params, dim), dim),)
+    maps = _taylor(x)
+    for _ in range(n_squarings):
+        maps = _pair_product(maps, maps)
+    # The exact generator annihilates the trace functional, so exp(spacing R)
+    # preserves trace identically; the polynomial and its squarings lose that
+    # to roundoff, which the 1/(12 h) occupation-derivative stencils
     # downstream would amplify.  Project the map back onto the
     # trace-preserving affine subspace, and its derivative onto the maps
-    # that annihilate the trace.  This corrects the propagator, not the
-    # state: trace drift remains monitored and never renormalized.
+    # that annihilate the trace; only the d diagonal-coordinate rows change.
+    # This corrects the propagator, not the state: trace drift remains
+    # monitored and never renormalized.
     tr_vec = np.zeros(dim * dim)
     tr_vec[:dim] = 1.0
     for m, image in zip(maps, (tr_vec, 0.0)):
-        m -= np.outer(tr_vec / dim, tr_vec @ m - image)
+        m[:dim] -= np.outer(tr_vec[:dim] / dim, tr_vec @ m - image)
     return maps
 
 
@@ -494,9 +480,9 @@ def propagate(
 ) -> Trajectory:
     """Evolve ``rho0`` over ``grid``, returning validated states at every sample.
 
-    Fixed-step RK4, applied as the powered real polynomial P(h R)^K on the
-    Hermitian-basis coordinates, at every cutoff; each sample is rebuilt from
-    its upper triangle, so it is exactly Hermitian.  Trace drift beyond 1e-6
+    The sample map exp(spacing R), built once by scaling and squaring and
+    applied to the Hermitian-basis coordinates, at every cutoff; each sample
+    is rebuilt from its upper triangle, so it is exactly Hermitian.  Trace drift beyond 1e-6
     raises TraceDriftError (it is never silently renormalized), top-two-level
     population beyond ``trunc.leakage_tol`` raises TruncationError, and a
     non-finite state or an eigenvalue below -1e-6 raises

@@ -10,14 +10,15 @@ restricted to eigenvalue pairs whose sum exceeds a rank cutoff.
 Every Fisher series, quantum or classical, reads one (central trajectory,
 derivative stack) pair and nothing else: ``qfi_series(pair)`` and
 ``cfi_series(pair, povm)``.  :func:`tangent_trajectories` builds the pair
-from one propagation: the generator is affine in n_th, so the powered RK4 map
-and its exact n_th-derivative are powered together and the samples carry
-d rho / d n_th exactly.  The pair carries the relative rank floor its QFI is
-taken at, so a pair built another way (the tests' five-point stencil, whose
-entries carry roundoff of order eps/h) can raise it.  The QFI series is one
-stacked ``eigh`` of the central trajectory; :func:`qfi` is the one-state case
-of the same kernel, as :func:`cfi_result` is of the batched CFI sum.  The
-input gates are phrased so that NaN fails them.  The steady state's QFI needs
+from one propagation: the generator is affine in n_th, so the sample map
+exp(spacing R) and its exact n_th-derivative are built by the same Taylor
+products and squarings, and the samples carry d rho / d n_th exactly.  The
+pair carries the relative rank floor its QFI is taken at, so a pair built
+another way (the tests' five-point stencil, whose entries carry roundoff of
+order eps/h) can raise it.  The QFI series is one stacked ``eigh`` of the
+central trajectory; :func:`qfi` is the one-state case of the same kernel, as
+:func:`cfi_result` is of the batched CFI sum.  The input gates are phrased
+so that NaN fails them.  The steady state's QFI needs
 no propagation: its exact derivative is one more linear solve, and it
 certifies the Fock cutoff of ``n_cut = auto`` runs.
 """
@@ -73,8 +74,8 @@ _CERT_FIRST_NCUT = 8
 # Automatic cutoff growth stops at this n_cut: the certify_cutoff walk here and
 # the leakage retry of the propagating commands in cli.  It caps cost, not
 # accuracy.  propagate's dense sample map holds n_cut^4 doubles and takes
-# n_cut^6 flops to build; one fig8a trajectory (201 samples to tau = 30) took
-# 6.1 s and 276 MB peak at 48 levels and 24.3 s and 573 MB at 60 on 2 cores.
+# n_cut^6 flops to build; one fig8a trajectory (201 samples to tau = 30) takes
+# 3.5 s and 167 MB peak RSS at 48 levels on 2 cores.
 # An explicit larger n_cut still propagates.
 _AUTO_NCUT_MAX = 48
 
@@ -263,11 +264,12 @@ def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation
 
     The central trajectory is the one :func:`propagate` returns, to the bit,
     and validated as it is.  The derivative is the exact derivative of that
-    trajectory (no stencil step): R = R0 + n_th R1, so the one-step map P(hR)
-    has the derivative dP along hR1, the pair (P, dP) is powered as
-    (AC, A dC + dA C), and the samples follow x' <- M x' + dM x from x' = 0
-    (Van Loan 1978; Najfeld & Havel 1995).  One propagation, at about three
-    matrix products for each one of the map alone.
+    trajectory (no stencil step): R = R0 + n_th R1, so the Taylor polynomial
+    T(hR) of the scaled generator has the derivative dT along hR1, the pair
+    (T, dT) is squared as (AC, A dC + dA C), and the samples follow
+    x' <- M x' + dM x from x' = 0 (Van Loan 1978; Najfeld & Havel 1995;
+    Al-Mohy & Higham 2009).  One propagation, at about three matrix products
+    for each one of the map alone.
     """
     central, derivative = _evolve(vacuum_state(trunc), params, grid, trunc, tangent=True)
     return PerturbedTrajectories(central, derivative)

@@ -146,7 +146,7 @@ def _gibbs_fidelities(rho: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
     inner = sq[..., :, None] * rho
     inner *= sq[..., None, :]
     ev = np.linalg.eigvalsh(inner)
-    return np.clip(np.sqrt(np.clip(ev, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
+    return np.sqrt(np.clip(ev, 0.0, None)).sum(axis=-1) ** 2
 
 
 def _brent_max(

@@ -156,6 +156,17 @@ class TestEffectiveTemperature:
         assert n_eff == 0.0
         assert fid == 1.0
 
+    def test_negative_tail_populations_keep_a_sharp_maximum(self):
+        # propagated states can carry populations of about -1e-14 in their
+        # top levels; the positive part then has mass above 1, so F(n_eff)
+        # exceeds 1 near its maximum.  Clipping F at 1 flattened that top
+        # into a plateau about 2e-7 wide, and the search stopped anywhere on
+        # it (1.5e-7 off; 2.2e-9 unclipped)
+        p = gibbs_state(0.05, Truncation(30)).entries.diagonal().real.copy()
+        p[12:] = -8.5e-15
+        n_eff, _ = effective_temperature(np.diag(p / p.sum()), search_max=1.0)
+        assert n_eff == pytest.approx(0.05, abs=1e-8)
+
     def test_boundary_warning(self):
         rho = gibbs_state(0.5, Truncation(60))
         with pytest.warns(BracketBoundaryWarning):
@@ -379,7 +390,7 @@ class TestEffectiveTemperatureSearch:
             assert_trace_matches_single_states(traj, default_search_max(traj.entries), monkeypatch)
 
     def test_evaluations_pinned_on_the_benchmark_draw(self, benchmark_draw, monkeypatch):
-        # perfbench's thermalize seed-1 draw: the search evaluates 8.07, 8.29,
+        # perfbench's thermalize seed-1 draw: the search evaluates 8.07, 8.34,
         # 8.53 and 8.61 Gibbs-fidelity matrices per state (11.22, 11.29, 11.43
         # and 11.25 without the certificate round, 26.0, 26.9, 26.0 and 26.0
         # when every state ran the full search), counted by the kernel and by
@@ -391,8 +402,8 @@ class TestEffectiveTemperatureSearch:
             trace = thermalization_trace(traj)
             totals.append(sum(calls[start:]))
             assert trace.evaluations.sum() == totals[-1]
-        assert totals == [1623, 1667, 1715, 1730]
-        assert round(sum(totals) / (4 * 201), 2) == 8.38
+        assert totals == [1623, 1677, 1715, 1730]
+        assert round(sum(totals) / (4 * 201), 2) == 8.39
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c", "fig2d"])
     def test_one_maximum_per_state(self, preset):

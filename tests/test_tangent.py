@@ -1,11 +1,11 @@
 """Oracles for the exact tangent, the (central, derivative) pair the runner reads.
 
-``tangent_trajectories`` differentiates the powered RK4 map itself, so its
-central run must be ``propagate``'s to the bit, and its derivative must agree
-with the five-point stencil (whose roundoff floor it undercuts), with the exact
-steady-state tangent at the plateau and with the chi = 0 closed forms.  Each
-band is two to three times the largest deviation measured (2 cores, OpenBLAS
-0.3.31).  The criteria 6-8 twins run the contract's checks through the
+``tangent_trajectories`` differentiates the sample map itself (its Taylor
+polynomial and squarings), so its central run must be ``propagate``'s to the
+bit, and its derivative must agree with the five-point stencil (whose
+roundoff floor it undercuts), with the exact steady-state tangent at the
+plateau and with the chi = 0 closed forms.  Each band is two to three times
+the largest deviation measured (2 cores, OpenBLAS 0.3.31).  The criteria 6-8 twins run the contract's checks through the
 runner's route at the certified cutoffs.
 """
 
@@ -47,12 +47,12 @@ PRESET_POINTS = [
 ]
 
 # Largest deviations measured over the 21 preset points: QFI series against
-# the stencil at rel_step 1e-2, 9.7e-9 of the series maximum (fig5a, drive
-# 0.5); tau = 30 plateau against steady_state_qfi, 3.8e-10 relative.
+# the stencil at rel_step 1e-2, 8.1e-9 of the series maximum (fig5a, drive
+# 0.5); tau = 30 plateau against steady_state_qfi, 2.9e-11 relative.
 STENCIL_BAND = 2e-8
 PLATEAU_BAND = 1e-9
-# chi = 0 closed forms at n_cut 14 and 20: QFI 9.5e-10, homodyne at most
-# 1.5e-10, heterodyne 1.3e-10.  The stencil's bands are 2e-7, 5e-7 and 2e-7.
+# chi = 0 closed forms at n_cut 14 and 20: QFI 1.0e-9, homodyne at most
+# 1.4e-10, heterodyne 1.5e-10.  The stencil's bands are 2e-7, 5e-7 and 2e-7.
 QFI_BAND = 2e-9
 HOMODYNE_BAND = 5e-10
 HETERODYNE_BAND = 5e-10
