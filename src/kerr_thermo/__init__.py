@@ -12,7 +12,6 @@ from .errors import (
     GridInsufficientError,
     KerrThermoError,
     NumericalFailureError,
-    TailMassWarning,
     TraceDriftError,
     TruncationError,
 )
@@ -49,15 +48,12 @@ from .fidelity import (
     uhlmann_fidelity,
 )
 from .estimation import (
-    CfiResult,
     CutoffCertificate,
     FdConfig,
     FisherSeries,
     PerturbedTrajectories,
     SldResult,
-    cfi,
     certify_cutoff,
-    cfi_result,
     cr_bound,
     fd_step,
     qfi,
@@ -68,8 +64,8 @@ from .estimation import (
 )
 from .measurement import (
     Povm,
+    cfi,
     cfi_series,
-    coherent_state,
     heterodyne_povm,
     homodyne_povm,
     outcome_distribution,
@@ -89,7 +85,6 @@ __all__ = [
     "GridInsufficientError",
     "ConfigError",
     "BracketBoundaryWarning",
-    "TailMassWarning",
     # fock
     "SystemParams",
     "Truncation",
@@ -129,9 +124,6 @@ __all__ = [
     "qfi",
     "tangent_trajectories",
     "qfi_series",
-    "CfiResult",
-    "cfi_result",
-    "cfi",
     "cr_bound",
     "steady_state_qfi",
     "CutoffCertificate",
@@ -140,9 +132,9 @@ __all__ = [
     "Povm",
     "quadrature_op",
     "homodyne_povm",
-    "coherent_state",
     "heterodyne_povm",
     "outcome_distribution",
+    "cfi",
     "cfi_series",
     # spectral
     "SpectralReport",

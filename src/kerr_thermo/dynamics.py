@@ -56,7 +56,6 @@ from .fock import (
     annihilation,
     as_matrix,
     hamiltonian,
-    mean_photon_number,
 )
 
 __all__ = [
@@ -163,9 +162,6 @@ class Trajectory:
     @property
     def final(self) -> DensityMatrix:
         return self.states[-1]
-
-    def photon_numbers(self) -> np.ndarray:
-        return mean_photon_number(self.entries)
 
 
 def _jump_terms(params: SystemParams, dim: int):
@@ -406,10 +402,13 @@ def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangen
         maps = _pair_product(maps, maps)
     # The exact generator annihilates the trace functional, so exp(spacing R)
     # preserves trace identically; the polynomial and its squarings lose that
-    # to roundoff, which the 1/(12 h) occupation-derivative stencils
-    # downstream would amplify.  Project the map back onto the
-    # trace-preserving affine subspace, and its derivative onto the maps
-    # that annihilate the trace; only the d diagonal-coordinate rows change.
+    # to roundoff.  Two consumers read the trace: the tangent's dM must keep
+    # Tr drho = 0, which the QFI gate in estimation._qfi_stack checks, and the
+    # tests' five-point stencil oracle (tests/stencil.py) divides differences
+    # of propagated states by 12 h, amplifying any trace error.  Project
+    # the map back onto the trace-preserving affine subspace, and its
+    # derivative onto the maps that annihilate the trace; only the d
+    # diagonal-coordinate rows change.
     # This corrects the propagator, not the state: trace drift remains
     # monitored and never renormalized.
     tr_vec = np.zeros(dim * dim)
@@ -520,8 +519,9 @@ def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation)
         t = times[first]
         if drift[first] > _TRACE_DRIFT_LIMIT:
             raise TraceDriftError(
-                f"trace drifted by {drift[first]:.3e} at tau = {t:g}; "
-                f"reduce the integrator step or enlarge the truncation"
+                f"trace drifted by {drift[first]:.3e} at tau = {t:g}; the sample map's "
+                f"roundoff grows with ||spacing R||_1 and its squaring count, so shorten "
+                f"the sample spacing (raise n_samples)"
             )
         _check_leakage(leak[first], trunc, f"at tau = {t:g}")
         raise NumericalFailureError(f"invalid state at tau = {t:g}: density matrix contains non-finite entries")

@@ -8,7 +8,6 @@ __all__ = [
     "GridInsufficientError",
     "ConfigError",
     "BracketBoundaryWarning",
-    "TailMassWarning",
 ]
 
 
@@ -45,7 +44,3 @@ class ConfigError(KerrThermoError):
 
 class BracketBoundaryWarning(UserWarning):
     """An optimizer returned a maximizer on the edge of its search bracket."""
-
-
-class TailMassWarning(UserWarning):
-    """A truncated state vector dropped a non-negligible amount of norm."""

@@ -16,18 +16,18 @@ products and squarings, and the samples carry d rho / d n_th exactly.  The
 pair carries the relative rank floor its QFI is taken at, so a pair built
 another way (the tests' five-point stencil, whose entries carry roundoff of
 order eps/h) can raise it.  The QFI series is one stacked ``eigh`` of the
-central trajectory; :func:`qfi` is the one-state case of the same kernel, as
-:func:`cfi_result` is of the batched CFI sum.  The input gates are phrased
-so that NaN fails them.  The steady state's QFI needs
-no propagation: its exact derivative is one more linear solve, and it
-certifies the Fock cutoff of ``n_cut = auto`` runs.
+central trajectory, and :func:`qfi` is its one-state case; the CFI sum
+lives beside ``cfi_series`` in :mod:`~kerr_thermo.measurement`.  The input
+gates are phrased so that NaN fails them.  The steady state's QFI needs no
+propagation: its exact derivative is one more linear solve, and it certifies
+the Fock cutoff of ``n_cut = auto`` runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,17 +51,11 @@ __all__ = [
     "qfi",
     "tangent_trajectories",
     "qfi_series",
-    "CfiResult",
-    "cfi_result",
-    "cfi",
     "cr_bound",
     "steady_state_qfi",
     "CutoffCertificate",
     "certify_cutoff",
 ]
-
-# Floor at or below which an outcome probability is excluded from the CFI sum.
-_P_FLOOR = 1e-14
 
 # The cutoff certificate: steady-state leakage at most leakage_tol / _CERT_MARGIN
 # (the propagated transient reached up to 1.7 times the steady-state value on
@@ -100,24 +94,20 @@ class FdConfig:
 
 @dataclass(frozen=True)
 class SldResult:
-    """QFI value with the symmetric logarithmic derivative that produced it."""
+    """The QFI of one state, read as ``qfi(...).qfi``."""
 
     qfi: float
-    sld: np.ndarray
 
 
 @dataclass(frozen=True)
 class FisherSeries:
     """Time-indexed Fisher information values of one quantity.
 
-    ``kind`` is "qfi", "cfi_homodyne" (with ``phi`` set) or "cfi_heterodyne".
     ``times`` and ``values`` are read-only copies of the arrays passed in.
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str
-    phi: float | None = None
     max_skipped_mass: float = 0.0
 
     def __post_init__(self):
@@ -194,20 +184,12 @@ def qfi(rho: DensityMatrix, drho, *, rank_tol_rel: float = 1e-12) -> SldResult:
     d = as_matrix(drho)
     if d.shape != r.shape:
         raise ValueError(f"dimension mismatch: rho {r.shape} vs drho {d.shape}")
-    values, weights, d_eig, vec = _qfi_stack(r[None], d[None], rank_tol_rel)
-    sld = vec[0] @ (weights[0] * d_eig[0]) @ vec[0].conj().T
-    sld = 0.5 * (sld + sld.conj().T)
-    return SldResult(qfi=float(values[0]), sld=sld)
+    return SldResult(qfi=float(_qfi_stack(r[None], d[None], rank_tol_rel)[0]))
 
 
 def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
-    """:func:`qfi` for (n, d, d) stacks of states and derivatives.
-
-    Returns the n QFI values, the SLD weights 2 / (lambda_k + lambda_l) (0
-    below the rank cutoff), drho in each state's eigenbasis and the
-    eigenvectors.  An input gate that fails raises for the first
-    failing sample.
-    """
+    """:func:`qfi` for (n, d, d) stacks of states and derivatives: the n QFI
+    values.  An input gate that fails raises for the first failing sample."""
     if not rank_tol_rel >= 0:
         raise ValueError(f"rank_tol_rel must be nonnegative (and not NaN), got {rank_tol_rel}")
     # One stack-sized buffer holds drho^dag, then the symmetric part, then
@@ -232,7 +214,7 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     weights = np.divide(2.0, denom, out=np.zeros_like(denom), where=keep)
     terms = np.abs(d_eig) ** 2
     terms *= weights
-    return terms.sum(axis=(1, 2)), weights, d_eig, vec
+    return terms.sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -281,50 +263,8 @@ def qfi_series(trajectories: PerturbedTrajectories) -> FisherSeries:
     at the pair's rank cutoff.  The same pair feeds every
     :func:`~kerr_thermo.measurement.cfi_series` over the same propagation."""
     tr = trajectories
-    values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)[0]
-    return FisherSeries(times=tr.times, values=values, kind="qfi")
-
-
-class CfiResult(NamedTuple):
-    value: float
-    skipped_mass: float
-
-
-def cfi_result(probabilities, dprobabilities) -> CfiResult:
-    """Classical Fisher information sum_x (dp_x)^2 / p_x with an outcome floor.
-
-    Outcomes with p_x <= 1e-14 are skipped (continuum discretizations
-    produce numerically empty bins) and their total mass is reported alongside
-    the value.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    dp = np.asarray(dprobabilities, dtype=float)
-    if p.shape != dp.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {dp.shape}")
-    values, skipped = _cfi_rows(p.reshape(1, -1), dp.reshape(1, -1))
-    return CfiResult(value=float(values[0]), skipped_mass=float(skipped[0]))
-
-
-def _cfi_rows(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cfi_result` for each row of (n, n_outcomes) arrays: the CFI values
-    and skipped masses.  A gate that fails raises for the first failing row."""
-    if p.size and float(p.min()) < -1e-12:
-        raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
-    total = p.sum(axis=1)
-    bad = ~(np.abs(total - 1.0) <= 1e-6)
-    if bad.any():
-        raise ValueError(f"probabilities sum to {float(total[np.argmax(bad)])!r}, not 1 within 1e-6")
-    p = np.clip(p, 0.0, None)
-    keep = p > _P_FLOOR
-    skipped = np.where(keep, 0.0, p).sum(axis=1)
-    terms = np.square(dp, out=np.zeros_like(p), where=keep)
-    np.divide(terms, p, out=terms, where=keep)
-    return terms.sum(axis=1), skipped
-
-
-def cfi(probabilities, dprobabilities) -> float:
-    """Classical Fisher information of an outcome distribution; see :func:`cfi_result`."""
-    return cfi_result(probabilities, dprobabilities).value
+    values = _qfi_stack(tr.central.entries, tr.derivative, tr.rank_tol_rel)
+    return FisherSeries(times=tr.times, values=values)
 
 
 def cr_bound(fisher: float, repetitions: int = 1) -> float:

@@ -17,31 +17,34 @@ same linearity, the same map applied to the coordinates of d rho / d n_th
 gives the derivatives of the distributions, so ``cfi_series(pair, povm)``
 reads a (central trajectory, derivative stack) pair, such as the exact one of
 :func:`~kerr_thermo.estimation.tangent_trajectories`, with two matmuls and
-takes the CFI sum over every sample at once.
+takes the CFI sum over every sample at once; :func:`cfi` is the sum's
+one-state case.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridInsufficientError, TruncationError, TailMassWarning
+from .errors import GridInsufficientError
 from .fock import Truncation, _read_only, annihilation, as_matrix
 from .dynamics import _coordinates
-from .estimation import FisherSeries, PerturbedTrajectories, _cfi_rows
+from .estimation import FisherSeries, PerturbedTrajectories
 
 __all__ = [
     "Povm",
     "quadrature_op",
     "homodyne_povm",
-    "coherent_state",
     "heterodyne_povm",
     "outcome_distribution",
+    "cfi",
     "cfi_series",
 ]
+
+# Floor at or below which an outcome probability is excluded from the CFI sum.
+_P_FLOOR = 1e-14
 
 # Outcomes per chunk while the outcome map is built: at n_cut 30 a chunk's
 # rank-one elements and their coordinate temporaries take about 1.8 MB,
@@ -67,8 +70,6 @@ class Povm:
             measurements, grid cell area / pi for the heterodyne grid).
         labels: outcome coordinates, real (quadrature value) or complex
             (phase-space point).
-        kind: "homodyne" or "heterodyne".
-        phi: quadrature angle for homodyne, else None.
         completeness_tol: admissible max-entry deviation of
             sum_i w_i |v_i><v_i| from the identity.
 
@@ -80,8 +81,6 @@ class Povm:
     vectors: np.ndarray
     weights: np.ndarray
     labels: np.ndarray
-    kind: str
-    phi: float | None = None
     completeness_tol: float = 1e-6
     completeness_defect: float = field(init=False, default=0.0)
 
@@ -141,13 +140,7 @@ def homodyne_povm(phi: float, trunc: Truncation) -> Povm:
     size = max(_HOMODYNE_LEVELS, trunc.n_cut)
     values, basis = np.linalg.eigh(quadrature_op(0.0, Truncation(size)))
     phases = np.exp(1j * phi * np.arange(trunc.n_cut))
-    return Povm(
-        vectors=basis[: trunc.n_cut].T * phases,
-        weights=np.ones(size),
-        labels=values,
-        kind="homodyne",
-        phi=float(phi),
-    )
+    return Povm(vectors=basis[: trunc.n_cut].T * phases, weights=np.ones(size), labels=values)
 
 
 def _raw_coherent_amplitudes(alphas: np.ndarray, dim: int) -> np.ndarray:
@@ -162,30 +155,6 @@ def _raw_coherent_amplitudes(alphas: np.ndarray, dim: int) -> np.ndarray:
     for n in range(1, dim):
         out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
     return out
-
-
-def coherent_state(alpha: complex, trunc: Truncation) -> np.ndarray:
-    """Normalized coherent state |alpha> on the truncated space.
-
-    The dropped tail mass of the untruncated Poisson distribution is checked:
-    above 1e-8 a TailMassWarning is emitted, above 1e-3 the truncation is
-    rejected outright.
-    """
-    amps = _raw_coherent_amplitudes(np.array([alpha]), trunc.n_cut)[0]
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    tail = max(0.0, 1.0 - norm_sq)
-    if tail > 1e-3:
-        raise TruncationError(
-            f"coherent state |alpha|^2 = {abs(alpha) ** 2:.3g} loses tail mass "
-            f"{tail:.3e} at n_cut = {trunc.n_cut}; increase the cutoff"
-        )
-    if tail > 1e-8:
-        warnings.warn(
-            f"coherent-state tail mass {tail:.3e} exceeds 1e-8 at n_cut = {trunc.n_cut}",
-            TailMassWarning,
-            stacklevel=2,
-        )
-    return amps / math.sqrt(norm_sq)
 
 
 def _gamma_tail(n: int, x: float) -> float:
@@ -255,7 +224,6 @@ def heterodyne_povm(
             vectors=vectors,
             weights=weights,
             labels=alphas,
-            kind="heterodyne",
             completeness_tol=_HETERODYNE_COMPLETENESS_TOL,
         )
     except ValueError as exc:
@@ -306,6 +274,38 @@ def _probabilities(entries: np.ndarray, outcome_map: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None, out=p)
 
 
+def cfi(probabilities, dprobabilities) -> float:
+    """Classical Fisher information sum_x (dp_x)^2 / p_x with an outcome floor.
+
+    Outcomes with p_x <= 1e-14 are skipped (continuum discretizations
+    produce numerically empty bins).  This is the one-state case of the CFI
+    sum :func:`cfi_series` takes.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    dp = np.asarray(dprobabilities, dtype=float)
+    if p.shape != dp.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {dp.shape}")
+    return float(_cfi_rows(p.reshape(1, -1), dp.reshape(1, -1))[0][0])
+
+
+def _cfi_rows(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cfi` for each row of (n, n_outcomes) arrays: the CFI values and
+    the mass of the skipped outcomes.  A gate that fails raises for the first
+    failing row."""
+    if p.size and float(p.min()) < -1e-12:
+        raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
+    total = p.sum(axis=1)
+    bad = ~(np.abs(total - 1.0) <= 1e-6)
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(total[np.argmax(bad)])!r}, not 1 within 1e-6")
+    p = np.clip(p, 0.0, None)
+    keep = p > _P_FLOOR
+    skipped = np.where(keep, 0.0, p).sum(axis=1)
+    terms = np.square(dp, out=np.zeros_like(p), where=keep)
+    np.divide(terms, p, out=terms, where=keep)
+    return terms.sum(axis=1), skipped
+
+
 def cfi_series(trajectories: PerturbedTrajectories, povm: Povm) -> FisherSeries:
     """CFI of the POVM outcome distribution along the evolved probe state.
 
@@ -314,7 +314,9 @@ def cfi_series(trajectories: PerturbedTrajectories, povm: Povm) -> FisherSeries:
     than the pair's raises ValueError.  The outcome map gives the
     distributions of the central stack in one matmul and, by linearity, their
     n_th-derivatives from the derivative stack in one more; the classical
-    Fisher sum runs over every sample at once.
+    Fisher sum runs over every sample at once.  ``max_skipped_mass`` is the
+    largest total probability, over the samples, of the outcomes the sum
+    skips.
     """
     central = trajectories.central.entries
     if povm.dim != central.shape[-1]:
@@ -323,11 +325,4 @@ def cfi_series(trajectories: PerturbedTrajectories, povm: Povm) -> FisherSeries:
     p = _probabilities(central, outcome_map)
     dp = _coordinates(trajectories.derivative) @ outcome_map.T
     values, skipped = _cfi_rows(p, dp)
-    kind = "cfi_homodyne" if povm.kind == "homodyne" else "cfi_heterodyne"
-    return FisherSeries(
-        times=trajectories.times,
-        values=values,
-        kind=kind,
-        phi=povm.phi,
-        max_skipped_mass=float(skipped.max()),
-    )
+    return FisherSeries(times=trajectories.times, values=values, max_skipped_mass=float(skipped.max()))

@@ -98,7 +98,7 @@ def test_states_view_builds_density_matrices_on_access_only(fig8a, monkeypatch):
     monkeypatch.setattr(fock.DensityMatrix, "__post_init__", counted)
     traj = tt.central
     assert len(traj.states) == 201
-    traj.photon_numbers()
+    mean_photon_number(traj.entries)
     assert calls == []
     state = traj.states[7]
     assert len(calls) == 1

@@ -2,7 +2,8 @@
 
 ``perfbench/workloads.py`` judges every benchmark run by oracles that import
 library names (``fd_step``, ``stencil_combine``, ``qfi``, ``ScenarioConfig.fd``)
-and by a capture hook on ``cli.propagate``.  Running them here makes a library
+and by a capture hook on ``cli.propagate``.  The ``fisher`` oracle reads
+``qfi(...).qfi``, which is why ``qfi`` still returns an ``SldResult``.  Running them here makes a library
 change that breaks what the benchmark uses fail the test suite, not only the
 benchmark.
 """

@@ -225,7 +225,7 @@ class TestPropagate:
         grid = TimeGrid(t_end=4.0, n_samples=41)
         traj = propagate(vacuum_state(trunc), linear_params(0.1), grid, trunc)
         expected = 0.1 * (1.0 - np.exp(-2.0 * traj.times))
-        np.testing.assert_allclose(traj.photon_numbers(), expected, atol=1e-6)
+        np.testing.assert_allclose(mean_photon_number(traj.entries), expected, atol=1e-6)
 
     def test_driven_mean_field_limit(self):
         # mean-field ODE oracle: with H_drive = i drive (a^dag - a),
@@ -303,6 +303,10 @@ class TestPropagate:
                 TimeGrid(t_end=1.0, n_samples=11, integrator_step=step)
 
 
+# The drift message names what sets the sample map's roundoff: the spacing.
+DRIFT_ADVICE = r"trace drifted by .* shorten the sample spacing \(raise n_samples\)"
+
+
 class TestBatchedValidation:
     """The one-pass validation names the first failing sample, checked there
     in the order trace drift, leakage, finiteness, positivity."""
@@ -344,7 +348,7 @@ class TestBatchedValidation:
     @pytest.mark.parametrize(
         "edits, error, text, k",
         [
-            ([(4, "drift")], TraceDriftError, "trace drifted", 4),
+            ([(4, "drift")], TraceDriftError, DRIFT_ADVICE, 4),
             ([(4, "leak")], TruncationError, "top-two-level population", 4),
             ([(4, "negative")], NumericalFailureError, "smallest eigenvalue", 4),
             ([(4, "non_finite")], NumericalFailureError, "non-finite", 4),
@@ -353,7 +357,7 @@ class TestBatchedValidation:
             ([(3, "leak"), (6, "negative")], TruncationError, "top-two-level population", 3),
             ([(7, "drift"), (2, "non_finite")], NumericalFailureError, "non-finite", 2),
             # at one sample: drift, then leakage, then positivity
-            ([(5, "negative"), (5, "leak"), (5, "drift")], TraceDriftError, "trace drifted", 5),
+            ([(5, "negative"), (5, "leak"), (5, "drift")], TraceDriftError, DRIFT_ADVICE, 5),
             ([(5, "negative"), (5, "leak")], TruncationError, "top-two-level population", 5),
         ],
         ids=[
@@ -366,6 +370,8 @@ class TestBatchedValidation:
         with pytest.raises(error, match=text) as info:
             self.propagate_with(monkeypatch, edits)
         assert f"tau = {self.GRID.times[k]:g}" in str(info.value)
+        # a smaller integrator step only adds squarings, so no message advises it
+        assert "integrator" not in str(info.value)
 
     def test_unedited_run_passes(self, monkeypatch):
         traj = self.propagate_with(monkeypatch, [])
@@ -411,7 +417,7 @@ class TestPropagationInvariants:
     def test_monotone_relaxation(self):
         trunc = Truncation(25)
         traj = propagate(vacuum_state(trunc), linear_params(0.2), TimeGrid(t_end=6.0, n_samples=61), trunc)
-        gap = np.abs(traj.photon_numbers() - 0.2)
+        gap = np.abs(mean_photon_number(traj.entries) - 0.2)
         assert np.all(np.diff(gap) <= 1e-12)
 
     def test_steady_state_agrees_with_long_propagation(self):

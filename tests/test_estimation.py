@@ -12,7 +12,6 @@ from kerr_thermo import (
     Truncation,
     certify_cutoff,
     cfi,
-    cfi_result,
     cr_bound,
     fd_step,
     gibbs_populations,
@@ -117,27 +116,6 @@ class TestQfi:
         rho = np.diag(p.astype(complex))
         res = qfi(rho, np.diag(dp.astype(complex)))
         assert res.qfi == pytest.approx(float(np.sum(dp**2 / p)), rel=1e-10)
-
-    def test_sld_identities(self, rng):
-        # Tr(rho L) ~ 0 and Tr(L drho) = QFI, by direct matrix algebra
-        cfg = FdConfig()
-        for _ in range(5):
-            dim = 8
-            base = random_density_matrix(rng, dim)
-            other = random_density_matrix(rng, dim)
-
-            def family(theta):
-                return (1.0 - theta) * base + theta * other
-
-            theta0 = 0.4
-            drho = fd_derivative(family, theta0, cfg)
-            from kerr_thermo.fock import DensityMatrix
-
-            rho = DensityMatrix(family(theta0))
-            res = qfi(rho, drho)
-            assert abs(np.einsum("ij,ji->", rho.entries, res.sld)) < 1e-8
-            assert np.einsum("ij,ji->", res.sld, drho).real == pytest.approx(res.qfi, abs=1e-8)
-            assert np.abs(res.sld - res.sld.conj().T).max() < 1e-9
 
     def test_rejects_non_hermitian_or_traceful(self):
         rho = gibbs_state(0.1, Truncation(4))
@@ -272,9 +250,9 @@ class TestCfi:
     def test_skipped_mass_reported(self):
         p = np.array([0.7, 0.3 - 2e-15, 1e-15, 1e-15])
         dp = np.array([1.0, -1.0, 5.0, -5.0])
-        res = cfi_result(p, dp)
-        assert res.skipped_mass == pytest.approx(2e-15, rel=0.5)
-        assert res.value == pytest.approx(1.0 / 0.7 + 1.0 / 0.3, rel=1e-6)
+        # the two outcomes below the floor leave the sum; their mass is read
+        # from cfi_series in tests/test_measurement.py
+        assert cfi(p, dp) == pytest.approx(1.0 / 0.7 + 1.0 / 0.3, rel=1e-6)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="length"):
@@ -292,7 +270,7 @@ class TestCfi:
 class TestFisherSeries:
     def test_nan_fails_the_nonnegativity_gate(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            FisherSeries(times=np.arange(3.0), values=np.array([0.0, np.nan, 1.0]), kind="qfi")
+            FisherSeries(times=np.arange(3.0), values=np.array([0.0, np.nan, 1.0]))
 
 
 class TestCrBound:

@@ -220,9 +220,9 @@ READ_ONLY_RECORDS = {
     "Povm": (
         Povm,
         lambda: dict(vectors=np.eye(3, dtype=complex), weights=np.ones(3), labels=np.arange(3.0)),
-        dict(kind="homodyne"),
+        {},
     ),
-    "FisherSeries": (FisherSeries, lambda: dict(times=np.arange(3.0), values=np.ones(3)), dict(kind="qfi")),
+    "FisherSeries": (FisherSeries, lambda: dict(times=np.arange(3.0), values=np.ones(3)), {}),
     "EffTempTrace": (
         EffTempTrace,
         lambda: dict(

@@ -11,7 +11,6 @@ from kerr_thermo import (
     Truncation,
     cfi,
     cfi_series,
-    coherent_state,
     gibbs_state,
     heterodyne_povm,
     homodyne_povm,
@@ -25,9 +24,9 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import measurement
-from kerr_thermo.errors import GridInsufficientError, TailMassWarning, TruncationError
+from kerr_thermo.errors import GridInsufficientError
 
-from stencil import element, fd_derivative, perturbed_trajectories
+from stencil import element, fd_derivative
 from conftest import random_density_matrix
 
 
@@ -84,34 +83,6 @@ class TestHomodynePovm:
             ev = np.linalg.eigvalsh(el)
             assert ev[0] >= -1e-10
             assert ev[-1] == pytest.approx(1.0, abs=1e-10)
-
-
-class TestCoherentState:
-    def test_alpha_zero_is_vacuum(self):
-        amps = coherent_state(0.0, Truncation(10))
-        np.testing.assert_array_equal(amps, np.eye(10)[0])
-
-    def test_eigenstate_of_annihilation(self):
-        # <alpha|a|alpha> = alpha for alpha well inside the cutoff
-        from kerr_thermo import annihilation
-
-        trunc = Truncation(40)
-        for alpha in (0.5, 1.0 + 0.5j, -2.0j):
-            amps = coherent_state(alpha, trunc)
-            got = amps.conj() @ annihilation(40) @ amps
-            assert abs(got - alpha) < 1e-10
-
-    def test_overlap_closed_form(self):
-        trunc = Truncation(40)
-        a, b = 0.7 + 0.2j, -0.3 + 0.9j
-        va, vb = coherent_state(a, trunc), coherent_state(b, trunc)
-        assert abs(np.vdot(va, vb)) ** 2 == pytest.approx(math.exp(-abs(a - b) ** 2), rel=1e-10)
-
-    def test_tail_warning_and_error(self):
-        with pytest.warns(TailMassWarning):
-            coherent_state(2.0, Truncation(12))
-        with pytest.raises(TruncationError):
-            coherent_state(3.5, Truncation(8))
 
 
 class TestHeterodynePovm:
@@ -249,15 +220,18 @@ class TestCfiSeries:
             series = cfi_series(tt, povm)
             assert np.all(series.values <= qf.values * (1.0 + 1e-6))
 
-    def test_kind_labels(self):
-        params = SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.1)
-        trunc = Truncation(15)
-        grid = TimeGrid(t_end=1.0, n_samples=3)
-        tt = perturbed_trajectories(params, grid, trunc, FdConfig())
-        hom = cfi_series(tt, homodyne_povm(0.25, trunc))
-        assert hom.kind == "cfi_homodyne" and hom.phi == pytest.approx(0.25)
-        het = cfi_series(tt, heterodyne_povm(trunc))
-        assert het.kind == "cfi_heterodyne" and het.phi is None
+    def test_max_skipped_mass_is_the_largest_floor_mass_of_a_sample(self):
+        # the run report's "max skipped mass": per sample, the total
+        # probability of the outcomes at or below the CFI floor 1e-14, read
+        # here from the one-state outcome_distribution; largest over samples
+        params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
+        trunc = Truncation(16)
+        tt = tangent_trajectories(params, TimeGrid(t_end=5.0, n_samples=11), trunc)
+        for povm in (homodyne_povm(0.3, trunc), heterodyne_povm(trunc)):
+            p = np.array([outcome_distribution(state, povm) for state in tt.central.states])
+            expected = np.where(p <= 1e-14, p, 0.0).sum(axis=1).max()
+            assert expected > 0
+            assert cfi_series(tt, povm).max_skipped_mass == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 class TestSteadyStateGaussianOracles:
@@ -333,7 +307,7 @@ class TestFixedSizeHomodyne:
         states = [random_density_matrix(rng, 60) for _ in range(3)]
         for phi in (0.0, 0.4, 0.9 * math.pi, 2.5):
             values, vectors = np.linalg.eigh(quadrature_op(phi, trunc))
-            reference = Povm(vectors=vectors.T, weights=np.ones(60), labels=values, kind="homodyne")
+            reference = Povm(vectors=vectors.T, weights=np.ones(60), labels=values)
             povm = homodyne_povm(phi, trunc)
             np.testing.assert_allclose(povm.labels, values, rtol=0, atol=1e-13)
             for rho in states:
