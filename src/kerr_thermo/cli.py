@@ -199,11 +199,11 @@ def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
 _TABLE_COMMANDS = ("spectrum", "purity-sweep")
 
 # The leakage retry of the table commands stops growing n_cut here.  One
-# block-tridiagonal steady-state solve at 120 levels takes 0.12-0.16 s and
-# 58 MB (tracemalloc peak) on 2 cores, 0.30-0.43 s and 77 MB more peak RSS
-# when the process first builds the 120-level generator table.  Its flops
-# grow as n_cut^4 and its memory as n_cut^3, so a retry to 240 levels would
-# take about 16 times as long and 8 times the memory.
+# block-tridiagonal steady-state solve at 120 levels takes 0.07-0.09 s and
+# 31 MB (tracemalloc peak) on 2 cores, 0.25-0.29 s and 66 MB more peak RSS
+# when the process first builds the 120-level generator table (0.15 s and
+# 65 MB of that).  Flops grow as n_cut^4 and memory as n_cut^3, so a retry to
+# 240 levels would take about 16 times as long and 8 times the memory.
 _TABLE_NCUT_MAX = 120
 
 

@@ -32,10 +32,11 @@ accessed.
 
 The steady state solves R x = 0 with a trace-one row.  Ordered by coherence
 order k = j - i, R is block tridiagonal (the drive moves k by one, the
-Hamiltonian and the dissipators keep it), so the solve is a block
-elimination from k = d - 1 down to 0, and the n_th-derivative of the steady
-state is one more sweep through the same factors.  The runtime needs numpy
-only.
+Hamiltonian and the dissipators keep it), and on the coherences rho_{i,i+k},
+k >= 1, it acts complex-linearly.  So the solve is a block elimination in
+complex blocks of size d - k from k = d - 1 down to 1, then one real step on
+the populations, and the n_th-derivative of the steady state is one more
+sweep through the same factors.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -548,39 +549,54 @@ def _check_leakage(leak: float, trunc: Truncation, where: str) -> None:
 def _coherence_layout(dim: int):
     """Where R's coherence-order blocks sit, built once per dimension.
 
-    Block 0 holds the d diagonal coordinates; block k >= 1 holds the 2(d - k)
-    coordinates sqrt2 Re rho_{i,i+k}, then sqrt2 Im rho_{i,i+k}.  The drive
-    moves k by one and the Hamiltonian and dissipators keep it, so R is block
-    tridiagonal in this order: every table entry lies in a diagonal block D_k,
-    in U_k = R[k, k+1] or in L_k = R[k+1, k].  The blocks share one flat
-    buffer, D_0..D_{d-1}, then U_0..U_{d-2}, then L_0..L_{d-2}.  Returns their
-    shapes and start offsets (one more for the buffer's end), the coordinate
-    indices in block order, and each table entry's position in the buffer.
+    Block 0 holds the d populations, block k >= 1 the d - k complex coordinates
+    y_i = sqrt2 rho_{i,i+k}.  The drive moves k by one and the Hamiltonian and
+    dissipators keep it, so R is block tridiagonal: D_k, U_k = R[k, k+1] and
+    L_k = R[k+1, k].  Between orders k, l >= 1 R's real block [[P, Q], [P', Q']]
+    (Re first) has Q' = P and Q = -P': it is P + i P'.  Order 0 enters as
+    L_0 = A + i B from [[A], [B]] and leaves as Re((P - i Q) y_1).  Returns the
+    shapes and starts of D_0..D_{d-1}, U_0..U_{d-2}, L_0..L_{d-2} in one complex
+    buffer, the table entries kept (all but Q, Q' between orders >= 1) and
+    their positions in its float view (U_0 gets P + i Q), each coherence's
+    (Re, Im) coordinates in block order and each block's slice of them.
+    Raises RuntimeError if the table is not block tridiagonal or not complex-linear.
     """
-    rows, cols, _ = _generator_table(dim)
+    rows, cols, table = _generator_table(dim)
     iu, ju = _upper_indices(dim)
+    m, dd = iu.size, dim * dim
     order = ju - iu
     block = np.concatenate([np.zeros(dim, dtype=np.intp), order, order])
-    local = np.concatenate([np.arange(dim), iu, dim - order + iu])
-    sizes = [dim] + [2 * (dim - k) for k in range(1, dim)]
+    local = np.concatenate([np.arange(dim), iu, iu])
+    imag = np.arange(dd) >= dim + m
+    sizes = [dim] + list(range(dim - 1, 0, -1))
     shapes = [(s, s) for s in sizes] + list(zip(sizes[:-1], sizes[1:])) + list(zip(sizes[1:], sizes[:-1]))
     start = np.cumsum([0] + [r * c for r, c in shapes])
     sizes = np.array(sizes)
 
-    br, bc, lr, lc = block[rows], block[cols], local[rows], local[cols]
-    position = np.full(rows.size, -1, dtype=np.intp)
-    for mask, first, k in (
-        (br == bc, 0, br),
-        (bc == br + 1, dim, br),
-        (bc == br - 1, 2 * dim - 1, bc),
-    ):
-        position[mask] = start[first + k[mask]] + lr[mask] * sizes[bc[mask]] + lc[mask]
-    if np.any(position < 0):
+    br, bc = block[rows], block[cols]
+    if np.any(np.abs(br - bc) > 1):
         raise RuntimeError("the generator is not block tridiagonal in coherence order")
-    coordinate_order = np.lexsort((local, block))
-    for arr in (start, coordinate_order, position):
+    # Between orders k, l >= 1 the entry with Re and Im swapped in both
+    # coordinates (flat indices are sorted) must hold the same value, or minus it.
+    coherent = np.nonzero((br > 0) & (bc > 0))[0]
+    twin = np.arange(dd) + np.where(imag, -m, m)
+    flat, wanted = rows * dd + cols, twin[rows[coherent]] * dd + twin[cols[coherent]]
+    partner = np.minimum(np.searchsorted(flat, wanted), flat.size - 1)
+    sign = np.where(imag[rows[coherent]] == imag[cols[coherent]], 1.0, -1.0)
+    mismatch = np.abs(table[:, partner] - sign * table[:, coherent]).max(initial=0.0)
+    if not np.array_equal(flat[partner], wanted) or mismatch > 1e-14 * np.abs(table).max():
+        raise RuntimeError("the generator is not complex-linear on coherence orders k >= 1")
+
+    keep = np.nonzero(~imag[cols] | (br == 0))[0]
+    br, bc, rows, cols = br[keep], bc[keep], rows[keep], cols[keep]
+    first = np.where(br == bc, 0, np.where(bc == br + 1, dim, 2 * dim - 1)) + np.minimum(br, bc)
+    position = 2 * (start[first] + local[rows] * sizes[bc] + local[cols]) + (imag[rows] | imag[cols])
+    by_order = np.lexsort((iu, order))
+    pairs = np.column_stack([dim + by_order, dim + m + by_order])
+    bounds = np.cumsum([0, 0] + sizes[1:].tolist())
+    for arr in (start, keep, position, pairs):
         arr.setflags(write=False)
-    return tuple(shapes), start, coordinate_order, position
+    return tuple(shapes), start, keep, position, pairs, tuple(map(slice, bounds[:-1], bounds[1:]))
 
 
 class _CoherenceSolver:
@@ -589,50 +605,58 @@ class _CoherenceSolver:
     Computations*, sec. 4.5).
 
     The trace row touches only block 0, so the system keeps R's block
-    tridiagonal form.  Eliminating from k = d - 1 down to 0 gives the Schur
-    complements S_{d-1} = D_{d-1}, S_k = D_k - U_k S_{k+1}^{-1} L_k, whose
-    inverses are kept, so every further right-hand side is one sweep of
-    matrix-vector products with no new factorization.
+    tridiagonal form.  Eliminating from k = d - 1 down to 1 gives the complex
+    Schur complements S_{d-1} = D_{d-1}, S_k = D_k - U_k S_{k+1}^{-1} L_k of
+    size d - k, each inverted for half the flops of the real block of size
+    2(d - k) it stands for; the last one is real, S_0 = D_0 - Re(U_0 S_1^{-1}
+    L_0).  The inverses are kept, so every further right-hand side is one
+    sweep of matrix-vector products with no new factorization.
     """
 
     def __init__(self, values: np.ndarray, dim: int, scale: float):
-        shapes, start, self._order, position = _coherence_layout(dim)
-        buffer = np.zeros(start[-1])
-        buffer[position] = values
+        shapes, start, keep, position, self._pairs, self._slices = _coherence_layout(dim)
+        buffer = np.zeros(start[-1], dtype=np.complex128)
+        buffer.view(np.float64)[position] = values[keep]
         blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(start[:-1], start[1:], shapes)]
         diag, self._upper, self._lower = blocks[:dim], blocks[dim : 2 * dim - 1], blocks[2 * dim - 1 :]
+        np.conjugate(self._upper[0], out=self._upper[0])  # P + i Q -> P - i Q
         diag[0][0] = scale
         self._upper[0][0] = 0.0
-        self._splits = np.cumsum([len(d) for d in diag[:-1]])
 
         # Each inverse overwrites its diagonal block, which it no longer needs.
+        # S_0 is real but kept complex, so one LAPACK routine serves every order.
         for k in range(dim - 1, -1, -1):
             schur = diag[k]
             if k < dim - 1:
-                schur = schur - self._upper[k] @ (diag[k + 1] @ self._lower[k])
+                coupling = self._upper[k] @ (diag[k + 1] @ self._lower[k])
+                schur = schur - (coupling if k else coupling.real)
             try:
-                diag[k][...] = np.linalg.inv(schur)
+                inverse = np.linalg.inv(schur)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailureError(f"singular Schur complement at coherence order {k}") from exc
-            if not np.isfinite(diag[k]).all():
+            if not np.isfinite(inverse).all():
                 raise NumericalFailureError(f"non-finite Schur complement at coherence order {k}")
-        self._inverses = diag
+            diag[k][...] = inverse
+        self._inverses = [diag[0].real.copy()] + diag[1:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for a right-hand side, both in coordinate order."""
-        inv, upper, lower = self._inverses, self._upper, self._lower
-        b = np.split(rhs[self._order], self._splits)
-        # Down: z_k = S_k^{-1} (b_k - U_k z_{k+1}); up: x_0 = z_0,
-        # x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
-        z = [inv[-1] @ b[-1]]
-        for k in range(len(b) - 2, -1, -1):
-            z.append(inv[k] @ (b[k] - upper[k] @ z[-1]))
-        z.reverse()
-        x = [z[0]]
-        for k in range(len(b) - 1):
-            x.append(z[k + 1] - inv[k + 1] @ (lower[k] @ x[k]))
+        """The solution for a real right-hand side, both in coordinate order."""
+        inv, upper, lower, at = self._inverses, self._upper, self._lower, self._slices
+        dim = len(inv)
+        b = rhs[self._pairs].view(np.complex128)[:, 0]
+        # Down: z_k = S_k^{-1} (b_k - U_k z_{k+1}), z_0 real; up, in place:
+        # x_0 = z_0, x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
+        z = np.empty_like(b)
+        z[at[-1]] = inv[-1] @ b[at[-1]]
+        for k in range(dim - 2, 0, -1):
+            z[at[k]] = inv[k] @ (b[at[k]] - upper[k] @ z[at[k + 1]])
+        x0 = inv[0] @ (rhs[:dim] - (upper[0] @ z[at[1]]).real)
+        z[at[1]] -= inv[1] @ (lower[0] @ x0)
+        for k in range(1, dim - 1):
+            z[at[k + 1]] -= inv[k + 1] @ (lower[k] @ z[at[k]])
         out = np.empty(rhs.size)
-        out[self._order] = np.concatenate(x)
+        out[:dim] = x0
+        out[self._pairs] = z.view(np.float64).reshape(-1, 2)
         return out
 
 
@@ -667,9 +691,9 @@ def _steady_solve(params: SystemParams, trunc: Truncation):
 def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
     """Unique fixed point of the generator, via a trace-constrained linear solve.
 
-    One block-tridiagonal solve of R x = 0 for every cutoff, with R's first
-    row replaced by the trace-one constraint (scaled to the largest entry of R
-    for conditioning).  The state is rebuilt exactly Hermitian from x,
+    One block-tridiagonal solve of R x = 0 in complex coherence blocks for
+    every cutoff, with R's first row replaced by the trace-one constraint
+    (scaled to the largest entry of R for conditioning).  The state is rebuilt exactly Hermitian from x,
     residual-checked against :func:`lindblad_rhs` and validated.  A singular
     or non-finite Schur complement, or a residual too large, raises
     NumericalFailureError.  A top-two-level population beyond
@@ -694,8 +718,8 @@ def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.nd
     L is affine in n_th, R = R0 + n_th R1 with R1 = gamma (D[a] + D[a^dag]) (two
     rows of the generator table), so differentiating R x = 0 gives
     R_c x' = -R1 x with the trace row of R_c set to 0 (x' is traceless): one
-    more sweep through the steady state's factored system.  The state is
-    residual-checked but not validated as a density matrix.
+    more sweep through the steady state's kept Schur-complement inverses.  The
+    state is residual-checked but not validated as a density matrix.
     """
     dim = trunc.n_cut
     mat, coords, solver = _steady_solve(params, trunc)

@@ -1,5 +1,6 @@
-"""The steady-state solver: R is block tridiagonal in coherence order, and the
-block elimination agrees with a sparse LU solve of the same system."""
+"""The steady-state solver: R is block tridiagonal in coherence order and
+complex-linear on the coherences, and the complex block elimination agrees
+with a sparse LU solve of the same system."""
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ PARAMS = {
 }
 CASES = [(name, n) for name in PARAMS for n in (14, 30, 48)]
 IDS = [f"{name}-n{n}" for name, n in CASES]
+LINEAR_CASES = [(name, n) for name in PARAMS for n in (8, 14, 30, 48)]
 
 
 def coherence_order(dim):
@@ -62,11 +64,63 @@ def test_generator_is_block_tridiagonal_in_coherence_order(name, n_cut):
     order = coherence_order(n_cut)
     nonzero = values != 0.0
     assert np.abs(order[rows[nonzero]] - order[cols[nonzero]]).max() <= 1
-    # the trace row (all populations) lies in block 0, which the solver puts first
+    # the trace row (all populations) lies in block 0, which the solver keeps real
     assert np.all(order[:n_cut] == 0)
-    coordinate_order = dynamics._coherence_layout(n_cut)[2]
-    assert np.array_equal(coordinate_order[:n_cut], np.arange(n_cut))
-    assert np.all(np.diff(order[coordinate_order]) >= 0)
+    # the solver reads each coherence as its (Re, Im) coordinate pair, in
+    # coherence order, and block k >= 1 is its slice of them
+    gather, at = dynamics._coherence_layout(n_cut)[4:]
+    m = n_cut * (n_cut - 1) // 2
+    assert np.all(gather[:, 1] - gather[:, 0] == m)
+    assert np.array_equal(np.sort(np.concatenate([np.arange(n_cut), gather.ravel()])), np.arange(n_cut**2))
+    assert np.all(np.diff(order[gather[:, 0]]) >= 0)
+    assert at[0] == slice(0, 0)
+    for k in range(1, n_cut):
+        assert np.array_equal(order[gather[at[k], 0]], np.full(n_cut - k, k))
+
+
+@pytest.mark.parametrize("name, n_cut", LINEAR_CASES, ids=[f"{name}-n{n}" for name, n in LINEAR_CASES])
+def test_coherence_blocks_are_complex_linear(name, n_cut):
+    # between coherence orders k, l >= 1 the real block [[P, Q], [P', Q']] on
+    # (Re, Im) coordinates is the real form of P + i P': Q' = P and Q = -P'
+    rows, cols, values = generator_entries(PARAMS[name], Truncation(n_cut))
+    dim, m = n_cut * n_cut, n_cut * (n_cut - 1) // 2
+    rmat = sparse.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+    re, im = slice(n_cut, n_cut + m), slice(n_cut + m, dim)
+    tol = 1e-14 * np.abs(values).max()
+    assert rmat[re, re].nnz > 0 and rmat[im, re].nnz > 0
+    assert abs(rmat[im, im] - rmat[re, re]).max() <= tol
+    assert abs(rmat[re, im] + rmat[im, re]).max() <= tol
+
+
+def break_table(how, rows, cols, table):
+    """A copy of the generator table at n 8 with one defect."""
+    m = 8 * 7 // 2
+    q_prime = np.nonzero((rows >= 8 + m) & (cols >= 8 + m))[0][0]
+    if how == "changed Q' entry":
+        table = table.copy()
+        table[1, q_prime] += 1.0
+        return rows, cols, table
+    if how == "missing Q' entry":
+        keep = np.arange(rows.size) != q_prime
+        return rows[keep], cols[keep], table[:, keep]
+    # an entry from population 0 to the Re part of rho_{0,2}, coherence order 2
+    column = 8 + np.nonzero((np.triu_indices(8, 1)[1] - np.triu_indices(8, 1)[0]) == 2)[0][0]
+    return np.append(rows, 0), np.append(cols, column), np.column_stack([table, np.ones(5)])
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("changed Q' entry", "not complex-linear"),
+        ("missing Q' entry", "not complex-linear"),
+        ("order 0 to order 2", "not block tridiagonal"),
+    ],
+)
+def test_layout_rejects_a_table_it_cannot_split(monkeypatch, how, message):
+    broken = break_table(how, *dynamics._generator_table(8))
+    monkeypatch.setattr(dynamics, "_generator_table", lambda dim: broken)
+    with pytest.raises(RuntimeError, match=message):
+        dynamics._coherence_layout.__wrapped__(8)
 
 
 @pytest.mark.parametrize("name, n_cut", CASES, ids=IDS)
@@ -79,11 +133,53 @@ def test_block_solve_matches_sparse_lu(name, n_cut):
     assert np.abs(steady_state(params, trunc).entries - rho_ref).max() <= 1e-12
 
 
+def quarter_turn(dim):
+    """The real coordinate map of rho -> V rho V^dag, V = exp(i pi n / 2): it
+    multiplies rho_{i,i+k} by (-i)^k, a signed permutation of the coordinates."""
+    iu, ju = np.triu_indices(dim, 1)
+    m = iu.size
+    turn = np.zeros((dim * dim, dim * dim))
+    turn[np.arange(dim), np.arange(dim)] = 1.0
+    for p, k in enumerate(ju - iu):
+        c, s = [(1, 0), (0, -1), (-1, 0), (0, 1)][k % 4]  # (-i)^k = c + i s
+        re, im = dim + p, dim + m + p
+        turn[[re, re, im, im], [re, im, re, im]] = c, -s, s, c
+    return turn
+
+
+def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
+    # In the frame V = exp(i pi n / 2) the drive i drive (a^dag - a) becomes
+    # -drive (a^dag + a), which feeds the populations from the coherences'
+    # imaginary parts only: U_0's Q half, which the generator never fills.
+    # The solver must map the rotated system's solutions to the rotated ones.
+    params, dim = PARAMS["drive1.5"], 6
+    trunc = Truncation(dim, leakage_tol=0.5)
+    rows, cols, values = generator_entries(params, trunc)
+    m, scale = dim * (dim - 1) // 2, float(np.abs(values).max())
+    trace_rhs = np.zeros(dim * dim)
+    trace_rhs[0] = scale
+    rhs = [trace_rhs, np.random.default_rng(7).standard_normal(dim * dim)]
+    solver = dynamics._CoherenceSolver(values, dim, scale)
+    expected = [solver.solve(b) for b in rhs]
+
+    turn = quarter_turn(dim)
+    parts = np.zeros((5, dim * dim, dim * dim))
+    parts[:, rows, cols] = dynamics._generator_table(dim)[2]
+    parts = turn @ parts @ turn.T
+    turned = np.nonzero(np.any(parts != 0.0, axis=0))
+    assert np.any(parts[:, :dim, dim + m :] != 0.0)
+    monkeypatch.setattr(dynamics, "_generator_table", lambda d: (*turned, parts[:, turned[0], turned[1]]))
+    monkeypatch.setattr(dynamics, "_coherence_layout", dynamics._coherence_layout.__wrapped__)
+    solver = dynamics._CoherenceSolver(generator_entries(params, trunc)[2], dim, scale)
+    for b, x in zip(rhs, expected):
+        assert np.abs(solver.solve(turn @ b) - turn @ x).max() <= 1e-12 * np.abs(x).max()
+
+
 def test_singular_schur_complement_is_a_numerical_failure(monkeypatch):
     # a zero generator part in every coherence block leaves S_{d-1} = 0
     params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
     rows, cols, values = generator_entries(params, Truncation(6))
-    singular = np.where(np.isin(rows, dynamics._coherence_layout(6)[2][-2:]), 0.0, values)
+    singular = np.where(np.isin(rows, np.nonzero(coherence_order(6) == 5)[0]), 0.0, values)
     monkeypatch.setattr(dynamics, "generator_entries", lambda p, t: (rows, cols, singular))
     with pytest.raises(NumericalFailureError, match="singular Schur complement at coherence order 5"):
         steady_state(params, Truncation(6))

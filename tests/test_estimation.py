@@ -296,7 +296,7 @@ class TestStencil:
         h = 0.1
         x = 3.0
         got = stencil_combine(x + 2 * h, x + h, x - h, x - 2 * h, h)
-        assert float(got) == pytest.approx(1.0, rel=1e-13)
+        assert float(got) == pytest.approx(1.0, rel=1e-13, abs=0)
 
 
 # Preset corners with the tightest leakage-to-QFI-error margins: (delta, chi, drive, n_th).

@@ -170,11 +170,11 @@ class TestThermalOccupation:
         assert thermal_occupation(700.0) == pytest.approx(0.0, abs=1e-300)
 
     def test_ln2_gives_one(self):
-        assert thermal_occupation(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
+        assert thermal_occupation(math.log(2.0)) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_numeric_inversion(self):
         # inversion oracle: beta giving occupation 0.05 is ln(21)
-        assert thermal_occupation(math.log(21.0)) == pytest.approx(0.05, rel=1e-13)
+        assert thermal_occupation(math.log(21.0)) == pytest.approx(0.05, rel=1e-13, abs=0)
         assert thermal_occupation(3.0445) == pytest.approx(0.05, abs=1e-5)
 
     def test_domain_errors(self):
