@@ -106,13 +106,13 @@ class _PointResult:
     summaries: list[str]
 
 
-# thermalize computes a point on one OpenBLAS thread up to this cutoff, and
-# on the process's count above it.  Measured on a fig2a point (201 samples,
-# three runs each, 2-core x86-64 VM): a second thread saves propagate 3-6 ms at
-# n_cut 14-16, under 5% of the point's wall time, while the trace's stacked
-# small eigvalsh calls leave it spinning and the point's CPU time about
-# doubles; from n_cut 18 it saves 7-15% of the wall time, at n_cut 30 about
-# 30% (1.06 s -> 0.75 s) and at n_cut 40 about 35% (3.8 s -> 2.6 s).
+# Every command computes a try on one OpenBLAS thread up to this cutoff, and
+# on the process's count above it.  Median wall / CPU s of 7 fresh-process cfi
+# runs of a fig8a point (201 samples, 2-core x86-64 VM), two threads against
+# one: n_cut 12 0.050 / 0.086 against 0.053 / 0.051, 14 0.104 / 0.163 against
+# 0.079 / 0.077, 16 0.130 / 0.214 against 0.117 / 0.116, 18 0.175 / 0.298
+# against 0.187 / 0.187.  thermalize gains 7-35% of its wall time from a
+# second thread at n_cut 18-40.
 _ONE_THREAD_NCUT_MAX = 16
 
 # Name prefixes and suffixes of OpenBLAS's thread control: numpy 2 wheels
@@ -181,29 +181,28 @@ def _one_blas_thread():
         blas.set_threads(old)
 
 
-def _one_thread(command: str, n_cut: int) -> bool:
-    """Whether a point of ``command`` at ``n_cut`` computes on one BLAS thread."""
-    return command == "thermalize" and n_cut <= _ONE_THREAD_NCUT_MAX
+def _one_thread(n_cut: int) -> bool:
+    """Whether a try at ``n_cut`` computes on one BLAS thread."""
+    return n_cut <= _ONE_THREAD_NCUT_MAX
 
 
-def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
+def _blas_report(results: list[_PointResult]) -> str:
     """The BLAS and the thread counts the points' final computes ran with."""
     blas = _openblas()
     if blas is None:
         return "not identified, thread count left as it is"
-    counts = sorted({1 if _one_thread(config.command, r.n_cut_used) else blas.threads() for r in results})
+    counts = sorted({1 if _one_thread(r.n_cut_used) else blas.threads() for r in results})
     return f"{blas.name}, compute threads: {', '.join(map(str, counts))}"
 
 
 # Commands whose sweep points are rows of one table rather than time series.
 _TABLE_COMMANDS = ("spectrum", "purity-sweep")
 
-# The leakage retry of the table commands stops growing n_cut here.  One
-# block-tridiagonal steady-state solve at 120 levels takes 0.07-0.09 s and
-# 31 MB (tracemalloc peak) on 2 cores, 0.25-0.29 s and 66 MB more peak RSS
-# when the process first builds the 120-level generator table (0.15 s and
-# 65 MB of that).  Flops grow as n_cut^4 and memory as n_cut^3, so a retry to
-# 240 levels would take about 16 times as long and 8 times the memory.
+# The leakage retry of the table commands stops growing n_cut here.  In a
+# fresh process the first 120-level steady-state solve takes 0.13-0.15 s and
+# raises VmHWM by 38 MB on 2 cores, 0.025 s and 11 MB of it to build the
+# closed-form blocks.  Flops grow as n_cut^4 and memory as n_cut^3, so 240
+# levels would take about 16 times as long and 8 times the memory.
 _TABLE_NCUT_MAX = 120
 
 
@@ -227,15 +226,14 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
     sample map's n_cut^6 build cost and n_cut^4 memory, and 120
     (``_TABLE_NCUT_MAX``) for the table commands.  A larger cutoff must be set
     explicitly.  When the retries run out the error names the last cutoff tried.
-    Each try runs on one BLAS thread when ``_one_thread`` says so for its
-    cutoff, so a retry that outgrows ``_ONE_THREAD_NCUT_MAX`` gets the
-    process's count back.
+    A try up to n_cut ``_ONE_THREAD_NCUT_MAX`` runs on one BLAS thread, so a
+    retry that outgrows it gets the process's count back.
     """
     limit = _TABLE_NCUT_MAX if config.command in _TABLE_COMMANDS else _AUTO_NCUT_MAX
     n_cut = config.trunc().n_cut
     while True:
         try:
-            with _one_blas_thread() if _one_thread(config.command, n_cut) else contextlib.nullcontext():
+            with _one_blas_thread() if _one_thread(n_cut) else contextlib.nullcontext():
                 return compute(Truncation(n_cut)), n_cut
         except TruncationError as exc:
             if n_cut >= limit:
@@ -362,12 +360,10 @@ def _check_jobs(jobs: int | None) -> None:
 def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
     """Evaluate the sweep points in order, in this process, and aggregate the report.
 
-    A thermalize point up to n_cut ``_ONE_THREAD_NCUT_MAX`` computes on one
-    BLAS thread (see ``_with_truncation_retry``); the limit covers its
-    propagation and its trace together, because a thread pool that one call
-    leaves spinning keeps burning CPU through the next.  The cutoff
-    certification at these sizes does not wake the pool.  The report names
-    the BLAS and the thread counts the points ran with.
+    A try up to n_cut ``_ONE_THREAD_NCUT_MAX`` computes on one BLAS thread
+    (see ``_with_truncation_retry``); the limit covers the whole try, because
+    a thread pool that one call leaves spinning keeps burning CPU through the
+    next.  The report names the BLAS and the thread counts the points ran with.
     """
     # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
     trunc = config.trunc()
@@ -379,7 +375,7 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
         config_hash=config.config_hash(),
         n_cut_used=trunc.n_cut,
         n_cut_rule=_cutoff_rule(config),
-        blas=_blas_report(config, results),
+        blas=_blas_report(results),
     )
     for res in results:
         report.n_cut_used = max(report.n_cut_used, res.n_cut_used)

@@ -14,10 +14,10 @@ Hermitian matrices to Hermitian matrices, so it acts as a real matrix
 R = U L U^dag on the coordinates of rho in the orthonormal Hermitian basis
 |i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j), and the
 trace is the sum of the first d coordinates.  R is linear in its five
-coefficients (delta, chi, drive, gamma (n_th + 1), gamma n_th), so each
-dimension caches the five parameter-free parts as one COO index set and a
-(5, nnz) value table, built with numpy index arithmetic; a point's R is the
-coefficients times the table.  Because R is time independent, one map spans
+coefficients (delta, chi, drive, gamma (n_th + 1), gamma n_th), and each part
+is stated once, in closed form, as a lattice stencil on rho_ij; each
+dimension caches from it a (5, nnz) table on one COO index set, and a point's
+R is the coefficients times the table.  Because R is time independent, one map spans
 every sample interval.  It is built once per propagation by scaling and
 squaring: a degree-8 Taylor polynomial of spacing R / 2^s, squared s times,
 with s from the 1-norm of spacing R (Al-Mohy & Higham 2009).  R is affine in
@@ -36,7 +36,8 @@ Hamiltonian and the dissipators keep it), and on the coherences rho_{i,i+k},
 k >= 1, it acts complex-linearly.  So the solve is a block elimination in
 complex blocks of size d - k from k = d - 1 down to 1, then one real step on
 the populations, and the n_th-derivative of the steady state is one more
-sweep through the same factors.  The runtime needs numpy only.
+sweep through the same factors.  The blocks come straight from the stencil,
+not from the real table.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -189,102 +190,135 @@ def lindblad_rhs(rho, params: SystemParams, ham: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(dim, 1)``, built once per dimension and read-only."""
-    iu, ju = np.triu_indices(dim, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    return _frozen(*np.triu_indices(dim, 1))
 
 
-def _coo(mat: np.ndarray):
-    rows, cols = np.nonzero(mat)
-    return rows, cols, mat[rows, cols]
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _coefficients(params: SystemParams) -> np.ndarray:
+    """The weights (delta, chi, drive, gamma (n_th + 1), gamma n_th) of R's five parts."""
+    return np.array(
+        [params.delta, params.chi, params.drive, params.gamma * (params.n_th + 1.0), params.gamma * params.n_th]
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The generator's five parameter-free parts as a lattice stencil: ten
+    terms t with their part p[t], offsets (di[t], dj[t]) and a (d, d) weight
+    w[t], so that part p of L rho is the sum over its terms of
+    w_ij rho_{i+di, j+dj}; w is zero where the neighbour leaves the lattice.
+    Read-only, cached.
+
+    - delta and chi: -i (i - j) and -i (i (i - 1) - j (j - 1));
+    - the drive i (a^dag - a): sqrt(i) rho_{i-1,j} - sqrt(i+1) rho_{i+1,j}
+      - sqrt(j+1) rho_{i,j+1} + sqrt(j) rho_{i,j-1};
+    - D[a]: 2 sqrt((i+1)(j+1)) rho_{i+1,j+1} - (i + j) rho_ij;
+    - D[a^dag]: 2 sqrt(ij) rho_{i-1,j-1} - (m_i + m_j) rho_ij, where
+      m = (1, ..., d - 1, 0): the truncated a a^dag is zero on the top level.
+    """
+    n = np.arange(dim, dtype=float)[:, None]
+    down = np.sqrt(n)  # sqrt(i), zero at i = 0
+    up = np.append(down[1:], 0.0)[:, None]  # sqrt(i + 1), zero on the top level
+    top = np.append(n[1:], 0.0)[:, None]
+    kerr = n * (n - 1.0)
+    terms = (
+        (0, 0, 0, -1j * (n - n.T)),
+        (1, 0, 0, -1j * (kerr - kerr.T)),
+        (2, -1, 0, down),
+        (2, 1, 0, -up),
+        (2, 0, 1, -up.T),
+        (2, 0, -1, down.T),
+        (3, 1, 1, 2.0 * up * up.T),
+        (3, 0, 0, -(n + n.T)),
+        (4, -1, -1, 2.0 * down * down.T),
+        (4, 0, 0, -(top + top.T)),
+    )
+    part, di, dj = np.array([term[:3] for term in terms]).T
+    w = np.array([np.broadcast_to(term[3], (dim, dim)) for term in terms], dtype=np.complex128)
+    return _frozen(part, di, dj, w)
+
+
+def _stencil_apply(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_p weights[p] L_p rho for a (d, d) matrix, straight from the stencil."""
+    dim = rho.shape[0]
+    padded = np.pad(rho, 1)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for part, di, dj, w in zip(*_stencil(dim)):
+        if weights[part]:
+            out += weights[part] * w * padded[1 + di : 1 + di + dim, 1 + dj : 1 + dj + dim]
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _coherence_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The populations x_i = rho_ii (order 0), then the coherences
+    y_i = sqrt2 rho_{i,i+k} in order k = 1, ..., d - 1: each one's order and
+    index i, the start of each order, and each one's real Hermitian-basis
+    coordinates (Re, Im), Im = -1 for a population.  Read-only, cached."""
+    sizes = dim - np.arange(dim)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    order = np.repeat(np.arange(dim), sizes)
+    index = np.arange(bounds[-1]) - bounds[order]
+    entry = _entry_order(dim)  # for i < j, rho_ij's slot is its Re coordinate, rho_ji's its Im
+    real = np.column_stack([entry[index, index + order], np.where(order > 0, entry[index + order, index], -1)])
+    return _frozen(order, index, bounds, real)
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R's five parts between the coherence coordinates, from the stencil:
+    entries (out, in) and their (5, n) complex values.  Read-only, cached.
+
+    A coherence row is complex-linear, y_out += c y_in, with c = w (sqrt2 w
+    from a population).  A population row takes the real part,
+    x_out += Re(c y_in), with c = w / sqrt2 from rho_{K,L}, K < L, and
+    conj(w) / sqrt2 from its mirror rho_{L,K}, which only population rows read.
+    """
+    order, index, bounds, _ = _coherence_coordinates(dim)
+    part, di, dj, w = _stencil(dim)
+    term, row = np.nonzero(w[:, index, index + order])
+    i, j, k = index[row], index[row] + order[row], order[row]
+    ki, kj = i + di[term], j + dj[term]
+    c = w[term, i, j]
+    c[ki > kj] = c[ki > kj].conj()
+    c[(k == 0) & (ki != kj)] /= math.sqrt(2.0)
+    c[(k > 0) & (ki == kj)] *= math.sqrt(2.0)
+    size = bounds[-1]
+    key, where = np.unique(row * size + bounds[np.abs(kj - ki)] + np.minimum(ki, kj), return_inverse=True)
+    table = np.zeros((5, key.size), dtype=np.complex128)
+    np.add.at(table, (part[term], where), c)
+    return _frozen(*np.divmod(key, size), table)
 
 
 @functools.lru_cache(maxsize=16)
 def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R's five parameter-free parts on Hermitian-basis coordinates, built once
-    per dimension: one COO index set ``(rows, cols)`` and a (5, nnz) value
-    table, so that R = coeffs @ table for coeffs (delta, chi, drive,
-    gamma (n_th + 1), gamma n_th).  The arrays are read-only.
-
-    Each part is a complex Liouvillian on row-major vec(rho), a sum of terms
-    w A rho B, that is w kron(A, B^T), whose COO triples come from those of A
-    and B.  U has at most two entries per column, so every entry of L gives
-    at most four of R = U L U^dag.  L commutes with Hermitian conjugation, so
-    the imaginary parts cancel exactly; entries that are zero in every part
-    are dropped.
+    """R's five parts on Hermitian-basis coordinates: a COO index set ``(rows,
+    cols)`` in row-major order and a (5, nnz) table, R = _coefficients @ table.
+    Read-only, cached.  Each entry c of :func:`_stencil_entries` is the block
+    [[Re c, -Im c], [Im c, Re c]] on (Re, Im) of its output and input, of
+    which a population keeps the Re half; entries zero in every part are dropped.
     """
-    a = annihilation(dim)
-    eye = np.eye(dim, dtype=np.complex128)
-
-    def commutator(op):
-        return [(-1j, op, eye), (1j, eye, op)]
-
-    def dissipator(jump):
-        jdj = jump.conj().T @ jump
-        return [(2.0, jump, jump.conj().T), (-1.0, jdj, eye), (-1.0, eye, jdj)]
-
-    # H's delta, chi and drive parts are the Hamiltonian at unit coefficients
-    trunc = Truncation(dim)
-    parts = tuple(
-        commutator(hamiltonian(SystemParams(*coeffs, n_th=0.0), trunc))
-        for coeffs in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    ) + (dissipator(a), dissipator(a.conj().T))
-
-    # U by columns: vec position s goes to coordinates urow[s] with weights
-    # uval[s] (a diagonal position has one, padded with a zero weight).
-    iu, ju = _upper_indices(dim)
-    m, c, dd = iu.size, 1.0 / math.sqrt(2.0), dim * dim
-    urow = np.zeros((dd, 2), dtype=np.intp)
-    uval = np.zeros((dd, 2), dtype=np.complex128)
-    diagonal = np.arange(dim) * (dim + 1)
-    urow[diagonal, 0] = np.arange(dim)
-    uval[diagonal, 0] = 1.0
-    pair = np.column_stack([dim + np.arange(m), dim + m + np.arange(m)])
-    for position, sign in ((iu * dim + ju, -1.0), (ju * dim + iu, 1.0)):
-        urow[position] = pair
-        uval[position] = (c, sign * 1j * c)
-
-    flat, vals, part = [], [], []
-    for index, terms in enumerate(parts):
-        for weight, left, right in terms:
-            (ra, ca, va), (rb, cb, vb) = _coo(left), _coo(right.T)
-            r = (ra[:, None] * dim + rb).ravel()
-            s = (ca[:, None] * dim + cb).ravel()
-            v = weight * np.outer(va, vb).ravel()
-            entries = uval[r][:, :, None] * v[:, None, None] * uval[s].conj()[:, None, :]
-            flat.append((urow[r][:, :, None] * dd + urow[s][:, None, :]).ravel())
-            vals.append(entries.real.ravel())
-            part.append(np.full(flat[-1].size, index))
-    # one sum over every part's entries, keyed by (part, coordinate pair);
-    # return_inverse keeps np.unique off its numpy.ma branch
-    flat, where = np.unique(np.concatenate(flat), return_inverse=True)
-    table = np.bincount(
-        np.concatenate(part) * flat.size + where,
-        weights=np.concatenate(vals),
-        minlength=len(parts) * flat.size,
-    ).reshape(len(parts), flat.size)
-    keep = np.any(table != 0.0, axis=0)
-    rows, cols = np.divmod(flat[keep], dd)
-    table = table[:, keep]
-    for arr in (rows, cols, table):
-        arr.setflags(write=False)
-    return rows, cols, table
+    out, inp, table = _stencil_entries(dim)
+    real = _coherence_coordinates(dim)[3]
+    rows = np.concatenate([real[out, 0], real[out, 0], real[out, 1], real[out, 1]])
+    cols = np.concatenate([real[inp, 0], real[inp, 1], real[inp, 0], real[inp, 1]])
+    values = np.concatenate([table.real, -table.imag, table.imag, table.real], axis=1)
+    keep = np.nonzero((rows >= 0) & (cols >= 0) & np.any(values != 0.0, axis=0))[0]
+    keep = keep[np.argsort(rows[keep] * dim * dim + cols[keep])]
+    return _frozen(rows[keep], cols[keep], values[:, keep])
 
 
 def generator_entries(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The real generator R = U L U^dag on Hermitian-basis coordinates, as COO
-    triples ``(rows, cols, values)``.
-
-    The index arrays are the read-only per-dimension table's; the values are
-    its five parameter-free parts weighted by (delta, chi, drive,
-    gamma (n_th + 1), gamma n_th).
-    """
+    triples ``(rows, cols, values)``; the index arrays are the cached table's."""
     rows, cols, table = _generator_table(trunc.n_cut)
-    coeffs = np.array(
-        [params.delta, params.chi, params.drive, params.gamma * (params.n_th + 1.0), params.gamma * params.n_th]
-    )
-    return rows, cols, coeffs @ table
+    return rows, cols, _coefficients(params) @ table
 
 
 def _coordinates(mat: np.ndarray) -> np.ndarray:
@@ -546,57 +580,23 @@ def _check_leakage(leak: float, trunc: Truncation, where: str) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _coherence_layout(dim: int):
-    """Where R's coherence-order blocks sit, built once per dimension.
-
-    Block 0 holds the d populations, block k >= 1 the d - k complex coordinates
-    y_i = sqrt2 rho_{i,i+k}.  The drive moves k by one and the Hamiltonian and
-    dissipators keep it, so R is block tridiagonal: D_k, U_k = R[k, k+1] and
-    L_k = R[k+1, k].  Between orders k, l >= 1 R's real block [[P, Q], [P', Q']]
-    (Re first) has Q' = P and Q = -P': it is P + i P'.  Order 0 enters as
-    L_0 = A + i B from [[A], [B]] and leaves as Re((P - i Q) y_1).  Returns the
-    shapes and starts of D_0..D_{d-1}, U_0..U_{d-2}, L_0..L_{d-2} in one complex
-    buffer, the table entries kept (all but Q, Q' between orders >= 1) and
-    their positions in its float view (U_0 gets P + i Q), each coherence's
-    (Re, Im) coordinates in block order and each block's slice of them.
-    Raises RuntimeError if the table is not block tridiagonal or not complex-linear.
+def _coherence_blocks(dim: int):
+    """Where R's coherence-order blocks sit, cached: R is block tridiagonal,
+    D_k tridiagonal and U_k = R[k, k+1], L_k = R[k+1, k] bidiagonal.  Returns
+    the shapes and starts of D_0..D_{d-1}, U_0..U_{d-2}, L_0..L_{d-2} in one
+    complex buffer, each :func:`_stencil_entries` entry's position there, and
+    the coherences' (Re, Im) coordinates, each order's slice of them and their orders.
     """
-    rows, cols, table = _generator_table(dim)
-    iu, ju = _upper_indices(dim)
-    m, dd = iu.size, dim * dim
-    order = ju - iu
-    block = np.concatenate([np.zeros(dim, dtype=np.intp), order, order])
-    local = np.concatenate([np.arange(dim), iu, iu])
-    imag = np.arange(dd) >= dim + m
-    sizes = [dim] + list(range(dim - 1, 0, -1))
+    order, index, bounds, real = _coherence_coordinates(dim)
+    out, inp = _stencil_entries(dim)[:2]
+    sizes = np.diff(bounds)
     shapes = [(s, s) for s in sizes] + list(zip(sizes[:-1], sizes[1:])) + list(zip(sizes[1:], sizes[:-1]))
     start = np.cumsum([0] + [r * c for r, c in shapes])
-    sizes = np.array(sizes)
-
-    br, bc = block[rows], block[cols]
-    if np.any(np.abs(br - bc) > 1):
-        raise RuntimeError("the generator is not block tridiagonal in coherence order")
-    # Between orders k, l >= 1 the entry with Re and Im swapped in both
-    # coordinates (flat indices are sorted) must hold the same value, or minus it.
-    coherent = np.nonzero((br > 0) & (bc > 0))[0]
-    twin = np.arange(dd) + np.where(imag, -m, m)
-    flat, wanted = rows * dd + cols, twin[rows[coherent]] * dd + twin[cols[coherent]]
-    partner = np.minimum(np.searchsorted(flat, wanted), flat.size - 1)
-    sign = np.where(imag[rows[coherent]] == imag[cols[coherent]], 1.0, -1.0)
-    mismatch = np.abs(table[:, partner] - sign * table[:, coherent]).max(initial=0.0)
-    if not np.array_equal(flat[partner], wanted) or mismatch > 1e-14 * np.abs(table).max():
-        raise RuntimeError("the generator is not complex-linear on coherence orders k >= 1")
-
-    keep = np.nonzero(~imag[cols] | (br == 0))[0]
-    br, bc, rows, cols = br[keep], bc[keep], rows[keep], cols[keep]
-    first = np.where(br == bc, 0, np.where(bc == br + 1, dim, 2 * dim - 1)) + np.minimum(br, bc)
-    position = 2 * (start[first] + local[rows] * sizes[bc] + local[cols]) + (imag[rows] | imag[cols])
-    by_order = np.lexsort((iu, order))
-    pairs = np.column_stack([dim + by_order, dim + m + by_order])
-    bounds = np.cumsum([0, 0] + sizes[1:].tolist())
-    for arr in (start, keep, position, pairs):
-        arr.setflags(write=False)
-    return tuple(shapes), start, keep, position, pairs, tuple(map(slice, bounds[:-1], bounds[1:]))
+    ko, ki = order[out], order[inp]
+    block = np.where(ko == ki, ko, np.where(ki > ko, dim + ko, 2 * dim - 1 + ki))
+    position = start[block] + index[out] * sizes[ki] + index[inp]
+    slices = (slice(0, 0),) + tuple(slice(lo - dim, hi - dim) for lo, hi in zip(bounds[1:-1], bounds[2:]))
+    return (tuple(shapes), *_frozen(start, position), real[dim:], slices, order[dim:])
 
 
 class _CoherenceSolver:
@@ -614,12 +614,12 @@ class _CoherenceSolver:
     """
 
     def __init__(self, values: np.ndarray, dim: int, scale: float):
-        shapes, start, keep, position, self._pairs, self._slices = _coherence_layout(dim)
+        """``values`` are R's complex entries in :func:`_stencil_entries` order."""
+        shapes, start, position, self._pairs, self._slices, self._orders = _coherence_blocks(dim)
         buffer = np.zeros(start[-1], dtype=np.complex128)
-        buffer.view(np.float64)[position] = values[keep]
+        buffer[position] = values
         blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(start[:-1], start[1:], shapes)]
         diag, self._upper, self._lower = blocks[:dim], blocks[dim : 2 * dim - 1], blocks[2 * dim - 1 :]
-        np.conjugate(self._upper[0], out=self._upper[0])  # P + i Q -> P - i Q
         diag[0][0] = scale
         self._upper[0][0] = 0.0
 
@@ -644,11 +644,15 @@ class _CoherenceSolver:
         inv, upper, lower, at = self._inverses, self._upper, self._lower, self._slices
         dim = len(inv)
         b = rhs[self._pairs].view(np.complex128)[:, 0]
-        # Down: z_k = S_k^{-1} (b_k - U_k z_{k+1}), z_0 real; up, in place:
-        # x_0 = z_0, x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
-        z = np.empty_like(b)
-        z[at[-1]] = inv[-1] @ b[at[-1]]
-        for k in range(dim - 2, 0, -1):
+        # Down, from the highest order with a nonzero right-hand side (above
+        # it z is zero): z_k = S_k^{-1} (b_k - U_k z_{k+1}), z_0 real; up, in
+        # place: x_0 = z_0, x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
+        nonzero = np.flatnonzero(b)
+        top = self._orders[nonzero[-1]] if nonzero.size else 0
+        z = np.zeros_like(b)
+        if top:
+            z[at[top]] = inv[top] @ b[at[top]]
+        for k in range(top - 1, 0, -1):
             z[at[k]] = inv[k] @ (b[at[k]] - upper[k] @ z[at[k + 1]])
         x0 = inv[0] @ (rhs[:dim] - (upper[0] @ z[at[1]]).real)
         z[at[1]] -= inv[1] @ (lower[0] @ x0)
@@ -661,40 +665,37 @@ class _CoherenceSolver:
 
 
 def _steady_solve(params: SystemParams, trunc: Truncation):
-    """Factor the trace-constrained real generator and solve for the steady state.
-
-    R's first row is replaced by the trace-one constraint, scaled to the
-    largest entry of R for conditioning.  Returns the state (exactly
-    Hermitian, residual-checked, not yet validated), its coordinates and the
-    factored system, so a caller can reuse it.
+    """Factor R with its first row replaced by the trace-one constraint (scaled
+    to R's largest entry for conditioning) and solve for the steady state.
+    Returns the state (exactly Hermitian, residual-checked, not yet
+    validated) and the factored system, so a caller can reuse it.
     """
     dim = trunc.n_cut
-    _, _, values = generator_entries(params, trunc)
-    scale = float(np.abs(values).max())
+    values = (_coefficients(params) @ _stencil_entries(dim)[2].view(np.float64)).view(np.complex128)
+    # R's entries are the real and imaginary parts of the complex ones, up to sign
+    scale = float(np.abs(values.view(np.float64)).max())
     if not np.isfinite(scale) or scale == 0.0:
         raise NumericalFailureError("generator is identically zero or non-finite")
 
     solver = _CoherenceSolver(values, dim, scale)
     rhs = np.zeros(dim * dim)
     rhs[0] = scale
-    coords = solver.solve(rhs)
-
-    mat = _from_coordinates(coords, dim)
+    mat = _from_coordinates(solver.solve(rhs), dim)
     residual = float(np.abs(lindblad_rhs(mat, params, hamiltonian(params, trunc))).max())
     if not np.isfinite(residual) or residual > 1e-6 * max(1.0, scale):
         raise NumericalFailureError(
             f"steady-state residual {residual:.3e} too large; system may be singular"
         )
-    return mat, coords, solver
+    return mat, solver
 
 
 def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
     """Unique fixed point of the generator, via a trace-constrained linear solve.
 
-    One block-tridiagonal solve of R x = 0 in complex coherence blocks for
-    every cutoff, with R's first row replaced by the trace-one constraint
-    (scaled to the largest entry of R for conditioning).  The state is rebuilt exactly Hermitian from x,
-    residual-checked against :func:`lindblad_rhs` and validated.  A singular
+    One block-tridiagonal solve of R x = 0 in complex coherence blocks, with
+    R's first row replaced by the trace-one constraint.  The state is rebuilt
+    exactly Hermitian from x, residual-checked against :func:`lindblad_rhs`
+    and validated.  A singular
     or non-finite Schur complement, or a residual too large, raises
     NumericalFailureError.  A top-two-level population beyond
     ``trunc.leakage_tol`` raises TruncationError, as in :func:`propagate`, and
@@ -715,16 +716,16 @@ def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
 def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
     """The steady state and its exact derivative in n_th, as Hermitian matrices.
 
-    L is affine in n_th, R = R0 + n_th R1 with R1 = gamma (D[a] + D[a^dag]) (two
-    rows of the generator table), so differentiating R x = 0 gives
-    R_c x' = -R1 x with the trace row of R_c set to 0 (x' is traceless): one
-    more sweep through the steady state's kept Schur-complement inverses.  The
+    L is affine in n_th, R = R0 + n_th R1 with R1 = gamma (D[a] + D[a^dag]),
+    so differentiating R x = 0 gives R_c x' = -R1 x with the trace row of R_c
+    set to 0 (x' is traceless): one more sweep through the steady state's kept
+    Schur-complement inverses.  R1 x is the stencil's two dissipators applied
+    to the state.  The
     state is residual-checked but not validated as a density matrix.
     """
     dim = trunc.n_cut
-    mat, coords, solver = _steady_solve(params, trunc)
-    rows, cols, _ = _generator_table(dim)
-    drift = -np.bincount(rows, weights=_occupation_slope(params, dim) * coords[cols], minlength=dim * dim)
+    mat, solver = _steady_solve(params, trunc)
+    drift = -_coordinates(_stencil_apply(np.array([0.0, 0.0, 0.0, params.gamma, params.gamma]), mat))
     drift[0] = 0.0
     return mat, _from_coordinates(solver.solve(drift), dim)
 

@@ -25,6 +25,7 @@ the Fock cutoff of ``n_cut = auto`` runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -304,18 +305,16 @@ def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> Cutoff
     take the first n whose steady-state leakage is at most leakage_tol / 4 and
     whose steady-state QFI moves by at most 1e-7 relative from n to n + 2.
     The sweep's cutoff is the largest of these; a point that no n certifies
-    raises TruncationError.
+    raises TruncationError.  A later point is first tried at the running
+    maximum (certifying there, it cannot raise it) and walked only if it fails.
     """
     best = None
     for index, params in enumerate(points):
-        solved: dict[int, tuple[float, float]] = {}
-
+        @functools.cache
         def at(n: int) -> tuple[float, float]:
-            if n not in solved:
-                solved[n] = steady_state_qfi(params, Truncation(n))
-            return solved[n]
+            return steady_state_qfi(params, Truncation(n))
 
-        for n_cut in range(_CERT_FIRST_NCUT, _AUTO_NCUT_MAX + 1, 2):
+        for n_cut in ([best.n_cut] if best else []) + list(range(_CERT_FIRST_NCUT, _AUTO_NCUT_MAX + 1, 2)):
             value, leakage = at(n_cut)
             change = math.inf
             if leakage <= leakage_tol / _CERT_MARGIN:

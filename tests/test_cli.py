@@ -648,17 +648,33 @@ class TestBlasThreads:
         assert seen == [1, 1]
         assert two_blas_threads.threads() == 2
 
+    def test_cfi_computes_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        # the one-thread rule follows the cutoff alone, whatever the command
+        seen = {
+            name: recording_threads(monkeypatch, two_blas_threads, name)
+            for name in ("tangent_trajectories", "qfi_series", "cfi_series")
+        }
+        run(parse_config(SMALL_CFI), out_dir=str(tmp_path))
+        assert seen == {"tangent_trajectories": [1], "qfi_series": [1], "cfi_series": [1, 1]}
+        assert two_blas_threads.threads() == 2
+        report = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert report[8] == f"blas: {two_blas_threads.name}, compute threads: 1"
+
     def test_cfi_keeps_the_count(self, tmp_path, monkeypatch, two_blas_threads):
+        # above the one-thread cutoff a cfi point computes on the process's count
+        assert cli._ONE_THREAD_NCUT_MAX < 18
         seen = recording_threads(monkeypatch, two_blas_threads, "tangent_trajectories")
-        cfg = parse_config(
-            "command = cfi\nn_th = 0.1\nchi = 0.4\ndrive = 0.5\nn_cut = 12\n"
-            "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\n"
-        )
-        run(cfg, out_dir=str(tmp_path))
+        run(parse_config(SMALL_CFI.replace("n_cut = 12", "n_cut = 18")), out_dir=str(tmp_path))
         assert seen == [2]
         assert two_blas_threads.threads() == 2
         report = read_lines(tmp_path / "run_report.txt").splitlines()
         assert report[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
+
+
+SMALL_CFI = (
+    "command = cfi\nn_th = 0.1\nchi = 0.4\ndrive = 0.5\nn_cut = 12\n"
+    "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\n"
+)
 
 
 class FakeOpenBlas:

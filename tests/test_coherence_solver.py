@@ -68,7 +68,7 @@ def test_generator_is_block_tridiagonal_in_coherence_order(name, n_cut):
     assert np.all(order[:n_cut] == 0)
     # the solver reads each coherence as its (Re, Im) coordinate pair, in
     # coherence order, and block k >= 1 is its slice of them
-    gather, at = dynamics._coherence_layout(n_cut)[4:]
+    gather, at = dynamics._coherence_blocks(n_cut)[3:5]
     m = n_cut * (n_cut - 1) // 2
     assert np.all(gather[:, 1] - gather[:, 0] == m)
     assert np.array_equal(np.sort(np.concatenate([np.arange(n_cut), gather.ravel()])), np.arange(n_cut**2))
@@ -92,35 +92,35 @@ def test_coherence_blocks_are_complex_linear(name, n_cut):
     assert abs(rmat[re, im] + rmat[im, re]).max() <= tol
 
 
-def break_table(how, rows, cols, table):
-    """A copy of the generator table at n 8 with one defect."""
-    m = 8 * 7 // 2
-    q_prime = np.nonzero((rows >= 8 + m) & (cols >= 8 + m))[0][0]
-    if how == "changed Q' entry":
-        table = table.copy()
-        table[1, q_prime] += 1.0
-        return rows, cols, table
-    if how == "missing Q' entry":
-        keep = np.arange(rows.size) != q_prime
-        return rows[keep], cols[keep], table[:, keep]
-    # an entry from population 0 to the Re part of rho_{0,2}, coherence order 2
-    column = 8 + np.nonzero((np.triu_indices(8, 1)[1] - np.triu_indices(8, 1)[0]) == 2)[0][0]
-    return np.append(rows, 0), np.append(cols, column), np.column_stack([table, np.ones(5)])
+def real_blocks(rows, cols, values, dim, k, l):
+    """The real block of R between coherence orders k and l, (Re, Im) rows and
+    columns in block order (a population has no Im half)."""
+    gather, at = dynamics._coherence_blocks(dim)[3:5]
+    coords = [np.arange(dim) if n == 0 else gather[at[n]].T.ravel() for n in (k, l)]
+    dense = sparse.csr_matrix((values, (rows, cols)), shape=(dim * dim, dim * dim))
+    return dense[coords[0]][:, coords[1]].toarray()
 
 
-@pytest.mark.parametrize(
-    "how, message",
-    [
-        ("changed Q' entry", "not complex-linear"),
-        ("missing Q' entry", "not complex-linear"),
-        ("order 0 to order 2", "not block tridiagonal"),
-    ],
-)
-def test_layout_rejects_a_table_it_cannot_split(monkeypatch, how, message):
-    broken = break_table(how, *dynamics._generator_table(8))
-    monkeypatch.setattr(dynamics, "_generator_table", lambda dim: broken)
-    with pytest.raises(RuntimeError, match=message):
-        dynamics._coherence_layout.__wrapped__(8)
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_order_zero_couples_to_order_one_through_real_and_imaginary_parts(name):
+    # Order 0 enters order 1 as L_0 = A + i B, from R's real block [[A], [B]],
+    # and leaves it as Re(U_0 y_1), U_0 = P - i Q, from [P, Q]: the closed-form
+    # blocks must hold both halves of R's (Re, Im) coordinates.
+    dim = 8
+    params = PARAMS[name]
+    rows, cols, values = generator_entries(params, Truncation(dim))
+    shapes, start, position = dynamics._coherence_blocks(dim)[:3]
+    buffer = np.zeros(start[-1], dtype=complex)
+    buffer[position] = dynamics._coefficients(params) @ dynamics._stencil_entries(dim)[2]
+    upper0 = buffer[start[dim] : start[dim + 1]].reshape(shapes[dim])
+    lower0 = buffer[start[2 * dim - 1] : start[2 * dim]].reshape(shapes[2 * dim - 1])
+    lower = real_blocks(rows, cols, values, dim, 1, 0)
+    upper = real_blocks(rows, cols, values, dim, 0, 1)
+    tol = 1e-15 * np.abs(values).max()
+    np.testing.assert_allclose(lower0, lower[: dim - 1] + 1j * lower[dim - 1 :], rtol=0, atol=tol)
+    np.testing.assert_allclose(upper0, upper[:, : dim - 1] - 1j * upper[:, dim - 1 :], rtol=0, atol=tol)
+    if params.drive:
+        assert np.abs(upper0).max() > 0 and np.abs(lower0).max() > 0
 
 
 @pytest.mark.parametrize("name, n_cut", CASES, ids=IDS)
@@ -149,38 +149,51 @@ def quarter_turn(dim):
 
 def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
     # In the frame V = exp(i pi n / 2) the drive i drive (a^dag - a) becomes
-    # -drive (a^dag + a), which feeds the populations from the coherences'
-    # imaginary parts only: U_0's Q half, which the generator never fills.
-    # The solver must map the rotated system's solutions to the rotated ones.
+    # -drive (a^dag + a): each stencil weight on rho_{i+di,j+dj} takes a
+    # factor i^(dj - di), so the drive's weights turn imaginary.  That feeds
+    # the populations from the coherences' imaginary parts only: U_0's Q
+    # half, and the conjugated mirror rho_{j,i} of a population row, which
+    # the untouched generator never fills.  The real table must be the
+    # rotated one, and the solver must map rotated right-hand sides to the
+    # rotated solutions.
     params, dim = PARAMS["drive1.5"], 6
-    trunc = Truncation(dim, leakage_tol=0.5)
-    rows, cols, values = generator_entries(params, trunc)
-    m, scale = dim * (dim - 1) // 2, float(np.abs(values).max())
+    rows, cols, table = dynamics._generator_table(dim)
+    parts = np.zeros((5, dim * dim, dim * dim))
+    parts[:, rows, cols] = table
+    values = dynamics._coefficients(params) @ dynamics._stencil_entries(dim)[2]
+    scale = float(np.abs(values.view(float)).max())
     trace_rhs = np.zeros(dim * dim)
     trace_rhs[0] = scale
     rhs = [trace_rhs, np.random.default_rng(7).standard_normal(dim * dim)]
     solver = dynamics._CoherenceSolver(values, dim, scale)
     expected = [solver.solve(b) for b in rhs]
 
+    part, di, dj, w = dynamics._stencil(dim)
+    turned = part, di, dj, w * (1j ** (dj - di))[:, None, None]
+    monkeypatch.setattr(dynamics, "_stencil", lambda d: turned)
+    for name in ("_stencil_entries", "_generator_table", "_coherence_blocks"):
+        monkeypatch.setattr(dynamics, name, getattr(dynamics, name).__wrapped__)
+    rows, cols, table = dynamics._generator_table(dim)
+    rotated = np.zeros((5, dim * dim, dim * dim))
+    rotated[:, rows, cols] = table
+    m = dim * (dim - 1) // 2
+    assert np.any(rotated[:, :dim, dim + m :] != 0.0)
     turn = quarter_turn(dim)
-    parts = np.zeros((5, dim * dim, dim * dim))
-    parts[:, rows, cols] = dynamics._generator_table(dim)[2]
-    parts = turn @ parts @ turn.T
-    turned = np.nonzero(np.any(parts != 0.0, axis=0))
-    assert np.any(parts[:, :dim, dim + m :] != 0.0)
-    monkeypatch.setattr(dynamics, "_generator_table", lambda d: (*turned, parts[:, turned[0], turned[1]]))
-    monkeypatch.setattr(dynamics, "_coherence_layout", dynamics._coherence_layout.__wrapped__)
-    solver = dynamics._CoherenceSolver(generator_entries(params, trunc)[2], dim, scale)
+    assert np.abs(rotated - turn @ parts @ turn.T).max() <= 1e-15 * np.abs(parts).max()
+
+    values = dynamics._coefficients(params) @ dynamics._stencil_entries(dim)[2]
+    solver = dynamics._CoherenceSolver(values, dim, scale)
     for b, x in zip(rhs, expected):
         assert np.abs(solver.solve(turn @ b) - turn @ x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_singular_schur_complement_is_a_numerical_failure(monkeypatch):
-    # a zero generator part in every coherence block leaves S_{d-1} = 0
+    # zero rows at the highest coherence order leave S_{d-1} = 0
     params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
-    rows, cols, values = generator_entries(params, Truncation(6))
-    singular = np.where(np.isin(rows, np.nonzero(coherence_order(6) == 5)[0]), 0.0, values)
-    monkeypatch.setattr(dynamics, "generator_entries", lambda p, t: (rows, cols, singular))
+    rows, cols, table = dynamics._stencil_entries(6)
+    order = dynamics._coherence_coordinates(6)[0]
+    singular = np.where(order[rows] == 5, 0.0, table)
+    monkeypatch.setattr(dynamics, "_stencil_entries", lambda d: (rows, cols, singular))
     with pytest.raises(NumericalFailureError, match="singular Schur complement at coherence order 5"):
         steady_state(params, Truncation(6))
 

@@ -27,6 +27,7 @@ from kerr_thermo.dynamics import _coordinates, _from_coordinates, _generator_tab
 from kerr_thermo.errors import NumericalFailureError, TraceDriftError, TruncationError
 
 from conftest import random_density_matrix
+from kron_generator import kron_generator_table
 
 
 def linear_params(n_th, drive=0.0, delta=0.0):
@@ -191,7 +192,7 @@ class TestHermitianBasis:
 
 
     def test_cached_table_gives_bit_identical_results(self, monkeypatch):
-        # reference: the generator table (and the block layout read from it)
+        # reference: the stencil, the generator table and the coherence blocks
         # rebuilt on every call
         trunc = Truncation(16)
         grid = TimeGrid(t_end=2.0, n_samples=9)
@@ -203,13 +204,41 @@ class TestHermitianBasis:
             return traj.entries, ss.entries, rho, drho
 
         cached = run()
-        table = _generator_table(16)
-        assert _generator_table(16) is table
-        assert not any(arr.flags.writeable for arr in table)
-        monkeypatch.setattr(dynamics, "_generator_table", _generator_table.__wrapped__)
-        monkeypatch.setattr(dynamics, "_coherence_layout", dynamics._coherence_layout.__wrapped__)
+        for name in CACHED_BUILDS:
+            build = getattr(dynamics, name)
+            built = build(16)
+            assert build(16) is built
+            arrays = [a for a in built if isinstance(a, np.ndarray)]
+            assert arrays and not any(arr.flags.writeable for arr in arrays)
+        for name in CACHED_BUILDS:
+            monkeypatch.setattr(dynamics, name, getattr(dynamics, name).__wrapped__)
         for a, b in zip(cached, run()):
             assert a.tobytes() == b.tobytes()
+
+
+CACHED_BUILDS = ("_stencil", "_coherence_coordinates", "_stencil_entries", "_generator_table", "_coherence_blocks")
+
+
+@pytest.mark.parametrize("dim", list(range(2, 49)) + [120])
+def test_closed_form_table_matches_the_kronecker_build(dim):
+    # the table built from the lattice stencil against the generic build from
+    # Kronecker products of the operators: the same COO set, and every value
+    # within 4 ulps of the largest entry
+    rows, cols, table = _generator_table(dim)
+    ref_rows, ref_cols, ref_table = kron_generator_table(dim)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(cols, ref_cols)
+    scale = np.abs(ref_table).max()
+    assert np.abs(table - ref_table).max() <= 4 * np.finfo(float).eps * scale
+
+
+def test_stencil_matches_lindblad_rhs(rng):
+    params = SystemParams(delta=-1.2, chi=0.4, drive=0.7, n_th=0.2)
+    for dim in (2, 7):
+        rho = random_density_matrix(rng, dim)
+        via_stencil = dynamics._stencil_apply(dynamics._coefficients(params), rho)
+        expected = lindblad_rhs(rho, params, hamiltonian(params, Truncation(dim)))
+        assert np.abs(via_stencil - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestPropagate:

@@ -23,6 +23,8 @@ from kerr_thermo import (
     tangent_trajectories,
     vacuum_state,
 )
+from kerr_thermo import dynamics, estimation
+from kerr_thermo.config import resolve_config
 from kerr_thermo.errors import TruncationError
 
 from stencil import fd_derivative, perturbed_trajectories
@@ -309,6 +311,17 @@ CORNERS = {
     "fig2a": (-3.5, 0.5, 1.0, 0.05),
 }
 
+# Sweeps whose certificate the full walk checks, besides the fig3c and fig5c
+# presets (where later points need more levels): perfbench's thermalize seed-1
+# draw (fig2a corners; the first drive sets the cutoff) and two corners where
+# the second point needs more.
+SWEEPS = {
+    "thermalize_seed1": [
+        (-3.5, 0.5, drive, n_th) for drive in (0.6531, 0.9241) for n_th in (0.05, 0.1)
+    ],
+    "fig2a_then_fig5c": [CORNERS["fig2a"], CORNERS["fig5c_drive1.5"]],
+}
+
 
 class TestCertifyCutoff:
     @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -343,6 +356,33 @@ class TestCertifyCutoff:
         cert = certify_cutoff(points, leakage_tol=1e-8)
         assert alone[0] < alone[1]
         assert (cert.n_cut, cert.point_index) == (alone[1], 1)
+
+    @pytest.mark.parametrize("sweep", ["fig3c", "fig5c", *SWEEPS])
+    def test_sweep_certificate_equals_the_full_walk(self, sweep, monkeypatch):
+        # a later point is tried at the running maximum first; the
+        # certificate must be the one every point's own walk from n = 8 gives
+        if sweep in SWEEPS:
+            points = [SystemParams(*p) for p in SWEEPS[sweep]]
+        else:
+            config = resolve_config(preset=sweep)
+            points = [config.params_at(p) for p in config.sweep_points()]
+        alone = [certify_cutoff([p], leakage_tol=1e-8) for p in points]
+        index = max(range(len(points)), key=lambda i: alone[i].n_cut)  # the first largest
+        calls = []
+        solve = estimation.steady_state_qfi
+        monkeypatch.setattr(estimation, "steady_state_qfi", lambda p, t: calls.append(t.n_cut) or solve(p, t))
+        assert certify_cutoff(points, leakage_tol=1e-8) == dataclasses.replace(alone[index], point_index=index)
+        if sweep == "thermalize_seed1":
+            assert len(calls) == 13  # 19 when every point walks from 8
+
+    def test_steady_paths_build_no_generator_table(self):
+        # the steady state and its tangent read the closed-form coherence
+        # blocks, never the real (5, nnz) table the propagator uses
+        dynamics._generator_table.cache_clear()
+        params = SystemParams(*CORNERS["fig8a"])
+        certify_cutoff([params], leakage_tol=1e-8)
+        dynamics.steady_state_tangent(params, Truncation(12))
+        assert dynamics._generator_table.cache_info().currsize == 0
 
     def test_thermal_qfi_of_undriven_cavity(self):
         # the qfi rank cutoff (1e-12 of the largest eigenvalue) drops the

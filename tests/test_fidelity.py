@@ -390,11 +390,14 @@ class TestEffectiveTemperatureSearch:
             assert_trace_matches_single_states(traj, default_search_max(traj.entries), monkeypatch)
 
     def test_evaluations_pinned_on_the_benchmark_draw(self, benchmark_draw, monkeypatch):
-        # perfbench's thermalize seed-1 draw: the search evaluates 8.07, 8.34,
+        # perfbench's thermalize seed-1 draw: the search evaluates 8.07, 8.29,
         # 8.53 and 8.61 Gibbs-fidelity matrices per state (11.22, 11.29, 11.43
         # and 11.25 without the certificate round, 26.0, 26.9, 26.0 and 26.0
-        # when every state ran the full search), counted by the kernel and by
-        # the trace alike
+        # when every state ran the full search, both with the earlier
+        # Kronecker-built generator table), counted by the kernel and by the
+        # trace alike.  The count sits on the certificate's knife edge: that
+        # table's few ulps of roundoff gave 1677 evaluations on the second
+        # trajectory, where the exact closed-form table gives 1667
         calls = count_kernel_calls(monkeypatch)
         totals = []
         for traj in benchmark_draw:
@@ -402,8 +405,8 @@ class TestEffectiveTemperatureSearch:
             trace = thermalization_trace(traj)
             totals.append(sum(calls[start:]))
             assert trace.evaluations.sum() == totals[-1]
-        assert totals == [1623, 1677, 1715, 1730]
-        assert round(sum(totals) / (4 * 201), 2) == 8.39
+        assert totals == [1623, 1667, 1715, 1730]
+        assert round(sum(totals) / (4 * 201), 2) == 8.38
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c", "fig2d"])
     def test_one_maximum_per_state(self, preset):
