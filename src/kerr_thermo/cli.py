@@ -314,7 +314,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             if config.command == "cfi":  # a qfi run ignores homodyne_phis
                 povms = {homodyne_label(phi): homodyne_povm(phi, trunc) for phi in config.homodyne_phis}
                 povms["cfi_het"] = heterodyne_povm(
-                    trunc, mean_photon=mean_photon_number(trajectories.central.final)
+                    trunc, mean_photon=mean_photon_number(trajectories.central.entries[-1])
                 )
             for name, povm in povms.items():
                 series = cfi_series(trajectories, povm)

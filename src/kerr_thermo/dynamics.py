@@ -21,14 +21,15 @@ R is the coefficients times the table.  Because R is time independent, one map s
 every sample interval.  It is built once per propagation by scaling and
 squaring: a degree-8 Taylor polynomial of spacing R / 2^s, squared s times,
 with s from the 1-norm of spacing R (Al-Mohy & Higham 2009).  R is affine in
-n_th, so the same products can carry the map's exact n_th-derivative
-alongside it, at three matrix products for each one of the map alone; the
-trajectory's n_th-derivative then costs two more matrix-vector
-products per sample.  A trajectory keeps its samples as one read-only
-(n_samples, d, d) array, filled from the coordinate rows with one gather and
-validated in one pass (one stacked ``eigvalsh``); ``Trajectory.states`` wraps
-single samples as :class:`~kerr_thermo.fock.DensityMatrix` only when they are
-accessed.
+n_th, R = R0 + n_th R1, where R1 = gamma (D[a] + D[a^dag]) is
+``_N_TH_SLOPE`` times the table.  So the same products can carry the map's
+exact n_th-derivative alongside it, at three matrix products for each one of
+the map alone; the trajectory's n_th-derivative then costs two more
+matrix-vector products per sample.  A trajectory keeps its samples as one
+read-only (n_samples, d, d) array, filled from the coordinate rows with one
+gather and validated in one pass (one stacked ``eigvalsh``);
+``Trajectory.states`` wraps single samples as
+:class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.
 
 The steady state solves R x = 0 with a trace-one row.  Ordered by coherence
 order k = j - i, R is block tridiagonal (the drive moves k by one, the
@@ -205,6 +206,10 @@ def _coefficients(params: SystemParams) -> np.ndarray:
     return np.array(
         [params.delta, params.chi, params.drive, params.gamma * (params.n_th + 1.0), params.gamma * params.n_th]
     )
+
+
+# d _coefficients / d n_th, the weights of R1 in R = R0 + n_th R1.
+_N_TH_SLOPE = _frozen(np.array([0.0, 0.0, 0.0, SystemParams.gamma, SystemParams.gamma]))[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -396,13 +401,6 @@ def _taylor(a: tuple) -> tuple:
     return acc
 
 
-def _occupation_slope(params: SystemParams, dim: int) -> np.ndarray:
-    """R1 = dR / dn_th on R's COO index set: L is affine in n_th, R = R0 +
-    n_th R1, and R1 = gamma (D[a] + D[a^dag]) is two rows of the table."""
-    table = _generator_table(dim)[2]
-    return params.gamma * (table[3] + table[4])
-
-
 def _dense(values: np.ndarray, dim: int) -> np.ndarray:
     """The dense (d^2, d^2) matrix with these values on the generator's COO index set."""
     rows, cols, _ = _generator_table(dim)
@@ -431,7 +429,7 @@ def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangen
 
     x = (_dense(h * values, dim),)
     if tangent:
-        x += (_dense(h * _occupation_slope(params, dim), dim),)
+        x += (_dense(h * (_N_TH_SLOPE @ _generator_table(dim)[2]), dim),)
     maps = _taylor(x)
     for _ in range(n_squarings):
         maps = _pair_product(maps, maps)
@@ -463,9 +461,10 @@ def _evolve(
     """:func:`propagate`, and with ``tangent`` the read-only (n_samples, d, d)
     stack of the trajectory's exact n_th-derivative (None without).
 
-    The derivative follows x' <- M x' + dM x from x' = 0 (rho0 does not
-    depend on n_th).  It is exactly Hermitian; a non-finite sample raises
-    NumericalFailureError naming its time, after the trajectory's own checks.
+    The derivative steps with the coordinates as the pair (x, x') from x' = 0
+    (rho0 does not depend on n_th).  It is exactly Hermitian; a non-finite
+    sample raises NumericalFailureError naming its time, after the
+    trajectory's own checks.
     """
     dim = trunc.n_cut
     if rho0.dim != dim:
@@ -473,35 +472,30 @@ def _evolve(
 
     times = grid.times
     maps = _sample_maps(params, grid, trunc, tangent)
-    sample_map = maps[0]
-    coords = _coordinates(rho0.entries)
-    rows = np.empty((len(times), coords.size))
-    rows[0] = coords
-    if tangent:
-        drows = np.zeros_like(rows)
-        dcoords = drows[0]
+    # rows[k] is the (coordinates, derivative) pair of sample k, or the
+    # coordinates alone; each step is the pair product (M, dM)(x, x').
+    rows = np.zeros((len(times), len(maps), dim * dim))
+    rows[0, 0] = _coordinates(rho0.entries)
+    state = tuple(rows[0])
     # Samples after a failing one are computed too, then discarded by the
     # validation; they may overflow, which must not warn.
     with np.errstate(all="ignore"):
         for k in range(1, len(times)):
-            if tangent:
-                dcoords = sample_map @ dcoords + maps[1] @ coords
-                drows[k] = dcoords
-            coords = sample_map @ coords
-            rows[k] = coords
-        entries = _from_coordinate_rows(rows, dim)
+            state = _pair_product(maps, state)
+            rows[k] = state
+        entries = _from_coordinate_rows(rows[:, 0], dim)
     entries[0] = rho0.entries
     leakage_max = _validate_samples(entries, times, trunc)
     entries.setflags(write=False)
     trajectory = Trajectory(times=times, entries=entries, leakage_max=leakage_max)
     if not tangent:
         return trajectory, None
-    finite = np.isfinite(drows).all(axis=1)
+    finite = np.isfinite(rows[:, 1]).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(
             f"non-finite n_th-derivative at tau = {times[np.argmin(finite)]:g}"
         )
-    derivative = _from_coordinate_rows(drows, dim)
+    derivative = _from_coordinate_rows(rows[:, 1], dim)
     derivative.setflags(write=False)
     return trajectory, derivative
 
@@ -716,16 +710,15 @@ def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
 def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
     """The steady state and its exact derivative in n_th, as Hermitian matrices.
 
-    L is affine in n_th, R = R0 + n_th R1 with R1 = gamma (D[a] + D[a^dag]),
-    so differentiating R x = 0 gives R_c x' = -R1 x with the trace row of R_c
-    set to 0 (x' is traceless): one more sweep through the steady state's kept
-    Schur-complement inverses.  R1 x is the stencil's two dissipators applied
-    to the state.  The
-    state is residual-checked but not validated as a density matrix.
+    Differentiating R x = 0 in n_th gives R_c x' = -R1 x, R1 the slope the
+    module docstring defines, with the trace row of R_c set to 0 (x' is
+    traceless): one more sweep through the kept Schur-complement inverses.
+    R1 x is the stencil applied to the state with the weights ``_N_TH_SLOPE``.
+    The state is residual-checked but not validated as a density matrix.
     """
     dim = trunc.n_cut
     mat, solver = _steady_solve(params, trunc)
-    drift = -_coordinates(_stencil_apply(np.array([0.0, 0.0, 0.0, params.gamma, params.gamma]), mat))
+    drift = -_coordinates(_stencil_apply(_N_TH_SLOPE, mat))
     drift[0] = 0.0
     return mat, _from_coordinates(solver.solve(drift), dim)
 

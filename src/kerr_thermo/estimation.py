@@ -10,14 +10,15 @@ restricted to eigenvalue pairs whose sum exceeds a rank cutoff.
 Every Fisher series, quantum or classical, reads one (central trajectory,
 derivative stack) pair and nothing else: ``qfi_series(pair)`` and
 ``cfi_series(pair, povm)``.  :func:`tangent_trajectories` builds the pair
-from one propagation: the generator is affine in n_th, so the sample map
-exp(spacing R) and its exact n_th-derivative are built by the same Taylor
-products and squarings, and the samples carry d rho / d n_th exactly.  The
-pair carries the relative rank floor its QFI is taken at, so a pair built
-another way (the tests' five-point stencil, whose entries carry roundoff of
-order eps/h) can raise it.  The QFI series is one stacked ``eigh`` of the
-central trajectory, and :func:`qfi` is its one-state case; the CFI sum
-lives beside ``cfi_series`` in :mod:`~kerr_thermo.measurement`.  The input
+from one propagation: the sample map exp(spacing R) and its exact
+n_th-derivative, along the slope R1 that :mod:`~kerr_thermo.dynamics`
+defines, are built by the same Taylor products and squarings, and the
+samples carry d rho / d n_th exactly.  The pair carries the relative rank
+floor its QFI is taken at, so a pair built another way (the tests'
+five-point stencil, whose entries carry roundoff of order eps/h) can raise
+it.  The QFI series is one stacked ``eigh`` of the central trajectory, and
+:func:`qfi` is its one-state case; the CFI sum lives beside ``cfi_series``
+in :mod:`~kerr_thermo.measurement`.  The input
 gates are phrased so that NaN fails them.  The steady state's QFI needs no
 propagation: its exact derivative is one more linear solve, and it certifies
 the Fock cutoff of ``n_cut = auto`` runs.
@@ -73,6 +74,9 @@ _CERT_FIRST_NCUT = 8
 # 3.5 s and 167 MB peak RSS at 48 levels on 2 cores.
 # An explicit larger n_cut still propagates.
 _AUTO_NCUT_MAX = 48
+
+# The relative QFI rank floor for an exact derivative.
+_EXACT_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,18 +172,18 @@ def stencil_combine(f_p2, f_p1, f_m1, f_m2, h: float):
     return (diff2 + 8.0 * diff1) / (12.0 * h)
 
 
-def qfi(rho: DensityMatrix, drho, *, rank_tol_rel: float = 1e-12) -> SldResult:
+def qfi(rho: DensityMatrix, drho, *, rank_tol_rel: float = _EXACT_RANK_TOL) -> SldResult:
     """Quantum Fisher information Tr(rho L^2) for the family with derivative ``drho``.
 
     ``drho`` must be Hermitian and traceless (it is the derivative of a
     Hermitian unit-trace family).  Eigenvalue pairs with lambda_k + lambda_l
     at or below ``rank_tol_rel`` times the largest eigenvalue are excluded
-    (default 1e-12, scale invariant; 0 keeps every pair with a positive sum;
-    a negative or NaN value raises ValueError).  Derivatives obtained by
-    finite differences carry roundoff of order eps/h in their entries, and
-    near-null eigenvalue pairs turn that noise into spurious Fisher
-    information; callers in that situation should raise the cutoff
-    accordingly, as a pair does through its ``rank_tol_rel`` field.
+    (scale invariant, the default suiting an exact derivative; 0 keeps every
+    pair with a positive sum; a negative or NaN value raises ValueError).
+    Derivatives obtained by finite differences carry roundoff of order eps/h
+    in their entries, and near-null eigenvalue pairs turn that noise into
+    spurious Fisher information; callers in that situation should raise the
+    cutoff accordingly, as a pair does through its ``rank_tol_rel`` field.
     """
     r = as_matrix(rho)
     d = as_matrix(drho)
@@ -225,14 +229,14 @@ class PerturbedTrajectories:
     ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th;
     :func:`tangent_trajectories` gives the exact derivative of the propagated
     map.  ``rank_tol_rel`` is the relative rank floor the pair's QFI is taken
-    at (see :func:`qfi`): 1e-12 suits an exact derivative, and a pair whose
-    derivative carries roundoff, such as a finite-difference stencil, carries
-    a floor raised above it.  Every Fisher series reads this pair.
+    at (see :func:`qfi`): the default suits an exact derivative, and a pair
+    whose derivative carries roundoff, such as a finite-difference stencil,
+    carries a floor raised above it.  Every Fisher series reads this pair.
     """
 
     central: Trajectory
     derivative: np.ndarray
-    rank_tol_rel: float = 1e-12
+    rank_tol_rel: float = _EXACT_RANK_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "derivative", _read_only(self.derivative))
@@ -247,10 +251,11 @@ def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation
 
     The central trajectory is the one :func:`propagate` returns, to the bit,
     and validated as it is.  The derivative is the exact derivative of that
-    trajectory (no stencil step): R = R0 + n_th R1, so the Taylor polynomial
-    T(hR) of the scaled generator has the derivative dT along hR1, the pair
-    (T, dT) is squared as (AC, A dC + dA C), and the samples follow
-    x' <- M x' + dM x from x' = 0 (Van Loan 1978; Najfeld & Havel 1995;
+    trajectory (no stencil step): the Taylor polynomial T(hR) of the scaled
+    generator has the derivative dT along hR1, R1 the n_th-slope that
+    :mod:`~kerr_thermo.dynamics` defines, the pair (T, dT) is squared as
+    (AC, A dC + dA C), and the samples step as the pair (x, x') by the same
+    product from x' = 0 (Van Loan 1978; Najfeld & Havel 1995;
     Al-Mohy & Higham 2009).  One propagation, at about three matrix products
     for each one of the map alone.
     """

@@ -149,17 +149,22 @@ def _gibbs_fidelities(rho: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(ev, 0.0, None)).sum(axis=-1) ** 2
 
 
-def _brent_max(
-    rho: np.ndarray, lo: np.ndarray, hi: np.ndarray, xtol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _brent_tol(x: np.ndarray) -> np.ndarray:
+    """Brent's stopping tolerance at x, sqrt(eps) |x| + _XTOL / 3: the
+    resolution of the search's optimum, which the trace's certificate and
+    bracket-edge test share."""
+    return _SQRT_EPS * np.abs(x) + _XTOL / 3.0
+
+
+def _brent_max(rho: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximize the Gibbs fidelity of each state ``rho[k]`` on [lo[k], hi[k]].
 
     Brent's bounded minimizer applied to -F, Brent, *Algorithms for
     Minimization without Derivatives* (1973), ch. 5: parabolic interpolation
     through the three best points, falling back to a golden-section step
     whenever the parabola is not trusted.  A state stops when its best point
-    lies within 2 tol of its bracket midpoint, where
-    tol = sqrt(eps) |x| + xtol / 3.  The states run in lockstep: every state
+    lies within 2 tol of its bracket midpoint, tol = :func:`_brent_tol` at
+    that point.  The states run in lockstep: every state
     takes the steps the algorithm would take on it alone, selected by masks,
     and each round evaluates the states still searching in one stacked call.
     Returns ``(x, F(x))`` for the best point each state evaluated, and the
@@ -175,7 +180,7 @@ def _brent_max(
     e = np.zeros_like(x)
     while True:
         mid = 0.5 * (a + b)
-        tol = _SQRT_EPS * np.abs(x) + xtol / 3.0
+        tol = _brent_tol(x)
         active = ~(np.abs(x - mid) <= 2.0 * tol - 0.5 * (b - a))
         if not active.any():
             return x, -fx, evaluations
@@ -240,7 +245,7 @@ def _effective_temperatures(
     best = np.argmax(values, axis=1)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, len(grid) - 1)]
-    n_opt, f_opt, evaluations = _brent_max(rho, lo, hi, xtol=_XTOL)
+    n_opt, f_opt, evaluations = _brent_max(rho, lo, hi)
     # the best scan point wins if it scores higher than the refined one
     f_best = values[np.arange(len(rho)), best]
     scan_wins = f_best > f_opt
@@ -294,7 +299,7 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
     every 16th state and the last run :func:`effective_temperature`'s search.
     Every other state is predicted at p, the anchors' optima interpolated
     linearly in the state index, and evaluated at p - tol, p and p + tol,
-    tol = sqrt(eps) p + 1e-7 / 3 being Brent's own stopping tolerance.  If
+    tol being Brent's own stopping tolerance at p.  If
     0 < p - tol, p + tol < search_max and F(p) is at least both neighbours,
     the one maximum lies within tol of p, and the state takes (p, F(p)).
     Any other state runs Brent's method alone on [max(p/2, 1e-6),
@@ -320,7 +325,7 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
     predicted = np.interp(np.arange(m), np.flatnonzero(anchor), n_eff[anchor])
     # Certificate: when F(p) is at least F(p -+ tol), tol Brent's tolerance at
     # p, the one maximum lies within tol of p, as close as Brent would stop.
-    tol = _SQRT_EPS * np.abs(predicted) + _XTOL / 3.0
+    tol = _brent_tol(predicted)
     certified = ~anchor & (predicted - tol > 0.0) & (predicted + tol < search_max)
     if certified.any():
         stack, p, t = rho[certified], predicted[certified], tol[certified]
@@ -333,12 +338,10 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
     hi = np.minimum(2.0 * predicted, search_max)
     bracketed = ~anchor & ~certified & (lo < hi)
     if bracketed.any():
-        n_eff[bracketed], fid[bracketed], evals = _brent_max(
-            rho[bracketed], lo[bracketed], hi[bracketed], xtol=_XTOL
-        )
+        n_eff[bracketed], fid[bracketed], evals = _brent_max(rho[bracketed], lo[bracketed], hi[bracketed])
         evaluations[bracketed] += evals
     # Brent's own tolerance: an optimum this close to an edge may lie beyond it
-    tol = _SQRT_EPS * np.abs(n_eff) + _XTOL / 3.0
+    tol = _brent_tol(n_eff)
     inside = (n_eff - lo > 2.0 * tol) & (hi - n_eff > 2.0 * tol)
     fallback = ~anchor & ~certified & ~(bracketed & inside)
     if fallback.any():

@@ -46,6 +46,10 @@ __all__ = [
 # Floor at or below which an outcome probability is excluded from the CFI sum.
 _P_FLOOR = 1e-14
 
+# Roundoff allowance of an outcome probability: a value below -_P_CLIP
+# raises, and a negative one above it is clipped to zero.
+_P_CLIP = 1e-12
+
 # Outcomes per chunk while the outcome map is built: at n_cut 30 a chunk's
 # rank-one elements and their coordinate temporaries take about 1.8 MB,
 # beside 11.6 MB for the 1617-outcome heterodyne map itself.
@@ -237,8 +241,8 @@ def heterodyne_povm(
 def outcome_distribution(rho, povm: Povm) -> np.ndarray:
     """Outcome probabilities p_i = w_i <v_i| rho |v_i> of a Hermitian ``rho``.
 
-    Small negative roundoff (above -1e-12) is clipped to zero; anything more
-    negative raises.  The probabilities sum to one up to the completeness
+    Small negative roundoff, down to the module's clip, is clipped to zero;
+    anything more negative raises, naming the clip.  The probabilities sum to one up to the completeness
     defect of the POVM.  This is the one-state case of the batched kernel
     :func:`cfi_series` uses.
     """
@@ -269,8 +273,8 @@ def _outcome_map(povm: Povm) -> np.ndarray:
 def _probabilities(entries: np.ndarray, outcome_map: np.ndarray) -> np.ndarray:
     """Outcome probabilities of each state of a Hermitian (n, d, d) stack, one row per state."""
     p = _coordinates(entries) @ outcome_map.T
-    if p.size and float(p.min()) < -1e-12:
-        raise ValueError(f"outcome probability {p.min():.3e} below the -1e-12 clip")
+    if p.size and float(p.min()) < -_P_CLIP:
+        raise ValueError(f"outcome probability {p.min():.3e} below the {-_P_CLIP:g} clip")
     return np.clip(p, 0.0, None, out=p)
 
 
@@ -292,7 +296,7 @@ def _cfi_rows(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`cfi` for each row of (n, n_outcomes) arrays: the CFI values and
     the mass of the skipped outcomes.  A gate that fails raises for the first
     failing row."""
-    if p.size and float(p.min()) < -1e-12:
+    if p.size and float(p.min()) < -_P_CLIP:
         raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
     total = p.sum(axis=1)
     bad = ~(np.abs(total - 1.0) <= 1e-6)

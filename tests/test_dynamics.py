@@ -241,6 +241,20 @@ def test_stencil_matches_lindblad_rhs(rng):
         assert np.abs(via_stencil - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        SystemParams(delta=0.0, chi=0.0, drive=0.0, n_th=0.3),
+        SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05),
+        SystemParams(delta=1.7, chi=0.35, drive=2.5, n_th=1e-4),
+    ],
+)
+def test_n_th_slope_is_the_coefficients_derivative(params):
+    # _coefficients is affine in n_th, so its unit difference is the slope
+    slope = dynamics._coefficients(params.with_n_th(1.0)) - dynamics._coefficients(params.with_n_th(0.0))
+    assert slope.tobytes() == dynamics._N_TH_SLOPE.tobytes()
+
+
 class TestPropagate:
     def test_vacuum_is_fixed_point_at_zero_temperature(self):
         trunc = Truncation(10)

@@ -162,8 +162,7 @@ def test_criterion_8_twin_gaussian_measurement_bounds(n_th):
 def test_non_finite_derivative_raises(monkeypatch):
     params, trunc = SystemParams(delta=-1.0, chi=0.3, drive=0.2, n_th=0.05), Truncation(10)
     grid = TimeGrid(t_end=1.0, n_samples=5)
-    slope = dynamics._occupation_slope
-    monkeypatch.setattr(dynamics, "_occupation_slope", lambda *args: np.nan * slope(*args))
+    monkeypatch.setattr(dynamics, "_N_TH_SLOPE", np.nan * dynamics._N_TH_SLOPE)
     with pytest.raises(NumericalFailureError, match=r"non-finite n_th-derivative at tau = 0\.25\b"):
         tangent_trajectories(params, grid, trunc)
     # the central run does not read the slope
