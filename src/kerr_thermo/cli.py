@@ -23,7 +23,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from . import __version__
 from .config import (
     COMMANDS,
     GAP_WINDOW,
-    SPECTRUM_MIN_NCUT,
     ScenarioConfig,
     exact_text,
     homodyne_label,
@@ -327,8 +326,6 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             return columns, summaries, trajectories.central.leakage_max
 
     elif config.command == "spectrum":
-        config = replace(config, n_cut=max(config.n_cut, SPECTRUM_MIN_NCUT))
-
         def compute(trunc):
             report = gap_variance(spectrum(params, trunc), *GAP_WINDOW)
             return {"var_gap": np.array([report.variance])}, [], 0.0

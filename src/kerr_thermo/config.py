@@ -155,10 +155,11 @@ class ScenarioConfig:
         return certify_cutoff(points, Truncation.leakage_tol)
 
     def trunc(self) -> Truncation:
-        """The cutoff of every point: ``n_cut``, or the certified one for ``auto``."""
+        """The cutoff of every point: ``n_cut``, at least ``SPECTRUM_MIN_NCUT``
+        for ``spectrum``, or the certified one for ``auto``."""
         certificate = self.cutoff_certificate
         n_cut = self.n_cut if certificate is None else certificate.n_cut
-        return Truncation(n_cut)
+        return Truncation(max(n_cut, SPECTRUM_MIN_NCUT) if self.command == "spectrum" else n_cut)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(t_end=self.t_end, n_samples=self.n_samples)

@@ -38,7 +38,9 @@ k >= 1, it acts complex-linearly.  So the solve is a block elimination in
 complex blocks of size d - k from k = d - 1 down to 1, then one real step on
 the populations, and the n_th-derivative of the steady state is one more
 sweep through the same factors.  The blocks come straight from the stencil,
-not from the real table.  The runtime needs numpy only.
+and the solve reads and writes rho's entries, so the Hermitian-basis
+coordinates serve the propagator and the outcome map alone.  The runtime
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -261,18 +263,15 @@ def _stencil_apply(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _coherence_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _coherence_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The populations x_i = rho_ii (order 0), then the coherences
     y_i = sqrt2 rho_{i,i+k} in order k = 1, ..., d - 1: each one's order and
-    index i, the start of each order, and each one's real Hermitian-basis
-    coordinates (Re, Im), Im = -1 for a population.  Read-only, cached."""
+    index i, and the start of each order.  Read-only, cached."""
     sizes = dim - np.arange(dim)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     order = np.repeat(np.arange(dim), sizes)
     index = np.arange(bounds[-1]) - bounds[order]
-    entry = _entry_order(dim)  # for i < j, rho_ij's slot is its Re coordinate, rho_ji's its Im
-    real = np.column_stack([entry[index, index + order], np.where(order > 0, entry[index + order, index], -1)])
-    return _frozen(order, index, bounds, real)
+    return _frozen(order, index, bounds)
 
 
 @functools.lru_cache(maxsize=16)
@@ -285,7 +284,7 @@ def _stencil_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_out += Re(c y_in), with c = w / sqrt2 from rho_{K,L}, K < L, and
     conj(w) / sqrt2 from its mirror rho_{L,K}, which only population rows read.
     """
-    order, index, bounds, _ = _coherence_coordinates(dim)
+    order, index, bounds = _coherence_coordinates(dim)
     part, di, dj, w = _stencil(dim)
     term, row = np.nonzero(w[:, index, index + order])
     i, j, k = index[row], index[row] + order[row], order[row]
@@ -310,9 +309,11 @@ def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     which a population keeps the Re half; entries zero in every part are dropped.
     """
     out, inp, table = _stencil_entries(dim)
-    real = _coherence_coordinates(dim)[3]
-    rows = np.concatenate([real[out, 0], real[out, 0], real[out, 1], real[out, 1]])
-    cols = np.concatenate([real[inp, 0], real[inp, 1], real[inp, 0], real[inp, 1]])
+    order, index = _coherence_coordinates(dim)[:2]
+    entry = _entry_order(dim)  # for i < j, rho_ij's slot is its Re coordinate, rho_ji's its Im
+    re, im = entry[index, index + order], np.where(order > 0, entry[index + order, index], -1)
+    rows = np.concatenate([re[out], re[out], im[out], im[out]])
+    cols = np.concatenate([re[inp], im[inp], re[inp], im[inp]])
     values = np.concatenate([table.real, -table.imag, table.imag, table.real], axis=1)
     keep = np.nonzero((rows >= 0) & (cols >= 0) & np.any(values != 0.0, axis=0))[0]
     keep = keep[np.argsort(rows[keep] * dim * dim + cols[keep])]
@@ -359,11 +360,6 @@ def _from_coordinate_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     upper = (re + 1j * im) / math.sqrt(2.0)
     values = np.concatenate([rows[:, :dim].astype(np.complex128), upper, upper.conj()], axis=1)
     return np.take(values, _entry_order(dim), axis=1)
-
-
-def _from_coordinates(coords: np.ndarray, dim: int) -> np.ndarray:
-    """The Hermitian matrix with these coordinates, built from its upper triangle."""
-    return _from_coordinate_rows(coords[None], dim)[0]
 
 
 # exp(A) = T_8(A / 2^s)^(2^s), T_8 the degree-8 Taylor polynomial, with s the
@@ -579,9 +575,9 @@ def _coherence_blocks(dim: int):
     D_k tridiagonal and U_k = R[k, k+1], L_k = R[k+1, k] bidiagonal.  Returns
     the shapes and starts of D_0..D_{d-1}, U_0..U_{d-2}, L_0..L_{d-2} in one
     complex buffer, each :func:`_stencil_entries` entry's position there, and
-    the coherences' (Re, Im) coordinates, each order's slice of them and their orders.
+    the coherences' entries (i, i + k), each order's slice of them and their orders.
     """
-    order, index, bounds, real = _coherence_coordinates(dim)
+    order, index, bounds = _coherence_coordinates(dim)
     out, inp = _stencil_entries(dim)[:2]
     sizes = np.diff(bounds)
     shapes = [(s, s) for s in sizes] + list(zip(sizes[:-1], sizes[1:])) + list(zip(sizes[1:], sizes[:-1]))
@@ -590,7 +586,8 @@ def _coherence_blocks(dim: int):
     block = np.where(ko == ki, ko, np.where(ki > ko, dim + ko, 2 * dim - 1 + ki))
     position = start[block] + index[out] * sizes[ki] + index[inp]
     slices = (slice(0, 0),) + tuple(slice(lo - dim, hi - dim) for lo, hi in zip(bounds[1:-1], bounds[2:]))
-    return (tuple(shapes), *_frozen(start, position), real[dim:], slices, order[dim:])
+    entries = _frozen(index[dim:], index[dim:] + order[dim:])
+    return (tuple(shapes), *_frozen(start, position), entries, slices, order[dim:])
 
 
 class _CoherenceSolver:
@@ -604,12 +601,13 @@ class _CoherenceSolver:
     size d - k, each inverted for half the flops of the real block of size
     2(d - k) it stands for; the last one is real, S_0 = D_0 - Re(U_0 S_1^{-1}
     L_0).  The inverses are kept, so every further right-hand side is one
-    sweep of matrix-vector products with no new factorization.
+    sweep of matrix-vector products with no new factorization.  A solve
+    reads and writes rho's entries, not its Hermitian-basis coordinates.
     """
 
     def __init__(self, values: np.ndarray, dim: int, scale: float):
         """``values`` are R's complex entries in :func:`_stencil_entries` order."""
-        shapes, start, position, self._pairs, self._slices, self._orders = _coherence_blocks(dim)
+        shapes, start, position, self._entries, self._slices, self._orders = _coherence_blocks(dim)
         buffer = np.zeros(start[-1], dtype=np.complex128)
         buffer[position] = values
         blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(start[:-1], start[1:], shapes)]
@@ -634,10 +632,12 @@ class _CoherenceSolver:
         self._inverses = [diag[0].real.copy()] + diag[1:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for a real right-hand side, both in coordinate order."""
+        """The Hermitian (d, d) solution for a Hermitian (d, d) right-hand side:
+        reads its populations and its coherences above the diagonal."""
         inv, upper, lower, at = self._inverses, self._upper, self._lower, self._slices
         dim = len(inv)
-        b = rhs[self._pairs].view(np.complex128)[:, 0]
+        i, j = self._entries
+        b = math.sqrt(2.0) * rhs[i, j]
         # Down, from the highest order with a nonzero right-hand side (above
         # it z is zero): z_k = S_k^{-1} (b_k - U_k z_{k+1}), z_0 real; up, in
         # place: x_0 = z_0, x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
@@ -648,13 +648,13 @@ class _CoherenceSolver:
             z[at[top]] = inv[top] @ b[at[top]]
         for k in range(top - 1, 0, -1):
             z[at[k]] = inv[k] @ (b[at[k]] - upper[k] @ z[at[k + 1]])
-        x0 = inv[0] @ (rhs[:dim] - (upper[0] @ z[at[1]]).real)
+        x0 = inv[0] @ (rhs.diagonal().real - (upper[0] @ z[at[1]]).real)
         z[at[1]] -= inv[1] @ (lower[0] @ x0)
         for k in range(1, dim - 1):
             z[at[k + 1]] -= inv[k + 1] @ (lower[k] @ z[at[k]])
-        out = np.empty(rhs.size)
-        out[:dim] = x0
-        out[self._pairs] = z.view(np.float64).reshape(-1, 2)
+        out = np.diag(x0).astype(np.complex128)
+        out[i, j] = z / math.sqrt(2.0)
+        out[j, i] = out[i, j].conj()
         return out
 
 
@@ -672,9 +672,9 @@ def _steady_solve(params: SystemParams, trunc: Truncation):
         raise NumericalFailureError("generator is identically zero or non-finite")
 
     solver = _CoherenceSolver(values, dim, scale)
-    rhs = np.zeros(dim * dim)
-    rhs[0] = scale
-    mat = _from_coordinates(solver.solve(rhs), dim)
+    rhs = np.zeros((dim, dim), dtype=np.complex128)
+    rhs[0, 0] = scale
+    mat = solver.solve(rhs)
     residual = float(np.abs(lindblad_rhs(mat, params, hamiltonian(params, trunc))).max())
     if not np.isfinite(residual) or residual > 1e-6 * max(1.0, scale):
         raise NumericalFailureError(
@@ -687,11 +687,10 @@ def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
     """Unique fixed point of the generator, via a trace-constrained linear solve.
 
     One block-tridiagonal solve of R x = 0 in complex coherence blocks, with
-    R's first row replaced by the trace-one constraint.  The state is rebuilt
-    exactly Hermitian from x, residual-checked against :func:`lindblad_rhs`
-    and validated.  A singular
-    or non-finite Schur complement, or a residual too large, raises
-    NumericalFailureError.  A top-two-level population beyond
+    R's first row replaced by the trace-one constraint.  The state is written
+    exactly Hermitian, residual-checked against :func:`lindblad_rhs` and
+    validated.  A singular or non-finite Schur complement, or a residual too
+    large, raises NumericalFailureError.  A top-two-level population beyond
     ``trunc.leakage_tol`` raises TruncationError, as in :func:`propagate`, and
     so does a state that fails :class:`~kerr_thermo.fock.DensityMatrix`'s
     checks at its default tolerance 1e-9.
@@ -716,11 +715,10 @@ def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.nd
     R1 x is the stencil applied to the state with the weights ``_N_TH_SLOPE``.
     The state is residual-checked but not validated as a density matrix.
     """
-    dim = trunc.n_cut
     mat, solver = _steady_solve(params, trunc)
-    drift = -_coordinates(_stencil_apply(_N_TH_SLOPE, mat))
-    drift[0] = 0.0
-    return mat, _from_coordinates(solver.solve(drift), dim)
+    drift = -_stencil_apply(_N_TH_SLOPE, mat)
+    drift[0, 0] = 0.0
+    return mat, solver.solve(drift)
 
 
 def purity(rho) -> float:

@@ -272,37 +272,39 @@ def _outcome_map(povm: Povm) -> np.ndarray:
 
 def _probabilities(entries: np.ndarray, outcome_map: np.ndarray) -> np.ndarray:
     """Outcome probabilities of each state of a Hermitian (n, d, d) stack, one row per state."""
-    p = _coordinates(entries) @ outcome_map.T
+    return _clip(_coordinates(entries) @ outcome_map.T)
+
+
+def _clip(p: np.ndarray) -> np.ndarray:
+    """``p`` clipped to zero in place; a value below -_P_CLIP raises, naming the clip."""
     if p.size and float(p.min()) < -_P_CLIP:
-        raise ValueError(f"outcome probability {p.min():.3e} below the {-_P_CLIP:g} clip")
+        raise ValueError(f"negative outcome probability {p.min():.3e} below the {-_P_CLIP:g} clip")
     return np.clip(p, 0.0, None, out=p)
 
 
 def cfi(probabilities, dprobabilities) -> float:
     """Classical Fisher information sum_x (dp_x)^2 / p_x with an outcome floor.
 
-    Outcomes with p_x <= 1e-14 are skipped (continuum discretizations
+    Negative roundoff down to -1e-12 is clipped to zero on a copy, and
+    outcomes with p_x <= 1e-14 are skipped (continuum discretizations
     produce numerically empty bins).  This is the one-state case of the CFI
     sum :func:`cfi_series` takes.
     """
-    p = np.asarray(probabilities, dtype=float)
+    p = np.array(probabilities, dtype=float)  # a copy, which the clip writes to
     dp = np.asarray(dprobabilities, dtype=float)
     if p.shape != dp.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {dp.shape}")
-    return float(_cfi_rows(p.reshape(1, -1), dp.reshape(1, -1))[0][0])
+    return float(_cfi_rows(_clip(p).reshape(1, -1), dp.reshape(1, -1))[0][0])
 
 
 def _cfi_rows(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cfi` for each row of (n, n_outcomes) arrays: the CFI values and
-    the mass of the skipped outcomes.  A gate that fails raises for the first
-    failing row."""
-    if p.size and float(p.min()) < -_P_CLIP:
-        raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
+    """:func:`cfi` for each row of (n, n_outcomes) arrays of clipped
+    probabilities: the CFI values and the mass of the skipped outcomes.  A
+    sum that fails its gate raises for the first failing row."""
     total = p.sum(axis=1)
     bad = ~(np.abs(total - 1.0) <= 1e-6)
     if bad.any():
         raise ValueError(f"probabilities sum to {float(total[np.argmax(bad)])!r}, not 1 within 1e-6")
-    p = np.clip(p, 0.0, None)
     keep = p > _P_FLOOR
     skipped = np.where(keep, 0.0, p).sum(axis=1)
     terms = np.square(dp, out=np.zeros_like(p), where=keep)

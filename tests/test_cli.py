@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +515,18 @@ class TestRun:
         assert rows[0] == "n_th,var_gap"
         assert float(rows[1].split(",")[1]) == pytest.approx(38.5, abs=1e-9)
 
+    def test_spectrum_computes_on_its_minimum_cutoff(self, tmp_path):
+        # the gap window needs SPECTRUM_MIN_NCUT = 72 levels, so n_cut 30
+        # computes on 72 and gives the numbers of asking for 72
+        text = "command = spectrum\nn_th = 0\nchi = 0.5\ndrive = 0\ndelta = -3.5\nn_cut = {}\n"
+        small, exact = (parse_config(text.format(n)) for n in (30, 72))
+        assert small.trunc() == exact.trunc() == Truncation(72)
+        raised, reference = (cli._run_point((cfg, 0)) for cfg in (small, exact))
+        assert raised.n_cut_used == 72
+        assert raised.columns["var_gap"].tobytes() == reference.columns["var_gap"].tobytes()
+        assert run(small, out_dir=str(tmp_path)).n_cut_used == 72
+        assert "n_cut used: 72" in read_lines(tmp_path / "run_report.txt").splitlines()
+
     def test_only_one_job(self, tmp_path, capsys):
         cfg = parse_config(FAST_THERMALIZE)
         with pytest.raises(ConfigError, match="jobs must be None or 1") as info:
@@ -765,6 +778,31 @@ class TestMainEntry:
             if not ln.startswith("#")
         ]
         assert len(rows) == 4  # header + 3 samples
+
+    def test_commands_run_with_warnings_as_errors(self, tmp_path):
+        # The runner reaches numpy's private np.linalg._umath_linalg for
+        # OpenBLAS thread control, so a deprecation there must fail here
+        # before it fails a run: one process under -X dev -W error runs a
+        # small qfi, cfi, thermalize and purity-sweep.  A point records its
+        # warnings for the run report rather than raising them, so each
+        # report must list none.
+        runs = [
+            ["qfi", "--preset", "fig3a", "--override", "chi=0.3"],
+            ["cfi", "--preset", "fig8a", "--override", "n_samples=21"],
+            ["thermalize", "--preset", "fig2a", "--override", "n_samples=21"],
+            ["purity-sweep", "--preset", "fig7a", "--override", "chi=0.1,0.2"],
+        ]
+        runs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
+        script = f"import sys\nfrom kerr_thermo.cli import main\nsys.exit(max(main(argv) for argv in {runs!r}))\n"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        for argv in runs:
+            assert "warnings:\n  (none)\n" in read_lines(tmp_path / argv[0] / "run_report.txt"), argv[0]
 
 
 class TestRunOracles:

@@ -40,6 +40,16 @@ def coherence_order(dim):
     return np.concatenate([np.zeros(dim, dtype=int), ju - iu, ju - iu])
 
 
+def coherence_slots(dim):
+    """Each coherence rho_{i,i+k}'s (Re, Im) Hermitian-basis coordinates, in
+    the solver's coherence order: the slots of rho_{i,i+k} and of its mirror
+    rho_{i+k,i} in the coordinate layout."""
+    order, index = dynamics._coherence_coordinates(dim)[:2]
+    i, j = index[dim:], index[dim:] + order[dim:]
+    entry = dynamics._entry_order(dim)
+    return np.column_stack([entry[i, j], entry[j, i]])
+
+
 def sparse_lu_tangent(params, trunc):
     """Reference: splu of the trace-constrained R from generator_entries, for
     the steady coordinates and then for their n_th-derivative."""
@@ -55,7 +65,7 @@ def sparse_lu_tangent(params, trunc):
     r1 = generator_entries(params.with_n_th(params.n_th + 1.0), trunc)[2] - values
     drift = -np.bincount(rows, weights=r1 * coords[cols], minlength=dim * dim)
     drift[0] = 0.0
-    return dynamics._from_coordinates(coords, dim), dynamics._from_coordinates(lu.solve(drift), dim)
+    return tuple(dynamics._from_coordinate_rows(np.stack([coords, lu.solve(drift)]), dim))
 
 
 @pytest.mark.parametrize("name, n_cut", CASES, ids=IDS)
@@ -66,9 +76,13 @@ def test_generator_is_block_tridiagonal_in_coherence_order(name, n_cut):
     assert np.abs(order[rows[nonzero]] - order[cols[nonzero]]).max() <= 1
     # the trace row (all populations) lies in block 0, which the solver keeps real
     assert np.all(order[:n_cut] == 0)
-    # the solver reads each coherence as its (Re, Im) coordinate pair, in
-    # coherence order, and block k >= 1 is its slice of them
-    gather, at = dynamics._coherence_blocks(n_cut)[3:5]
+    # the solver reads each coherence as its entry rho_{i,i+k}, in coherence
+    # order, and block k >= 1 is its slice of them; the (Re, Im) coordinates
+    # of those entries cover every coherence coordinate once
+    (i, j), at = dynamics._coherence_blocks(n_cut)[3:5]
+    gather = coherence_slots(n_cut)
+    assert np.all(j > i)
+    assert np.array_equal(dynamics._entry_order(n_cut)[i, j], gather[:, 0])
     m = n_cut * (n_cut - 1) // 2
     assert np.all(gather[:, 1] - gather[:, 0] == m)
     assert np.array_equal(np.sort(np.concatenate([np.arange(n_cut), gather.ravel()])), np.arange(n_cut**2))
@@ -95,7 +109,7 @@ def test_coherence_blocks_are_complex_linear(name, n_cut):
 def real_blocks(rows, cols, values, dim, k, l):
     """The real block of R between coherence orders k and l, (Re, Im) rows and
     columns in block order (a population has no Im half)."""
-    gather, at = dynamics._coherence_blocks(dim)[3:5]
+    gather, at = coherence_slots(dim), dynamics._coherence_blocks(dim)[4]
     coords = [np.arange(dim) if n == 0 else gather[at[n]].T.ravel() for n in (k, l)]
     dense = sparse.csr_matrix((values, (rows, cols)), shape=(dim * dim, dim * dim))
     return dense[coords[0]][:, coords[1]].toarray()
@@ -165,8 +179,13 @@ def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
     trace_rhs = np.zeros(dim * dim)
     trace_rhs[0] = scale
     rhs = [trace_rhs, np.random.default_rng(7).standard_normal(dim * dim)]
+
+    def solve(solver, b):
+        """The solver on the Hermitian matrix with coordinates b, as coordinates."""
+        return dynamics._coordinates(solver.solve(dynamics._from_coordinate_rows(b[None], dim)[0]))
+
     solver = dynamics._CoherenceSolver(values, dim, scale)
-    expected = [solver.solve(b) for b in rhs]
+    expected = [solve(solver, b) for b in rhs]
 
     part, di, dj, w = dynamics._stencil(dim)
     turned = part, di, dj, w * (1j ** (dj - di))[:, None, None]
@@ -184,7 +203,7 @@ def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
     values = dynamics._coefficients(params) @ dynamics._stencil_entries(dim)[2]
     solver = dynamics._CoherenceSolver(values, dim, scale)
     for b, x in zip(rhs, expected):
-        assert np.abs(solver.solve(turn @ b) - turn @ x).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(solve(solver, turn @ b) - turn @ x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_singular_schur_complement_is_a_numerical_failure(monkeypatch):

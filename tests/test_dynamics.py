@@ -23,7 +23,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics
-from kerr_thermo.dynamics import _coordinates, _from_coordinates, _generator_table
+from kerr_thermo.dynamics import _coordinates, _from_coordinate_rows, _generator_table
 from kerr_thermo.errors import NumericalFailureError, TraceDriftError, TruncationError
 
 from conftest import random_density_matrix
@@ -137,7 +137,7 @@ class TestHermitianBasis:
         ham = hamiltonian(self.PARAMS, trunc)
         for _ in range(3):
             rho = random_density_matrix(rng, 8)
-            via_basis = _from_coordinates(rmat @ _coordinates(rho), 8)
+            via_basis = _from_coordinate_rows((rmat @ _coordinates(rho))[None], 8)[0]
             np.testing.assert_allclose(via_basis, lindblad_rhs(rho, self.PARAMS, ham), atol=1e-13)
 
     def test_coordinate_round_trip(self, rng):
@@ -145,7 +145,7 @@ class TestHermitianBasis:
         coords = _coordinates(rho)
         assert coords.dtype == np.float64
         np.testing.assert_allclose(coords, (hermitian_basis(9) @ rho.reshape(-1)).real, atol=1e-15)
-        back = _from_coordinates(coords, 9)
+        back = _from_coordinate_rows(coords[None], 9)[0]
         assert np.abs(back - back.conj().T).max() == 0.0
         np.testing.assert_allclose(back, rho, atol=1e-15)
 

@@ -384,6 +384,24 @@ class TestCertifyCutoff:
         dynamics.steady_state_tangent(params, Truncation(12))
         assert dynamics._generator_table.cache_info().currsize == 0
 
+    def test_steady_paths_read_and_write_rho(self, monkeypatch):
+        # the block solve takes and returns Hermitian matrices: the steady
+        # paths build no Hermitian-basis layout and convert no coordinates
+        def refuse(*args):
+            raise AssertionError("the steady path converted Hermitian-basis coordinates")
+
+        for name in ("_coordinates", "_from_coordinate_rows"):
+            monkeypatch.setattr(dynamics, name, refuse)
+        for cache in (dynamics._entry_order, dynamics._upper_indices):
+            cache.cache_clear()
+        params = SystemParams(*CORNERS["fig8a"])
+        certify_cutoff([params], leakage_tol=1e-8)
+        dynamics.steady_state(params, Truncation(12))
+        rho, drho = dynamics.steady_state_tangent(params, Truncation(12))
+        assert dynamics._entry_order.cache_info().currsize == 0
+        assert dynamics._upper_indices.cache_info().currsize == 0
+        assert np.array_equal(rho, rho.conj().T) and np.array_equal(drho, drho.conj().T)
+
     def test_thermal_qfi_of_undriven_cavity(self):
         # the qfi rank cutoff (1e-12 of the largest eigenvalue) drops the
         # levels above about 11, which carry about 4e-10 of the value
