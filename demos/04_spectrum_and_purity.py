@@ -8,7 +8,7 @@ from kerr_thermo import SystemParams, Truncation, gap_variance, purity, spectrum
 print("gap variance over levels 30..50 (delta = -3.5, drive = 1):")
 for chi in (0.0, 0.25, 0.5, 0.75, 1.0):
     eig = spectrum(SystemParams(-3.5, chi, 1.0, 0.0), Truncation(72))
-    var = gap_variance(eig, 30, 50).variance
+    var = gap_variance(eig, 30, 50)
     print(f"  chi = {chi:4.2f}: Var[dE] = {var:9.4f}")
 print("  (with the drive off the gaps form an arithmetic ladder and this is exactly 154 chi^2)")
 

@@ -6,7 +6,8 @@ output once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
 used and how it was chosen, worst leakage, wall time, per-point summaries and
-deduplicated warnings.
+the warnings the interpreter's filters let through, once each; a filter that
+turns a warning into an error fails the run like any other error.
 ``reproduce-figure`` runs the same compute step and merges the points' columns
 in memory into one figure CSV and a sidecar.  File suffixes and column labels
 print sweep values with :func:`~kerr_thermo.config.exact_text`, so distinct
@@ -101,7 +102,6 @@ class _PointResult:
     columns: dict[str, np.ndarray]
     n_cut_used: int
     leakage_max: float
-    warnings: list[str]
     summaries: list[str]
 
 
@@ -327,8 +327,7 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
 
     elif config.command == "spectrum":
         def compute(trunc):
-            report = gap_variance(spectrum(params, trunc), *GAP_WINDOW)
-            return {"var_gap": np.array([report.variance])}, [], 0.0
+            return {"var_gap": np.array([gap_variance(spectrum(params, trunc), *GAP_WINDOW)])}, [], 0.0
 
     else:  # purity-sweep
         def compute(trunc):
@@ -339,11 +338,8 @@ def _run_point_inner(config: ScenarioConfig, point: dict) -> _PointResult:
             }
             return columns, [], _leakage(ss.entries)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        (columns, summaries, leakage), n_cut = _with_truncation_retry(config, compute)
-    messages = [str(rec.message) for rec in caught]
-    return _PointResult(columns, n_cut, leakage, messages, summaries)
+    (columns, summaries, leakage), n_cut = _with_truncation_retry(config, compute)
+    return _PointResult(columns, n_cut, leakage, summaries)
 
 
 def _check_jobs(jobs: int | None) -> None:
@@ -361,10 +357,15 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
     (see ``_with_truncation_retry``); the limit covers the whole try, because
     a thread pool that one call leaves spinning keeps burning CPU through the
     next.  The report names the BLAS and the thread counts the points ran with.
+
+    Warnings from the cutoff certificate and the points are recorded under the
+    caller's filters: one that a filter turns into an error raises here, and
+    the report lists every recorded message once.
     """
-    # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
-    trunc = config.trunc()
-    results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
+    with warnings.catch_warnings(record=True) as caught:
+        # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
+        trunc = config.trunc()
+        results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
 
     report = RunReport(
         command=config.command,
@@ -373,13 +374,11 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
         n_cut_used=trunc.n_cut,
         n_cut_rule=_cutoff_rule(config),
         blas=_blas_report(results),
+        warnings=list(dict.fromkeys(str(rec.message) for rec in caught)),
     )
     for res in results:
         report.n_cut_used = max(report.n_cut_used, res.n_cut_used)
         report.leakage_max = max(report.leakage_max, res.leakage_max)
-        for message in res.warnings:
-            if message not in report.warnings:
-                report.warnings.append(message)
         report.summaries.extend(res.summaries)
     return report, results
 
@@ -579,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
                 command=args.command,
             )
             report = run(config, out_dir=args.out)
-    except (KerrThermoError, OSError, ValueError) as exc:
+    except (KerrThermoError, OSError, ValueError, Warning) as exc:  # a Warning a filter raised
         print(f"kerr-thermo: error: {exc}", file=sys.stderr)
         return 1
     for line in report.summaries:

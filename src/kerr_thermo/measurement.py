@@ -205,9 +205,11 @@ def heterodyne_povm(
     Grid points are integer multiples of ``grid_step`` with |alpha| <=
     ``grid_radius``; each element carries Riemann weight step^2 / pi.  Defaults
     cover both the Husimi support of a state with the given ``mean_photon``
-    and the identity resolution on the full truncated space.  A completeness
-    defect above 1e-4 raises GridInsufficientError.
+    (finite and nonnegative) and the identity resolution on the full truncated
+    space.  A completeness defect above 1e-4 raises GridInsufficientError.
     """
+    if not (mean_photon >= 0 and math.isfinite(mean_photon)):
+        raise ValueError(f"mean_photon must be finite and nonnegative, got {mean_photon}")
     dim = trunc.n_cut
     if grid_radius is None:
         grid_radius = max(3.0 + 2.0 * math.sqrt(mean_photon + 1.0), _completeness_radius(dim))

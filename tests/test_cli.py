@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from kerr_thermo import (
 from kerr_thermo import cli, config
 from kerr_thermo.cli import main, reproduce_figure, run
 from kerr_thermo.config import homodyne_label, parse_config, resolve_config
-from kerr_thermo.errors import ConfigError, NumericalFailureError, TruncationError
+from kerr_thermo.errors import BracketBoundaryWarning, ConfigError, NumericalFailureError, TruncationError
 from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
 
@@ -52,6 +53,18 @@ n_samples = 4
 def read_lines(path):
     with open(path) as fh:
         return fh.read()
+
+
+def warn_while_certifying(monkeypatch):
+    """Make the cutoff certificate warn; returns a config that certifies."""
+    certify = config.certify_cutoff
+
+    def warning(points, leakage_tol):
+        warnings.warn("certificate probe", UserWarning)
+        return certify(points, leakage_tol)
+
+    monkeypatch.setattr(config, "certify_cutoff", warning)
+    return FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto")
 
 
 class TestParseConfig:
@@ -555,6 +568,7 @@ class TestRun:
             run(cfg, out_dir=str(tmp_path))
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".csv")]
 
+    @pytest.mark.filterwarnings("default::kerr_thermo.errors.BracketBoundaryWarning")
     def test_boundary_warning_lands_in_report_once(self, tmp_path, monkeypatch):
         # a too-small effective-temperature bracket trips the same boundary
         # warning at both sweep points; the report keeps it exactly once
@@ -564,6 +578,34 @@ class TestRun:
         boundary = [w for w in report.warnings if "search_max" in w]
         assert boundary == ["effective-temperature maximizer hit search_max = 0.05; enlarge the bracket"]
         assert boundary[0] in read_lines(tmp_path / "run_report.txt")
+
+    def test_point_warning_raised_as_error_fails_the_run(self, tmp_path, monkeypatch):
+        # the run keeps the caller's filters: under an error filter the same
+        # boundary warning raises out of the first point and no file is written
+        monkeypatch.setattr(cli, "default_search_max", lambda entries: 0.05)
+        cfg = parse_config("command = thermalize\nn_th = 0.4, 0.5\nn_cut = 20\nt_end = 4\nn_samples = 6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketBoundaryWarning, match="search_max = 0.05"):
+                run(cfg, out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_certificate_warning_lands_in_report(self, tmp_path, monkeypatch):
+        text = warn_while_certifying(monkeypatch)
+        report = run(parse_config(text), out_dir=str(tmp_path))
+        assert report.warnings == ["certificate probe"]
+        assert "warnings:\n  - certificate probe\n" in read_lines(tmp_path / "run_report.txt")
+
+    def test_certificate_warning_raised_as_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "s.cfg").write_text(warn_while_certifying(monkeypatch))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["thermalize", "--config", str(tmp_path / "s.cfg"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "kerr-thermo: error: certificate probe\n"
+        assert not os.listdir(out)
 
     def test_input_config_file_not_mutated(self, tmp_path):
         cfgfile = tmp_path / "scenario.cfg"
@@ -783,9 +825,9 @@ class TestMainEntry:
         # The runner reaches numpy's private np.linalg._umath_linalg for
         # OpenBLAS thread control, so a deprecation there must fail here
         # before it fails a run: one process under -X dev -W error runs a
-        # small qfi, cfi, thermalize and purity-sweep.  A point records its
-        # warnings for the run report rather than raising them, so each
-        # report must list none.
+        # small qfi, cfi, thermalize and purity-sweep.  The run records
+        # warnings under the interpreter's filters, so -W error raises any
+        # warning a run meets and fails it; each report must list none.
         runs = [
             ["qfi", "--preset", "fig3a", "--override", "chi=0.3"],
             ["cfi", "--preset", "fig8a", "--override", "n_samples=21"],

@@ -9,7 +9,6 @@ from kerr_thermo import (
     FisherSeries,
     PerturbedTrajectories,
     Povm,
-    SpectralReport,
     SystemParams,
     Trajectory,
     Truncation,
@@ -234,11 +233,6 @@ READ_ONLY_RECORDS = {
         Trajectory,
         lambda: dict(times=np.arange(2.0), entries=np.zeros((2, 2, 2), dtype=complex)),
         dict(leakage_max=0.0),
-    ),
-    "SpectralReport": (
-        SpectralReport,
-        lambda: dict(eigenvalues=np.arange(4.0), gaps=np.ones(3)),
-        dict(window=(0, 1), variance=0.0),
     ),
     "PerturbedTrajectories": (
         PerturbedTrajectories,

@@ -122,6 +122,11 @@ class TestHeterodynePovm:
         with pytest.raises(GridInsufficientError, match="radius"):
             heterodyne_povm(Truncation(30), grid_radius=2.0, grid_step=0.4)
 
+    @pytest.mark.parametrize("mean_photon", [-2.0, -0.5, math.nan, math.inf])
+    def test_bad_mean_photon_is_named(self, mean_photon):
+        with pytest.raises(ValueError, match="mean_photon must be finite and nonnegative"):
+            heterodyne_povm(Truncation(8), mean_photon=mean_photon)
+
     def test_gamma_tail_matches_scipy(self):
         from scipy.special import gammaincc
 
