@@ -267,7 +267,7 @@ def _run_point(args: tuple[ScenarioConfig, int]) -> _PointResult:
     point = config.sweep_points()[index]
     try:
         return _run_point_inner(config, point)
-    except KerrThermoError as exc:
+    except (KerrThermoError, Warning) as exc:  # a Warning a filter raised
         where = ", ".join(f"{k} = {exact_text(v)}" for k, v in point.items())
         raise type(exc)(f"sweep point {index} ({where}): {exc}") from exc
 

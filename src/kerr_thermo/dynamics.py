@@ -37,7 +37,8 @@ Hamiltonian and the dissipators keep it), and on the coherences rho_{i,i+k},
 k >= 1, it acts complex-linearly.  So the solve is a block elimination in
 complex blocks of size d - k from k = d - 1 down to 1, then one real step on
 the populations, and the n_th-derivative of the steady state is one more
-sweep through the same factors.  The blocks come straight from the stencil,
+sweep through the same factors, returned as the propagation's pair with one
+sample at tau = inf.  The blocks come straight from the stencil,
 and the solve reads and writes rho's entries, so the Hermitian-basis
 coordinates serve the propagator and the outcome map alone.  The runtime
 needs numpy only.
@@ -66,6 +67,7 @@ from .fock import (
 __all__ = [
     "TimeGrid",
     "Trajectory",
+    "PerturbedTrajectories",
     "generator_entries",
     "lindblad_rhs",
     "propagate",
@@ -78,6 +80,9 @@ __all__ = [
 # smallest eigenvalue falls below -_STATE_TOL.
 _TRACE_DRIFT_LIMIT = 1e-6
 _STATE_TOL = 1e-6
+
+# The relative QFI rank floor for an exact derivative.
+_EXACT_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,8 @@ class _States(Sequence):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, the (n_samples, d, d) stack of validated states,
-    and the worst leakage seen.
+    """Sampled evolution: times, the (n_samples, d, d) stack of states
+    (validated, or residual-checked for the steady state), and the worst leakage seen.
 
     ``entries`` is read-only; ``states`` views it as DensityMatrix values.
     """
@@ -167,6 +172,30 @@ class Trajectory:
     @property
     def final(self) -> DensityMatrix:
         return self.states[-1]
+
+
+@dataclass(frozen=True)
+class PerturbedTrajectories:
+    """A central trajectory and its n_th-derivative at every sample.
+
+    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th,
+    exact from :func:`_evolve` and from :func:`steady_state_tangent` (one
+    sample, at tau = inf).  ``rank_tol_rel`` is the relative rank floor the
+    pair's QFI is taken at: the default suits an exact derivative, and a pair
+    whose derivative carries roundoff, such as a finite-difference stencil,
+    carries a floor raised above it.  Every Fisher series reads this pair.
+    """
+
+    central: Trajectory
+    derivative: np.ndarray
+    rank_tol_rel: float = _EXACT_RANK_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "derivative", _read_only(self.derivative))
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.central.times
 
 
 def _jump_terms(params: SystemParams, dim: int):
@@ -453,9 +482,9 @@ def _evolve(
     grid: TimeGrid,
     trunc: Truncation,
     tangent: bool,
-) -> tuple[Trajectory, np.ndarray | None]:
-    """:func:`propagate`, and with ``tangent`` the read-only (n_samples, d, d)
-    stack of the trajectory's exact n_th-derivative (None without).
+) -> Trajectory | PerturbedTrajectories:
+    """:func:`propagate`, and with ``tangent`` the trajectory paired with the
+    (n_samples, d, d) stack of its exact n_th-derivative.
 
     The derivative steps with the coordinates as the pair (x, x') from x' = 0
     (rho0 does not depend on n_th).  It is exactly Hermitian; a non-finite
@@ -485,7 +514,7 @@ def _evolve(
     entries.setflags(write=False)
     trajectory = Trajectory(times=times, entries=entries, leakage_max=leakage_max)
     if not tangent:
-        return trajectory, None
+        return trajectory
     finite = np.isfinite(rows[:, 1]).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(
@@ -493,7 +522,7 @@ def _evolve(
         )
     derivative = _from_coordinate_rows(rows[:, 1], dim)
     derivative.setflags(write=False)
-    return trajectory, derivative
+    return PerturbedTrajectories(trajectory, derivative)
 
 
 def propagate(
@@ -513,7 +542,7 @@ def propagate(
     NumericalFailureError, each naming the first offending time.  The dense
     map holds n_cut^4 doubles.
     """
-    return _evolve(rho0, params, grid, trunc, tangent=False)[0]
+    return _evolve(rho0, params, grid, trunc, tangent=False)
 
 
 def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation) -> float:
@@ -706,8 +735,8 @@ def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
         ) from exc
 
 
-def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
-    """The steady state and its exact derivative in n_th, as Hermitian matrices.
+def steady_state_tangent(params: SystemParams, trunc: Truncation) -> PerturbedTrajectories:
+    """The steady state and its exact n_th-derivative: a pair with one sample, at tau = inf.
 
     Differentiating R x = 0 in n_th gives R_c x' = -R1 x, R1 the slope the
     module docstring defines, with the trace row of R_c set to 0 (x' is
@@ -718,7 +747,8 @@ def steady_state_tangent(params: SystemParams, trunc: Truncation) -> tuple[np.nd
     mat, solver = _steady_solve(params, trunc)
     drift = -_stencil_apply(_N_TH_SLOPE, mat)
     drift[0, 0] = 0.0
-    return mat, solver.solve(drift)
+    central = Trajectory(times=(math.inf,), entries=mat[None], leakage_max=_leakage(mat))
+    return PerturbedTrajectories(central, solver.solve(drift)[None])
 
 
 def purity(rho) -> float:

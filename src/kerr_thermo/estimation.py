@@ -16,12 +16,13 @@ defines, are built by the same Taylor products and squarings, and the
 samples carry d rho / d n_th exactly.  The pair carries the relative rank
 floor its QFI is taken at, so a pair built another way (the tests'
 five-point stencil, whose entries carry roundoff of order eps/h) can raise
-it.  The QFI series is one stacked ``eigh`` of the central trajectory, and
-:func:`qfi` is its one-state case; the CFI sum lives beside ``cfi_series``
-in :mod:`~kerr_thermo.measurement`.  The input
-gates are phrased so that NaN fails them.  The steady state's QFI needs no
-propagation: its exact derivative is one more linear solve, and it certifies
-the Fock cutoff of ``n_cut = auto`` runs.
+it.  The steady state needs no propagation: ``steady_state_tangent``
+returns the pair with one sample, at tau = inf, by one more linear solve, and
+its QFI certifies the Fock cutoff of ``n_cut = auto`` runs.  The QFI series is
+one stacked ``eigh`` of the central trajectory, and :func:`qfi` is its
+one-state case; the CFI sum lives beside ``cfi_series`` in
+:mod:`~kerr_thermo.measurement`.  The input gates are phrased so that NaN
+fails them.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ import numpy as np
 from .errors import TruncationError
 from .fock import DensityMatrix, SystemParams, Truncation, _read_only, as_matrix, vacuum_state
 from .dynamics import (
+    _EXACT_RANK_TOL,
     _evolve,
-    _leakage,
+    PerturbedTrajectories,
     TimeGrid,
-    Trajectory,
     steady_state_tangent,
 )
 
@@ -47,14 +48,12 @@ __all__ = [
     "FdConfig",
     "SldResult",
     "FisherSeries",
-    "PerturbedTrajectories",
     "fd_step",
     "stencil_combine",
     "qfi",
     "tangent_trajectories",
     "qfi_series",
     "cr_bound",
-    "steady_state_qfi",
     "CutoffCertificate",
     "certify_cutoff",
 ]
@@ -74,9 +73,6 @@ _CERT_FIRST_NCUT = 8
 # 3.5 s and 167 MB peak RSS at 48 levels on 2 cores.
 # An explicit larger n_cut still propagates.
 _AUTO_NCUT_MAX = 48
-
-# The relative QFI rank floor for an exact derivative.
-_EXACT_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,7 @@ class FisherSeries:
 
     @property
     def plateau(self) -> float:
-        """Value at the final sampled time."""
+        """Value at the final sampled time: at tau = inf for a steady pair."""
         return float(self.values[-1])
 
     def time_at_fraction(self, frac: float) -> float:
@@ -222,30 +218,6 @@ def _qfi_stack(rho: np.ndarray, drho: np.ndarray, rank_tol_rel: float):
     return terms.sum(axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class PerturbedTrajectories:
-    """A central trajectory and its n_th-derivative at every sample.
-
-    ``derivative`` is the read-only (n_samples, d, d) stack d rho / d n_th;
-    :func:`tangent_trajectories` gives the exact derivative of the propagated
-    map.  ``rank_tol_rel`` is the relative rank floor the pair's QFI is taken
-    at (see :func:`qfi`): the default suits an exact derivative, and a pair
-    whose derivative carries roundoff, such as a finite-difference stencil,
-    carries a floor raised above it.  Every Fisher series reads this pair.
-    """
-
-    central: Trajectory
-    derivative: np.ndarray
-    rank_tol_rel: float = _EXACT_RANK_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "derivative", _read_only(self.derivative))
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.central.times
-
-
 def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation) -> PerturbedTrajectories:
     """Propagate the vacuum-seeded run once, carrying its exact n_th-derivative.
 
@@ -259,8 +231,7 @@ def tangent_trajectories(params: SystemParams, grid: TimeGrid, trunc: Truncation
     Al-Mohy & Higham 2009).  One propagation, at about three matrix products
     for each one of the map alone.
     """
-    central, derivative = _evolve(vacuum_state(trunc), params, grid, trunc, tangent=True)
-    return PerturbedTrajectories(central, derivative)
+    return _evolve(vacuum_state(trunc), params, grid, trunc, tangent=True)
 
 
 def qfi_series(trajectories: PerturbedTrajectories) -> FisherSeries:
@@ -280,12 +251,6 @@ def cr_bound(fisher: float, repetitions: int = 1) -> float:
     if not isinstance(repetitions, (int, np.integer)) or repetitions < 1:
         raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
     return 1.0 / (repetitions * fisher)
-
-
-def steady_state_qfi(params: SystemParams, trunc: Truncation) -> tuple[float, float]:
-    """QFI of the steady state in n_th, from its exact tangent, and the top-two-level leakage."""
-    rho, drho = steady_state_tangent(params, trunc)
-    return qfi(rho, drho).qfi, _leakage(rho)
 
 
 @dataclass(frozen=True)
@@ -317,7 +282,8 @@ def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> Cutoff
     for index, params in enumerate(points):
         @functools.cache
         def at(n: int) -> tuple[float, float]:
-            return steady_state_qfi(params, Truncation(n))
+            pair = steady_state_tangent(params, Truncation(n))
+            return qfi_series(pair).plateau, pair.central.leakage_max
 
         for n_cut in ([best.n_cut] if best else []) + list(range(_CERT_FIRST_NCUT, _AUTO_NCUT_MAX + 1, 2)):
             value, leakage = at(n_cut)

@@ -15,10 +15,9 @@ on the Hermitian-basis coordinates gives a whole trajectory's distributions in
 one matmul, and :func:`outcome_distribution` is its one-state case.  By the
 same linearity, the same map applied to the coordinates of d rho / d n_th
 gives the derivatives of the distributions, so ``cfi_series(pair, povm)``
-reads a (central trajectory, derivative stack) pair, such as the exact one of
-:func:`~kerr_thermo.estimation.tangent_trajectories`, with two matmuls and
-takes the CFI sum over every sample at once; :func:`cfi` is the sum's
-one-state case.
+reads a (central trajectory, derivative stack) pair, transient or at
+tau = inf, with two matmuls and takes the CFI sum over every sample at once;
+:func:`cfi` is the sum's one-state case.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import numpy as np
 
 from .errors import GridInsufficientError
 from .fock import Truncation, _read_only, annihilation, as_matrix
-from .dynamics import _coordinates
-from .estimation import FisherSeries, PerturbedTrajectories
+from .dynamics import PerturbedTrajectories, _coordinates
+from .estimation import FisherSeries
 
 __all__ = [
     "Povm",
@@ -58,6 +57,13 @@ _MAP_CHUNK = 64
 # The heterodyne grid is a Riemann sum, so its identity resolution holds only
 # to this defect; the homodyne eigenbasis is held to Povm's default 1e-6.
 _HETERODYNE_COMPLETENESS_TOL = 1e-4
+
+# The most points a heterodyne grid's bounding square may hold, checked before
+# anything is allocated.  The largest default grid over n_cut 2-120 is 161^2 =
+# 25,921 points (n_cut 72 with mean_photon = n_cut); ten times that lets an
+# explicit grid refine the default step about threefold, while an array of
+# one complex value per point stays at 4 MB.
+_HETERODYNE_MAX_POINTS = 2**18
 
 # Homodyne outcomes: the quadrature eigenbasis on this many levels (or n_cut,
 # if larger), so the cfi_hom columns do not depend on the state's cutoff.
@@ -206,7 +212,9 @@ def heterodyne_povm(
     ``grid_radius``; each element carries Riemann weight step^2 / pi.  Defaults
     cover both the Husimi support of a state with the given ``mean_photon``
     (finite and nonnegative) and the identity resolution on the full truncated
-    space.  A completeness defect above 1e-4 raises GridInsufficientError.
+    space.  A radius or step that is not finite and positive, or a grid whose
+    bounding square holds more than 2^18 points, raises ValueError; a
+    completeness defect above 1e-4 raises GridInsufficientError.
     """
     if not (mean_photon >= 0 and math.isfinite(mean_photon)):
         raise ValueError(f"mean_photon must be finite and nonnegative, got {mean_photon}")
@@ -215,10 +223,17 @@ def heterodyne_povm(
         grid_radius = max(3.0 + 2.0 * math.sqrt(mean_photon + 1.0), _completeness_radius(dim))
     if grid_step is None:
         grid_step = _default_grid_step(dim)
-    if not grid_radius > 0 or not grid_step > 0:
-        raise ValueError("grid_radius and grid_step must be positive")
+    for name, value in (("grid_radius", grid_radius), ("grid_step", grid_step)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    half = math.floor(min(grid_radius / grid_step, _HETERODYNE_MAX_POINTS))
+    if (2 * half + 1) ** 2 > _HETERODYNE_MAX_POINTS:
+        raise ValueError(
+            f"heterodyne grid (radius {grid_radius:g}, step {grid_step:g}) has a bounding "
+            f"square of more than {_HETERODYNE_MAX_POINTS} points; coarsen the step or "
+            f"shrink the radius"
+        )
 
-    half = int(math.floor(grid_radius / grid_step))
     axis = grid_step * np.arange(-half, half + 1)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     alphas = (re + 1j * im).ravel()

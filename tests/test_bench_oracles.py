@@ -3,9 +3,11 @@
 ``perfbench/workloads.py`` judges every benchmark run by oracles that import
 library names (``fd_step``, ``stencil_combine``, ``qfi``, ``ScenarioConfig.fd``)
 and by a capture hook on ``cli.propagate``.  The ``fisher`` oracle reads
-``qfi(...).qfi``, which is why ``qfi`` still returns an ``SldResult``.  Running them here makes a library
-change that breaks what the benchmark uses fail the test suite, not only the
-benchmark.
+``qfi(...).qfi``: that is the one reason ``qfi`` and its ``SldResult`` stay,
+since every Fisher value of the library, the steady state's at tau = inf
+included, comes from ``qfi_series`` or ``cfi_series`` on a pair.  Running them
+here makes a library change that breaks what the benchmark uses fail the test
+suite, not only the benchmark.
 """
 
 import sys

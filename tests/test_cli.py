@@ -586,8 +586,9 @@ class TestRun:
         cfg = parse_config("command = thermalize\nn_th = 0.4, 0.5\nn_cut = 20\nt_end = 4\nn_samples = 6\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BracketBoundaryWarning, match="search_max = 0.05"):
+            with pytest.raises(BracketBoundaryWarning, match="search_max = 0.05") as raised:
                 run(cfg, out_dir=str(tmp_path))
+        assert str(raised.value).startswith("sweep point 0 (delta = 0, chi = 0, drive = 0, n_th = 0.4): ")
         assert not os.listdir(tmp_path)
 
     @pytest.mark.filterwarnings("default::UserWarning")

@@ -141,7 +141,8 @@ def test_order_zero_couples_to_order_one_through_real_and_imaginary_parts(name):
 def test_block_solve_matches_sparse_lu(name, n_cut):
     params, trunc = PARAMS[name], Truncation(n_cut, leakage_tol=0.5)
     rho_ref, drho_ref = sparse_lu_tangent(params, trunc)
-    rho, drho = steady_state_tangent(params, trunc)
+    pair = steady_state_tangent(params, trunc)
+    rho, drho = pair.central.entries[0], pair.derivative[0]
     assert np.abs(rho - rho_ref).max() <= 1e-12
     assert np.abs(drho - drho_ref).max() <= 1e-12
     assert np.abs(steady_state(params, trunc).entries - rho_ref).max() <= 1e-12

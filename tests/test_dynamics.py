@@ -200,8 +200,8 @@ class TestHermitianBasis:
         def run():
             traj = propagate(vacuum_state(trunc), self.PARAMS, grid, trunc)
             ss = steady_state(self.PARAMS, trunc)
-            rho, drho = steady_state_tangent(self.PARAMS, trunc)
-            return traj.entries, ss.entries, rho, drho
+            pair = steady_state_tangent(self.PARAMS, trunc)
+            return traj.entries, ss.entries, pair.central.entries, pair.derivative
 
         cached = run()
         for name in CACHED_BUILDS:
@@ -513,7 +513,8 @@ class TestSteadyStateTangent:
 
     def test_state_matches_steady_state(self):
         trunc = Truncation(16)
-        rho, drho = steady_state_tangent(self.PARAMS, trunc)
+        pair = steady_state_tangent(self.PARAMS, trunc)
+        rho, drho = pair.central.entries[0], pair.derivative[0]
         assert np.abs(rho - steady_state(self.PARAMS, trunc).entries).max() < 1e-12
         assert np.abs(drho - drho.conj().T).max() == 0.0
         assert abs(np.trace(drho)) < 1e-12
@@ -521,7 +522,7 @@ class TestSteadyStateTangent:
     def test_derivative_matches_stencil_of_steady_states(self):
         # the exact tangent solve against a five-point stencil of full solves
         trunc = Truncation(16)
-        _, drho = steady_state_tangent(self.PARAMS, trunc)
+        drho = steady_state_tangent(self.PARAMS, trunc).derivative[0]
         h = 1e-3
         ss = {
             k: steady_state(self.PARAMS.with_n_th(0.05 + k * h), trunc).entries
@@ -533,7 +534,7 @@ class TestSteadyStateTangent:
     def test_undriven_linear_cavity_thermal_derivative(self):
         # the Gibbs family: d p_j / d n = p_j (j / n - (j + 1) / (n + 1))
         n, dim = 0.1, 30
-        _, drho = steady_state_tangent(linear_params(n), Truncation(dim))
+        drho = steady_state_tangent(linear_params(n), Truncation(dim)).derivative[0]
         j = np.arange(dim)
         p = (n / (n + 1.0)) ** j / (n + 1.0)
         assert np.abs(drho - np.diag(p * (j / n - (j + 1.0) / (n + 1.0)))).max() < 1e-10

@@ -19,7 +19,7 @@ from kerr_thermo import (
     qfi,
     qfi_series,
     stencil_combine,
-    steady_state_qfi,
+    steady_state_tangent,
     tangent_trajectories,
     vacuum_state,
 )
@@ -328,13 +328,15 @@ class TestCertifyCutoff:
     def test_certified_cutoff_matches_large_reference(self, corner):
         params = SystemParams(*CORNERS[corner])
         cert = certify_cutoff([params], leakage_tol=1e-8)
-        value, leakage = steady_state_qfi(params, Truncation(cert.n_cut))
+        pair = steady_state_tangent(params, Truncation(cert.n_cut))
+        value, leakage = qfi_series(pair).plateau, pair.central.leakage_max
         assert leakage <= 1e-8 / 4
         assert (cert.leakage, cert.point_index) == (leakage, 0)
-        reference, _ = steady_state_qfi(params, Truncation(40))
+        reference = qfi_series(steady_state_tangent(params, Truncation(40))).plateau
         assert abs(value - reference) <= 1e-7 * reference
         # the rule takes the smallest passing n, so n - 2 must fail it
-        below, below_leakage = steady_state_qfi(params, Truncation(cert.n_cut - 2))
+        below_pair = steady_state_tangent(params, Truncation(cert.n_cut - 2))
+        below, below_leakage = qfi_series(below_pair).plateau, below_pair.central.leakage_max
         assert below_leakage > 1e-8 / 4 or abs(value - below) > 1e-7 * value
 
     def test_qfi_change_decides_when_leakage_is_loose(self):
@@ -342,12 +344,13 @@ class TestCertifyCutoff:
         # steady-state qfi still moves by about 2e-6 from 10 to 12
         params = SystemParams(*CORNERS["fig8a"])
         cert = certify_cutoff([params], leakage_tol=1e-4)
-        below, below_leakage = steady_state_qfi(params, Truncation(cert.n_cut - 2))
-        value, _ = steady_state_qfi(params, Truncation(cert.n_cut))
+        below_pair = steady_state_tangent(params, Truncation(cert.n_cut - 2))
+        below, below_leakage = qfi_series(below_pair).plateau, below_pair.central.leakage_max
+        value = qfi_series(steady_state_tangent(params, Truncation(cert.n_cut))).plateau
         assert below_leakage <= 1e-4 / 4
         assert abs(value - below) > 1e-7 * value
         assert cert.qfi_change <= 1e-7
-        reference, _ = steady_state_qfi(params, Truncation(40))
+        reference = qfi_series(steady_state_tangent(params, Truncation(40))).plateau
         assert abs(value - reference) <= 1e-7 * reference
 
     def test_sweep_takes_the_largest_point(self):
@@ -369,8 +372,8 @@ class TestCertifyCutoff:
         alone = [certify_cutoff([p], leakage_tol=1e-8) for p in points]
         index = max(range(len(points)), key=lambda i: alone[i].n_cut)  # the first largest
         calls = []
-        solve = estimation.steady_state_qfi
-        monkeypatch.setattr(estimation, "steady_state_qfi", lambda p, t: calls.append(t.n_cut) or solve(p, t))
+        solve = estimation.steady_state_tangent
+        monkeypatch.setattr(estimation, "steady_state_tangent", lambda p, t: calls.append(t.n_cut) or solve(p, t))
         assert certify_cutoff(points, leakage_tol=1e-8) == dataclasses.replace(alone[index], point_index=index)
         if sweep == "thermalize_seed1":
             assert len(calls) == 13  # 19 when every point walks from 8
@@ -397,7 +400,8 @@ class TestCertifyCutoff:
         params = SystemParams(*CORNERS["fig8a"])
         certify_cutoff([params], leakage_tol=1e-8)
         dynamics.steady_state(params, Truncation(12))
-        rho, drho = dynamics.steady_state_tangent(params, Truncation(12))
+        pair = dynamics.steady_state_tangent(params, Truncation(12))
+        rho, drho = pair.central.entries[0], pair.derivative[0]
         assert dynamics._entry_order.cache_info().currsize == 0
         assert dynamics._upper_indices.cache_info().currsize == 0
         assert np.array_equal(rho, rho.conj().T) and np.array_equal(drho, drho.conj().T)
@@ -405,8 +409,17 @@ class TestCertifyCutoff:
     def test_thermal_qfi_of_undriven_cavity(self):
         # the qfi rank cutoff (1e-12 of the largest eigenvalue) drops the
         # levels above about 11, which carry about 4e-10 of the value
-        value, _ = steady_state_qfi(SystemParams(0.0, 0.0, 0.0, 0.1), Truncation(40))
+        value = qfi_series(steady_state_tangent(SystemParams(0.0, 0.0, 0.0, 0.1), Truncation(40))).plateau
         assert value == pytest.approx(thermal_fisher(0.1), rel=1e-8)
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_steady_pair_qfi_is_the_one_state_qfi(self, corner):
+        # the tau = inf pair's series reads the same stacked kernel as qfi
+        pair = steady_state_tangent(SystemParams(*CORNERS[corner]), Truncation(16))
+        series = qfi_series(pair)
+        assert series.times.tolist() == [math.inf]
+        one_state = qfi(pair.central.entries[0], pair.derivative[0]).qfi
+        assert series.plateau.hex() == one_state.hex()
 
     def test_uncertifiable_point_raises(self):
         # a resonant linear drive holding 64 photons: no cutoff up to 48 holds them

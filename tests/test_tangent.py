@@ -28,7 +28,7 @@ from kerr_thermo import (
     mean_photon_number,
     propagate,
     qfi_series,
-    steady_state_qfi,
+    steady_state_tangent,
     tangent_trajectories,
     vacuum_state,
 )
@@ -48,7 +48,7 @@ PRESET_POINTS = [
 
 # Largest deviations measured over the 21 preset points: QFI series against
 # the stencil at rel_step 1e-2, 8.1e-9 of the series maximum (fig5a, drive
-# 0.5); tau = 30 plateau against steady_state_qfi, 2.9e-11 relative.
+# 0.5); tau = 30 plateau against the tau = inf QFI, 2.9e-11 relative.
 STENCIL_BAND = 2e-8
 PLATEAU_BAND = 1e-9
 # chi = 0 closed forms at n_cut 14 and 20: QFI 1.0e-9, homodyne at most
@@ -96,7 +96,7 @@ def test_agrees_with_stencil_and_steady_state(name, index):
     exact = qfi_series(tangent_pair(params, grid, trunc)).values
     stencil = qfi_series(perturbed_trajectories(params, grid, trunc, COARSE)).values
     assert np.abs(exact - stencil).max() <= STENCIL_BAND * exact.max()
-    plateau = steady_state_qfi(params, trunc)[0]
+    plateau = qfi_series(steady_state_tangent(params, trunc)).plateau
     assert abs(exact[-1] / plateau - 1.0) <= PLATEAU_BAND
 
 
