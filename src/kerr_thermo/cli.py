@@ -1,7 +1,9 @@
 """Scenario runner: dispatch a parsed config to the library and emit CSV series.
 
 A run has two steps.  The compute step evaluates the sweep points in order,
-in this process, and aggregates the run report.  The writer then writes every
+in this process, inside one BLAS scope (one OpenBLAS thread with the idle
+thread pool shut down, the caller's count restored on exit), and aggregates
+the run report.  The writer then writes every
 output once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
@@ -105,13 +107,17 @@ class _PointResult:
     summaries: list[str]
 
 
-# Every command computes a try on one OpenBLAS thread up to this cutoff, and
-# on the process's count above it.  Median wall / CPU s of 7 fresh-process cfi
-# runs of a fig8a point (201 samples, 2-core x86-64 VM), two threads against
-# one: n_cut 12 0.050 / 0.086 against 0.053 / 0.051, 14 0.104 / 0.163 against
-# 0.079 / 0.077, 16 0.130 / 0.214 against 0.117 / 0.116, 18 0.175 / 0.298
-# against 0.187 / 0.187.  thermalize gains 7-35% of its wall time from a
-# second thread at n_cut 18-40.
+# Commands whose sweep points are rows of one table rather than time series.
+_TABLE_COMMANDS = ("spectrum", "purity-sweep")
+
+# A propagating command's try above this cutoff computes on the caller's
+# OpenBLAS thread count; every other try, the cutoff certificate and the table
+# commands at any cutoff compute on one.  Median wall / CPU s of 7
+# fresh-process cfi runs of a fig8a point (201 samples, 2-core x86-64 VM), two
+# threads against one: n_cut 12 0.050 / 0.086 against 0.053 / 0.051, 14
+# 0.104 / 0.163 against 0.079 / 0.077, 16 0.130 / 0.214 against 0.117 /
+# 0.116, 18 0.175 / 0.298 against 0.187 / 0.187.  thermalize gains 7-35% of
+# its wall time from a second thread at n_cut 18-40.
 _ONE_THREAD_NCUT_MAX = 16
 
 # Name prefixes and suffixes of OpenBLAS's thread control: numpy 2 wheels
@@ -121,7 +127,11 @@ _OPENBLAS_NAMES = (("scipy_", "64_"), ("", "64_"), ("", ""), ("scipy_", ""))
 
 
 class _OpenBlas:
-    """An OpenBLAS, reached through its exported ctypes symbols."""
+    """An OpenBLAS, reached through its exported ctypes symbols.
+
+    ``caller_threads`` is the count a run's BLAS scope restores on exit, and
+    None outside a scope.
+    """
 
     def __init__(self, lib, prefix: str, suffix: str):
         self._get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
@@ -131,12 +141,33 @@ class _OpenBlas:
         self._set.argtypes, self._set.restype = [ctypes.c_int], None
         get_config.argtypes, get_config.restype = [], ctypes.c_char_p
         self.name = " ".join(get_config().decode(errors="replace").split())
+        # The routine OpenBLAS's own fork handler calls to join the pool's
+        # workers, exported without prefix or suffix; None when missing.
+        self._shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if self._shutdown is not None:
+            self._shutdown.argtypes, self._shutdown.restype = [], ctypes.c_int
+        self.caller_threads: int | None = None
 
     def threads(self) -> int:
         return self._get()
 
     def set_threads(self, count: int) -> None:
-        self._set(count)
+        # Any set restarts a shut-down pool, even at the count it already has.
+        if count != self._get():
+            self._set(count)
+
+    def park(self) -> None:
+        """One thread, with the idle pool shut down where the library can.
+
+        A thread count of one does not stop a worker that is already
+        spinning: it spins for about 0.12 s after numpy's import and after
+        every threaded call.  Shutting the pool down joins it in about
+        0.1 ms; OpenBLAS starts it again at the next thread-count change or
+        threaded call.
+        """
+        self.set_threads(1)
+        if self._shutdown is not None:
+            self._shutdown()
 
 
 def _find_openblas(lib) -> _OpenBlas | None:
@@ -162,40 +193,60 @@ def _openblas() -> _OpenBlas | None:
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, restoring the old count after.
+def _blas_scope():
+    """A run's BLAS scope: one parked OpenBLAS thread, the caller's count restored after.
 
-    No environment variable is read or set; without the OpenBLAS symbols the
-    count is left as it is.
+    The count is restored also when the block raises.  No environment
+    variable is read or set; without the OpenBLAS symbols the count is left
+    as it is.
     """
     blas = _openblas()
     if blas is None:
         yield
         return
-    old = blas.threads()
-    blas.set_threads(1)
+    blas.caller_threads = blas.threads()
+    blas.park()
     try:
         yield
     finally:
-        blas.set_threads(old)
+        blas.set_threads(blas.caller_threads)
+        blas.caller_threads = None
 
 
-def _one_thread(n_cut: int) -> bool:
-    """Whether a try at ``n_cut`` computes on one BLAS thread."""
-    return n_cut <= _ONE_THREAD_NCUT_MAX
+@contextlib.contextmanager
+def _try_threads(command: str, n_cut: int):
+    """The BLAS threads of one try: the scope's one thread, or, for a try that
+    ``_one_thread`` does not keep there, the caller's count, parked again after."""
+    blas = _openblas()
+    if blas is None or blas.caller_threads is None or _one_thread(command, n_cut):
+        yield
+        return
+    blas.set_threads(blas.caller_threads)
+    try:
+        yield
+    finally:
+        blas.park()
 
 
-def _blas_report(results: list[_PointResult]) -> str:
+def _one_thread(command: str, n_cut: int) -> bool:
+    """Whether a try of ``command`` at ``n_cut`` computes on one BLAS thread.
+
+    A table command's largest matrices are n_cut-sized blocks, so it stays
+    on one thread at every cutoff.
+    """
+    return command in _TABLE_COMMANDS or n_cut <= _ONE_THREAD_NCUT_MAX
+
+
+def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
     """The BLAS and the thread counts the points' final computes ran with."""
     blas = _openblas()
     if blas is None:
         return "not identified, thread count left as it is"
-    counts = sorted({1 if _one_thread(r.n_cut_used) else blas.threads() for r in results})
+    counts = sorted(
+        {1 if _one_thread(config.command, r.n_cut_used) else blas.threads() for r in results}
+    )
     return f"{blas.name}, compute threads: {', '.join(map(str, counts))}"
 
-
-# Commands whose sweep points are rows of one table rather than time series.
-_TABLE_COMMANDS = ("spectrum", "purity-sweep")
 
 # The leakage retry of the table commands stops growing n_cut here.  In a
 # fresh process the first 120-level steady-state solve takes 0.13-0.15 s and
@@ -225,14 +276,15 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
     sample map's n_cut^6 build cost and n_cut^4 memory, and 120
     (``_TABLE_NCUT_MAX``) for the table commands.  A larger cutoff must be set
     explicitly.  When the retries run out the error names the last cutoff tried.
-    A try up to n_cut ``_ONE_THREAD_NCUT_MAX`` runs on one BLAS thread, so a
-    retry that outgrows it gets the process's count back.
+    Inside the run's BLAS scope a propagating command's try above n_cut
+    ``_ONE_THREAD_NCUT_MAX`` gets the caller's thread count back and parks the
+    pool again after; every other try stays on the scope's one thread.
     """
     limit = _TABLE_NCUT_MAX if config.command in _TABLE_COMMANDS else _AUTO_NCUT_MAX
     n_cut = config.trunc().n_cut
     while True:
         try:
-            with _one_blas_thread() if _one_thread(n_cut) else contextlib.nullcontext():
+            with _try_threads(config.command, n_cut):
                 return compute(Truncation(n_cut)), n_cut
         except TruncationError as exc:
             if n_cut >= limit:
@@ -353,16 +405,19 @@ def _check_jobs(jobs: int | None) -> None:
 def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
     """Evaluate the sweep points in order, in this process, and aggregate the report.
 
-    A try up to n_cut ``_ONE_THREAD_NCUT_MAX`` computes on one BLAS thread
-    (see ``_with_truncation_retry``); the limit covers the whole try, because
-    a thread pool that one call leaves spinning keeps burning CPU through the
-    next.  The report names the BLAS and the thread counts the points ran with.
+    The cutoff certificate and every point run inside one BLAS scope
+    (``_blas_scope``): one OpenBLAS thread, with the idle pool shut down on
+    entry so no worker left spinning by numpy's import or an earlier call
+    burns CPU through the run, and the caller's count restored on exit.  Only
+    a propagating command's try above n_cut ``_ONE_THREAD_NCUT_MAX`` gets the
+    caller's count (see ``_with_truncation_retry``).  The report names the
+    BLAS and the thread counts the points ran with.
 
     Warnings from the cutoff certificate and the points are recorded under the
     caller's filters: one that a filter turns into an error raises here, and
     the report lists every recorded message once.
     """
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, _blas_scope():
         # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
         trunc = config.trunc()
         results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
@@ -373,7 +428,7 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
         config_hash=config.config_hash(),
         n_cut_used=trunc.n_cut,
         n_cut_rule=_cutoff_rule(config),
-        blas=_blas_report(results),
+        blas=_blas_report(config, results),
         warnings=list(dict.fromkeys(str(rec.message) for rec in caught)),
     )
     for res in results:

@@ -727,27 +727,90 @@ class TestBlasThreads:
         assert report[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
 
 
+    def test_purity_sweep_computes_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        # a table command stays on one thread above the propagating commands' cutoff
+        assert cli._ONE_THREAD_NCUT_MAX < 30
+        seen = recording_threads(monkeypatch, two_blas_threads, "steady_state")
+        run(parse_config(PURITY_SWEEP_30), out_dir=str(tmp_path))
+        assert seen == [1, 1]
+        assert two_blas_threads.threads() == 2
+        report = read_lines(tmp_path / "run_report.txt").splitlines()
+        assert report[8] == f"blas: {two_blas_threads.name}, compute threads: 1"
+
+    def test_certificate_computes_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        seen = []
+        certify = config.certify_cutoff
+
+        def recorded(points, leakage_tol):
+            seen.append(two_blas_threads.threads())
+            return certify(points, leakage_tol)
+
+        monkeypatch.setattr(config, "certify_cutoff", recorded)
+        run(parse_config(FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto")), out_dir=str(tmp_path))
+        assert seen == [1]
+        assert two_blas_threads.threads() == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+    def test_one_thread_try_runs_without_the_pool_worker(self, tmp_path, monkeypatch, two_blas_threads):
+        # two threads give the pool a worker; a one-thread try runs with it
+        # shut down, and a try above the cutoff has it back
+        if two_blas_threads._shutdown is None:
+            pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
+
+        def tasks():
+            return len(os.listdir("/proc/self/task"))
+
+        seen = []
+        propagate_ = cli.propagate
+
+        def counting(*args, **kwargs):
+            seen.append(tasks())
+            return propagate_(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "propagate", counting)
+        before = tasks()
+        run(parse_config(SMALL_THERMALIZE), out_dir=str(tmp_path / "small"))
+        run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path / "large"))
+        assert seen == [before - 1, before]
+        assert two_blas_threads.threads() == 2
+
+
 SMALL_CFI = (
     "command = cfi\nn_th = 0.1\nchi = 0.4\ndrive = 0.5\nn_cut = 12\n"
     "t_end = 1\nn_samples = 3\nhomodyne_phis = 0\n"
 )
 
+PURITY_SWEEP_30 = "command = purity-sweep\nn_th = 0.05\nchi = 0.2, 0.4\ndrive = 1.0\ndelta = -3.5\nn_cut = 30\n"
+
 
 class FakeOpenBlas:
-    """A library exporting OpenBLAS's thread control under ``prefix`` and ``suffix``."""
+    """A library exporting OpenBLAS's thread control under ``prefix`` and ``suffix``.
 
-    def __init__(self, prefix, suffix):
+    It records every count set.  With ``shutdown`` it also exports
+    ``blas_thread_shutdown_``, which counts its calls.
+    """
+
+    def __init__(self, prefix, suffix, shutdown=False):
         self.count = 2
+        self.sets = []
+        self.shutdowns = 0
 
         def get_config():
             return b"OpenBLAS 0.3.0  fake"
 
         def set_threads(n):
+            self.sets.append(n)
             self.count = n
 
         setattr(self, f"{prefix}openblas_get_num_threads{suffix}", lambda: self.count)
         setattr(self, f"{prefix}openblas_set_num_threads{suffix}", set_threads)
         setattr(self, f"{prefix}openblas_get_config{suffix}", get_config)
+        if shutdown:
+            def shut_down():
+                self.shutdowns += 1
+                return 0
+
+            self.blas_thread_shutdown_ = shut_down
 
 
 @pytest.mark.parametrize("prefix, suffix", [("scipy_", "64_"), ("", "64_"), ("", ""), ("scipy_", "")])
@@ -762,6 +825,40 @@ def test_openblas_found_under_every_export_name(prefix, suffix):
 
 def test_no_openblas_thread_control_found():
     assert cli._find_openblas(object()) is None
+
+
+def fake_openblas(monkeypatch, shutdown):
+    """Make ``cli._openblas`` find a FakeOpenBlas; returns the fake library."""
+    lib = FakeOpenBlas("scipy_", "64_", shutdown)
+    blas = cli._find_openblas(lib)
+    monkeypatch.setattr(cli, "_openblas", lambda: blas)
+    return lib
+
+
+@pytest.mark.parametrize("text, compute, shutdowns, counts", [
+    # one shutdown on entering the run, however many points it has
+    pytest.param(SMALL_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 1, [1, 1], id="n14"),
+    # a try above the one-thread cutoff gets the caller's count and parks the pool again after
+    pytest.param(FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 3, [2, 2], id="n20"),
+    pytest.param(PURITY_SWEEP_30, "steady_state", 1, [1, 1], id="purity-n30"),
+])
+@pytest.mark.parametrize("shutdown", [True, False], ids=["shutdown", "no-shutdown"])
+def test_pool_shut_down_once_per_run(tmp_path, monkeypatch, text, compute, shutdowns, counts, shutdown):
+    # without blas_thread_shutdown_ the run sets the same counts and shuts nothing down
+    lib = fake_openblas(monkeypatch, shutdown)
+    seen = recording_threads(monkeypatch, cli._openblas(), compute)
+    report = run(parse_config(text), out_dir=str(tmp_path))
+    assert (lib.shutdowns, seen, lib.count) == (shutdowns if shutdown else 0, counts, 2)
+    assert report.blas == f"OpenBLAS 0.3.0 fake, compute threads: {counts[0]}"
+
+
+def test_one_thread_caller_keeps_the_pool_shut_down(tmp_path, monkeypatch):
+    # any set_num_threads call restarts a shut-down pool, so a caller already
+    # on one thread gets its count back without one
+    lib = fake_openblas(monkeypatch, shutdown=True)
+    lib.count = 1
+    run(parse_config(SMALL_THERMALIZE), out_dir=str(tmp_path))
+    assert (lib.sets, lib.shutdowns, lib.count) == ([], 1, 1)
 
 
 def test_run_without_blas_thread_control(tmp_path, monkeypatch):
