@@ -2,8 +2,8 @@
 
 A run has two steps.  The compute step evaluates the sweep points in order,
 in this process, inside one BLAS scope (one OpenBLAS thread with the idle
-thread pool shut down, the caller's count restored on exit), and aggregates
-the run report.  The writer then writes every
+thread pool shut down, the caller's count restored on exit with the pool
+still shut down), and aggregates the run report.  The writer then writes every
 output once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
@@ -156,16 +156,16 @@ class _OpenBlas:
         if count != self._get():
             self._set(count)
 
-    def park(self) -> None:
-        """One thread, with the idle pool shut down where the library can.
+    def park(self, count: int = 1) -> None:
+        """``count`` threads, with the idle pool shut down where the library can.
 
-        A thread count of one does not stop a worker that is already
-        spinning: it spins for about 0.12 s after numpy's import and after
-        every threaded call.  Shutting the pool down joins it in about
-        0.1 ms; OpenBLAS starts it again at the next thread-count change or
-        threaded call.
+        A new thread count does not stop a worker that is already spinning:
+        it spins for about 0.12 s after numpy's import, after every threaded
+        call and after a set restarts the pool.  Shutting the pool down
+        joins it in about 0.1 ms; OpenBLAS starts it again at the next
+        thread-count change or threaded call, at the count set here.
         """
-        self.set_threads(1)
+        self.set_threads(count)
         if self._shutdown is not None:
             self._shutdown()
 
@@ -196,9 +196,10 @@ def _openblas() -> _OpenBlas | None:
 def _blas_scope():
     """A run's BLAS scope: one parked OpenBLAS thread, the caller's count restored after.
 
-    The count is restored also when the block raises.  No environment
-    variable is read or set; without the OpenBLAS symbols the count is left
-    as it is.
+    The count is restored also when the block raises, and parked: setting it
+    restarts the pool, whose new worker would otherwise spin for about
+    0.12 s after the run.  No environment variable is read or set; without
+    the OpenBLAS symbols the count is left as it is.
     """
     blas = _openblas()
     if blas is None:
@@ -209,7 +210,7 @@ def _blas_scope():
     try:
         yield
     finally:
-        blas.set_threads(blas.caller_threads)
+        blas.park(blas.caller_threads)
         blas.caller_threads = None
 
 
@@ -408,7 +409,8 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
     The cutoff certificate and every point run inside one BLAS scope
     (``_blas_scope``): one OpenBLAS thread, with the idle pool shut down on
     entry so no worker left spinning by numpy's import or an earlier call
-    burns CPU through the run, and the caller's count restored on exit.  Only
+    burns CPU through the run, and the caller's count restored on exit with
+    the pool still shut down, so no worker spins past the run either.  Only
     a propagating command's try above n_cut ``_ONE_THREAD_NCUT_MAX`` gets the
     caller's count (see ``_with_truncation_retry``).  The report names the
     BLAS and the thread counts the points ran with.

@@ -752,13 +752,17 @@ class TestBlasThreads:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
     def test_one_thread_try_runs_without_the_pool_worker(self, tmp_path, monkeypatch, two_blas_threads):
-        # two threads give the pool a worker; a one-thread try runs with it
-        # shut down, and a try above the cutoff has it back
+        # a threaded call gives the two-thread pool a worker; a one-thread try
+        # runs with it shut down, a try above the cutoff has it back, and no
+        # worker outlives a run until the next threaded call starts one
         if two_blas_threads._shutdown is None:
             pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
 
         def tasks():
             return len(os.listdir("/proc/self/task"))
+
+        def threaded_call():
+            np.ones((256, 256)) @ np.ones((256, 256))
 
         seen = []
         propagate_ = cli.propagate
@@ -768,11 +772,14 @@ class TestBlasThreads:
             return propagate_(*args, **kwargs)
 
         monkeypatch.setattr(cli, "propagate", counting)
+        threaded_call()
         before = tasks()
         run(parse_config(SMALL_THERMALIZE), out_dir=str(tmp_path / "small"))
         run(parse_config(FAST_THERMALIZE), out_dir=str(tmp_path / "large"))
         assert seen == [before - 1, before]
-        assert two_blas_threads.threads() == 2
+        assert (tasks(), two_blas_threads.threads()) == (before - 1, 2)
+        threaded_call()
+        assert tasks() == before
 
 
 SMALL_CFI = (
@@ -836,14 +843,16 @@ def fake_openblas(monkeypatch, shutdown):
 
 
 @pytest.mark.parametrize("text, compute, shutdowns, counts", [
-    # one shutdown on entering the run, however many points it has
-    pytest.param(SMALL_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 1, [1, 1], id="n14"),
+    # one shutdown on entering the run and one on leaving it, however many points it has
+    pytest.param(SMALL_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 2, [1, 1], id="n14"),
     # a try above the one-thread cutoff gets the caller's count and parks the pool again after
-    pytest.param(FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 3, [2, 2], id="n20"),
-    pytest.param(PURITY_SWEEP_30, "steady_state", 1, [1, 1], id="purity-n30"),
+    pytest.param(FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 4, [2, 2], id="n20"),
+    pytest.param(PURITY_SWEEP_30, "steady_state", 2, [1, 1], id="purity-n30"),
 ])
 @pytest.mark.parametrize("shutdown", [True, False], ids=["shutdown", "no-shutdown"])
-def test_pool_shut_down_once_per_run(tmp_path, monkeypatch, text, compute, shutdowns, counts, shutdown):
+def test_pool_shut_down_on_entering_and_leaving_the_run(
+    tmp_path, monkeypatch, text, compute, shutdowns, counts, shutdown
+):
     # without blas_thread_shutdown_ the run sets the same counts and shuts nothing down
     lib = fake_openblas(monkeypatch, shutdown)
     seen = recording_threads(monkeypatch, cli._openblas(), compute)
@@ -858,7 +867,7 @@ def test_one_thread_caller_keeps_the_pool_shut_down(tmp_path, monkeypatch):
     lib = fake_openblas(monkeypatch, shutdown=True)
     lib.count = 1
     run(parse_config(SMALL_THERMALIZE), out_dir=str(tmp_path))
-    assert (lib.sets, lib.shutdowns, lib.count) == ([], 1, 1)
+    assert (lib.sets, lib.shutdowns, lib.count) == ([], 2, 1)
 
 
 def test_run_without_blas_thread_control(tmp_path, monkeypatch):
