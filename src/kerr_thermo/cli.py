@@ -3,8 +3,10 @@
 A run has two steps.  The compute step evaluates the sweep points in order,
 in this process, inside one BLAS scope (one OpenBLAS thread with the idle
 thread pool shut down, the caller's count restored on exit with the pool
-still shut down), and aggregates the run report.  The writer then writes every
-output once: deterministic CSV files (comma separated, LF endings, 12
+still shut down), and aggregates the run report; a point's cutoff doubles on
+leakage up to the cap that :mod:`~kerr_thermo.config` sets for the command's
+kind, where the ``auto`` walk also stops.  The writer then writes every output
+once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
 used and how it was chosen, worst leakage, wall time, per-point summaries and
@@ -34,13 +36,14 @@ from . import __version__
 from .config import (
     COMMANDS,
     GAP_WINDOW,
+    TABLE_COMMANDS,
     ScenarioConfig,
     exact_text,
     homodyne_label,
     resolve_config,
 )
 from .errors import ConfigError, KerrThermoError, TruncationError
-from .estimation import _AUTO_NCUT_MAX, cr_bound, qfi_series, tangent_trajectories
+from .estimation import cr_bound, qfi_series, tangent_trajectories
 from .fidelity import EffTempTrace, default_search_max, thermalization_trace
 from .fock import Truncation, mean_photon_number, vacuum_state
 from .dynamics import _leakage, propagate, purity, steady_state
@@ -83,19 +86,10 @@ class RunReport:
             "resolved config:",
         ]
         lines += [f"  {line}" for line in self.config_echo.strip().splitlines()]
-        lines.append("")
-        lines.append("outputs:")
-        lines += [f"  - {name}" for name in self.outputs] or ["  (none)"]
+        lines += ["", "outputs:"] + ([f"  - {name}" for name in self.outputs] or ["  (none)"])
         if self.summaries:
-            lines.append("")
-            lines.append("summaries:")
-            lines += [f"  {line}" for line in self.summaries]
-        lines.append("")
-        lines.append("warnings:")
-        if self.warnings:
-            lines += [f"  - {w}" for w in self.warnings]
-        else:
-            lines.append("  (none)")
+            lines += ["", "summaries:"] + [f"  {line}" for line in self.summaries]
+        lines += ["", "warnings:"] + ([f"  - {w}" for w in self.warnings] or ["  (none)"])
         return "\n".join(lines) + "\n"
 
 
@@ -106,9 +100,6 @@ class _PointResult:
     leakage_max: float
     summaries: list[str]
 
-
-# Commands whose sweep points are rows of one table rather than time series.
-_TABLE_COMMANDS = ("spectrum", "purity-sweep")
 
 # A propagating command's try above this cutoff computes on the caller's
 # OpenBLAS thread count; every other try, the cutoff certificate and the table
@@ -235,7 +226,7 @@ def _one_thread(command: str, n_cut: int) -> bool:
     A table command's largest matrices are n_cut-sized blocks, so it stays
     on one thread at every cutoff.
     """
-    return command in _TABLE_COMMANDS or n_cut <= _ONE_THREAD_NCUT_MAX
+    return command in TABLE_COMMANDS or n_cut <= _ONE_THREAD_NCUT_MAX
 
 
 def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
@@ -247,14 +238,6 @@ def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
         {1 if _one_thread(config.command, r.n_cut_used) else blas.threads() for r in results}
     )
     return f"{blas.name}, compute threads: {', '.join(map(str, counts))}"
-
-
-# The leakage retry of the table commands stops growing n_cut here.  In a
-# fresh process the first 120-level steady-state solve takes 0.13-0.15 s and
-# raises VmHWM by 38 MB on 2 cores, 0.025 s and 11 MB of it to build the
-# closed-form blocks.  Flops grow as n_cut^4 and memory as n_cut^3, so 240
-# levels would take about 16 times as long and 8 times the memory.
-_TABLE_NCUT_MAX = 120
 
 
 def _format_value(x: float) -> str:
@@ -272,16 +255,15 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
     """Run ``compute(trunc)``, growing n_cut when the cutoff proves too small.
 
     It starts at ``config.trunc()``, the certified cutoff for ``n_cut = auto``,
-    and n_cut doubles on each TruncationError up to one size cap: 48
-    (``_AUTO_NCUT_MAX``) for the commands that propagate, set by the dense
-    sample map's n_cut^6 build cost and n_cut^4 memory, and 120
-    (``_TABLE_NCUT_MAX``) for the table commands.  A larger cutoff must be set
-    explicitly.  When the retries run out the error names the last cutoff tried.
+    and n_cut doubles on each TruncationError up to ``config.n_cut_max()``, the
+    cap of the command's kind that the ``auto`` walk also stops at.  A larger
+    cutoff must be set explicitly.  When the retries run out the error names
+    the last cutoff tried.
     Inside the run's BLAS scope a propagating command's try above n_cut
     ``_ONE_THREAD_NCUT_MAX`` gets the caller's thread count back and parks the
     pool again after; every other try stays on the scope's one thread.
     """
-    limit = _TABLE_NCUT_MAX if config.command in _TABLE_COMMANDS else _AUTO_NCUT_MAX
+    limit = config.n_cut_max()
     n_cut = config.trunc().n_cut
     while True:
         try:
@@ -479,17 +461,18 @@ def _csv_text(config: ScenarioConfig, columns: dict[str, np.ndarray]) -> str:
 
 
 def _write(out_dir: str, report: RunReport, files: dict[str, str], start: float) -> RunReport:
-    """Write every output file, then ``run_report.txt``; on failure remove what was written."""
+    """Write every output file, then ``run_report.txt``; on failure remove every file opened."""
     written: list[str] = []
     try:
         for name, text in files.items():
             with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+                written.append(name)
                 fh.write(text)
-            written.append(name)
-        report.outputs = written
+        report.outputs = list(written)
         report.out_dir = out_dir
         report.wall_time_s = time.perf_counter() - start
         with open(os.path.join(out_dir, "run_report.txt"), "w", newline="\n") as fh:
+            written.append("run_report.txt")
             fh.write(report.render())
         return report
     except Exception:
@@ -511,7 +494,7 @@ def run(config: ScenarioConfig, out_dir: str | None = None, jobs: int | None = N
     out_dir = config.output_path if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
     report, results = _compute(config)
-    if config.command in _TABLE_COMMANDS:
+    if config.command in TABLE_COMMANDS:
         tables = {f"{config.command.replace('-', '_')}.csv": _merged_rows(config, results)}
     else:
         tables = {
@@ -574,7 +557,7 @@ def reproduce_figure(name: str, out_dir: str | None = None) -> RunReport:
     out_dir = config.output_path if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
     report, results = _compute(config)
-    merge = _merged_rows if config.command in _TABLE_COMMANDS else _merged_curves
+    merge = _merged_rows if config.command in TABLE_COMMANDS else _merged_curves
     columns = merge(config, results)
     checks = _figure_checks(name, config, columns)
     report.summaries.extend(checks)

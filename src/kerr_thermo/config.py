@@ -7,7 +7,9 @@ parameters accept lists, and a run executes over the Cartesian product of all
 lists given.  Angles accept a trailing ``pi`` factor ("0.9pi", "-pi").  Unknown keys
 are errors, not warnings.  ``SystemParams``, ``Truncation`` and ``TimeGrid``
 check their own fields and ``fd_step`` the stencil's placement; validation
-calls them and adds only the rules that belong to a run.
+calls them and adds only the rules that belong to a run.  A run's cutoff
+starts at ``ScenarioConfig.trunc`` and grows, in the ``auto`` walk and the
+leakage retry alike, up to the cap of its command kind, ``n_cut_max``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ COMMANDS = (
     "spectrum",
     "purity-sweep",
 )
+
+# Commands whose sweep points are rows of one table rather than time series.
+TABLE_COMMANDS = ("spectrum", "purity-sweep")
+
+# The largest cutoff a run grows to unasked, per command kind: the n_cut = auto
+# walk and the leakage retry both stop there.  The caps bound cost; an explicit
+# larger n_cut runs on the same path.  Propagating: the dense sample map holds
+# n_cut^4 doubles and takes n_cut^6 flops to build (one fig8a trajectory, 201
+# samples to tau = 30: 3.5 s and 167 MB peak RSS at 48 levels on 2 cores).
+PROPAGATING_NCUT_MAX = 48
+# Tables: the block solve's flops grow as n_cut^4 and its memory as n_cut^3 (the
+# first 120-level solve in a process: 0.13-0.15 s and +38 MB VmHWM on 2 cores).
+TABLE_NCUT_MAX = 120
 
 # Fields whose values may be swept (comma lists).
 SWEEPABLE = ("delta", "chi", "drive", "n_th")
@@ -152,7 +167,11 @@ class ScenarioConfig:
         if self.n_cut is not None:
             return None
         points = [self.params_at(point) for point in self.sweep_points()]
-        return certify_cutoff(points, Truncation.leakage_tol)
+        return certify_cutoff(points, Truncation.leakage_tol, self.n_cut_max())
+
+    def n_cut_max(self) -> int:
+        """The cap of this run's command kind on the auto walk and the leakage retry."""
+        return TABLE_NCUT_MAX if self.command in TABLE_COMMANDS else PROPAGATING_NCUT_MAX
 
     def trunc(self) -> Truncation:
         """The cutoff of every point: ``n_cut``, at least ``SPECTRUM_MIN_NCUT``

@@ -18,9 +18,10 @@ floor its QFI is taken at, so a pair built another way (the tests'
 five-point stencil, whose entries carry roundoff of order eps/h) can raise
 it.  The steady state needs no propagation: ``steady_state_tangent``
 returns the pair with one sample, at tau = inf, by one more linear solve, and
-its QFI certifies the Fock cutoff of ``n_cut = auto`` runs.  The QFI series is
-one stacked ``eigh`` of the central trajectory, and :func:`qfi` is its
-one-state case; the CFI sum lives beside ``cfi_series`` in
+its QFI certifies the Fock cutoff of ``n_cut = auto`` runs, walking up to
+the cap that :mod:`~kerr_thermo.config` sets for the run's command.  The QFI
+series is one stacked ``eigh`` of the central trajectory, and :func:`qfi` is
+its one-state case; the CFI sum lives beside ``cfi_series`` in
 :mod:`~kerr_thermo.measurement`.  The input gates are phrased so that NaN
 fails them.
 """
@@ -65,14 +66,6 @@ __all__ = [
 _CERT_MARGIN = 4.0
 _CERT_QFI_RTOL = 1e-7
 _CERT_FIRST_NCUT = 8
-
-# Automatic cutoff growth stops at this n_cut: the certify_cutoff walk here and
-# the leakage retry of the propagating commands in cli.  It caps cost, not
-# accuracy.  propagate's dense sample map holds n_cut^4 doubles and takes
-# n_cut^6 flops to build; one fig8a trajectory (201 samples to tau = 30) takes
-# 3.5 s and 167 MB peak RSS at 48 levels on 2 cores.
-# An explicit larger n_cut still propagates.
-_AUTO_NCUT_MAX = 48
 
 
 @dataclass(frozen=True)
@@ -268,16 +261,21 @@ class CutoffCertificate:
     qfi_change: float
 
 
-def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> CutoffCertificate:
-    """The smallest even cutoff that the steady state certifies at every point.
+def certify_cutoff(
+    points: Sequence[SystemParams], leakage_tol: float, n_cut_max: int | None = None
+) -> CutoffCertificate:
+    """The largest of the sweep points' first certifying cutoffs.
 
-    At each point, walk n = 8, 10, ... up to _AUTO_NCUT_MAX (48) and
-    take the first n whose steady-state leakage is at most leakage_tol / 4 and
-    whose steady-state QFI moves by at most 1e-7 relative from n to n + 2.
-    The sweep's cutoff is the largest of these; a point that no n certifies
-    raises TruncationError.  A later point is first tried at the running
-    maximum (certifying there, it cannot raise it) and walked only if it fails.
+    At each point, walk n = 8, 10, ... up to ``n_cut_max`` (the run's cap; None
+    takes the propagating commands') to the first n whose steady-state leakage
+    is at most leakage_tol / 4 and whose steady-state QFI moves by at most 1e-7
+    relative from n to n + 2; a point that no n certifies raises
+    TruncationError.  A later point is first tried at the running maximum and
+    walked only if it fails there.  No point is checked again at a larger
+    cutoff that a later point sets, and the QFI change need not fall with n.
     """
+    if n_cut_max is None:  # config imports this module, so its cap is read here
+        from .config import PROPAGATING_NCUT_MAX as n_cut_max
     best = None
     for index, params in enumerate(points):
         @functools.cache
@@ -285,7 +283,7 @@ def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float) -> Cutoff
             pair = steady_state_tangent(params, Truncation(n))
             return qfi_series(pair).plateau, pair.central.leakage_max
 
-        for n_cut in ([best.n_cut] if best else []) + list(range(_CERT_FIRST_NCUT, _AUTO_NCUT_MAX + 1, 2)):
+        for n_cut in ([best.n_cut] if best else []) + list(range(_CERT_FIRST_NCUT, n_cut_max + 1, 2)):
             value, leakage = at(n_cut)
             change = math.inf
             if leakage <= leakage_tol / _CERT_MARGIN:

@@ -1,4 +1,4 @@
-"""The benchmark's own correctness checks, run on each workload's seed-1 draw.
+"""The benchmark's own correctness checks, run on each workload's seed-1 and seed-2 draws.
 
 ``perfbench/workloads.py`` judges every benchmark run by oracles that import
 library names (``fd_step``, ``stencil_combine``, ``qfi``, ``ScenarioConfig.fd``)
@@ -22,9 +22,13 @@ import scenario  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", workloads.WORKLOADS)
-def test_workload_passes_its_checks(name, tmp_path, monkeypatch):
-    bench = workloads.make_scenario(name, 1)
+@pytest.mark.parametrize(
+    "name, seed",
+    [pytest.param(name, 1, id=name) for name in workloads.WORKLOADS]
+    + [pytest.param(name, 2, id=f"{name}-seed2") for name in workloads.WORKLOADS],
+)
+def test_workload_passes_its_checks(name, seed, tmp_path, monkeypatch):
+    bench = workloads.make_scenario(name, seed)
     config = workloads.resolve(bench)
     out_dir, capture_dir = tmp_path / "out", tmp_path / "capture"
     capture_dir.mkdir()

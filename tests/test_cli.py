@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -59,9 +60,9 @@ def warn_while_certifying(monkeypatch):
     """Make the cutoff certificate warn; returns a config that certifies."""
     certify = config.certify_cutoff
 
-    def warning(points, leakage_tol):
+    def warning(points, leakage_tol, n_cut_max):
         warnings.warn("certificate probe", UserWarning)
-        return certify(points, leakage_tol)
+        return certify(points, leakage_tol, n_cut_max)
 
     monkeypatch.setattr(config, "certify_cutoff", warning)
     return FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto")
@@ -232,7 +233,7 @@ class TestParseConfig:
                 assert isinstance(cfg.n_cut, int), name
 
     def test_resolving_does_not_certify(self, monkeypatch):
-        def refuse(points, leakage_tol):
+        def refuse(points, leakage_tol, n_cut_max):
             raise AssertionError("certified while resolving")
 
         monkeypatch.setattr(config, "certify_cutoff", refuse)
@@ -390,9 +391,9 @@ class TestRun:
         calls = []
         certify = config.certify_cutoff
 
-        def counting(points, leakage_tol):
+        def counting(points, leakage_tol, n_cut_max):
             calls.append(len(points))
-            return certify(points, leakage_tol)
+            return certify(points, leakage_tol, n_cut_max)
 
         monkeypatch.setattr(config, "certify_cutoff", counting)
         text = FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto").replace(
@@ -491,6 +492,21 @@ class TestRun:
         with pytest.raises(TruncationError, match="last cutoff tried: n_cut = 120.*set a larger n_cut"):
             run(cfg, out_dir=str(tmp_path))
 
+    def test_auto_certifies_a_table_point_past_the_propagating_cap(self, tmp_path):
+        # the drive-5 point above under auto: the walk goes past 48 levels, as
+        # far as the retry may, and reaches the exact purity 1 / (1 + 2 n_th)
+        cfg = parse_config("command = purity-sweep\nn_th = 0.05\ndelta = 0\ndrive = 5\nn_cut = auto\n")
+        report = run(cfg, out_dir=str(tmp_path))
+        assert 48 < cfg.cutoff_certificate.n_cut == report.n_cut_used <= 120
+        rows = [ln for ln in read_lines(tmp_path / "purity_sweep.csv").splitlines() if not ln.startswith("#")]
+        assert float(rows[1].split(",")[1]) == pytest.approx(1.0 / 1.1, abs=1e-8)
+
+    def test_uncertifiable_table_point_names_the_table_cap(self, tmp_path):
+        cfg = parse_config("command = purity-sweep\nn_th = 0.05\ndelta = 0\ndrive = 10\nn_cut = auto\n")
+        with pytest.raises(TruncationError, match=r"no cutoff up to n_cut = 120 certifies sweep point 0"):
+            run(cfg, out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
+
     def test_thermalize_summary_names_search_max(self, tmp_path):
         cfg = parse_config(FAST_THERMALIZE)
         report = run(cfg, out_dir=str(tmp_path))
@@ -567,6 +583,30 @@ class TestRun:
         with pytest.raises(NumericalFailureError, match=r"sweep point 1 \(.*n_th = 2\): non-finite state"):
             run(cfg, out_dir=str(tmp_path))
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".csv")]
+
+    @pytest.mark.parametrize("failing", ["thermalize_n_th0.1.csv", "run_report.txt"])
+    def test_write_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch, failing):
+        # the disk fills after 10 bytes of one file: that file goes with
+        # every file written before it
+        def open_(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if os.path.basename(path) == failing:
+                write = fh.write
+
+                def full_disk(text):
+                    write(text[:10])
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                fh.write = full_disk
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_, raising=False)
+        cfg = parse_config(FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"))
+        with pytest.raises(OSError) as raised:
+            run(cfg, out_dir=str(tmp_path))
+        assert raised.value.errno == errno.ENOSPC
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.filterwarnings("default::kerr_thermo.errors.BracketBoundaryWarning")
     def test_boundary_warning_lands_in_report_once(self, tmp_path, monkeypatch):
@@ -741,9 +781,9 @@ class TestBlasThreads:
         seen = []
         certify = config.certify_cutoff
 
-        def recorded(points, leakage_tol):
+        def recorded(points, leakage_tol, n_cut_max):
             seen.append(two_blas_threads.threads())
-            return certify(points, leakage_tol)
+            return certify(points, leakage_tol, n_cut_max)
 
         monkeypatch.setattr(config, "certify_cutoff", recorded)
         run(parse_config(FAST_THERMALIZE.replace("n_cut = 20", "n_cut = auto")), out_dir=str(tmp_path))

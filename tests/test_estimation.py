@@ -26,6 +26,7 @@ from kerr_thermo import (
 from kerr_thermo import dynamics, estimation
 from kerr_thermo.config import resolve_config
 from kerr_thermo.errors import TruncationError
+from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
 from stencil import fd_derivative, perturbed_trajectories
 from conftest import random_density_matrix
@@ -377,6 +378,20 @@ class TestCertifyCutoff:
         assert certify_cutoff(points, leakage_tol=1e-8) == dataclasses.replace(alone[index], point_index=index)
         if sweep == "thermalize_seed1":
             assert len(calls) == 13  # 19 when every point walks from 8
+
+    @pytest.mark.parametrize("preset", [name for name in FIGURE_NAMES if PRESETS[name]["n_cut"] == "auto"])
+    def test_every_point_passes_both_checks_at_the_sweeps_cutoff(self, preset):
+        # the walk checks each point at its own first certifying n only; on
+        # the propagating presets every point also passes at the sweep's
+        config = resolve_config(preset=preset)
+        n_cut = config.trunc().n_cut
+        for point in config.sweep_points():
+            params = config.params_at(point)
+            pair = steady_state_tangent(params, Truncation(n_cut))
+            value, leakage = qfi_series(pair).plateau, pair.central.leakage_max
+            above = qfi_series(steady_state_tangent(params, Truncation(n_cut + 2))).plateau
+            assert leakage <= Truncation.leakage_tol / 4, point
+            assert abs(above - value) <= 1e-7 * abs(above), point
 
     def test_steady_paths_build_no_generator_table(self):
         # the steady state and its tangent read the closed-form coherence
