@@ -1,12 +1,13 @@
 """Scenario runner: dispatch a parsed config to the library and emit CSV series.
 
 A run has two steps.  The compute step evaluates the sweep points in order,
-in this process, inside one BLAS scope (one OpenBLAS thread with the idle
-thread pool shut down, the caller's count restored on exit with the pool
-still shut down), and aggregates the run report; a point's cutoff doubles on
-leakage up to the cap that :mod:`~kerr_thermo.config` sets for the command's
-kind, where the ``auto`` walk also stops.  The writer then writes every output
-once: deterministic CSV files (comma separated, LF endings, 12
+in this process, inside one BLAS scope (the idle thread pool shut down, the
+cutoff certificate on one OpenBLAS thread, then one thread count for the whole
+run, decided from its cutoff, and the caller's count restored on exit with
+the pool still shut down), and aggregates the run report; a point's cutoff
+doubles on leakage up to the cap that :mod:`~kerr_thermo.config` sets for the
+command's kind, where the ``auto`` walk also stops.  The writer then writes
+every output once: deterministic CSV files (comma separated, LF endings, 12
 significant digits, '#' header comments embedding the resolved config hash)
 plus ``run_report.txt`` with the resolved config echo, the truncation actually
 used and how it was chosen, worst leakage, wall time, per-point summaries and
@@ -101,14 +102,14 @@ class _PointResult:
     summaries: list[str]
 
 
-# A propagating command's try above this cutoff computes on the caller's
-# OpenBLAS thread count; every other try, the cutoff certificate and the table
-# commands at any cutoff compute on one.  Median wall / CPU s of 7
-# fresh-process cfi runs of a fig8a point (201 samples, 2-core x86-64 VM), two
-# threads against one: n_cut 12 0.050 / 0.086 against 0.053 / 0.051, 14
-# 0.104 / 0.163 against 0.079 / 0.077, 16 0.130 / 0.214 against 0.117 /
-# 0.116, 18 0.175 / 0.298 against 0.187 / 0.187.  thermalize gains 7-35% of
-# its wall time from a second thread at n_cut 18-40.
+# A propagating command's run above this cutoff computes on the caller's
+# OpenBLAS thread count, retries included; every other run, the cutoff
+# certificate and the table commands at any cutoff compute on one.  Median
+# wall / CPU s of 7 fresh-process cfi runs of a fig8a point (201 samples,
+# 2-core x86-64 VM), two threads against one: n_cut 12 0.050 / 0.086 against
+# 0.053 / 0.051, 14 0.104 / 0.163 against 0.079 / 0.077, 16 0.130 / 0.214
+# against 0.117 / 0.116, 18 0.175 / 0.298 against 0.187 / 0.187.  thermalize
+# gains 7-35% of its wall time from a second thread at n_cut 18-40.
 _ONE_THREAD_NCUT_MAX = 16
 
 # Name prefixes and suffixes of OpenBLAS's thread control: numpy 2 wheels
@@ -118,11 +119,7 @@ _OPENBLAS_NAMES = (("scipy_", "64_"), ("", "64_"), ("", ""), ("scipy_", ""))
 
 
 class _OpenBlas:
-    """An OpenBLAS, reached through its exported ctypes symbols.
-
-    ``caller_threads`` is the count a run's BLAS scope restores on exit, and
-    None outside a scope.
-    """
+    """An OpenBLAS, reached through its exported ctypes symbols."""
 
     def __init__(self, lib, prefix: str, suffix: str):
         self._get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
@@ -137,7 +134,6 @@ class _OpenBlas:
         self._shutdown = getattr(lib, "blas_thread_shutdown_", None)
         if self._shutdown is not None:
             self._shutdown.argtypes, self._shutdown.restype = [], ctypes.c_int
-        self.caller_threads: int | None = None
 
     def threads(self) -> int:
         return self._get()
@@ -187,57 +183,31 @@ def _openblas() -> _OpenBlas | None:
 def _blas_scope():
     """A run's BLAS scope: one parked OpenBLAS thread, the caller's count restored after.
 
-    The count is restored also when the block raises, and parked: setting it
-    restarts the pool, whose new worker would otherwise spin for about
-    0.12 s after the run.  No environment variable is read or set; without
-    the OpenBLAS symbols the count is left as it is.
+    Yields the caller's count, or None without the OpenBLAS symbols, where
+    the count is left as it is.  The count is restored also when the block
+    raises, and parked: setting it restarts the pool, whose new worker would
+    otherwise spin for about 0.12 s after the run.  No environment variable
+    is read or set.
     """
     blas = _openblas()
     if blas is None:
-        yield
+        yield None
         return
-    blas.caller_threads = blas.threads()
+    caller_threads = blas.threads()
     blas.park()
     try:
-        yield
+        yield caller_threads
     finally:
-        blas.park(blas.caller_threads)
-        blas.caller_threads = None
-
-
-@contextlib.contextmanager
-def _try_threads(command: str, n_cut: int):
-    """The BLAS threads of one try: the scope's one thread, or, for a try that
-    ``_one_thread`` does not keep there, the caller's count, parked again after."""
-    blas = _openblas()
-    if blas is None or blas.caller_threads is None or _one_thread(command, n_cut):
-        yield
-        return
-    blas.set_threads(blas.caller_threads)
-    try:
-        yield
-    finally:
-        blas.park()
+        blas.park(caller_threads)
 
 
 def _one_thread(command: str, n_cut: int) -> bool:
-    """Whether a try of ``command`` at ``n_cut`` computes on one BLAS thread.
+    """Whether a run of ``command`` at ``n_cut`` computes on one BLAS thread.
 
     A table command's largest matrices are n_cut-sized blocks, so it stays
     on one thread at every cutoff.
     """
     return command in TABLE_COMMANDS or n_cut <= _ONE_THREAD_NCUT_MAX
-
-
-def _blas_report(config: ScenarioConfig, results: list[_PointResult]) -> str:
-    """The BLAS and the thread counts the points' final computes ran with."""
-    blas = _openblas()
-    if blas is None:
-        return "not identified, thread count left as it is"
-    counts = sorted(
-        {1 if _one_thread(config.command, r.n_cut_used) else blas.threads() for r in results}
-    )
-    return f"{blas.name}, compute threads: {', '.join(map(str, counts))}"
 
 
 def _format_value(x: float) -> str:
@@ -258,17 +228,13 @@ def _with_truncation_retry(config: ScenarioConfig, compute):
     and n_cut doubles on each TruncationError up to ``config.n_cut_max()``, the
     cap of the command's kind that the ``auto`` walk also stops at.  A larger
     cutoff must be set explicitly.  When the retries run out the error names
-    the last cutoff tried.
-    Inside the run's BLAS scope a propagating command's try above n_cut
-    ``_ONE_THREAD_NCUT_MAX`` gets the caller's thread count back and parks the
-    pool again after; every other try stays on the scope's one thread.
+    the last cutoff tried.  Every try computes on the run's thread count.
     """
     limit = config.n_cut_max()
     n_cut = config.trunc().n_cut
     while True:
         try:
-            with _try_threads(config.command, n_cut):
-                return compute(Truncation(n_cut)), n_cut
+            return compute(Truncation(n_cut)), n_cut
         except TruncationError as exc:
             if n_cut >= limit:
                 raise TruncationError(
@@ -389,21 +355,28 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
     """Evaluate the sweep points in order, in this process, and aggregate the report.
 
     The cutoff certificate and every point run inside one BLAS scope
-    (``_blas_scope``): one OpenBLAS thread, with the idle pool shut down on
-    entry so no worker left spinning by numpy's import or an earlier call
-    burns CPU through the run, and the caller's count restored on exit with
-    the pool still shut down, so no worker spins past the run either.  Only
-    a propagating command's try above n_cut ``_ONE_THREAD_NCUT_MAX`` gets the
-    caller's count (see ``_with_truncation_retry``).  The report names the
-    BLAS and the thread counts the points ran with.
+    (``_blas_scope``): the idle pool is shut down on entry so no worker left
+    spinning by numpy's import or an earlier call burns CPU through the run,
+    and the caller's count is restored on exit with the pool still shut
+    down, so no worker spins past the run either.  The certificate computes
+    on one thread.  Once the run's cutoff is known the thread count is
+    decided once: a propagating command above n_cut ``_ONE_THREAD_NCUT_MAX``
+    gets the caller's count back, every other run stays on one thread, and
+    every point and retry computes on that count.  The report names the BLAS
+    and that count.
 
     Warnings from the cutoff certificate and the points are recorded under the
     caller's filters: one that a filter turns into an error raises here, and
     the report lists every recorded message once.
     """
-    with warnings.catch_warnings(record=True) as caught, _blas_scope():
-        # Certify an auto cutoff once; the config caches it, and every point's retry starts there.
+    blas = _openblas()
+    with warnings.catch_warnings(record=True) as caught, _blas_scope() as caller_threads:
+        # Certify an auto cutoff once, on one thread; the config caches it,
+        # and every point's retry starts there.
         trunc = config.trunc()
+        threads = 1 if _one_thread(config.command, trunc.n_cut) else caller_threads
+        if blas is not None:
+            blas.set_threads(threads)
         results = [_run_point((config, i)) for i in range(len(config.sweep_points()))]
 
     report = RunReport(
@@ -412,7 +385,7 @@ def _compute(config: ScenarioConfig) -> tuple[RunReport, list[_PointResult]]:
         config_hash=config.config_hash(),
         n_cut_used=trunc.n_cut,
         n_cut_rule=_cutoff_rule(config),
-        blas=_blas_report(config, results),
+        blas=f"{blas.name}, compute threads: {threads}" if blas else "not identified, thread count left as it is",
         warnings=list(dict.fromkeys(str(rec.message) for rec in caught)),
     )
     for res in results:

@@ -261,21 +261,17 @@ class CutoffCertificate:
     qfi_change: float
 
 
-def certify_cutoff(
-    points: Sequence[SystemParams], leakage_tol: float, n_cut_max: int | None = None
-) -> CutoffCertificate:
+def certify_cutoff(points: Sequence[SystemParams], leakage_tol: float, n_cut_max: int) -> CutoffCertificate:
     """The largest of the sweep points' first certifying cutoffs.
 
-    At each point, walk n = 8, 10, ... up to ``n_cut_max`` (the run's cap; None
-    takes the propagating commands') to the first n whose steady-state leakage
-    is at most leakage_tol / 4 and whose steady-state QFI moves by at most 1e-7
-    relative from n to n + 2; a point that no n certifies raises
-    TruncationError.  A later point is first tried at the running maximum and
-    walked only if it fails there.  No point is checked again at a larger
-    cutoff that a later point sets, and the QFI change need not fall with n.
+    At each point, walk n = 8, 10, ... up to ``n_cut_max`` (the run's cap) to
+    the first n whose steady-state leakage is at most leakage_tol / 4 and
+    whose steady-state QFI moves by at most 1e-7 relative from n to n + 2; a
+    point that no n certifies raises TruncationError.  A later point is first
+    tried at the running maximum and walked only if it fails there.  No point
+    is checked again at a larger cutoff that a later point sets, and the QFI
+    change need not fall with n.
     """
-    if n_cut_max is None:  # config imports this module, so its cap is read here
-        from .config import PROPAGATING_NCUT_MAX as n_cut_max
     best = None
     for index, params in enumerate(points):
         @functools.cache

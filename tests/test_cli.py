@@ -165,12 +165,35 @@ class TestParseConfig:
             ("chi", "-1"),
             ("delta", "inf"),
             ("n_cut", "1"),
+            ("chi", ","),
+            ("n_cut", "12.5"),
         ],
     )
     def test_out_of_range_value_names_field(self, key, value):
         with pytest.raises(ConfigError, match=key) as info:
             parse_config(f"command = thermalize\nn_th = 0.1\nt_end = 1\nn_samples = 3\n{key} = {value}\n")
         assert info.value.field == key
+
+    @pytest.mark.parametrize(
+        "text, overrides, message, field, line",
+        [
+            pytest.param("command = thermalize\n = 3\n", (), "line 2: empty key", None, 2, id="empty-key"),
+            pytest.param(
+                "command = thermalize\nn_th = 0.1\nn_th = 0.2\n", (), "line 3: duplicate key 'n_th'", "n_th", 3,
+                id="duplicate-key",
+            ),
+            pytest.param("n_th = 0.1\n", (), "missing required key 'command'", "command", None, id="no-command"),
+            pytest.param("preset = fig99\n", (), "unknown preset 'fig99'", "preset", None, id="unknown-preset"),
+            pytest.param(
+                "preset = fig2a\n", ("n_th",), "override 'n_th' is not of the form key=value", None, None,
+                id="override-without-equals",
+            ),
+        ],
+    )
+    def test_input_error_names_its_place(self, text, overrides, message, field, line):
+        with pytest.raises(ConfigError) as info:
+            resolve_config(file_text=text, overrides=overrides)
+        assert (str(info.value), info.value.field, info.value.line) == (message, field, line)
 
     def test_removed_keys_are_unknown(self):
         # t_start only relabelled the time axis, abs_floor mattered only below
@@ -710,8 +733,9 @@ class TestBlasThreads:
         lines = read_lines(tmp_path / "run_report.txt").splitlines()
         assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
 
-    def test_retry_past_the_threshold_gets_the_count_back(self, tmp_path, monkeypatch, two_blas_threads):
-        # n_cut 10 fails and the retry runs at 20, above the one-thread cutoff
+    def test_retry_keeps_the_runs_count(self, tmp_path, monkeypatch, two_blas_threads):
+        # n_cut 10 fails and the retry runs at 20, above the one-thread
+        # cutoff, on the one count the run chose from its cutoff of 10
         seen = []
         propagate_ = cli.propagate
 
@@ -723,9 +747,10 @@ class TestBlasThreads:
 
         monkeypatch.setattr(cli, "propagate", fail_first)
         run(parse_config(FAST_THERMALIZE.replace("n_cut = 20", "n_cut = 10")), out_dir=str(tmp_path))
-        assert seen == [(10, 1), (20, 2)]
+        assert seen == [(10, 1), (20, 1)]
         lines = read_lines(tmp_path / "run_report.txt").splitlines()
-        assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 2"
+        assert lines[4] == "n_cut used: 20"
+        assert lines[8] == f"blas: {two_blas_threads.name}, compute threads: 1"
 
     def test_count_restored_when_a_point_raises(self, tmp_path, monkeypatch, two_blas_threads):
         propagate_ = cli.propagate
@@ -792,9 +817,9 @@ class TestBlasThreads:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
     def test_one_thread_try_runs_without_the_pool_worker(self, tmp_path, monkeypatch, two_blas_threads):
-        # a threaded call gives the two-thread pool a worker; a one-thread try
-        # runs with it shut down, a try above the cutoff has it back, and no
-        # worker outlives a run until the next threaded call starts one
+        # a threaded call gives the two-thread pool a worker; a one-thread run
+        # computes with it shut down, a run above the cutoff has it back, and
+        # no worker outlives a run until the next threaded call starts one
         if two_blas_threads._shutdown is None:
             pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
 
@@ -882,22 +907,24 @@ def fake_openblas(monkeypatch, shutdown):
     return lib
 
 
-@pytest.mark.parametrize("text, compute, shutdowns, counts", [
+@pytest.mark.parametrize("text, compute, counts", [
     # one shutdown on entering the run and one on leaving it, however many points it has
-    pytest.param(SMALL_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 2, [1, 1], id="n14"),
-    # a try above the one-thread cutoff gets the caller's count and parks the pool again after
-    pytest.param(FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", 4, [2, 2], id="n20"),
-    pytest.param(PURITY_SWEEP_30, "steady_state", 2, [1, 1], id="purity-n30"),
+    pytest.param(SMALL_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", [1, 1], id="n14"),
+    # a run above the one-thread cutoff gets the caller's count once, after the certificate
+    pytest.param(FAST_THERMALIZE.replace("n_th = 0.1", "n_th = 0.05, 0.1"), "propagate", [2, 2], id="n20"),
+    pytest.param(PURITY_SWEEP_30, "steady_state", [1, 1], id="purity-n30"),
 ])
 @pytest.mark.parametrize("shutdown", [True, False], ids=["shutdown", "no-shutdown"])
 def test_pool_shut_down_on_entering_and_leaving_the_run(
-    tmp_path, monkeypatch, text, compute, shutdowns, counts, shutdown
+    tmp_path, monkeypatch, text, compute, counts, shutdown
 ):
-    # without blas_thread_shutdown_ the run sets the same counts and shuts nothing down
+    # without blas_thread_shutdown_ the run sets the same counts and shuts
+    # nothing down; each run sets one thread on entry and the caller's two
+    # once, after the certificate or on leaving, whatever its cutoff
     lib = fake_openblas(monkeypatch, shutdown)
     seen = recording_threads(monkeypatch, cli._openblas(), compute)
     report = run(parse_config(text), out_dir=str(tmp_path))
-    assert (lib.shutdowns, seen, lib.count) == (shutdowns if shutdown else 0, counts, 2)
+    assert (lib.shutdowns, seen, lib.sets, lib.count) == (2 if shutdown else 0, counts, [1, 2], 2)
     assert report.blas == f"OpenBLAS 0.3.0 fake, compute threads: {counts[0]}"
 
 
@@ -945,6 +972,48 @@ class TestMainEntry:
         rc = main(["reproduce-figure", "--preset", "fig99", "--out", str(tmp_path)])
         assert rc == 1
         assert "unknown figure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            pytest.param(["thermalize"], "n_th = 0.1\n = 3\n", "line 2: empty key", id="empty-key"),
+            pytest.param(
+                ["thermalize"], "n_th = 0.1\nn_th = 0.2\n", "line 2: duplicate key 'n_th'", id="duplicate-key"
+            ),
+            pytest.param(["thermalize", "--preset", "fig99"], None, "unknown preset 'fig99'", id="unknown-preset"),
+            pytest.param(
+                ["thermalize", "--preset", "fig2a", "--override", "n_th=,"], None,
+                "n_th requires at least one value", id="empty-list",
+            ),
+            pytest.param(
+                ["thermalize", "--preset", "fig2a", "--override", "n_samples=2.5"], None,
+                "value '2.5' for n_samples is not an integer", id="non-integer",
+            ),
+            pytest.param(
+                ["thermalize", "--preset", "fig2a", "--override", "n_th"], None,
+                "override 'n_th' is not of the form key=value", id="override-without-equals",
+            ),
+            pytest.param(
+                ["reproduce-figure"], None, "reproduce-figure requires --preset <figure name>",
+                id="figure-without-preset",
+            ),
+            pytest.param(
+                ["reproduce-figure", "--preset", "fig2a"], "n_th = 0.1\n",
+                "reproduce-figure takes no --config or --override", id="figure-with-config",
+            ),
+            pytest.param(
+                ["reproduce-figure", "--preset", "fig2a", "--override", "n_th=0.2"], None,
+                "reproduce-figure takes no --config or --override", id="figure-with-override",
+            ),
+        ],
+    )
+    def test_input_error_exits_one(self, tmp_path, capsys, argv, text, message):
+        if text is not None:
+            (tmp_path / "scenario.cfg").write_text(text)
+            argv = argv + ["--config", str(tmp_path / "scenario.cfg")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"kerr-thermo: error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_override_flag(self, tmp_path):
         cfgfile = tmp_path / "scenario.cfg"
@@ -1050,7 +1119,51 @@ class TestRunnerAddsNoDefaults:
         }
 
 
+# Each preset's cutoff rule, its cutoff (certified under auto) and its BLAS
+# compute threads when the caller runs two: fig5c alone, at 18 levels, runs
+# above the one-thread cutoff and computes on the caller's count.
+PRESET_RUNS = {
+    "fig2a": ("auto", 14, 1),
+    "fig2b": ("auto", 14, 1),
+    "fig2c": ("auto", 12, 1),
+    "fig2d": ("auto", 12, 1),
+    "fig3a": ("auto", 14, 1),
+    "fig3b": ("auto", 16, 1),
+    "fig3c": ("auto", 16, 1),
+    "fig4": ("fixed", 72, 1),
+    "fig5a": ("auto", 16, 1),
+    "fig5b": ("auto", 16, 1),
+    "fig5c": ("auto", 18, 2),
+    "fig6": ("fixed", 72, 1),
+    "fig7a": ("fixed", 30, 1),
+    "fig7b": ("fixed", 30, 1),
+    "fig8a": ("auto", 12, 1),
+    "fig8b": ("auto", 14, 1),
+    "fig8c": ("auto", 16, 1),
+}
+
+
 class TestReproduceFigure:
+    def test_every_preset_passes_its_checks(self, tmp_path, request):
+        # all 17 presets in one process: every sidecar check passes, and each
+        # run reports the cutoff and the thread count the table holds
+        blas = cli._openblas()
+        if blas is not None:
+            request.getfixturevalue("two_blas_threads")
+        assert list(PRESET_RUNS) == list(FIGURE_NAMES)
+        checks = []
+        for name, (rule, n_cut, threads) in PRESET_RUNS.items():
+            report = reproduce_figure(name, out_dir=str(tmp_path / name))
+            sidecar = read_lines(tmp_path / name / f"{name}_params.txt").splitlines()
+            checks += [line.strip() for line in sidecar if line.startswith("  [")]
+            expected_blas = (
+                f"{blas.name}, compute threads: {threads}" if blas else "not identified, thread count left as it is"
+            )
+            got = (report.n_cut_rule.split(",")[0], report.n_cut_used, report.blas)
+            assert got == (rule, n_cut, expected_blas), name
+        assert len(checks) == 24
+        assert all(check.startswith("[PASS]") for check in checks), checks
+
     def test_fig2a_thermalize(self, tmp_path):
         report = reproduce_figure("fig2a", out_dir=str(tmp_path))
         rows = [ln for ln in read_lines(tmp_path / "fig2a.csv").splitlines() if not ln.startswith("#")]

@@ -24,7 +24,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics, estimation
-from kerr_thermo.config import resolve_config
+from kerr_thermo.config import PROPAGATING_NCUT_MAX, resolve_config
 from kerr_thermo.errors import TruncationError
 from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
@@ -328,7 +328,7 @@ class TestCertifyCutoff:
     @pytest.mark.parametrize("corner", sorted(CORNERS))
     def test_certified_cutoff_matches_large_reference(self, corner):
         params = SystemParams(*CORNERS[corner])
-        cert = certify_cutoff([params], leakage_tol=1e-8)
+        cert = certify_cutoff([params], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
         pair = steady_state_tangent(params, Truncation(cert.n_cut))
         value, leakage = qfi_series(pair).plateau, pair.central.leakage_max
         assert leakage <= 1e-8 / 4
@@ -344,7 +344,7 @@ class TestCertifyCutoff:
         # at leakage_tol 1e-4 the leakage test passes from n = 10, but the
         # steady-state qfi still moves by about 2e-6 from 10 to 12
         params = SystemParams(*CORNERS["fig8a"])
-        cert = certify_cutoff([params], leakage_tol=1e-4)
+        cert = certify_cutoff([params], leakage_tol=1e-4, n_cut_max=PROPAGATING_NCUT_MAX)
         below_pair = steady_state_tangent(params, Truncation(cert.n_cut - 2))
         below, below_leakage = qfi_series(below_pair).plateau, below_pair.central.leakage_max
         value = qfi_series(steady_state_tangent(params, Truncation(cert.n_cut))).plateau
@@ -356,8 +356,8 @@ class TestCertifyCutoff:
 
     def test_sweep_takes_the_largest_point(self):
         points = [SystemParams(*CORNERS["fig2a"]), SystemParams(*CORNERS["fig5c_drive1.5"])]
-        alone = [certify_cutoff([p], leakage_tol=1e-8).n_cut for p in points]
-        cert = certify_cutoff(points, leakage_tol=1e-8)
+        alone = [certify_cutoff([p], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX).n_cut for p in points]
+        cert = certify_cutoff(points, leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
         assert alone[0] < alone[1]
         assert (cert.n_cut, cert.point_index) == (alone[1], 1)
 
@@ -370,12 +370,13 @@ class TestCertifyCutoff:
         else:
             config = resolve_config(preset=sweep)
             points = [config.params_at(p) for p in config.sweep_points()]
-        alone = [certify_cutoff([p], leakage_tol=1e-8) for p in points]
+        alone = [certify_cutoff([p], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX) for p in points]
         index = max(range(len(points)), key=lambda i: alone[i].n_cut)  # the first largest
         calls = []
         solve = estimation.steady_state_tangent
         monkeypatch.setattr(estimation, "steady_state_tangent", lambda p, t: calls.append(t.n_cut) or solve(p, t))
-        assert certify_cutoff(points, leakage_tol=1e-8) == dataclasses.replace(alone[index], point_index=index)
+        cert = certify_cutoff(points, leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
+        assert cert == dataclasses.replace(alone[index], point_index=index)
         if sweep == "thermalize_seed1":
             assert len(calls) == 13  # 19 when every point walks from 8
 
@@ -398,7 +399,7 @@ class TestCertifyCutoff:
         # blocks, never the real (5, nnz) table the propagator uses
         dynamics._generator_table.cache_clear()
         params = SystemParams(*CORNERS["fig8a"])
-        certify_cutoff([params], leakage_tol=1e-8)
+        certify_cutoff([params], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
         dynamics.steady_state_tangent(params, Truncation(12))
         assert dynamics._generator_table.cache_info().currsize == 0
 
@@ -413,7 +414,7 @@ class TestCertifyCutoff:
         for cache in (dynamics._entry_order, dynamics._upper_indices):
             cache.cache_clear()
         params = SystemParams(*CORNERS["fig8a"])
-        certify_cutoff([params], leakage_tol=1e-8)
+        certify_cutoff([params], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
         dynamics.steady_state(params, Truncation(12))
         pair = dynamics.steady_state_tangent(params, Truncation(12))
         rho, drho = pair.central.entries[0], pair.derivative[0]
@@ -439,4 +440,4 @@ class TestCertifyCutoff:
     def test_uncertifiable_point_raises(self):
         # a resonant linear drive holding 64 photons: no cutoff up to 48 holds them
         with pytest.raises(TruncationError, match=r"n_cut = 48 certifies sweep point 0"):
-            certify_cutoff([SystemParams(0.0, 0.0, 8.0, 0.1)], leakage_tol=1e-8)
+            certify_cutoff([SystemParams(0.0, 0.0, 8.0, 0.1)], 1e-8, PROPAGATING_NCUT_MAX)

@@ -33,7 +33,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics
-from kerr_thermo.config import resolve_config
+from kerr_thermo.config import PROPAGATING_NCUT_MAX, resolve_config
 from stencil import perturbed_trajectories
 from test_gaussian_transient import FIG3A_CHI0, occupation, relative_deviation
 
@@ -121,7 +121,7 @@ CONTRACT_GRID = TimeGrid(t_end=30.0, n_samples=121)
 
 
 def certified_series(points):
-    trunc = Truncation(certify_cutoff(points, Truncation.leakage_tol).n_cut)
+    trunc = Truncation(certify_cutoff(points, Truncation.leakage_tol, PROPAGATING_NCUT_MAX).n_cut)
     return trunc, [qfi_series(tangent_pair(p, CONTRACT_GRID, trunc)) for p in points]
 
 
