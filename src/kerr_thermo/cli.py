@@ -105,11 +105,14 @@ class _PointResult:
 # A propagating command's run above this cutoff computes on the caller's
 # OpenBLAS thread count, retries included; every other run, the cutoff
 # certificate and the table commands at any cutoff compute on one.  Median
-# wall / CPU s of 7 fresh-process cfi runs of a fig8a point (201 samples,
-# 2-core x86-64 VM), two threads against one: n_cut 12 0.050 / 0.086 against
-# 0.053 / 0.051, 14 0.104 / 0.163 against 0.079 / 0.077, 16 0.130 / 0.214
-# against 0.117 / 0.116, 18 0.175 / 0.298 against 0.187 / 0.187.  thermalize
-# gains 7-35% of its wall time from a second thread at n_cut 18-40.
+# wall / CPU s of ``run`` on the fig8a cfi point at a fixed n_cut (201
+# samples, degree-16 sample map), 7 fresh processes each on a 2-core x86-64
+# VM, two threads against one: n_cut 14 0.014 / 0.032 against 0.017 / 0.019,
+# 16 0.022 / 0.045 against 0.027 / 0.029, 18 0.038 / 0.078 against 0.044 /
+# 0.046, 24 0.112 / 0.222 against 0.169 / 0.169.  Up to 16 the second
+# thread saves 3-5 ms of wall time for 54-65% more CPU; from 24 it saves a
+# third.  thermalize gains 7-35% of its wall time from a second thread at
+# n_cut 18-40 (measured with the degree-8 map).
 _ONE_THREAD_NCUT_MAX = 16
 
 # Name prefixes and suffixes of OpenBLAS's thread control: numpy 2 wheels

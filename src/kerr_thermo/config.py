@@ -50,7 +50,8 @@ TABLE_COMMANDS = ("spectrum", "purity-sweep")
 # walk and the leakage retry both stop there.  The caps bound cost; an explicit
 # larger n_cut runs on the same path.  Propagating: the dense sample map holds
 # n_cut^4 doubles and takes n_cut^6 flops to build (one fig8a trajectory, 201
-# samples to tau = 30: 3.5 s and 167 MB peak RSS at 48 levels on 2 cores).
+# samples to tau = 30, at 48 levels on 2 cores: 1.7 s and 285 MB peak RSS, its
+# tangent 5.1 s and 526 MB).
 PROPAGATING_NCUT_MAX = 48
 # Tables: the block solve's flops grow as n_cut^4 and its memory as n_cut^3 (the
 # first 120-level solve in a process: 0.13-0.15 s and +38 MB VmHWM on 2 cores).

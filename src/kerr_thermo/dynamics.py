@@ -19,15 +19,18 @@ is stated once, in closed form, as a lattice stencil on rho_ij; each
 dimension caches from it a (5, nnz) table on one COO index set, and a point's
 R is the coefficients times the table.  Because R is time independent, one map spans
 every sample interval.  It is built once per propagation by scaling and
-squaring: a degree-8 Taylor polynomial of spacing R / 2^s, squared s times,
-with s from the 1-norm of spacing R (Al-Mohy & Higham 2009).  R is affine in
+squaring: a degree-16 Taylor polynomial of spacing R / 2^s in six products
+(Paterson & Stockmeyer 1973), squared s times, with s from the 1-norm of
+spacing R (Al-Mohy & Higham 2009, 2011): 10-11 products at the presets'
+certified cutoffs and 201 samples, 14 at n_cut 30 and 121 samples.  R is affine in
 n_th, R = R0 + n_th R1, where R1 = gamma (D[a] + D[a^dag]) is
 ``_N_TH_SLOPE`` times the table.  So the same products can carry the map's
 exact n_th-derivative alongside it, at three matrix products for each one of
 the map alone; the trajectory's n_th-derivative then costs two more
 matrix-vector products per sample.  A trajectory keeps its samples as one
 read-only (n_samples, d, d) array, filled from the coordinate rows with one
-gather and validated in one pass (one stacked ``eigvalsh``);
+gather and validated in one pass (stacked Cholesky factorizations for
+positivity);
 ``Trajectory.states`` wraps single samples as
 :class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.
 
@@ -58,6 +61,7 @@ from .fock import (
     DensityMatrix,
     SystemParams,
     Truncation,
+    _first_negative,
     _read_only,
     annihilation,
     as_matrix,
@@ -391,14 +395,17 @@ def _from_coordinate_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.take(values, _entry_order(dim), axis=1)
 
 
-# exp(A) = T_8(A / 2^s)^(2^s), T_8 the degree-8 Taylor polynomial, with s the
-# least count that brings ||A / 2^s||_1 within theta_8: there T_8(X) =
+# exp(A) = T_16(A / 2^s)^(2^s), T_16 the degree-16 Taylor polynomial, with s
+# the least count that brings ||A / 2^s||_1 within theta_16: there T_16(X) =
 # exp(X + dX) with ||dX|| <= 2^-53 ||X||.  The theta_m backward-error bound is
 # Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009); its values for
-# Taylor polynomials (theta_12 = 0.2996, theta_18 = 1.091) are tabulated in
-# Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011).
-_TAYLOR_DEGREE = 8
-_TAYLOR_THETA = 4.991e-2
+# Taylor polynomials (theta_8 = 4.991e-2, theta_12 = 0.2996, theta_16 =
+# 0.7803) are tabulated in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+# (2011).  The polynomial is evaluated by Paterson & Stockmeyer, SIAM J.
+# Comput. 2, 60 (1973), in blocks of four powers.
+_TAYLOR_DEGREE = 16
+_TAYLOR_THETA = 0.7803
+_TAYLOR_COEFFICIENTS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1))
 
 
 def _pair_product(a: tuple, c: tuple) -> tuple:
@@ -412,17 +419,26 @@ def _pair_product(a: tuple, c: tuple) -> tuple:
 
 
 def _taylor(a: tuple) -> tuple:
-    """T_8(A) = I + A + A^2/2! + ... + A^8/8! for ``a = (A,)``, and for
-    ``a = (A, dA)`` the pair (T_8(A), its derivative along dA): Horner's rule
-    acc <- I + A acc / k in the pair algebra, so both take the same products."""
+    """T_16(A) = I + A + A^2/2! + ... + A^16/16! for ``a = (A,)``, and for
+    ``a = (A, dA)`` the pair (T_16(A), its derivative along dA), by
+    Paterson-Stockmeyer in the pair algebra, so both take the same products:
+    A^2, A^3 and A^4, then Horner's rule in A^4 over the blocks
+    B_j = sum_{i < 4} A^i / (4j + i)!, acc <- B_j + A^4 acc from
+    acc = B_3 + A^16 / 16!.  Six products in all; each block is added into
+    the accumulator in place."""
     diagonal = np.s_[:: a[0].shape[0] + 1]
-    acc = tuple(m / _TAYLOR_DEGREE for m in a)
-    acc[0].flat[diagonal] += 1.0
-    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-        acc = _pair_product(a, acc)
-        for m in acc:
-            m /= k
-        acc[0].flat[diagonal] += 1.0
+    coeff = _TAYLOR_COEFFICIENTS
+    square = _pair_product(a, a)
+    powers = (a, square, _pair_product(square, a))  # A, A^2, A^3
+    top = _pair_product(square, square)  # A^4
+    acc = tuple(m * coeff[_TAYLOR_DEGREE] for m in top)
+    for start in (12, 8, 4, 0):
+        if start < 12:
+            acc = _pair_product(top, acc)
+        acc[0].flat[diagonal] += coeff[start]
+        for i, power in enumerate(powers, start=start + 1):
+            for m, p in zip(acc, power):
+                m += coeff[i] * p
     return acc
 
 
@@ -436,8 +452,9 @@ def _dense(values: np.ndarray, dim: int) -> np.ndarray:
 
 def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangent: bool) -> tuple:
     """The sample map M = exp(spacing R), and with ``tangent`` its exact
-    n_th-derivative dM, by scaling and squaring: T_8(A / 2^s) squared s times,
-    A = spacing R.  s is the least count with ||A / 2^s||_1 <= theta_8, raised
+    n_th-derivative dM, by scaling and squaring: T_16(A / 2^s) squared s
+    times, A = spacing R, 6 + s pair products.  s is the least count with
+    ||A / 2^s||_1 <= theta_16, raised
     so that the substep spacing / 2^s is at most ``grid.integrator_step``
     when one is set.  The pair takes the same products, so M is the same to
     the bit with or without dM.  Both are projected onto the trace-preserving
@@ -551,8 +568,10 @@ def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation)
     Sample 0 is the validated initial state, so only its leakage is checked.
     The first failing sample raises, its checks taken in the order trace drift
     (TraceDriftError), top-two-level leakage (TruncationError), then
-    finiteness and positivity (NumericalFailureError).  One stacked
-    ``eigvalsh`` covers the samples before the first failure of the others.
+    finiteness and positivity (NumericalFailureError).  Positivity covers
+    the samples before the first failure of the others, by stacked Cholesky
+    factorizations of rho + tol I (:func:`~kerr_thermo.fock._first_negative`);
+    only a chunk that fails one pays for a stacked ``eigvalsh``.
     """
     with np.errstate(all="ignore"):
         leak = _leakage(entries)
@@ -561,13 +580,12 @@ def _validate_samples(entries: np.ndarray, times: np.ndarray, trunc: Truncation)
     finite = np.isfinite(entries).all(axis=(1, 2))
     failed = np.nonzero((drift > _TRACE_DRIFT_LIMIT) | (leak > trunc.leakage_tol) | ~finite)[0]
     first = failed[0] if failed.size else len(entries)
-    lam_min = np.linalg.eigvalsh(entries[1:first])[:, 0]
-    negative = np.nonzero(lam_min < -_STATE_TOL)[0]
-    if negative.size:
-        k = negative[0]
+    negative = _first_negative(entries[1:first], _STATE_TOL)
+    if negative is not None:
+        k, lam_min = negative
         raise NumericalFailureError(
             f"invalid state at tau = {times[k + 1]:g}: smallest eigenvalue "
-            f"{lam_min[k]:.3e} below -tol = {-_STATE_TOL:.1e}"
+            f"{lam_min:.3e} below -tol = {-_STATE_TOL:.1e}"
         )
     if failed.size:
         t = times[first]

@@ -105,11 +105,22 @@ def uhlmann_fidelity(rho, sigma) -> float:
     Symmetric in its arguments, 1 iff the states coincide, 0 for orthogonal
     supports, and invariant under joint unitaries.  Inputs may be
     DensityMatrix instances (already validated) or raw Hermitian PSD arrays.
+    When either argument is diagonal (a Gibbs state, say), its square root is
+    exact and the fidelity is the eigenvalues of the other argument scaled by
+    it on both sides, as in the effective-temperature search; two
+    non-diagonal states go through root factors of each.
     """
     r = _checked(rho)
     s = _checked(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
+    # The root-factor route below loses the ~1e-14 eigenvalues of a
+    # propagated state to about 1e-11 in F; a diagonal argument's exact
+    # square root keeps them.  Its negative roundoff is clipped.
+    for diagonal, other in ((s, r), (r, s)):
+        if not np.any(diagonal - np.diag(diagonal.diagonal())):
+            p = np.clip(diagonal.diagonal().real, 0.0, None)
+            return min(float(_sandwich_fidelities(other, p)), 1.0)
     # F = ||B_rho^dag B_sigma||_1^2 for any factors rho = B B^dag, so no matrix
     # square root is taken.  B = V sqrt(lambda) from eigh, with each lambda
     # the Rayleigh quotient v^dag rho v: eigh's eigenvalues carry absolute
@@ -139,9 +150,15 @@ def _gibbs_fidelities(rho: np.ndarray, n_eff: np.ndarray) -> np.ndarray:
     ``rho`` is a (..., d, d) stack that broadcasts against ``n_eff``: one state
     against a vector of occupations, or one occupation per state.
     """
-    # sqrt(sigma) is diagonal for a Gibbs state, so the inner matrix is a
-    # cheap two-sided scaling of rho; scaling in place keeps one temporary.
     p, _ = _gibbs_population_rows(n_eff, rho.shape[-1])
+    return _sandwich_fidelities(rho, p)
+
+
+def _sandwich_fidelities(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Fidelities of states to the diagonal states diag(p), in one stacked
+    ``eigvalsh``; ``rho`` (..., d, d) and ``p`` (..., d) broadcast."""
+    # sqrt(sigma) is diagonal, so the inner matrix is a cheap two-sided
+    # scaling of rho; scaling in place keeps one temporary.
     sq = np.sqrt(p)
     inner = sq[..., :, None] * rho
     inner *= sq[..., None, :]

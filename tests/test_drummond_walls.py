@@ -89,10 +89,10 @@ def test_steady_state_has_the_exact_moments(delta, chi, drive):
 
 def test_propagation_from_vacuum_reaches_the_exact_moments():
     # fig8a's point at n_th = 0 on its grid: by tau = 30 the transient has
-    # decayed, and the Taylor sample map lands on the exact moments to 5.2e-10
-    # relative (measured, <a^dag^2 a^2>; the others to 1.3e-11) at 16 levels,
-    # where the steady state itself deviates by 1.6e-15.  One map over the
-    # whole interval (2 samples, 17 squarings) lands to 7.2e-9
+    # decayed, and the Taylor sample map lands on the exact moments to 5.0e-11
+    # relative (measured, <a^dag^2 a^2>; the others to 1.2e-12) at 16 levels,
+    # where the steady state itself deviates by 2.4e-15.  One map over the
+    # whole interval (2 samples, 13 squarings) lands to 1.5e-9
     params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.0)
     trunc = Truncation(16)
     for n_samples, band in ((201, 2e-9), (2, 2e-8)):

@@ -23,10 +23,11 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics
+from kerr_thermo.config import resolve_config
 from kerr_thermo.dynamics import _coordinates, _from_coordinate_rows, _generator_table
 from kerr_thermo.errors import NumericalFailureError, TraceDriftError, TruncationError
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, state_with_smallest_eigenvalue
 from kron_generator import kron_generator_table
 
 
@@ -316,16 +317,56 @@ class TestPropagate:
     def test_sample_map_and_tangent_match_expm_frechet(self, params, n_cut, grid):
         # oracle: scipy's expm_frechet of A = spacing R along E = spacing R1,
         # R1 = R(n_th + 1) - R(n_th) since R is affine in n_th.  Measured: the
-        # map 3.5e-14 to 8.7e-14 of its largest entry, the tangent 9.6e-14 to
-        # 2.5e-13
+        # map 2.8e-15 to 1.5e-14 of its largest entry, the tangent 5.6e-15 to
+        # 3.5e-14
+        sample_map, derivative, exact, exact_derivative = self.map_and_oracle(params, n_cut, grid)
+        assert np.abs(sample_map - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert np.abs(derivative - exact_derivative).max() <= 1e-12 * np.abs(exact_derivative).max()
+
+    def test_long_interval_matches_expm_frechet(self):
+        # fig8a at n 16 with 2 samples to tau = 30: ||A||_1 = 4104 takes 13
+        # squarings of the degree-16 map, which lands 5.0e-14 (map) and 6.8e-13
+        # (tangent) from the oracle; the degree-8 Horner map took 17 and landed
+        # 1.1e-12 and 3.9e-12, outside both bands
+        params = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
+        sample_map, derivative, exact, exact_derivative = self.map_and_oracle(
+            params, 16, TimeGrid(t_end=30.0, n_samples=2)
+        )
+        assert np.abs(sample_map - exact).max() <= 2e-13 * np.abs(exact).max()
+        assert np.abs(derivative - exact_derivative).max() <= 2e-12 * np.abs(exact_derivative).max()
+
+    @staticmethod
+    def map_and_oracle(params, n_cut, grid):
+        """The sample map and its tangent, and expm_frechet's of the same A and E."""
         trunc = Truncation(n_cut)
         sample_map, derivative = dynamics._sample_maps(params, grid, trunc, tangent=True)
         shifted = SystemParams(params.delta, params.chi, params.drive, n_th=params.n_th + 1.0)
         a = grid.spacing * dense_generator(params, trunc)
         e = grid.spacing * dense_generator(shifted, trunc) - a
-        exact, exact_derivative = expm_frechet(a, e)
-        assert np.abs(sample_map - exact).max() <= 1e-12 * np.abs(exact).max()
-        assert np.abs(derivative - exact_derivative).max() <= 1e-12 * np.abs(exact_derivative).max()
+        return (sample_map, derivative, *expm_frechet(a, e))
+
+    def test_pair_products_on_the_fisher_draw(self, monkeypatch):
+        # perfbench's fisher seed-2 draw (fig8a at n_th 0.15, chi 0.8831, drive
+        # 0.7336; n_cut 14 certified, 201 samples to tau = 30): the tangent
+        # map takes 6 pair products in the degree-16 polynomial and 5
+        # squarings (16 products with a degree-8 Horner polynomial).  A change
+        # to the map shows here as a count, which no timing noise moves
+        config = resolve_config(
+            preset="fig8a", overrides=("n_th=0.15", "chi=0.8831", "drive=0.7336"), command="cfi"
+        )
+        trunc, grid = config.trunc(), config.grid()
+        assert (trunc.n_cut, grid.n_samples) == (14, 201)
+        calls = []
+        product = dynamics._pair_product
+
+        def counted(a, c):
+            calls.append(len(a))
+            return product(a, c)
+
+        monkeypatch.setattr(dynamics, "_pair_product", counted)
+        (point,) = config.sweep_points()
+        dynamics._sample_maps(config.params_at(point), grid, trunc, tangent=True)
+        assert calls == [2] * 11
 
     def test_leakage_error_names_time(self):
         # a cutoff of 4 cannot hold the driven state
@@ -415,6 +456,21 @@ class TestBatchedValidation:
         assert f"tau = {self.GRID.times[k]:g}" in str(info.value)
         # a smaller integrator step only adds squarings, so no message advises it
         assert "integrator" not in str(info.value)
+
+    def test_positivity_boundary(self, rng):
+        # 150 samples, three Cholesky chunks: a sample whose smallest
+        # eigenvalue is -0.9 tol passes, one at -1.1 tol raises with its tau
+        # and its eigenvalue
+        tol = dynamics._STATE_TOL
+        times = np.linspace(0.0, 14.9, 150)
+        entries = np.repeat(state_with_smallest_eigenvalue(rng, 8, 0.0)[None], 150, axis=0)
+        entries[70] = state_with_smallest_eigenvalue(rng, 8, -0.9 * tol)
+        assert dynamics._validate_samples(entries, times, Truncation(8)) == 0.0
+        entries[140] = state_with_smallest_eigenvalue(rng, 8, -1.1 * tol)
+        with pytest.raises(
+            NumericalFailureError, match=f"tau = 14: smallest eigenvalue {-1.1 * tol:.3e} below -tol"
+        ):
+            dynamics._validate_samples(entries, times, Truncation(8))
 
     def test_unedited_run_passes(self, monkeypatch):
         traj = self.propagate_with(monkeypatch, [])

@@ -22,7 +22,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, state_with_smallest_eigenvalue
 
 
 class TestAnnihilation:
@@ -207,6 +207,15 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_positivity_boundary(self, rng, tol):
+        # the Cholesky factorization of rho + tol I passes an eigenvalue of
+        # -0.9 tol; at -1.1 tol it fails, and eigvalsh names the eigenvalue
+        DensityMatrix(state_with_smallest_eigenvalue(rng, 12, -0.9 * tol), tol=tol)
+        bad = state_with_smallest_eigenvalue(rng, 12, -1.1 * tol)
+        with pytest.raises(ValueError, match=f"smallest eigenvalue {-1.1 * tol:.3e} below -tol = {-tol:.1e}"):
+            DensityMatrix(bad, tol=tol)
 
     def test_entries_read_only(self):
         v = vacuum_state(Truncation(3))
