@@ -5,21 +5,14 @@ the occupation n_eff whose Gibbs state maximizes the fidelity to that state;
 the achieved fidelity quantifies how thermal the state actually is.  No claim
 is made that the state is Gibbs when it is not.
 
-The search of one state, which :func:`effective_temperature` runs, is a
-16-point coarse scan followed by Brent's method between the best scan point's
-neighbours.  A trajectory runs that full search on anchor states only: its
-first two, every 16th and its last.  Every other state first tries the
-optimum p interpolated between the anchors: when F(p) is at least F at
-p -+ tol, Brent's tolerance, the state takes p after three evaluations.  A
-state that fails is bracketed at [1/2, 2] p.  Both steps rely on F(n_eff)
-having one maximum per state and on n_eff moving smoothly along the
-trajectory; a state whose optimum lands on its bracket's edge runs the full
-search as well.  The states are searched together, in bounded stacks: the
-scan takes one state's 16 points per stacked ``eigvalsh``, the certificate
-one point per state per call, and the Brent refinement runs its states in
-lockstep, one stacked ``eigvalsh`` per round over the states still
-searching.  The trace records how many Gibbs-fidelity evaluations each state
-took.
+n_eff is the root of dT/dn, where F = T^2, T = Tr sqrt(M) and M = sqrt(sigma)
+rho sqrt(sigma) for the Gibbs state sigma at n: one ``eigh`` of M gives T
+and its first two derivatives in closed form, and Newton's method,
+safeguarded by bisection, finds the root to about 1e-12 relative.
+:func:`effective_temperature` brackets it by a 16-point scan;
+:func:`thermalization_trace` does so on a trajectory's anchor states only
+and starts every other state's Newton search at the anchors' interpolated
+optimum, running the searches in lockstep over bounded stacks.
 """
 
 from __future__ import annotations
@@ -42,14 +35,19 @@ __all__ = [
     "thermalization_trace",
 ]
 
-# Golden-section fraction (3 - sqrt5) / 2 and the square root of machine
-# epsilon, the relative resolution of a smooth maximum's position.
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-# Coarse scan size and Brent tolerance of the effective-temperature search.
+# Coarse scan size, and the search's resolution tol = sqrt(eps) |n| + _XTOL / 3.
 _SCAN_POINTS = 16
 _XTOL = 1e-7
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+# Newton stops once its step is at most this fraction of n: its error is
+# quadratic in the step, so the root lands within about 1e-12 relative.
+_NEWTON_RTOL = 1e-6
+# Bisection alone narrows any bracket under 1e22 below 2 tol within 99
+# rounds, so this cap decides no result.
+_MAX_ROUNDS = 100
+# States per stacked eigh, which bounds the temporaries.
+_EIGH_STATES = 64
 
 # A trajectory's states 0, 1, every 16th and its last get the full search.
 _ANCHOR_STRIDE = 16
@@ -62,8 +60,8 @@ class EffTempTrace:
     times: np.ndarray
     n_eff: np.ndarray
     fidelity_at_opt: np.ndarray
-    # Gibbs-fidelity evaluations spent on each state; None when the values
-    # were not searched here (a trace read back from a CSV file).
+    # Evaluations per state, one per scan point and one per Newton round;
+    # None when not searched here (a trace read back from a CSV file).
     evaluations: np.ndarray | None = None
 
     def __post_init__(self):
@@ -166,79 +164,93 @@ def _sandwich_fidelities(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(ev, 0.0, None)).sum(axis=-1) ** 2
 
 
-def _brent_tol(x: np.ndarray) -> np.ndarray:
-    """Brent's stopping tolerance at x, sqrt(eps) |x| + _XTOL / 3: the
-    resolution of the search's optimum, which the trace's certificate and
-    bracket-edge test share."""
+def _gibbs_root_fidelities(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """T = Tr sqrt(M), dT/dn and d2T/dn2 of each state against the Gibbs state at n > 0.
+
+    M = sqrt(sigma) rho sqrt(sigma), so T^2 is :func:`_gibbs_fidelities`.
+    With dM = G M + M G, G = diag(g), g_k = 1/2 d ln p_k/dn = (k - m) / (2 n
+    (n + 1)) and m the populations' mean, d Tr f(M) = Tr f'(M) dM (Higham,
+    *Functions of Matrices*, 2008) gives T' = sum_k g_k (sqrt M)_kk.  T''
+    adds g'_k = -(v + (k - m)(2n + 1)) / (2 n^2 (n + 1)^2), v their variance,
+    and, with M = U diag(s^2) U^dag and G^ = U^dag G U, sum_ij |G^_ij|^2
+    (s_i^2 + s_j^2) / (s_i + s_j), 0/0 taken as 0.  One stacked ``eigh``;
+    every reduction runs along a state's own rows, so a state's values do
+    not depend on its stack.  Returns a (3, m) array.
+    """
+    x = n[:, None]
+    level = np.arange(rho.shape[-1], dtype=float)
+    p, _ = _gibbs_population_rows(n, len(level))
+    dev = level - (level * p).sum(-1, keepdims=True)
+    var = (dev * dev * p).sum(-1, keepdims=True)
+    scale = 2.0 * x * (x + 1.0)
+    g = dev / scale
+    dg = -2.0 * (var + dev * (2.0 * x + 1.0)) / (scale * scale)
+    sq = np.sqrt(p)
+    inner = sq[:, :, None] * rho
+    inner *= sq[:, None, :]
+    lam, u = np.linalg.eigh(inner)
+    s = np.sqrt(np.clip(lam, 0.0, None))
+    root_diag = (np.abs(u) ** 2 * s[:, None, :]).sum(-1)
+    # |G^_ij|^2 from conj(U)^T (G U), and the pair ratio in place
+    gu = u * g[:, :, None]
+    g_hat = np.conjugate(u, out=u).transpose(0, 2, 1) @ gu
+    pair = s[:, :, None] + s[:, None, :]
+    ratio = s[:, :, None] ** 2 + s[:, None, :] ** 2
+    np.divide(ratio, pair, out=ratio, where=pair > 0.0)
+    ratio *= np.abs(g_hat) ** 2
+    return np.stack(
+        [s.sum(-1), (g * root_diag).sum(-1), (dg * root_diag).sum(-1) + ratio.sum(-1).sum(-1)]
+    )
+
+
+def _search_tol(x: np.ndarray) -> np.ndarray:
+    """tol at x: a bracket narrower than 2 tol stops the search, and the trace's edge test reads it."""
     return _SQRT_EPS * np.abs(x) + _XTOL / 3.0
 
 
-def _brent_max(rho: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize the Gibbs fidelity of each state ``rho[k]`` on [lo[k], hi[k]].
+def _newton_max(
+    rho: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize the Gibbs fidelity of each state ``rho[k]`` on [lo[k], hi[k]] from x[k].
 
-    Brent's bounded minimizer applied to -F, Brent, *Algorithms for
-    Minimization without Derivatives* (1973), ch. 5: parabolic interpolation
-    through the three best points, falling back to a golden-section step
-    whenever the parabola is not trusted.  A state stops when its best point
-    lies within 2 tol of its bracket midpoint, tol = :func:`_brent_tol` at
-    that point.  The states run in lockstep: every state
-    takes the steps the algorithm would take on it alone, selected by masks,
-    and each round evaluates the states still searching in one stacked call.
-    Returns ``(x, F(x))`` for the best point each state evaluated, and the
-    number of fidelity evaluations each state took.
+    Newton's method on the root of dT/dn, T = sqrt(F), safeguarded by
+    bisection.  Each round evaluates T, T' and T'' at x, narrows the bracket
+    to the side T' points to, and steps to x - T'/T'' if T'' < 0 and that
+    point lies inside the bracket, else bisects.  A state stops when its step
+    is at most _NEWTON_RTOL x, with x + step and F = (T + T' step / 2)^2
+    (error cubic in the step); or when its bracket is narrower than 2 tol,
+    with x and F evaluated there, never extrapolated.  Returns ``(x, F(x))``,
+    each state's rounds, and whether its Newton step converged.
     """
-    a, b = lo.copy(), hi.copy()
-    x = a + _GOLDEN * (b - a)
-    w, v = x.copy(), x.copy()
-    fx = -_gibbs_fidelities(rho, x)
-    evaluations = np.ones(len(x), dtype=int)
-    fw, fv = fx.copy(), fx.copy()
-    d = np.zeros_like(x)
-    e = np.zeros_like(x)
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _brent_tol(x)
-        active = ~(np.abs(x - mid) <= 2.0 * tol - 0.5 * (b - a))
-        if not active.any():
-            return x, -fx, evaluations
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        # accept the parabola's vertex only inside the bracket and only when
-        # its step is less than half the step before last
-        parabolic = (
-            (np.abs(e) > tol)
-            & (np.abs(p) < np.abs(0.5 * q * e))
-            & (q * (a - x) < p)
-            & (p < q * (b - x))
-        )
-        step = np.divide(p, q, out=np.zeros_like(p), where=parabolic)
-        near_end = ((x + step) - a < 2.0 * tol) | (b - (x + step) < 2.0 * tol)
-        step = np.where(near_end, np.where(x < mid, tol, -tol), step)
-        golden = np.where(x < mid, b - x, a - x)
-        e = np.where(parabolic, d, golden)
-        d = np.where(parabolic, step, _GOLDEN * golden)
-        u = x + np.where(np.abs(d) >= tol, d, np.copysign(tol, d))
-        fu = fx.copy()
-        fu[active] = -_gibbs_fidelities(rho[active], u[active])
-        evaluations += active
-
-        left = u < x
-        better = active & (fu <= fx)
-        worse = active & ~better
-        to_w = worse & ((fu <= fw) | (w == x))
-        to_v = worse & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-        a = np.where(better & ~left, x, np.where(worse & left, u, a))
-        b = np.where(better & left, x, np.where(worse & ~left, u, b))
-        v = np.where(better | to_w, w, np.where(to_v, u, v))
-        fv = np.where(better | to_w, fw, np.where(to_v, fu, fv))
-        w = np.where(better, x, np.where(to_w, u, w))
-        fw = np.where(better, fx, np.where(to_w, fu, fw))
-        x = np.where(better, u, x)
-        fx = np.where(better, fu, fx)
+    a, b, x = lo.copy(), hi.copy(), x.copy()
+    n_opt, f_opt = x.copy(), np.zeros(len(x))
+    evaluations = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for _ in range(_MAX_ROUNDS):
+        if not active.size:
+            break
+        xa = x[active]
+        # gathering at most _EIGH_STATES states per call bounds the temporaries
+        parts = [active[c : c + _EIGH_STATES] for c in range(0, active.size, _EIGH_STATES)]
+        t, dt, ddt = np.concatenate([_gibbs_root_fidelities(rho[part], x[part]) for part in parts], axis=1)
+        evaluations[active] += 1
+        n_opt[active], f_opt[active] = xa, t * t
+        # the one maximum lies on the side T' points to
+        lo_a = np.where(dt > 0.0, xa, a[active])
+        hi_a = np.where(dt < 0.0, xa, b[active])
+        a[active], b[active] = lo_a, hi_a
+        step = np.divide(-dt, ddt, out=np.zeros_like(dt), where=ddt < 0.0)
+        target = xa + step
+        newton = (ddt < 0.0) & (lo_a < target) & (target < hi_a)
+        # a step below x's last digit rounds back onto x, now a bracket edge
+        done = (ddt < 0.0) & (np.abs(step) <= _NEWTON_RTOL * xa) & (lo_a <= target) & (target <= hi_a)
+        n_opt[active[done]] = target[done]
+        f_opt[active[done]] = ((t + 0.5 * dt * step) ** 2)[done]
+        converged[active[done]] = True
+        x[active] = np.where(newton, target, 0.5 * (lo_a + hi_a))
+        active = active[~(done | (hi_a - lo_a < 2.0 * _search_tol(xa)))]
+    return n_opt, f_opt, evaluations, converged
 
 
 def _effective_temperatures(
@@ -246,11 +258,10 @@ def _effective_temperatures(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Effective temperature, fidelity and evaluation count of every state of a (m, d, d) stack.
 
-    The reference search: a 16-point scan, then Brent between the best scan
-    point's neighbours.  The scan evaluates one state's 16 points per stacked
-    call, so the temporaries stay at 16 matrices, not 16 m; the Brent search
-    then runs all states in lockstep.  The last value is True when any
-    state's best scan point is search_max; the public callers warn once.
+    A 16-point scan, one state's points per stacked call, then Newton between
+    the best point's neighbours from that point (from their middle when it is
+    0, where dT/dn is singular).  The last value is True when any state's best
+    scan point is search_max; the public callers warn once.
     """
     if not (search_max > 0 and math.isfinite(search_max)):
         raise ValueError(f"search_max must be finite and positive, got {search_max}")
@@ -262,7 +273,8 @@ def _effective_temperatures(
     best = np.argmax(values, axis=1)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, len(grid) - 1)]
-    n_opt, f_opt, evaluations = _brent_max(rho, lo, hi)
+    start = np.where(best > 0, grid[best], 0.5 * (lo + hi))
+    n_opt, f_opt, evaluations, _ = _newton_max(rho, lo, hi, start)
     # the best scan point wins if it scores higher than the refined one
     f_best = values[np.arange(len(rho)), best]
     scan_wins = f_best > f_opt
@@ -288,14 +300,14 @@ def effective_temperature(rho, search_max: float) -> tuple[float, float]:
 
     A coarse scan (the point 0 plus 15 log-spaced points from 1e-4 to
     search_max, or 16 linear points when search_max <= 1e-4) brackets the
-    maximum between the best scan point's neighbours, then Brent's bounded
-    method refines it to about 1e-7 absolute; the best scan point is returned
-    instead if it scores higher.  About 26 fidelity evaluations per state.
-    Returns ``(n_eff, fidelity)``.  A maximizer pinned at search_max raises
-    BracketBoundaryWarning: the bracket was too small.  This is the search
-    that :func:`thermalization_trace` runs on its anchor states and on every
-    state whose predicted optimum fails its certificate and whose bracket
-    then misses the maximum.
+    maximum between the best scan point's neighbours, then Newton's method on
+    dF/dn finds its root to about 1e-12 relative (an optimum below about 1e-7
+    to 1e-7 absolute, by bisection); the best scan point wins if it scores
+    higher, so a vacuum gives exactly 0.  18-27 evaluations per state, the
+    scan's 16 and one per Newton round.  Returns ``(n_eff, fidelity)``.  A
+    maximizer pinned at search_max raises BracketBoundaryWarning: the bracket
+    was too small.  :func:`thermalization_trace` runs this search on its
+    anchors and on every state whose Newton search from its prediction fails.
     """
     n_eff, fid, _, pinned = _effective_temperatures(_checked(rho)[None], search_max)
     if pinned:
@@ -315,15 +327,14 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
     :func:`default_search_max` of the trajectory's stack.  States 0 and 1,
     every 16th state and the last run :func:`effective_temperature`'s search.
     Every other state is predicted at p, the anchors' optima interpolated
-    linearly in the state index, and evaluated at p - tol, p and p + tol,
-    tol being Brent's own stopping tolerance at p.  If
-    0 < p - tol, p + tol < search_max and F(p) is at least both neighbours,
-    the one maximum lies within tol of p, and the state takes (p, F(p)).
-    Any other state runs Brent's method alone on [max(p/2, 1e-6),
-    min(2p, search_max)]; a state whose optimum lands within 2 tol of either
-    bracket edge (or whose bracket is empty) runs the full search instead.
-    8.2-8.9 evaluations per state on the fig2 trajectories, within 1e-7 of
-    the full search's n_eff.  BracketBoundaryWarning is raised at most once.
+    linearly in the state index, and runs Newton's method from p on
+    [max(p/2, 1e-6), min(2p, search_max)]; a state whose Newton step does
+    not converge, whose optimum lands within 2 tol of either bracket edge
+    (tol = sqrt(eps) n + 1e-7/3), or whose bracket is empty runs the full
+    search instead.  3.0-3.4 evaluations per state on the fig2 trajectories
+    and the perfbench draws, within 1e-13 of the full search's n_eff; each
+    Newton round takes at most 64 states per stacked ``eigh``.
+    BracketBoundaryWarning is raised at most once.
     """
     if search_max is None:
         search_max = default_search_max(traj.entries)
@@ -340,32 +351,21 @@ def thermalization_trace(traj: Trajectory, search_max: float | None = None) -> E
         rho[anchor], search_max
     )
     predicted = np.interp(np.arange(m), np.flatnonzero(anchor), n_eff[anchor])
-    # Certificate: when F(p) is at least F(p -+ tol), tol Brent's tolerance at
-    # p, the one maximum lies within tol of p, as close as Brent would stop.
-    tol = _brent_tol(predicted)
-    certified = ~anchor & (predicted - tol > 0.0) & (predicted + tol < search_max)
-    if certified.any():
-        stack, p, t = rho[certified], predicted[certified], tol[certified]
-        f_left, f_mid, f_right = (_gibbs_fidelities(stack, x) for x in (p - t, p, p + t))
-        holds = (f_mid >= f_left) & (f_mid >= f_right)
-        evaluations[certified] = 3
-        certified[certified] = holds
-        n_eff[certified], fid[certified] = p[holds], f_mid[holds]
     lo = np.maximum(0.5 * predicted, 1e-6)
     hi = np.minimum(2.0 * predicted, search_max)
-    bracketed = ~anchor & ~certified & (lo < hi)
-    if bracketed.any():
-        n_eff[bracketed], fid[bracketed], evals = _brent_max(rho[bracketed], lo[bracketed], hi[bracketed])
-        evaluations[bracketed] += evals
-    # Brent's own tolerance: an optimum this close to an edge may lie beyond it
-    tol = _brent_tol(n_eff)
-    inside = (n_eff - lo > 2.0 * tol) & (hi - n_eff > 2.0 * tol)
-    fallback = ~anchor & ~certified & ~(bracketed & inside)
+    bracketed = ~anchor & (lo < hi)
+    converged = np.zeros(m, dtype=bool)
+    start = np.clip(predicted[bracketed], lo[bracketed], hi[bracketed])
+    n_eff[bracketed], fid[bracketed], evaluations[bracketed], converged[bracketed] = _newton_max(
+        rho[bracketed], lo[bracketed], hi[bracketed], start
+    )
+    # an optimum this close to an edge may lie beyond it
+    tol = _search_tol(n_eff)
+    inside = converged & (n_eff - lo > 2.0 * tol) & (hi - n_eff > 2.0 * tol)
+    fallback = ~anchor & ~(bracketed & inside)
     if fallback.any():
-        n_full, fid_full, evals_full, pinned_full = _effective_temperatures(rho[fallback], search_max)
-        n_eff[fallback] = n_full
-        fid[fallback] = fid_full
-        evaluations[fallback] += evals_full
+        n_eff[fallback], fid[fallback], evals, pinned_full = _effective_temperatures(rho[fallback], search_max)
+        evaluations[fallback] += evals
         pinned |= pinned_full
     if pinned:
         _warn_pinned(search_max)

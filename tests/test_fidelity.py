@@ -19,7 +19,7 @@ from kerr_thermo import (
     uhlmann_fidelity,
     vacuum_state,
 )
-from kerr_thermo import fidelity
+from kerr_thermo import cli, fidelity
 from kerr_thermo.config import resolve_config
 from kerr_thermo.errors import BracketBoundaryWarning
 
@@ -318,15 +318,17 @@ def fig2a_trajectory(request):
 
 
 def count_kernel_calls(monkeypatch):
-    """Matrices per call of the stacked Gibbs-fidelity kernel, one entry per call."""
+    """Matrices per call of the two stacked kernels, one entry per call: the
+    scan's Gibbs fidelities and the Newton rounds' root derivatives."""
     calls = []
-    kernel = fidelity._gibbs_fidelities
+    for name in ("_gibbs_fidelities", "_gibbs_root_fidelities"):
+        kernel = getattr(fidelity, name)
 
-    def counted(rho, n_eff):
-        calls.append(int(np.prod(np.broadcast_shapes(rho.shape[:-2], np.shape(n_eff)))))
-        return kernel(rho, n_eff)
+        def counted(rho, n_eff, kernel=kernel):
+            calls.append(int(np.prod(np.broadcast_shapes(rho.shape[:-2], np.shape(n_eff)))))
+            return kernel(rho, n_eff)
 
-    monkeypatch.setattr(fidelity, "_gibbs_fidelities", counted)
+        monkeypatch.setattr(fidelity, name, counted)
     return calls
 
 
@@ -350,10 +352,11 @@ def assert_trace_matches_single_states(traj, search_max, monkeypatch):
 
     Anchor states (0, 1, every 16th and the last) run that search in
     lockstep and match it bit for bit.  Every other state is bracketed around
-    the anchors' interpolated optimum and lands within Brent's tolerance of
-    it, at no lower fidelity.  The search is batched: one stacked kernel call
-    per fully searched state's scan, and at most 40 rounds in each of the
-    three lockstep Brent searches (anchors, bracketed states, fallbacks).
+    the anchors' interpolated optimum and lands within the search's
+    resolution of it, at no lower fidelity.  The search is batched: one
+    stacked kernel call per fully searched state's scan, and at most 40
+    rounds in each of the three lockstep Newton searches (anchors, bracketed
+    states, fallbacks).
     """
     calls = count_kernel_calls(monkeypatch)
     trace = thermalization_trace(traj, search_max)
@@ -395,17 +398,19 @@ class TestEffectiveTemperatureSearch:
             assert_trace_matches_single_states(traj, default_search_max(traj.entries), monkeypatch)
 
     def test_evaluations_pinned_on_the_benchmark_draw(self, benchmark_draw, monkeypatch):
-        # perfbench's thermalize seed-1 draw: the search evaluates 8.07, 8.29,
-        # 8.53 and 8.61 Gibbs-fidelity matrices per state (11.22, 11.29, 11.43
-        # and 11.25 without the certificate round, 26.0, 26.9, 26.0 and 26.0
-        # when every state ran the full search, both with the earlier
-        # Kronecker-built generator table), counted by the kernel and by the
-        # trace alike.  The count sits on the certificate's knife edge: that
-        # table's few ulps of roundoff gave 1677 evaluations on the second
-        # trajectory, where the exact closed-form table gives 1667.  The
-        # degree-16 sample map moves these states by up to 6.5e-14 and their
-        # n_eff by up to 1.5e-10 against the degree-8 Horner map, and leaves
-        # every count where it was
+        # perfbench's thermalize seed-1 draw: the search evaluates 3.06, 3.00,
+        # 3.20 and 2.99 matrices per state, one per scan point and one per
+        # Newton round, counted by the kernels and by the trace alike.  The
+        # anchors take 20-27 (the scan and 4-11 rounds), 119-123 of the 186
+        # other states one round and one state the full search.  The count
+        # no longer sits on a knife edge: the three-point certificate it
+        # replaces compared fidelities that differ by about 1e-15, so a few
+        # ulps in the states moved it (1677 -> 1667 evaluations on the second
+        # trajectory with the exact generator table), while Newton stops on a
+        # step of at most 1e-6 n_eff, far above roundoff: a 1e-14
+        # perturbation of every state moves n_eff by at most 7.5e-13 and
+        # leaves every count here unchanged.  The certificate and Brent took
+        # [1623, 1667, 1715, 1730], 8.38 per state
         calls = count_kernel_calls(monkeypatch)
         totals = []
         for traj in benchmark_draw:
@@ -413,8 +418,8 @@ class TestEffectiveTemperatureSearch:
             trace = thermalization_trace(traj)
             totals.append(sum(calls[start:]))
             assert trace.evaluations.sum() == totals[-1]
-        assert totals == [1623, 1667, 1715, 1730]
-        assert round(sum(totals) / (4 * 201), 2) == 8.38
+        assert totals == [615, 603, 644, 601]
+        assert round(sum(totals) / (4 * 201), 2) == 3.06
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c", "fig2d"])
     def test_one_maximum_per_state(self, preset):
@@ -436,7 +441,7 @@ class TestEffectiveTemperatureSearch:
     def test_evaluation_budget(self, fig2a_trajectory, monkeypatch):
         # at most 30 fidelity evaluations per state on average; the vacuum at
         # tau = 0 peaks on the bracket edge, where every refinement step is a
-        # golden-section step, and takes the most
+        # bisection, and takes the most
         traj, search_max = fig2a_trajectory
         calls = count_kernel_calls(monkeypatch)
         counts = []
@@ -468,7 +473,7 @@ class TestEffectiveTemperatureSearch:
 
     def test_trace_temporaries_stay_bounded(self):
         # one 201 x 16 stack of 30 x 30 complex matrices would be 46 MB; the
-        # scan goes state by state and the Brent rounds stack one matrix per state
+        # scan goes state by state and a Newton round gathers at most 64 states
         trunc = Truncation(30)
         params = SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05)
         traj = propagate(vacuum_state(trunc), params, TimeGrid(t_end=30.0, n_samples=201), trunc)
@@ -495,11 +500,11 @@ def anchor_mask(m):
     return anchor
 
 
-class TestCertificate:
-    """The three-point certificate between the anchors and the bracketed search.
+class TestNewtonFromThePrediction:
+    """Newton's method from the anchors' interpolated optimum.
 
     On a trajectory of Gibbs states the anchors find each optimum to about
-    1e-9, and the fidelity peaks at 1 where the Gibbs occupation matches, so
+    1e-16, and the fidelity peaks at 1 where the Gibbs occupation matches, so
     the anchors' interpolation predicts a state's optimum exactly when the
     occupations are linear in the state index.
     """
@@ -510,22 +515,26 @@ class TestCertificate:
         anchor = anchor_mask(self.M)
         return np.interp(np.arange(self.M), np.flatnonzero(anchor), trace.n_eff[anchor])
 
-    def test_exact_prediction_certifies_in_three_evaluations(self, monkeypatch):
-        traj = gibbs_trajectory(0.05 + 0.002 * np.arange(self.M))
+    def test_exact_prediction_converges_in_one_round(self, monkeypatch):
+        occupations = 0.05 + 0.002 * np.arange(self.M)
+        traj = gibbs_trajectory(occupations)
         calls = count_kernel_calls(monkeypatch)
         trace = thermalization_trace(traj, search_max=1.0)
         monkeypatch.undo()
         free = ~anchor_mask(self.M)
         assert sum(calls) == trace.evaluations.sum()
-        assert np.all(trace.evaluations[free] == 3)
-        assert np.array_equal(trace.n_eff[free], self.predicted(trace)[free])
+        assert np.all(trace.evaluations[free] == 1)
+        # the one round's step is below Newton's stop, 1e-6 n_eff
+        step = np.abs(trace.n_eff - self.predicted(trace))[free]
+        assert np.all(step <= fidelity._NEWTON_RTOL * trace.n_eff[free])
+        np.testing.assert_allclose(trace.n_eff, occupations, rtol=1e-12, atol=0)
         single = np.array([effective_temperature(s, 1.0) for s in traj.states])
         np.testing.assert_allclose(trace.n_eff, single[:, 0], rtol=0, atol=1e-7)
         assert np.all(trace.fidelity_at_opt >= single[:, 1] - 1e-12)
 
-    def test_missed_prediction_falls_back_to_the_bracketed_search(self, monkeypatch):
+    def test_missed_prediction_converges_without_the_full_search(self, monkeypatch):
         # every state between the anchors sits 1e-3 relative off the line
-        # through them, far beyond Brent's tolerance of the prediction
+        # through them, far beyond one Newton step's stop
         occupations = 0.05 + 0.002 * np.arange(self.M)
         free = ~anchor_mask(self.M)
         occupations[free] *= 1.0 + 1e-3
@@ -534,20 +543,264 @@ class TestCertificate:
         trace = thermalization_trace(traj, search_max=1.0)
         monkeypatch.undo()
         assert sum(calls) == trace.evaluations.sum()
-        assert np.all(trace.evaluations[free] > 3)
+        assert np.all(trace.evaluations[free] > 1)
+        assert np.all(trace.evaluations[free] < fidelity._SCAN_POINTS)
         assert np.all(trace.n_eff[free] != self.predicted(trace)[free])
         single = np.array([effective_temperature(s, 1.0) for s in traj.states])
         np.testing.assert_allclose(trace.n_eff, single[:, 0], rtol=0, atol=1e-7)
-        np.testing.assert_allclose(trace.n_eff, occupations, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(trace.n_eff, occupations, rtol=1e-12, atol=0)
         assert np.all(trace.fidelity_at_opt >= single[:, 1] - 1e-12)
 
-    def test_prediction_within_tolerance_of_zero_never_certifies(self):
-        # the anchors' optimum of the vacuum is exactly 0, so p - tol < 0 and
-        # the certificate would need a negative occupation; every state
-        # between the anchors runs the full search instead
+    def test_unconverged_state_runs_the_full_search(self, monkeypatch):
+        # with T'' reported nonnegative every round bisects, so no Newton step
+        # converges: the states between the anchors end inside their brackets
+        # by bisection alone, and each runs the full search as well
+        kernel = fidelity._gibbs_root_fidelities
+
+        def convex(rho, n):
+            out = kernel(rho, n)
+            out[2] = np.abs(out[2])
+            return out
+
+        searched = []
+        full_search = fidelity._effective_temperatures
+
+        def recorded(rho, search_max):
+            searched.append(len(rho))
+            return full_search(rho, search_max)
+
+        monkeypatch.setattr(fidelity, "_gibbs_root_fidelities", convex)
+        monkeypatch.setattr(fidelity, "_effective_temperatures", recorded)
+        occupations = 0.05 + 0.002 * np.arange(self.M)
+        trace = thermalization_trace(gibbs_trajectory(occupations), search_max=1.0)
+        assert searched == [5, self.M - 5]
+        np.testing.assert_allclose(trace.n_eff, occupations, rtol=0, atol=1e-7)
+
+    def test_prediction_of_zero_runs_the_full_search(self):
+        # the anchors' optimum of the vacuum is exactly 0, so the bracket
+        # [max(p/2, 1e-6), min(2p, search_max)] is empty; every state between
+        # the anchors runs the full search instead
         traj = gibbs_trajectory(np.zeros(self.M))
         trace = thermalization_trace(traj, search_max=0.5)
         free = ~anchor_mask(self.M)
         assert np.all(self.predicted(trace) == 0.0)
         assert np.all(trace.evaluations[free] > fidelity._SCAN_POINTS)
         np.testing.assert_allclose(trace.n_eff, 0.0, atol=1e-7)
+
+
+@pytest.fixture(scope="module")
+def fig2_trajectories():
+    """The fig2a-d presets' trajectories at their certified cutoffs."""
+    out = []
+    for preset in ("fig2a", "fig2b", "fig2c", "fig2d"):
+        config = resolve_config(preset=preset, command="thermalize")
+        trunc = config.trunc()
+        (point,) = config.sweep_points()
+        out.append(propagate(vacuum_state(trunc), config.params_at(point), config.grid(), trunc))
+    return out
+
+
+def spread_occupations(traj):
+    """One occupation per state, log-spaced over the trace's search bracket."""
+    return np.geomspace(1e-3, default_search_max(traj.entries), len(traj.entries))
+
+
+class TestGibbsRootKernel:
+    """T = sqrt(F) and its first two n-derivatives from one eigh per state."""
+
+    def test_value_matches_the_fidelity_kernel(self, fig2_trajectories):
+        for traj in fig2_trajectories:
+            n = spread_occupations(traj)
+            root = fidelity._gibbs_root_fidelities(traj.entries, n)[0]
+            np.testing.assert_allclose(root**2, fidelity._gibbs_fidelities(traj.entries, n), rtol=1e-15, atol=0)
+
+    def test_derivatives_match_central_differences(self, fig2_trajectories):
+        # steps of 1e-5 n: truncation and roundoff both stay near 1e-9 of the
+        # largest derivative on these states
+        for traj in fig2_trajectories:
+            n = spread_occupations(traj)
+            h = 1e-5 * n
+            _, slope, curvature = fidelity._gibbs_root_fidelities(traj.entries, n)
+            up = fidelity._gibbs_root_fidelities(traj.entries, n + h)
+            down = fidelity._gibbs_root_fidelities(traj.entries, n - h)
+            for derivative, order in ((slope, 0), (curvature, 1)):
+                central = (up[order] - down[order]) / (2.0 * h)
+                assert np.abs(central - derivative).max() <= 1e-7 * np.abs(derivative).max()
+
+    def test_a_state_reads_the_same_in_any_stack(self, fig2_trajectories):
+        # every reduction runs along a state's own rows
+        traj = fig2_trajectories[0]
+        n = spread_occupations(traj)
+        stacked = fidelity._gibbs_root_fidelities(traj.entries, n)
+        for k in range(len(n)):
+            alone = fidelity._gibbs_root_fidelities(traj.entries[k : k + 1], n[k : k + 1])
+            assert np.array_equal(alone[:, 0], stacked[:, k])
+
+    def test_newton_rounds_decompose_at_most_64_states_per_call(self, fig2_trajectories, monkeypatch):
+        traj = fig2_trajectories[0]
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            sizes.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        trace = thermalization_trace(traj)
+        # the anchors' rounds decompose up to 15 states, and the first round
+        # of the 186 others takes three calls
+        assert max(sizes) == 64
+        first = sizes.index(64)
+        assert sizes[0] == 15 and max(sizes[:first]) == 15
+        assert sizes[first : first + 3] == [64, 64, 58]
+        # one matrix per Newton round: every evaluation but the scans'
+        full_searches = np.count_nonzero(trace.evaluations > fidelity._SCAN_POINTS)
+        assert sum(sizes) == trace.evaluations.sum() - fidelity._SCAN_POINTS * full_searches
+
+
+def quadratic_root(center, curvature, seen):
+    """Stand-in for the root kernel: T = 1 - (n - center)^2, with T'' reported
+    as ``curvature``; records the occupations of each round."""
+
+    def kernel(rho, n):
+        seen.append(float(n[0]))
+        return np.stack([1.0 - (n - center) ** 2, -2.0 * (n - center), np.full_like(n, curvature)])
+
+    return kernel
+
+
+class TestNewtonSafeguards:
+    """`_newton_max` on a quadratic T, one state, whose T'' the test chooses."""
+
+    def run(self, monkeypatch, curvature, lo, hi, start, center=0.3):
+        seen = []
+        monkeypatch.setattr(fidelity, "_gibbs_root_fidelities", quadratic_root(center, curvature, seen))
+        n, f, rounds, converged = fidelity._newton_max(
+            np.zeros((1, 2, 2)), np.array([lo]), np.array([hi]), np.array([start])
+        )
+        assert rounds[0] == len(seen)
+        return seen, float(n[0]), float(f[0]), bool(converged[0])
+
+    def test_one_step_reaches_a_quadratic_maximum(self, monkeypatch):
+        seen, n, f, converged = self.run(monkeypatch, -2.0, 0.0, 1.0, 0.9)
+        assert len(seen) == 2 and seen[1] == pytest.approx(0.3, abs=1e-15)
+        assert converged
+        assert n == pytest.approx(0.3, abs=1e-15)
+        assert f == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("curvature", [0.0, 2.0])
+    def test_nonnegative_curvature_bisects(self, monkeypatch, curvature):
+        seen, n, f, converged = self.run(monkeypatch, curvature, 0.0, 1.0, 0.9)
+        lo, hi = 0.0, 1.0
+        for x, following in zip(seen, seen[1:] + [None]):
+            lo, hi = (x, hi) if x < 0.3 else (lo, x)
+            if following is not None:
+                assert following == 0.5 * (lo + hi)
+        # the bracket stop returns the last point evaluated, at its value
+        assert hi - lo < 2.0 * fidelity._search_tol(seen[-1])
+        assert not converged
+        assert n == seen[-1]
+        assert f == (1.0 - (n - 0.3) ** 2) ** 2
+
+    def test_edge_stop_takes_the_value_evaluated_there(self, monkeypatch):
+        # the maximum lies at -0.1, below the bracket: every Newton target
+        # leaves it, so the search bisects down to the edge and returns F
+        # there, not the extrapolated maximum 1 (a state at n_th = 0 once
+        # returned F = 2.59 that way)
+        seen, n, f, converged = self.run(monkeypatch, -2.0, 0.05, 1.0, 0.5, center=-0.1)
+        assert not converged
+        assert n == seen[-1] and n - 0.05 < 2.0 * fidelity._search_tol(0.05)
+        assert f == (1.0 - (n + 0.1) ** 2) ** 2 < 0.96
+
+    def test_round_cap_lies_beyond_the_bisection_bound(self, monkeypatch):
+        # bisection alone on a bracket of width 1e22 ends on its 2 tol stop
+        # before the cap, so the cap decides no result
+        seen, n, _, converged = self.run(monkeypatch, 0.0, 0.0, 1e22, 5e21)
+        assert len(seen) < fidelity._MAX_ROUNDS
+        assert not converged
+        assert abs(n - 0.3) < 2.0 * fidelity._search_tol(0.3)
+
+
+class TestRootPrecision:
+    """n_eff as the root of dF/dn, determined to roundoff."""
+
+    @pytest.mark.parametrize("n", [1e-4, 0.01, 0.05, 0.5, 2.0])
+    def test_gibbs_state_gives_back_its_occupation(self, n):
+        rho = gibbs_state(n, Truncation(30))
+        n_eff, fid = effective_temperature(rho, search_max=5.0 * (n + 0.1))
+        assert n_eff == pytest.approx(n, rel=1e-12, abs=0)
+        assert fid == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    def test_perturbation_moves_n_eff_by_roundoff(self, fig2_trajectories, rng):
+        # a Hermitian, traceless perturbation of every state, its largest
+        # entry 1e-14: the search it replaces moved n_eff by up to 3.5e-8
+        for traj in fig2_trajectories:
+            rho = traj.entries
+            d = rho.shape[-1]
+            h = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+            h += h.conj().transpose(0, 2, 1)
+            h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / d * np.eye(d)
+            h *= 1e-14 / np.abs(h).max(axis=(1, 2), keepdims=True)
+            search_max = default_search_max(rho)
+            before = thermalization_trace(traj, search_max)
+            after = thermalization_trace(Trajectory(traj.times, rho + h, traj.leakage_max), search_max)
+            assert np.abs(after.n_eff - before.n_eff).max() <= 1e-10
+
+    @pytest.mark.skipif(cli._openblas() is None, reason="numpy's BLAS exports no OpenBLAS thread control")
+    def test_same_n_eff_on_one_and_two_blas_threads(self, fig2a_trajectory):
+        traj, search_max = fig2a_trajectory
+        blas = cli._openblas()
+        old = blas.threads()
+        try:
+            traces = []
+            for threads in (1, 2):
+                blas.set_threads(threads)
+                traces.append(thermalization_trace(traj, search_max))
+        finally:
+            blas.set_threads(old)
+        assert np.array_equal(traces[0].n_eff, traces[1].n_eff)
+        assert np.array_equal(traces[0].fidelity_at_opt, traces[1].fidelity_at_opt)
+
+
+class TestOptimumAtZero:
+    """Coherent states at n_th = 0, where dT/dn grows as 1/n near n = 0.
+
+    The Gibbs fidelity of a coherent state is about (1 - r) exp(-|alpha|^2 (1
+    - r)), r = n / (n + 1), so its optimum is n = 0 while |alpha|^2 < 1 and
+    |alpha|^2 - 1 beyond.
+    """
+
+    def trajectory(self, drive):
+        trunc = Truncation(20)
+        params = SystemParams(delta=0.0, chi=0.0, drive=drive, n_th=0.0)
+        return propagate(vacuum_state(trunc), params, TimeGrid(t_end=3.0, n_samples=31), trunc)
+
+    def test_optima_at_zero_return_the_scan_point(self, monkeypatch):
+        # the inputs of the CLI's leakage-retry test: <n> stays below 1, every
+        # search ends on the bracket edge at 0, and the scan point 0 wins
+        traj = self.trajectory(1.0)
+        search_max = default_search_max(traj.entries)
+        trace = thermalization_trace(traj, search_max)
+        assert np.all(trace.n_eff == 0.0)
+        kernel = fidelity._gibbs_fidelities(traj.entries, np.zeros(len(traj.entries)))
+        assert np.array_equal(trace.fidelity_at_opt, kernel)
+        assert_trace_matches_single_states(traj, search_max, monkeypatch)
+
+    def test_optima_leaving_zero_keep_their_evaluated_fidelity(self):
+        # drive 1.5: |alpha|^2 crosses 1, and the optima leave 0 from 1.4e-3
+        # on.  Every fidelity is the kernel's value at the returned n_eff and
+        # none is extrapolated past 1.  The bounds are the kernel's own noise
+        # on a pure state: its M has one nonzero eigenvalue, and the square
+        # roots of the roundoff eigenvalues (up to 3e-16) add about 2e-8 to T.
+        # The three-point certificate took that noise for a maximum: state 12
+        # passed it at n_eff 0.318, 0.219 off its optimum 0.0987
+        traj = self.trajectory(1.5)
+        search_max = default_search_max(traj.entries)
+        trace = thermalization_trace(traj, search_max)
+        assert np.count_nonzero(trace.n_eff == 0.0) == 11
+        kernel = fidelity._gibbs_fidelities(traj.entries, trace.n_eff)
+        np.testing.assert_allclose(trace.fidelity_at_opt, kernel, rtol=0, atol=1e-8)
+        assert np.all(trace.fidelity_at_opt <= 1.0)
+        single = np.array([effective_temperature(s, search_max) for s in traj.states])
+        np.testing.assert_allclose(trace.n_eff, single[:, 0], rtol=0, atol=1e-7)
+        assert np.all(trace.fidelity_at_opt >= single[:, 1] - 1e-8)
