@@ -9,40 +9,43 @@ The factor 2 inside D is deliberate and doubles the more common half-convention:
 for the linear cavity it gives d<n>/dtau = -2 gamma <n> + 2 gamma n_th, a rate the
 test suite pins down so the convention cannot silently drift.
 
-Propagation applies the exact sample map exp(spacing R).  The generator maps
-Hermitian matrices to Hermitian matrices, so it acts as a real matrix
-R = U L U^dag on the coordinates of rho in the orthonormal Hermitian basis
-|i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 (i < j), and the
-trace is the sum of the first d coordinates.  R is linear in its five
-coefficients (delta, chi, drive, gamma (n_th + 1), gamma n_th), and each part
-is stated once, in closed form, as a lattice stencil on rho_ij; each
-dimension caches from it a (5, nnz) table on one COO index set, and a point's
-R is the coefficients times the table.  Because R is time independent, one map spans
-every sample interval.  It is built once per propagation by scaling and
-squaring: a degree-16 Taylor polynomial of spacing R / 2^s in six products
-(Paterson & Stockmeyer 1973), squared s times, with s from the 1-norm of
-spacing R (Al-Mohy & Higham 2009, 2011): 10-11 products at the presets'
-certified cutoffs and 201 samples, 14 at n_cut 30 and 121 samples.  R is affine in
-n_th, R = R0 + n_th R1, where R1 = gamma (D[a] + D[a^dag]) is
-``_N_TH_SLOPE`` times the table.  So the same products can carry the map's
-exact n_th-derivative alongside it, at three matrix products for each one of
-the map alone; the trajectory's n_th-derivative then costs two more
-matrix-vector products per sample.  A trajectory keeps its samples as one
-read-only (n_samples, d, d) array, filled from the coordinate rows with one
-gather and validated in one pass (stacked Cholesky factorizations for
-positivity);
-``Trajectory.states`` wraps single samples as
-:class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.
+R is linear in its five coefficients (delta, chi, drive, gamma (n_th + 1),
+gamma n_th), and each part is stated once, in closed form, as a lattice
+stencil on rho_ij.  Each dimension caches from it one table: the parts'
+complex entries between the coherence coordinates, the populations
+x_i = rho_ii and then the coherences y = sqrt2 rho_{i,i+k} in coherence order
+k = 1, ..., d - 1.  R along any weight vector w over the parts is w times the
+table; a point's R takes w = its coefficients, and R1 in R = R0 + n_th R1
+takes w = ``_N_TH_SLOPE``.  Every consumer reads R this way.
 
-The steady state solves R x = 0 with a trace-one row.  Ordered by coherence
-order k = j - i, R is block tridiagonal (the drive moves k by one, the
-Hamiltonian and the dissipators keep it), and on the coherences rho_{i,i+k},
-k >= 1, it acts complex-linearly.  So the solve is a block elimination in
-complex blocks of size d - k from k = d - 1 down to 1, then one real step on
-the populations, and the n_th-derivative of the steady state is one more
-sweep through the same factors, returned as the propagation's pair with one
-sample at tau = inf.  The blocks come straight from the stencil,
-and the solve reads and writes rho's entries, so the Hermitian-basis
+Propagation applies the exact sample map exp(spacing R).  R maps Hermitian
+matrices to Hermitian matrices, so it acts as a real matrix on the
+coordinates of rho in the orthonormal Hermitian basis: the d populations,
+then sqrt2 Re and sqrt2 Im of the coherences, both in coherence order, so a
+coherence's Im slot is its Re slot plus m = d (d - 1) / 2; the trace is the
+sum of the first d coordinates.  The map scatters R's entries into that
+dense real form and is built once per propagation by scaling and squaring: a
+degree-16 Taylor polynomial of spacing R / 2^s in six products (Paterson &
+Stockmeyer 1973), squared s times, with s from the 1-norm of spacing R
+(Al-Mohy & Higham 2009, 2011): 10-11 products at the presets' certified
+cutoffs and 201 samples, 14 at n_cut 30 and 121 samples.  The same products
+can carry the map's exact n_th-derivative alongside it, at three matrix
+products for each one of the map alone; the trajectory's n_th-derivative
+then costs two more matrix-vector products per sample.  A trajectory keeps
+its samples as one read-only (n_samples, d, d) array, filled from the
+coordinate rows with one gather and validated in one pass (stacked Cholesky
+factorizations for positivity); ``Trajectory.states`` wraps single samples
+as :class:`~kerr_thermo.fock.DensityMatrix` only when they are accessed.
+
+The steady state solves R x = 0 with a trace-one row.  In coherence order R
+is block tridiagonal (the drive moves k by one, the Hamiltonian and the
+dissipators keep it), and on the coherences it acts complex-linearly.  So the
+solve is a block elimination in complex blocks of size d - k from
+k = d - 1 down to 1, then one real step on the populations, with the blocks
+scattered from R's complex entries.  The n_th-derivative of the steady state
+is one more sweep through the same factors, its right-hand side R1 x the
+entries' row sums, returned as the propagation's pair with one sample at
+tau = inf.  The solve reads and writes coherence vectors, so the real
 coordinates serve the propagator and the outcome map alone.  The runtime
 needs numpy only.
 """
@@ -72,7 +75,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "PerturbedTrajectories",
-    "generator_entries",
     "lindblad_rhs",
     "propagate",
     "steady_state",
@@ -223,12 +225,6 @@ def lindblad_rhs(rho, params: SystemParams, ham: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(dim, 1)``, built once per dimension and read-only."""
-    return _frozen(*np.triu_indices(dim, 1))
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, made read-only."""
     for arr in arrays:
@@ -247,13 +243,12 @@ def _coefficients(params: SystemParams) -> np.ndarray:
 _N_TH_SLOPE = _frozen(np.array([0.0, 0.0, 0.0, SystemParams.gamma, SystemParams.gamma]))[0]
 
 
-@functools.lru_cache(maxsize=16)
 def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The generator's five parameter-free parts as a lattice stencil: ten
     terms t with their part p[t], offsets (di[t], dj[t]) and a (d, d) weight
     w[t], so that part p of L rho is the sum over its terms of
     w_ij rho_{i+di, j+dj}; w is zero where the neighbour leaves the lattice.
-    Read-only, cached.
+    Read-only; :func:`_stencil_entries` reads it once per dimension.
 
     - delta and chi: -i (i - j) and -i (i (i - 1) - j (j - 1));
     - the drive i (a^dag - a): sqrt(i) rho_{i-1,j} - sqrt(i+1) rho_{i+1,j}
@@ -284,17 +279,6 @@ def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(part, di, dj, w)
 
 
-def _stencil_apply(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_p weights[p] L_p rho for a (d, d) matrix, straight from the stencil."""
-    dim = rho.shape[0]
-    padded = np.pad(rho, 1)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for part, di, dj, w in zip(*_stencil(dim)):
-        if weights[part]:
-            out += weights[part] * w * padded[1 + di : 1 + di + dim, 1 + dj : 1 + dj + dim]
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _coherence_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The populations x_i = rho_ii (order 0), then the coherences
@@ -307,10 +291,17 @@ def _coherence_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _frozen(order, index, bounds)
 
 
+def _coherence_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (i, i + k) of the coherences, in coherence order."""
+    order, index = _coherence_coordinates(dim)[:2]
+    return index[dim:], index[dim:] + order[dim:]
+
+
 @functools.lru_cache(maxsize=16)
 def _stencil_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R's five parts between the coherence coordinates, from the stencil:
-    entries (out, in) and their (5, n) complex values.  Read-only, cached.
+    entries (out, in) and their (5, n) complex values, the one table of R.
+    Read-only, cached.
 
     A coherence row is complex-linear, y_out += c y_in, with c = w (sqrt2 w
     from a population).  A population row takes the real part,
@@ -333,60 +324,54 @@ def _stencil_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(*np.divmod(key, size), table)
 
 
-@functools.lru_cache(maxsize=16)
-def _generator_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R's five parts on Hermitian-basis coordinates: a COO index set ``(rows,
-    cols)`` in row-major order and a (5, nnz) table, R = _coefficients @ table.
-    Read-only, cached.  Each entry c of :func:`_stencil_entries` is the block
-    [[Re c, -Im c], [Im c, Re c]] on (Re, Im) of its output and input, of
-    which a population keeps the Re half; entries zero in every part are dropped.
-    """
-    out, inp, table = _stencil_entries(dim)
-    order, index = _coherence_coordinates(dim)[:2]
-    entry = _entry_order(dim)  # for i < j, rho_ij's slot is its Re coordinate, rho_ji's its Im
-    re, im = entry[index, index + order], np.where(order > 0, entry[index + order, index], -1)
-    rows = np.concatenate([re[out], re[out], im[out], im[out]])
-    cols = np.concatenate([re[inp], im[inp], re[inp], im[inp]])
-    values = np.concatenate([table.real, -table.imag, table.imag, table.real], axis=1)
-    keep = np.nonzero((rows >= 0) & (cols >= 0) & np.any(values != 0.0, axis=0))[0]
-    keep = keep[np.argsort(rows[keep] * dim * dim + cols[keep])]
-    return _frozen(rows[keep], cols[keep], values[:, keep])
+def _generator_along(weights: np.ndarray, dim: int) -> np.ndarray:
+    """R along a weight vector over its five parts, ``weights @ table``: its
+    complex entries on the :func:`_stencil_entries` index set."""
+    return (weights @ _stencil_entries(dim)[2].view(np.float64)).view(np.complex128)
 
 
-def generator_entries(params: SystemParams, trunc: Truncation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The real generator R = U L U^dag on Hermitian-basis coordinates, as COO
-    triples ``(rows, cols, values)``; the index arrays are the cached table's."""
-    rows, cols, table = _generator_table(trunc.n_cut)
-    return rows, cols, _coefficients(params) @ table
+def _real_entries(values: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real matrix on Hermitian-basis coordinates of R's complex entries,
+    as COO triples ``(rows, cols, values)`` on distinct positions.  Each entry
+    c is the block [[Re c, -Im c], [Im c, Re c]] on the (Re, Im) slots of its
+    output and input, of which a population has the Re slot alone; a
+    coherence's Im slot is its Re slot plus m = d (d - 1) / 2."""
+    out, inp = _stencil_entries(dim)[:2]
+    m = dim * (dim - 1) // 2
+    row_im, col_im = out >= dim, inp >= dim
+    both = row_im & col_im
+    rows = np.concatenate([out, out[col_im], out[row_im] + m, out[both] + m])
+    cols = np.concatenate([inp, inp[col_im] + m, inp[row_im], inp[both] + m])
+    return rows, cols, np.concatenate([values.real, -values.imag[col_im], values.imag[row_im], values.real[both]])
 
 
 def _coordinates(mat: np.ndarray) -> np.ndarray:
     """Real Hermitian-basis coordinates of a Hermitian matrix, or of each of a
     (..., d, d) stack along the last axis: the d diagonal entries, then
-    sqrt2 Re rho_ij, then sqrt2 Im rho_ij, with (i, j) running over
-    ``np.triu_indices(dim, 1)``."""
-    iu, ju = _upper_indices(mat.shape[-1])
-    upper = math.sqrt(2.0) * mat[..., iu, ju]
+    sqrt2 Re rho_{i,i+k}, then sqrt2 Im rho_{i,i+k}, the coherences in
+    coherence order (:func:`_coherence_pairs`)."""
+    i, j = _coherence_pairs(mat.shape[-1])
+    upper = math.sqrt(2.0) * mat[..., i, j]
     return np.concatenate([mat.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
 @functools.lru_cache(maxsize=16)
 def _entry_order(dim: int) -> np.ndarray:
     """For each entry (i, j) of a d x d matrix, its index in the value row
-    [diagonal, upper triangle, conjugated upper triangle]; built once, read-only."""
-    iu, ju = _upper_indices(dim)
-    m = iu.size
+    [diagonal, coherences, conjugated coherences], the coherences in
+    coherence order; built once, read-only."""
+    i, j = _coherence_pairs(dim)
     order = np.empty((dim, dim), dtype=np.intp)
     order[np.diag_indices(dim)] = np.arange(dim)
-    order[iu, ju] = dim + np.arange(m)
-    order[ju, iu] = dim + m + np.arange(m)
+    order[i, j] = dim + np.arange(i.size)
+    order[j, i] = order[i, j] + i.size
     order.setflags(write=False)
     return order
 
 
 def _from_coordinate_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     """The (n, d, d) Hermitian matrices whose coordinates are the rows, each built
-    from its upper triangle; one gather by ``_entry_order`` fills the whole
+    from its coherences above the diagonal; one gather by ``_entry_order`` fills the whole
     stack, a new C-contiguous array that owns its memory (``values[:, order]``
     would not be C-contiguous)."""
     re, im = np.split(rows[:, dim:], 2, axis=1)
@@ -442,14 +427,6 @@ def _taylor(a: tuple) -> tuple:
     return acc
 
 
-def _dense(values: np.ndarray, dim: int) -> np.ndarray:
-    """The dense (d^2, d^2) matrix with these values on the generator's COO index set."""
-    rows, cols, _ = _generator_table(dim)
-    mat = np.zeros((dim * dim, dim * dim))
-    mat[rows, cols] = values
-    return mat
-
-
 def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangent: bool) -> tuple:
     """The sample map M = exp(spacing R), and with ``tangent`` its exact
     n_th-derivative dM, by scaling and squaring: T_16(A / 2^s) squared s
@@ -461,7 +438,7 @@ def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangen
     maps: tr M = tr and tr dM = 0.
     """
     dim = trunc.n_cut
-    _, cols, values = generator_entries(params, trunc)
+    rows, cols, values = _real_entries(_generator_along(_coefficients(params), dim), dim)
     spacing = grid.spacing
     norm = spacing * np.bincount(cols, np.abs(values), minlength=dim * dim).max()
     n_squarings = math.ceil(math.log2(max(norm / _TAYLOR_THETA, 1.0)))
@@ -469,9 +446,11 @@ def _sample_maps(params: SystemParams, grid: TimeGrid, trunc: Truncation, tangen
         n_squarings = max(n_squarings, math.ceil(math.log2(spacing / grid.integrator_step)))
     h = spacing / 2.0**n_squarings
 
-    x = (_dense(h * values, dim),)
+    # h R, and h R1 for the tangent, scattered into dense (d^2, d^2) matrices
+    x = tuple(np.zeros((dim * dim, dim * dim)) for _ in range(1 + tangent))
+    x[0][rows, cols] = h * values
     if tangent:
-        x += (_dense(h * (_N_TH_SLOPE @ _generator_table(dim)[2]), dim),)
+        x[1][rows, cols] = h * _real_entries(_generator_along(_N_TH_SLOPE, dim), dim)[2]
     maps = _taylor(x)
     for _ in range(n_squarings):
         maps = _pair_product(maps, maps)
@@ -621,8 +600,8 @@ def _coherence_blocks(dim: int):
     """Where R's coherence-order blocks sit, cached: R is block tridiagonal,
     D_k tridiagonal and U_k = R[k, k+1], L_k = R[k+1, k] bidiagonal.  Returns
     the shapes and starts of D_0..D_{d-1}, U_0..U_{d-2}, L_0..L_{d-2} in one
-    complex buffer, each :func:`_stencil_entries` entry's position there, and
-    the coherences' entries (i, i + k), each order's slice of them and their orders.
+    complex buffer, each :func:`_stencil_entries` entry's position there, each
+    order's slice of the coherences and their orders.
     """
     order, index, bounds = _coherence_coordinates(dim)
     out, inp = _stencil_entries(dim)[:2]
@@ -633,8 +612,7 @@ def _coherence_blocks(dim: int):
     block = np.where(ko == ki, ko, np.where(ki > ko, dim + ko, 2 * dim - 1 + ki))
     position = start[block] + index[out] * sizes[ki] + index[inp]
     slices = (slice(0, 0),) + tuple(slice(lo - dim, hi - dim) for lo, hi in zip(bounds[1:-1], bounds[2:]))
-    entries = _frozen(index[dim:], index[dim:] + order[dim:])
-    return (tuple(shapes), *_frozen(start, position), entries, slices, order[dim:])
+    return (tuple(shapes), *_frozen(start, position), slices, order[dim:])
 
 
 class _CoherenceSolver:
@@ -649,12 +627,12 @@ class _CoherenceSolver:
     2(d - k) it stands for; the last one is real, S_0 = D_0 - Re(U_0 S_1^{-1}
     L_0).  The inverses are kept, so every further right-hand side is one
     sweep of matrix-vector products with no new factorization.  A solve
-    reads and writes rho's entries, not its Hermitian-basis coordinates.
+    reads and writes coherence vectors, not Hermitian-basis coordinates.
     """
 
     def __init__(self, values: np.ndarray, dim: int, scale: float):
         """``values`` are R's complex entries in :func:`_stencil_entries` order."""
-        shapes, start, position, self._entries, self._slices, self._orders = _coherence_blocks(dim)
+        shapes, start, position, self._slices, self._orders = _coherence_blocks(dim)
         buffer = np.zeros(start[-1], dtype=np.complex128)
         buffer[position] = values
         blocks = [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(start[:-1], start[1:], shapes)]
@@ -679,12 +657,13 @@ class _CoherenceSolver:
         self._inverses = [diag[0].real.copy()] + diag[1:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The Hermitian (d, d) solution for a Hermitian (d, d) right-hand side:
-        reads its populations and its coherences above the diagonal."""
+        """The solution for a right-hand side, both complex coherence vectors
+        (x, y) in :func:`_coherence_coordinates` order; a population row reads
+        the real part of its right-hand side, and the solution's populations
+        are real."""
         inv, upper, lower, at = self._inverses, self._upper, self._lower, self._slices
         dim = len(inv)
-        i, j = self._entries
-        b = math.sqrt(2.0) * rhs[i, j]
+        b = rhs[dim:]
         # Down, from the highest order with a nonzero right-hand side (above
         # it z is zero): z_k = S_k^{-1} (b_k - U_k z_{k+1}), z_0 real; up, in
         # place: x_0 = z_0, x_{k+1} = z_{k+1} - S_{k+1}^{-1} L_k x_k.
@@ -695,39 +674,57 @@ class _CoherenceSolver:
             z[at[top]] = inv[top] @ b[at[top]]
         for k in range(top - 1, 0, -1):
             z[at[k]] = inv[k] @ (b[at[k]] - upper[k] @ z[at[k + 1]])
-        x0 = inv[0] @ (rhs.diagonal().real - (upper[0] @ z[at[1]]).real)
+        x0 = inv[0] @ (rhs[:dim].real - (upper[0] @ z[at[1]]).real)
         z[at[1]] -= inv[1] @ (lower[0] @ x0)
         for k in range(1, dim - 1):
             z[at[k + 1]] -= inv[k + 1] @ (lower[k] @ z[at[k]])
-        out = np.diag(x0).astype(np.complex128)
-        out[i, j] = z / math.sqrt(2.0)
-        out[j, i] = out[i, j].conj()
-        return out
+        return np.concatenate([x0, z])
+
+
+def _row_sums(values: np.ndarray, x: np.ndarray, dim: int) -> np.ndarray:
+    """R x for a coherence vector x, R given by its complex entries: each row
+    sums its entries times their inputs, and a population row keeps the real part."""
+    out, inp = _stencil_entries(dim)[:2]
+    flow = values * x[inp]
+    sums = np.bincount(out, flow.real, x.size) + 1j * np.bincount(out, flow.imag, x.size)
+    sums[:dim] = sums[:dim].real
+    return sums
+
+
+def _coherence_matrix(x: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian (d, d) matrix of a coherence vector: rho_ii = Re x_i,
+    rho_{i,i+k} = y / sqrt2 and its mirror the conjugate."""
+    i, j = _coherence_pairs(dim)
+    out = np.diag(x[:dim].real).astype(np.complex128)
+    out[i, j] = x[dim:] / math.sqrt(2.0)
+    out[j, i] = out[i, j].conj()
+    return out
 
 
 def _steady_solve(params: SystemParams, trunc: Truncation):
     """Factor R with its first row replaced by the trace-one constraint (scaled
     to R's largest entry for conditioning) and solve for the steady state.
     Returns the state (exactly Hermitian, residual-checked, not yet
-    validated) and the factored system, so a caller can reuse it.
+    validated), its coherence vector and the factored system, for reuse.
     """
     dim = trunc.n_cut
-    values = (_coefficients(params) @ _stencil_entries(dim)[2].view(np.float64)).view(np.complex128)
+    values = _generator_along(_coefficients(params), dim)
     # R's entries are the real and imaginary parts of the complex ones, up to sign
     scale = float(np.abs(values.view(np.float64)).max())
     if not np.isfinite(scale) or scale == 0.0:
         raise NumericalFailureError("generator is identically zero or non-finite")
 
     solver = _CoherenceSolver(values, dim, scale)
-    rhs = np.zeros((dim, dim), dtype=np.complex128)
-    rhs[0, 0] = scale
-    mat = solver.solve(rhs)
+    rhs = np.zeros(dim * (dim + 1) // 2, dtype=np.complex128)
+    rhs[0] = scale
+    x = solver.solve(rhs)
+    mat = _coherence_matrix(x, dim)
     residual = float(np.abs(lindblad_rhs(mat, params, hamiltonian(params, trunc))).max())
     if not np.isfinite(residual) or residual > 1e-6 * max(1.0, scale):
         raise NumericalFailureError(
             f"steady-state residual {residual:.3e} too large; system may be singular"
         )
-    return mat, solver
+    return mat, x, solver
 
 
 def steady_state(params: SystemParams, trunc: Truncation) -> DensityMatrix:
@@ -759,14 +756,16 @@ def steady_state_tangent(params: SystemParams, trunc: Truncation) -> PerturbedTr
     Differentiating R x = 0 in n_th gives R_c x' = -R1 x, R1 the slope the
     module docstring defines, with the trace row of R_c set to 0 (x' is
     traceless): one more sweep through the kept Schur-complement inverses.
-    R1 x is the stencil applied to the state with the weights ``_N_TH_SLOPE``.
-    The state is residual-checked but not validated as a density matrix.
+    R1 x is :func:`_row_sums` of R's entries along ``_N_TH_SLOPE`` on the
+    state's coherence vector.  The state is residual-checked but not
+    validated as a density matrix.
     """
-    mat, solver = _steady_solve(params, trunc)
-    drift = -_stencil_apply(_N_TH_SLOPE, mat)
-    drift[0, 0] = 0.0
+    dim = trunc.n_cut
+    mat, x, solver = _steady_solve(params, trunc)
+    drift = -_row_sums(_generator_along(_N_TH_SLOPE, dim), x, dim)
+    drift[0] = 0.0
     central = Trajectory(times=(math.inf,), entries=mat[None], leakage_max=_leakage(mat))
-    return PerturbedTrajectories(central, solver.solve(drift)[None])
+    return PerturbedTrajectories(central, _coherence_matrix(solver.solve(drift), dim)[None])
 
 
 def purity(rho) -> float:

@@ -11,13 +11,13 @@ integration weight; its outcome distribution is the Husimi Q function.
 
 Both POVMs are rank one, so elements are stored as their factor vectors.
 Outcome probabilities are linear in the state: one real (n_outcomes, d^2) map
-on the Hermitian-basis coordinates gives a whole trajectory's distributions in
-one matmul, and :func:`outcome_distribution` is its one-state case.  By the
-same linearity, the same map applied to the coordinates of d rho / d n_th
-gives the derivatives of the distributions, so ``cfi_series(pair, povm)``
-reads a (central trajectory, derivative stack) pair, transient or at
-tau = inf, with two matmuls and takes the CFI sum over every sample at once;
-:func:`cfi` is the sum's one-state case.
+on the Hermitian-basis coordinates, in the coherence order of
+``dynamics._coordinates``, gives a whole trajectory's distributions in one
+matmul; :func:`outcome_distribution` is its one-state case.  The same map on
+the coordinates of d rho / d n_th gives the distributions' derivatives, so
+``cfi_series(pair, povm)`` reads a (central trajectory, derivative stack)
+pair, transient or at tau = inf, with two matmuls and takes the CFI sum over
+every sample at once; :func:`cfi` is the sum's one-state case.
 """
 
 from __future__ import annotations

@@ -9,6 +9,14 @@ def rng():
     return np.random.default_rng(SEED)
 
 
+def coherence_pairs(dim):
+    """The entries (i, i + k) above the diagonal in coherence order, k = 1, ...,
+    d - 1 and then i = 0, ..., d - k - 1: the order of the coherences'
+    Hermitian-basis coordinates."""
+    pairs = np.array([(i, i + k) for k in range(1, dim) for i in range(dim - k)], dtype=np.intp)
+    return tuple(pairs.reshape(-1, 2).T)
+
+
 def random_density_matrix(rng, dim, zero_top=0):
     """Random full-rank density matrix; optionally empty in the top levels."""
     core = dim - zero_top

@@ -1,6 +1,7 @@
 """Test oracle: the generator table built the generic way, from Kronecker
-products of the operators, for comparison with the library's closed-form
-stencil (``dynamics._generator_table``).
+products of the operators, for comparison with the real generator the
+library scatters from its closed-form stencil (``dynamics._real_entries`` of
+``dynamics._stencil_entries``).
 
 Each of R's five parameter-free parts is a complex Liouvillian on row-major
 vec(rho), a sum of terms w A rho B, that is w kron(A, B^T), whose COO triples
@@ -16,6 +17,8 @@ import math
 import numpy as np
 
 from kerr_thermo import SystemParams, Truncation, annihilation, hamiltonian
+
+from conftest import coherence_pairs
 
 
 def _coo(mat):
@@ -44,8 +47,9 @@ def kron_generator_table(dim):
     ) + (dissipator(a), dissipator(a.conj().T))
 
     # U by columns: vec position s goes to coordinates urow[s] with weights
-    # uval[s] (a diagonal position has one, padded with a zero weight).
-    iu, ju = np.triu_indices(dim, 1)
+    # uval[s] (a diagonal position has one, padded with a zero weight); the
+    # coherences' coordinates run in coherence order.
+    iu, ju = coherence_pairs(dim)
     m, c, dd = iu.size, 1.0 / math.sqrt(2.0), dim * dim
     urow = np.zeros((dd, 2), dtype=np.intp)
     uval = np.zeros((dd, 2), dtype=np.complex128)

@@ -24,6 +24,7 @@ from kerr_thermo import (
     vacuum_state,
 )
 from kerr_thermo import dynamics, fock, measurement
+from conftest import coherence_pairs
 from stencil import perturbed_trajectories
 
 FIG8A = SystemParams(delta=-3.5, chi=0.65, drive=1.0, n_th=0.05)
@@ -56,7 +57,7 @@ def fig8a(request):
 
 def from_coordinates_reference(coords, dim):
     """One sample rebuilt from its coordinates, entry by entry (the per-sample form)."""
-    iu = np.triu_indices(dim, 1)
+    iu = coherence_pairs(dim)
     re, im = coords[dim:].reshape(2, -1)
     mat = np.diag(coords[:dim].astype(np.complex128))
     mat[iu] = (re + 1j * im) / math.sqrt(2.0)

@@ -30,6 +30,8 @@ from kerr_thermo.config import homodyne_label, parse_config, resolve_config
 from kerr_thermo.errors import BracketBoundaryWarning, ConfigError, NumericalFailureError, TruncationError
 from kerr_thermo.presets import FIGURE_NAMES, PRESETS
 
+import figure_reference
+
 
 FAST_THERMALIZE = """
 command = thermalize
@@ -1145,15 +1147,17 @@ PRESET_RUNS = {
 
 class TestReproduceFigure:
     def test_every_preset_passes_its_checks(self, tmp_path, request):
-        # all 17 presets in one process: every sidecar check passes, and each
-        # run reports the cutoff and the thread count the table holds
+        # all 17 presets in one process: every sidecar check passes, each run
+        # reports the cutoff and the thread count the table holds, and every
+        # certificate and CSV column matches the committed reference
+        # (tests/figure_reference.py states each column class's tolerance)
         blas = cli._openblas()
         if blas is not None:
             request.getfixturevalue("two_blas_threads")
         assert list(PRESET_RUNS) == list(FIGURE_NAMES)
-        checks = []
+        checks, records = [], {}
         for name, (rule, n_cut, threads) in PRESET_RUNS.items():
-            report = reproduce_figure(name, out_dir=str(tmp_path / name))
+            report, records[name] = figure_reference.reproduce(name, tmp_path / name)
             sidecar = read_lines(tmp_path / name / f"{name}_params.txt").splitlines()
             checks += [line.strip() for line in sidecar if line.startswith("  [")]
             expected_blas = (
@@ -1163,6 +1167,10 @@ class TestReproduceFigure:
             assert got == (rule, n_cut, expected_blas), name
         assert len(checks) == 24
         assert all(check.startswith("[PASS]") for check in checks), checks
+        moves = figure_reference.column_moves(figure_reference.load_reference(), records)
+        print("largest move per column, relative to its largest magnitude:")
+        print(figure_reference.render_moves(moves))
+        assert figure_reference.out_of_tolerance(moves) == {}
 
     def test_fig2a_thermalize(self, tmp_path):
         report = reproduce_figure("fig2a", out_dir=str(tmp_path))

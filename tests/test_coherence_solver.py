@@ -10,7 +10,6 @@ import scipy.sparse.linalg as sparse_linalg
 from kerr_thermo import (
     SystemParams,
     Truncation,
-    generator_entries,
     mean_photon_number,
     purity,
     steady_state,
@@ -19,6 +18,8 @@ from kerr_thermo import (
 from kerr_thermo import cli, dynamics
 from kerr_thermo.config import parse_config
 from kerr_thermo.errors import NumericalFailureError, TruncationError
+
+from conftest import coherence_pairs
 
 PARAMS = {
     "fig7-corner": SystemParams(delta=-3.5, chi=0.5, drive=1.0, n_th=0.05),
@@ -36,67 +37,68 @@ LINEAR_CASES = [(name, n) for name in PARAMS for n in (8, 14, 30, 48)]
 
 def coherence_order(dim):
     """Coherence order j - i of every Hermitian-basis coordinate."""
-    iu, ju = np.triu_indices(dim, 1)
+    iu, ju = coherence_pairs(dim)
     return np.concatenate([np.zeros(dim, dtype=int), ju - iu, ju - iu])
 
 
-def coherence_slots(dim):
-    """Each coherence rho_{i,i+k}'s (Re, Im) Hermitian-basis coordinates, in
-    the solver's coherence order: the slots of rho_{i,i+k} and of its mirror
-    rho_{i+k,i} in the coordinate layout."""
-    order, index = dynamics._coherence_coordinates(dim)[:2]
-    i, j = index[dim:], index[dim:] + order[dim:]
-    entry = dynamics._entry_order(dim)
-    return np.column_stack([entry[i, j], entry[j, i]])
+def real_entries(weights, dim):
+    """R along a weight vector over its five parts, as the real COO triples
+    on Hermitian-basis coordinates that the sample map scatters."""
+    return dynamics._real_entries(dynamics._generator_along(weights, dim), dim)
+
+
+def dense_generator(weights, dim):
+    """The dense real R along a weight vector, from :func:`real_entries`."""
+    rows, cols, values = real_entries(weights, dim)
+    rmat = np.zeros((dim * dim, dim * dim))
+    rmat[rows, cols] = values
+    return rmat
 
 
 def sparse_lu_tangent(params, trunc):
-    """Reference: splu of the trace-constrained R from generator_entries, for
-    the steady coordinates and then for their n_th-derivative."""
+    """Reference: splu of the trace-constrained dense real R, for the steady
+    coordinates and then for their n_th-derivative."""
     dim = trunc.n_cut
-    rows, cols, values = generator_entries(params, trunc)
-    rmat = sparse.csr_matrix((values, (rows, cols)), shape=(dim * dim, dim * dim)).tolil()
+    rmat = dense_generator(dynamics._coefficients(params), dim)
+    r1 = dense_generator(dynamics._coefficients(params.with_n_th(params.n_th + 1.0)), dim) - rmat
     rmat[0, :] = 0.0
     rmat[0, :dim] = 1.0
-    lu = sparse_linalg.splu(rmat.tocsc())
+    lu = sparse_linalg.splu(sparse.csc_matrix(rmat))
     rhs = np.zeros(dim * dim)
     rhs[0] = 1.0
     coords = lu.solve(rhs)
-    r1 = generator_entries(params.with_n_th(params.n_th + 1.0), trunc)[2] - values
-    drift = -np.bincount(rows, weights=r1 * coords[cols], minlength=dim * dim)
+    drift = -(r1 @ coords)
     drift[0] = 0.0
     return tuple(dynamics._from_coordinate_rows(np.stack([coords, lu.solve(drift)]), dim))
 
 
 @pytest.mark.parametrize("name, n_cut", CASES, ids=IDS)
 def test_generator_is_block_tridiagonal_in_coherence_order(name, n_cut):
-    rows, cols, values = generator_entries(PARAMS[name], Truncation(n_cut))
+    rows, cols, values = real_entries(dynamics._coefficients(PARAMS[name]), n_cut)
     order = coherence_order(n_cut)
     nonzero = values != 0.0
     assert np.abs(order[rows[nonzero]] - order[cols[nonzero]]).max() <= 1
     # the trace row (all populations) lies in block 0, which the solver keeps real
     assert np.all(order[:n_cut] == 0)
-    # the solver reads each coherence as its entry rho_{i,i+k}, in coherence
-    # order, and block k >= 1 is its slice of them; the (Re, Im) coordinates
-    # of those entries cover every coherence coordinate once
-    (i, j), at = dynamics._coherence_blocks(n_cut)[3:5]
-    gather = coherence_slots(n_cut)
-    assert np.all(j > i)
-    assert np.array_equal(dynamics._entry_order(n_cut)[i, j], gather[:, 0])
+    # the coordinates and the solver share one order: the populations, the
+    # coherences' Re slots in coherence order, then their Im slots, each m
+    # after its Re slot; the solver's block k >= 1 is its slice of the coherences
+    i, j = coherence_pairs(n_cut)
     m = n_cut * (n_cut - 1) // 2
-    assert np.all(gather[:, 1] - gather[:, 0] == m)
-    assert np.array_equal(np.sort(np.concatenate([np.arange(n_cut), gather.ravel()])), np.arange(n_cut**2))
-    assert np.all(np.diff(order[gather[:, 0]]) >= 0)
+    assert all(np.array_equal(a, b) for a, b in zip(dynamics._coherence_pairs(n_cut), (i, j)))
+    assert np.array_equal(dynamics._entry_order(n_cut)[i, j], n_cut + np.arange(m))
+    assert np.array_equal(dynamics._entry_order(n_cut)[j, i], n_cut + m + np.arange(m))
+    at = dynamics._coherence_blocks(n_cut)[3]
     assert at[0] == slice(0, 0)
     for k in range(1, n_cut):
-        assert np.array_equal(order[gather[at[k], 0]], np.full(n_cut - k, k))
+        assert np.array_equal(order[n_cut:][at[k]], np.full(n_cut - k, k))
 
 
 @pytest.mark.parametrize("name, n_cut", LINEAR_CASES, ids=[f"{name}-n{n}" for name, n in LINEAR_CASES])
 def test_coherence_blocks_are_complex_linear(name, n_cut):
     # between coherence orders k, l >= 1 the real block [[P, Q], [P', Q']] on
     # (Re, Im) coordinates is the real form of P + i P': Q' = P and Q = -P'
-    rows, cols, values = generator_entries(PARAMS[name], Truncation(n_cut))
+    rows, cols, values = real_entries(dynamics._coefficients(PARAMS[name]), n_cut)
     dim, m = n_cut * n_cut, n_cut * (n_cut - 1) // 2
     rmat = sparse.csr_matrix((values, (rows, cols)), shape=(dim, dim))
     re, im = slice(n_cut, n_cut + m), slice(n_cut + m, dim)
@@ -109,8 +111,9 @@ def test_coherence_blocks_are_complex_linear(name, n_cut):
 def real_blocks(rows, cols, values, dim, k, l):
     """The real block of R between coherence orders k and l, (Re, Im) rows and
     columns in block order (a population has no Im half)."""
-    gather, at = coherence_slots(dim), dynamics._coherence_blocks(dim)[4]
-    coords = [np.arange(dim) if n == 0 else gather[at[n]].T.ravel() for n in (k, l)]
+    at, m = dynamics._coherence_blocks(dim)[3], dim * (dim - 1) // 2
+    re = dim + np.arange(m)
+    coords = [np.arange(dim) if n == 0 else np.concatenate([re[at[n]], re[at[n]] + m]) for n in (k, l)]
     dense = sparse.csr_matrix((values, (rows, cols)), shape=(dim * dim, dim * dim))
     return dense[coords[0]][:, coords[1]].toarray()
 
@@ -122,7 +125,7 @@ def test_order_zero_couples_to_order_one_through_real_and_imaginary_parts(name):
     # blocks must hold both halves of R's (Re, Im) coordinates.
     dim = 8
     params = PARAMS[name]
-    rows, cols, values = generator_entries(params, Truncation(dim))
+    rows, cols, values = real_entries(dynamics._coefficients(params), dim)
     shapes, start, position = dynamics._coherence_blocks(dim)[:3]
     buffer = np.zeros(start[-1], dtype=complex)
     buffer[position] = dynamics._coefficients(params) @ dynamics._stencil_entries(dim)[2]
@@ -151,7 +154,7 @@ def test_block_solve_matches_sparse_lu(name, n_cut):
 def quarter_turn(dim):
     """The real coordinate map of rho -> V rho V^dag, V = exp(i pi n / 2): it
     multiplies rho_{i,i+k} by (-i)^k, a signed permutation of the coordinates."""
-    iu, ju = np.triu_indices(dim, 1)
+    iu, ju = coherence_pairs(dim)
     m = iu.size
     turn = np.zeros((dim * dim, dim * dim))
     turn[np.arange(dim), np.arange(dim)] = 1.0
@@ -172,9 +175,13 @@ def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
     # rotated one, and the solver must map rotated right-hand sides to the
     # rotated solutions.
     params, dim = PARAMS["drive1.5"], 6
-    rows, cols, table = dynamics._generator_table(dim)
-    parts = np.zeros((5, dim * dim, dim * dim))
-    parts[:, rows, cols] = table
+    m = dim * (dim - 1) // 2
+
+    def generator_parts():
+        """R's five parts on Hermitian-basis coordinates, one dense matrix each."""
+        return np.array([dense_generator(unit, dim) for unit in np.eye(5)])
+
+    parts = generator_parts()
     values = dynamics._coefficients(params) @ dynamics._stencil_entries(dim)[2]
     scale = float(np.abs(values.view(float)).max())
     trace_rhs = np.zeros(dim * dim)
@@ -182,8 +189,10 @@ def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
     rhs = [trace_rhs, np.random.default_rng(7).standard_normal(dim * dim)]
 
     def solve(solver, b):
-        """The solver on the Hermitian matrix with coordinates b, as coordinates."""
-        return dynamics._coordinates(solver.solve(dynamics._from_coordinate_rows(b[None], dim)[0]))
+        """The solver on the coherence vector of coordinates b, as coordinates:
+        a coherence's Im slot is its Re slot plus m."""
+        x = solver.solve(np.concatenate([b[:dim], b[dim : dim + m] + 1j * b[dim + m :]]))
+        return np.concatenate([x[:dim].real, x[dim:].real, x[dim:].imag])
 
     solver = dynamics._CoherenceSolver(values, dim, scale)
     expected = [solve(solver, b) for b in rhs]
@@ -191,12 +200,9 @@ def test_rotated_drive_solves_to_the_rotated_state(monkeypatch):
     part, di, dj, w = dynamics._stencil(dim)
     turned = part, di, dj, w * (1j ** (dj - di))[:, None, None]
     monkeypatch.setattr(dynamics, "_stencil", lambda d: turned)
-    for name in ("_stencil_entries", "_generator_table", "_coherence_blocks"):
+    for name in ("_stencil_entries", "_coherence_blocks"):
         monkeypatch.setattr(dynamics, name, getattr(dynamics, name).__wrapped__)
-    rows, cols, table = dynamics._generator_table(dim)
-    rotated = np.zeros((5, dim * dim, dim * dim))
-    rotated[:, rows, cols] = table
-    m = dim * (dim - 1) // 2
+    rotated = generator_parts()
     assert np.any(rotated[:, :dim, dim + m :] != 0.0)
     turn = quarter_turn(dim)
     assert np.abs(rotated - turn @ parts @ turn.T).max() <= 1e-15 * np.abs(parts).max()

@@ -9,7 +9,6 @@ from kerr_thermo import (
     TimeGrid,
     Truncation,
     annihilation,
-    generator_entries,
     gibbs_state,
     hamiltonian,
     lindblad_rhs,
@@ -24,10 +23,10 @@ from kerr_thermo import (
 )
 from kerr_thermo import dynamics
 from kerr_thermo.config import resolve_config
-from kerr_thermo.dynamics import _coordinates, _from_coordinate_rows, _generator_table
+from kerr_thermo.dynamics import _coordinates, _from_coordinate_rows
 from kerr_thermo.errors import NumericalFailureError, TraceDriftError, TruncationError
 
-from conftest import random_density_matrix, state_with_smallest_eigenvalue
+from conftest import coherence_pairs, random_density_matrix, state_with_smallest_eigenvalue
 from kron_generator import kron_generator_table
 
 
@@ -38,8 +37,8 @@ def linear_params(n_th, drive=0.0, delta=0.0):
 def hermitian_basis(dim):
     """Dense unitary U taking row-major vec(rho) to real Hermitian-basis
     coordinates: the diagonal, then sqrt2 Re rho_ij, then sqrt2 Im rho_ij, with
-    (i, j) over np.triu_indices(dim, 1)."""
-    iu, ju = np.triu_indices(dim, 1)
+    (i, j) over the coherences in coherence order."""
+    iu, ju = coherence_pairs(dim)
     m, c = iu.size, 1.0 / np.sqrt(2.0)
     basis = np.zeros((dim * dim, dim * dim), dtype=complex)
     basis[np.arange(dim), np.arange(dim) * (dim + 1)] = 1.0
@@ -65,9 +64,14 @@ def complex_liouvillian(params, dim):
     return np.array(columns).T
 
 
+def real_entries(weights, dim):
+    """R along the weights as the real COO triples the sample map scatters."""
+    return dynamics._real_entries(dynamics._generator_along(weights, dim), dim)
+
+
 def dense_generator(params, trunc):
-    """The real generator R as a dense matrix, from generator_entries."""
-    rows, cols, values = generator_entries(params, trunc)
+    """The real generator R as a dense matrix, scattered as the sample map does."""
+    rows, cols, values = real_entries(dynamics._coefficients(params), trunc.n_cut)
     dd = trunc.n_cut**2
     rmat = np.zeros((dd, dd))
     rmat[rows, cols] = values
@@ -131,7 +135,7 @@ class TestHermitianBasis:
 
     def test_real_generator_matches_rhs(self, rng):
         trunc = Truncation(8)
-        rows, cols, values = generator_entries(self.PARAMS, trunc)
+        rows, cols, values = real_entries(dynamics._coefficients(self.PARAMS), 8)
         assert values.dtype == np.float64
         assert np.unique(rows * 64 + cols).size == rows.size
         rmat = dense_generator(self.PARAMS, trunc)
@@ -165,13 +169,13 @@ class TestHermitianBasis:
         assert built == [np.float64]
 
     def test_cached_indices_give_bit_identical_states(self, monkeypatch):
-        # reference: the coordinate maps rebuilding np.triu_indices on every call
+        # reference: the coordinate maps rebuilding the coherence order on every call
         def coordinates(mat):
-            upper = np.sqrt(2.0) * mat[np.triu_indices(mat.shape[0], 1)]
+            upper = np.sqrt(2.0) * mat[coherence_pairs(mat.shape[0])]
             return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
 
         def from_coordinates(coords, dim):
-            iu = np.triu_indices(dim, 1)
+            iu = coherence_pairs(dim)
             re, im = coords[dim:].reshape(2, -1)
             mat = np.diag(coords[:dim].astype(np.complex128))
             mat[iu] = (re + 1j * im) / np.sqrt(2.0)
@@ -193,8 +197,9 @@ class TestHermitianBasis:
 
 
     def test_cached_table_gives_bit_identical_results(self, monkeypatch):
-        # reference: the stencil, the generator table and the coherence blocks
-        # rebuilt on every call
+        # reference: the coherence coordinates, the table, the entry order and
+        # the coherence blocks rebuilt on every call; these four are the
+        # module's only cached builds
         trunc = Truncation(16)
         grid = TimeGrid(t_end=2.0, n_samples=9)
 
@@ -205,11 +210,13 @@ class TestHermitianBasis:
             return traj.entries, ss.entries, pair.central.entries, pair.derivative
 
         cached = run()
+        cached_names = [name for name, value in vars(dynamics).items() if hasattr(value, "cache_info")]
+        assert sorted(cached_names) == sorted(CACHED_BUILDS)
         for name in CACHED_BUILDS:
             build = getattr(dynamics, name)
             built = build(16)
             assert build(16) is built
-            arrays = [a for a in built if isinstance(a, np.ndarray)]
+            arrays = [built] if isinstance(built, np.ndarray) else [a for a in built if isinstance(a, np.ndarray)]
             assert arrays and not any(arr.flags.writeable for arr in arrays)
         for name in CACHED_BUILDS:
             monkeypatch.setattr(dynamics, name, getattr(dynamics, name).__wrapped__)
@@ -217,29 +224,57 @@ class TestHermitianBasis:
             assert a.tobytes() == b.tobytes()
 
 
-CACHED_BUILDS = ("_stencil", "_coherence_coordinates", "_stencil_entries", "_generator_table", "_coherence_blocks")
+CACHED_BUILDS = ("_coherence_coordinates", "_stencil_entries", "_entry_order", "_coherence_blocks")
+
+
+def sample_map_entries(weights, dim):
+    """R along the weights as the sample map holds it: its nonzero real
+    entries in row-major order, read off the dense matrix up to n_cut 48 and
+    off the distinct COO triples above (the dense matrix takes d^4 doubles)."""
+    rows, cols, values = real_entries(weights, dim)
+    dd = dim * dim
+    if dim <= 48:
+        mat = np.zeros((dd, dd))
+        mat[rows, cols] = values
+        rows, cols = np.nonzero(mat)
+        return rows, cols, mat[rows, cols]
+    flat = rows * dd + cols
+    assert np.unique(flat).size == flat.size
+    keep = np.flatnonzero(values)
+    keep = keep[np.argsort(flat[keep])]
+    return rows[keep], cols[keep], values[keep]
 
 
 @pytest.mark.parametrize("dim", list(range(2, 49)) + [120])
 def test_closed_form_table_matches_the_kronecker_build(dim):
-    # the table built from the lattice stencil against the generic build from
-    # Kronecker products of the operators: the same COO set, and every value
-    # within 4 ulps of the largest entry
-    rows, cols, table = _generator_table(dim)
+    # R along each unit weight vector, from the lattice stencil, against that
+    # part of the generic build from Kronecker products of the operators: the
+    # same index set, and every value within 4 ulps of the largest entry
     ref_rows, ref_cols, ref_table = kron_generator_table(dim)
-    np.testing.assert_array_equal(rows, ref_rows)
-    np.testing.assert_array_equal(cols, ref_cols)
     scale = np.abs(ref_table).max()
-    assert np.abs(table - ref_table).max() <= 4 * np.finfo(float).eps * scale
+    for part, unit in enumerate(np.eye(5)):
+        rows, cols, values = sample_map_entries(unit, dim)
+        keep = ref_table[part] != 0.0
+        np.testing.assert_array_equal(rows, ref_rows[keep])
+        np.testing.assert_array_equal(cols, ref_cols[keep])
+        assert np.abs(values - ref_table[part, keep]).max(initial=0.0) <= 4 * np.finfo(float).eps * scale
 
 
 def test_stencil_matches_lindblad_rhs(rng):
+    # the table's entries summed per row on rho's coherence vector (rho_ii,
+    # then sqrt2 rho_{i,i+k} in coherence order) against the operator form
     params = SystemParams(delta=-1.2, chi=0.4, drive=0.7, n_th=0.2)
     for dim in (2, 7):
+        iu, ju = coherence_pairs(dim)
+
+        def coherence_vector(mat):
+            return np.concatenate([mat.diagonal(), np.sqrt(2.0) * mat[iu, ju]])
+
         rho = random_density_matrix(rng, dim)
-        via_stencil = dynamics._stencil_apply(dynamics._coefficients(params), rho)
-        expected = lindblad_rhs(rho, params, hamiltonian(params, Truncation(dim)))
-        assert np.abs(via_stencil - expected).max() <= 1e-14 * np.abs(expected).max()
+        values = dynamics._generator_along(dynamics._coefficients(params), dim)
+        via_table = dynamics._row_sums(values, coherence_vector(rho), dim)
+        expected = coherence_vector(lindblad_rhs(rho, params, hamiltonian(params, Truncation(dim))))
+        assert np.abs(via_table - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize(

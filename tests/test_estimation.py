@@ -394,14 +394,20 @@ class TestCertifyCutoff:
             assert leakage <= Truncation.leakage_tol / 4, point
             assert abs(above - value) <= 1e-7 * abs(above), point
 
-    def test_steady_paths_build_no_generator_table(self):
-        # the steady state and its tangent read the closed-form coherence
-        # blocks, never the real (5, nnz) table the propagator uses
-        dynamics._generator_table.cache_clear()
+    def test_steady_paths_build_no_dense_generator(self, monkeypatch):
+        # the steady state and its tangent read the complex coherence entries,
+        # never the real form on Hermitian-basis coordinates that the
+        # propagator scatters into its dense (d^2, d^2) generator
+        def refuse(*args):
+            raise AssertionError("the steady path built the real generator")
+
+        monkeypatch.setattr(dynamics, "_real_entries", refuse)
         params = SystemParams(*CORNERS["fig8a"])
         certify_cutoff([params], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
+        dynamics.steady_state(params, Truncation(12))
         dynamics.steady_state_tangent(params, Truncation(12))
-        assert dynamics._generator_table.cache_info().currsize == 0
+        with pytest.raises(AssertionError, match="built the real generator"):
+            dynamics.propagate(vacuum_state(Truncation(12)), params, TimeGrid(1.0, 3), Truncation(12))
 
     def test_steady_paths_read_and_write_rho(self, monkeypatch):
         # the block solve takes and returns Hermitian matrices: the steady
@@ -411,15 +417,13 @@ class TestCertifyCutoff:
 
         for name in ("_coordinates", "_from_coordinate_rows"):
             monkeypatch.setattr(dynamics, name, refuse)
-        for cache in (dynamics._entry_order, dynamics._upper_indices):
-            cache.cache_clear()
+        dynamics._entry_order.cache_clear()
         params = SystemParams(*CORNERS["fig8a"])
         certify_cutoff([params], leakage_tol=1e-8, n_cut_max=PROPAGATING_NCUT_MAX)
         dynamics.steady_state(params, Truncation(12))
         pair = dynamics.steady_state_tangent(params, Truncation(12))
         rho, drho = pair.central.entries[0], pair.derivative[0]
         assert dynamics._entry_order.cache_info().currsize == 0
-        assert dynamics._upper_indices.cache_info().currsize == 0
         assert np.array_equal(rho, rho.conj().T) and np.array_equal(drho, drho.conj().T)
 
     def test_thermal_qfi_of_undriven_cavity(self):
